@@ -2,12 +2,14 @@
 
 Ideal membership via normal forms, elimination ideals read off a lex
 basis, the two-variable staircase picture of a leading-term monomial
-ideal, and a bisection root finder for the univariate polynomials that
+ideal, and an exact real-root isolator (square-free part, Sturm chain,
+dyadic bisection over Q) for the univariate polynomials that
 elimination produces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,18 +81,15 @@ def staircase(basis: GroebnerBasis) -> StaircaseDiagram:
     return StaircaseDiagram(tuple(minimal), width, height)
 
 
-def univariate_real_roots(
-    p: Polynomial, tol: float, *, grid_steps: int = 1024
-) -> list[float]:
-    """All real roots of a univariate polynomial, ascending.
+def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
+    """All distinct real roots of a univariate polynomial, ascending.
 
-    Roots are found by scanning a uniform grid over the Cauchy bound
-    interval for exact zeros and sign changes, then bisecting each
-    bracket down to tol. The grid is evaluated in exact rational
-    arithmetic, so a root sitting exactly on a grid point (in particular
-    0) is always caught, even at even multiplicity. Even-multiplicity
-    roots strictly between grid points have no sign change and can be
-    missed. Roots closer than tol merge, reporting the midpoint.
+    Exact over Q up to the final float: the square-free part p/gcd(p, p')
+    keeps every root once whatever its multiplicity, Sturm counts bisect
+    (-2^k, 2^k], a power of two past the Cauchy bound, until each
+    interval holds one root, and sign bisection refines it to width tol.
+    Every bisection point is dyadic, and a root landing on one is
+    returned exactly. Roots closer than tol merge, reporting the midpoint.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -108,47 +107,99 @@ def univariate_real_roots(
     for m, c in p.terms.items():
         coeffs[m[var]] = c
 
-    def evaluate(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+    square_free = _divmod(coeffs, _gcd(coeffs, _derivative(coeffs)))[0]
+    chain = [square_free, _derivative(square_free)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain = [_integral(s) for s in chain]
 
     lead = coeffs[-1]
-    bound = 1 + max((abs(c / lead) for c in coeffs[:-1]), default=Fraction(0))
-
-    xs = [bound * Fraction(2 * j - grid_steps, grid_steps) for j in range(grid_steps + 1)]
-    values = [evaluate(x) for x in xs]
-
+    bound = 1 + max(abs(c / lead) for c in coeffs[:-1])
+    half = Fraction(2 ** (math.ceil(bound) - 1).bit_length())
+    width = Fraction(tol)
     found: list[Fraction] = []
-    for x, v in zip(xs, values):
-        if v == 0:
-            found.append(x)
-    width_target = Fraction(tol)
-    for j in range(grid_steps):
-        va, vb = values[j], values[j + 1]
-        if (va < 0 < vb) or (vb < 0 < va):
-            a, b = xs[j], xs[j + 1]
-            while b - a >= width_target:
-                mid = (a + b) / 2
-                vm = evaluate(mid)
-                if vm == 0:
-                    a = b = mid
-                    break
-                if (vm < 0) == (va < 0):
-                    a = mid
-                else:
-                    b = mid
-            found.append((a + b) / 2)
+    stack = [(-half, _variations(chain, -half), half, _variations(chain, half))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb > 1 and b - a >= width:
+            mid = (a + b) / 2
+            vm = _variations(chain, mid)
+            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+        elif va - vb == 1:
+            found.append(_refine(chain[0], a, b, width))
+        elif va > vb:
+            found.append((a + b) / 2)  # several roots closer than tol
 
-    found.sort()
-    merged: list[float] = []
-    cluster: list[Fraction] = []
-    for root in found:
-        if cluster and float(root - cluster[0]) > tol:
-            merged.append(float((cluster[0] + cluster[-1]) / 2))
-            cluster = []
-        cluster.append(root)
-    if cluster:
-        merged.append(float((cluster[0] + cluster[-1]) / 2))
-    return merged
+    clusters: list[list[Fraction]] = []
+    for root in sorted(found):
+        if clusters and float(root - clusters[-1][0]) <= tol:
+            clusters[-1].append(root)
+        else:
+            clusters.append([root])
+    return [float((c[0] + c[-1]) / 2) for c in clusters]
+
+
+# Coefficient lists, lowest degree first, no trailing zero; [] is zero.
+
+
+def _derivative(f: list) -> list:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by a nonzero g over Q."""
+    r = list(f)
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        shift = len(r) - len(g)
+        factor = q[shift] = r[-1] / g[-1]
+        for i, c in enumerate(g):
+            r[shift + i] -= factor * c
+        r.pop()  # the leading term cancels exactly
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _gcd(f: list, g: list) -> list:
+    while g:
+        f, g = g, _divmod(f, g)[1]
+    return f
+
+
+def _integral(f: list) -> list[int]:
+    """f scaled by the positive lcm of its denominators: integers, same signs."""
+    scale = math.lcm(*(c.denominator for c in f))
+    return [int(c * scale) for c in f]
+
+
+def _sign(f: list[int], x: Fraction) -> int:
+    """Sign of f(x), from den^deg * f(num/den) in integers."""
+    acc, power = 0, 1
+    for c in reversed(f):
+        acc = acc * x.numerator + c * power
+        power *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the Sturm chain at x; zeros are skipped."""
+    signs = [s for s in (_sign(f, x) for f in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _refine(f: list[int], a: Fraction, b: Fraction, width: Fraction) -> Fraction:
+    """The one root of square-free f in (a, b]; f may vanish at a."""
+    end = _sign(f, b)
+    if end == 0:
+        return b
+    while b - a >= width:
+        mid = (a + b) / 2
+        sign = _sign(f, mid)
+        if sign == 0:
+            return mid
+        if sign == end:
+            b = mid
+        else:
+            a = mid
+    return (a + b) / 2

@@ -118,17 +118,15 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     l1, l2 = _snap(arm.l1), _snap(arm.l2)
     x, y = _snap(target.x), _snap(target.y)
 
+    # The algebra is exact: outside the annulus by any margin, no real pose.
     radius_sq = x * x + y * y
-    outer = (l1 + l2) ** 2
-    inner = (l1 - l2) ** 2
-    tol_exact = Fraction(tol)
-    if radius_sq > outer + tol_exact or radius_sq < inner - tol_exact:
+    if radius_sq > (l1 + l2) ** 2 or radius_sq < (l1 - l2) ** 2:
         return IKResult(solutions=(), diagnostic="unreachable")
 
     basis = reduce_basis(buchberger(ik_system(arm, target), MonomialOrder.LEX))
     gens = list(basis.generators)
     if any(g.total_degree == 0 for g in gens):
-        return IKResult(solutions=(), diagnostic=None)  # no poses at all
+        return IKResult(solutions=(), diagnostic="unreachable")  # unit ideal
     _require_finite(gens, basis.order)
 
     assignments: list[dict[int, float]] = [{}]
@@ -144,7 +142,9 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
             next_assignments.extend(known | {var: v} for v in values)
         assignments = next_assignments
 
+    # Poses are checked against the snapped target the algebra solved.
     solutions = []
+    fx_snap, fy_snap = float(x), float(y)
     fx_target, fy_target = float(target.x), float(target.y)
     for a in assignments:
         off_circle = max(
@@ -155,8 +155,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         theta1 = _angle(a[0], a[1])
         theta2 = _angle(a[2], a[3])
         fx, fy = forward_kinematics(arm, theta1, theta2)
-        residual = abs(fx - fx_target) + abs(fy - fy_target)
-        if residual <= 10 * tol:
+        if abs(fx - fx_snap) + abs(fy - fy_snap) <= 10 * tol:
+            residual = abs(fx - fx_target) + abs(fy - fy_target)
             solutions.append(JointSolution(theta1, theta2, residual))
 
     solutions = _deduplicate(solutions, tol)
@@ -247,14 +247,12 @@ def _specialize(
 
 
 def _float_coefficient_roots(coeffs: list[float], tol: float) -> list[float]:
-    # Exact-conversion round trip lets the rational bisection handle
-    # float-coefficient polynomials without writing a second root finder.
+    # Floats convert to Fractions exactly, so the one exact isolator in
+    # ideal.py serves float-coefficient polynomials too.
     ctx = VariableContext(("v",))
     poly = Polynomial(
         ctx, {Monomial((e,)): Fraction(c) for e, c in enumerate(coeffs) if c}
     )
-    if poly.is_zero():
-        return []
     return univariate_real_roots(poly, tol)
 
 

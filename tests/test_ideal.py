@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
@@ -16,7 +18,7 @@ from groebnerkit.order import GREVLEX, GRLEX, LEX
 from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
-from strategies import CTX_XY, CTX_T
+from strategies import CTX_XY, CTX_T, rationals
 
 CTX_XYZ = VariableContext(["x", "y", "z"])
 
@@ -175,10 +177,17 @@ class TestUnivariateRealRoots:
         assert abs(roots[1] - 0.7071067812) < 1e-9
 
     def test_ascending_and_accurate(self):
-        # (t-1)(t+2)(t-3) = t^3 - 2t^2 - 5t + 6
-        p = parse_polynomial("t^3 - 2*t^2 - 5*t + 6", CTX_T)
-        roots = univariate_real_roots(p, 1e-9)
-        assert [round(r, 6) for r in roots] == [-2.0, 1.0, 3.0]
+        cases = {
+            # (t-1)(t+2)(t-3)
+            "t^3 - 2*t^2 - 5*t + 6": [-2, 1, 3],
+            # two roots 1/10 apart next to one a thousand out
+            "(t-1)*(10*t-11)*(t-1000)": [1, Fraction(11, 10), 1000],
+            # a double root, where the sign does not change
+            "(3*t-1)^2*(t-2)": [Fraction(1, 3), 2],
+        }
+        for text, expected in cases.items():
+            roots = univariate_real_roots(parse_polynomial(text, CTX_T), 1e-9)
+            assert roots == pytest.approx([float(r) for r in expected], abs=1e-9)
 
     def test_rolle_consistency(self):
         # between consecutive roots the derivative changes sign
@@ -192,8 +201,30 @@ class TestUnivariateRealRoots:
             assert derivative(left) * derivative(right) < 0
 
     def test_close_roots_merge_within_tol(self):
-        # (t - 0.1)(t + 0.1) with a coarse tolerance collapses to one root
-        p = parse_polynomial("100*t^2 - 1", CTX_T)
-        roots = univariate_real_roots(p, 0.5)
-        assert len(roots) == 1
-        assert abs(roots[0]) < 0.5
+        cases = [
+            # (t - 0.1)(t + 0.1) with a coarse tolerance collapses to one root
+            ("100*t^2 - 1", 0.5, 0),
+            # roots 1/3 and 1/3 + 1e-12 are never separated at tol 1e-9
+            ("(3*t - 1)*(3000000000000*t - 1000000000003)", 1e-9, 1 / 3),
+        ]
+        for text, tol, centre in cases:
+            roots = univariate_real_roots(parse_polynomial(text, CTX_T), tol)
+            assert len(roots) == 1
+            assert abs(roots[0] - centre) < tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(rationals(), st.integers(1, 3), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_distinct_roots_of_a_product(self, multiplicities, times_t2_plus_1):
+        t = Polynomial.variable(CTX_T, "t")
+        p = t * t + 1 if times_t2_plus_1 else Polynomial.constant(CTX_T, 1)
+        for root, multiplicity in multiplicities.items():
+            for _ in range(multiplicity):
+                p = p * (t - root)
+        tol = 1e-9
+        roots = univariate_real_roots(p, tol)
+        assert len(roots) == len(multiplicities)
+        for got, want in zip(roots, sorted(multiplicities)):
+            assert abs(got - float(want)) <= tol

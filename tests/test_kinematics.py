@@ -101,6 +101,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             ik_solve(ArmSpec(1, 1), Target(1, 1), 0.0)
 
+    def test_float_target_on_outer_circle_unreachable(self):
+        # snaps 1.7e-13 outside the circle, where the exact algebra has no pose
+        target = Target(2 * math.cos(2.0), 2 * math.sin(2.0))
+        result = ik_solve(ArmSpec(1, 1), target)
+        assert result.solutions == ()
+        assert result.diagnostic == "unreachable"
+
     def test_solutions_sorted_by_theta1(self):
         result = ik_solve(ArmSpec(1, 1), Target(1, 1), 1e-9)
         thetas = [s.theta1 for s in result.solutions]
@@ -138,6 +145,13 @@ class TestAgainstOracle:
             result = ik_solve(arm, Target(x, y), 1e-9)
             oracle = law_of_cosines_ik(2.0, 1.0, x, y)
             assert_angles_match(result.solutions, oracle, 1e-6)
+
+    def test_float_target_next_to_a_small_fraction(self):
+        # x snaps to -499999/999999, 2.4e-7 from the float target
+        x, y = -0.4999997438596893, -1.3286535499664534
+        result = ik_solve(ArmSpec(2, 1), Target(x, y))
+        assert result.diagnostic is None
+        assert_angles_match(result.solutions, law_of_cosines_ik(2.0, 1.0, x, y), 1e-6)
 
     def test_solution_count_inside_annulus(self):
         # strictly inside: two distinct elbow branches
