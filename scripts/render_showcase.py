@@ -3,6 +3,8 @@
 oscillator plot with its envelope curves, and an inverse-kinematics sweep.
 
 Usage: python3 scripts/render_showcase.py [outdir]
+
+Stops at the first step that fails and exits with its code.
 """
 
 import math
@@ -12,26 +14,9 @@ from pathlib import Path
 from groebnerkit.cli import run
 
 
-def main():
+def main() -> int:
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "out")
     outdir.mkdir(parents=True, exist_ok=True)
-
-    run([
-        "staircase", "--vars", "x,y", "--order", "grlex",
-        "--output", str(outdir / "staircase.svg"),
-        "x^3 - 2*x*y", "x^2*y - 2*y^2 + x",
-    ])
-
-    run([
-        "oscillator", "--m", "1", "--k", "5", "--b", "0.4",
-        "--y0", "1", "--y1", "0", "--t-end", "15", "--n", "600",
-        "--format", "svg", "--output", str(outdir / "oscillator.svg"),
-    ])
-    run([
-        "oscillator", "--m", "1", "--k", "5", "--b", "0.4",
-        "--y0", "1", "--y1", "0", "--t-end", "15", "--n", "600",
-        "--output", str(outdir / "oscillator.csv"),
-    ])
 
     # quarter-circle sweep of reachable targets for a 2-link arm
     waypoints = outdir / "waypoints.csv"
@@ -40,14 +25,30 @@ def main():
         angle = math.pi / 2 * i / 8
         rows.append(f"{1.5 * math.cos(angle):.4f},{1.5 * math.sin(angle):.4f}")
     waypoints.write_text("\n".join(rows) + "\n")
-    run([
-        "ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints),
-        "--format", "csv", "--output", str(outdir / "ik_sweep.csv"),
-    ])
 
-    for name in ("staircase.svg", "oscillator.svg", "oscillator.csv", "ik_sweep.csv"):
+    oscillator = [
+        "oscillator", "--m", "1", "--k", "5", "--b", "0.4",
+        "--y0", "1", "--y1", "0", "--t-end", "15", "--n", "600",
+    ]
+    steps = {
+        "staircase.svg": [
+            "staircase", "--vars", "x,y", "--order", "grlex",
+            "x^3 - 2*x*y", "x^2*y - 2*y^2 + x",
+        ],
+        "oscillator.svg": oscillator + ["--format", "svg"],
+        "oscillator.csv": oscillator,
+        "ik_sweep.csv": [
+            "ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints),
+            "--format", "csv",
+        ],
+    }
+    for name, argv in steps.items():
+        code = run(argv + ["--output", str(outdir / name)])
+        if code:
+            return code
         print(f"wrote {outdir / name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

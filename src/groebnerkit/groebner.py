@@ -9,9 +9,8 @@ whose leading terms are divisible by another member's, interreduces the
 survivors, and scales them monic, yielding the unique reduced basis for
 the ideal and order.
 
-Pairs whose leading monomials share no variable are skipped by default
-(their S-polynomials always reduce to zero); the flag only affects
-speed, never the result.
+Pairs whose leading monomials share no variable are skipped: their
+S-polynomials always reduce to zero (Buchberger's first criterion).
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ def buchberger(
     generators: list[Polynomial],
     order: MonomialOrder,
     *,
-    skip_coprime_pairs: bool = True,
     basis_size_cap: int = DEFAULT_BASIS_SIZE_CAP,
 ) -> GroebnerBasis:
     """Complete a generating set to a Groebner basis.
@@ -103,7 +101,7 @@ def buchberger(
 
     while pairs:
         i, j = pairs.popleft()
-        if skip_coprime_pairs and lms[i].is_coprime_with(lms[j]):
+        if lms[i].is_coprime_with(lms[j]):
             continue
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero():

@@ -2,12 +2,17 @@
 
 The joint angles enter through their cosines and sines, turning the
 forward-kinematics equations into polynomials over (c1, s1, c2, s2)
-with two unit-circle constraints. A lex Groebner basis with
-c1 > s1 > c2 > s2 triangularizes the system; the univariate eliminant
-in the last variable is solved numerically and the remaining variables
-recovered by back-substitution, each candidate checked for consistency
-against every polynomial it must satisfy and finally verified by
-forward kinematics.
+with two unit-circle constraints. For every reachable target but the
+origin, the reduced lex basis with c1 > s1 > c2 > s2 is in shape
+position: an eliminant e(s2) and the lifts c2 - h3(s2), s1 - h2(s2),
+c1 - h1(s2), each h of degree at most one. The law of cosines fixes
+c2 = (r^2 - l1^2 - l2^2) / (2*l1*l2), where r^2 = x^2 + y^2, and
+(c1, s1) solves a 2x2 linear system of determinant r^2. At the origin,
+reachable only when l1 == l2, that determinant vanishes: the folded
+arm can point anywhere and the basis is {s2, c2 + 1, c1^2 + s1^2 - 1}.
+The real roots of the eliminant are isolated exactly over Q, each lift
+is evaluated at each root, and every pose is verified by forward
+kinematics.
 
 Link lengths and targets are snapped to exact rationals before any
 algebra, so the basis computation itself is exact; the snap error is
@@ -23,8 +28,8 @@ from typing import Optional, Union
 
 from .groebner import buchberger, reduce_basis
 from .ideal import univariate_real_roots
-from .order import MonomialOrder, leading_monomial
-from .ring import Monomial, Polynomial, VariableContext
+from .order import MonomialOrder
+from .ring import Polynomial, VariableContext
 
 IK_VARIABLES = ("c1", "s1", "c2", "s2")
 
@@ -108,10 +113,13 @@ def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[floa
 def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     """All joint-angle solutions for the target, sorted by theta1.
 
-    Unreachable targets report an empty solution list with an
-    "unreachable" diagnostic. A target admitting a continuum of poses
-    (the folded arm passing through the origin) is an error: the
-    solution set is not finite.
+    The reduced lex basis of a reachable target is in shape position
+    (see the module docstring), so each real root of the eliminant in s2
+    gives one candidate pose through the three lifts. Unreachable targets
+    report an empty solution list with an "unreachable" diagnostic. The
+    one reachable target whose basis is not in shape position, the
+    origin for equal links, admits a continuum of folded poses and is an
+    error: the solution set is not finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -124,36 +132,23 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         return IKResult(solutions=(), diagnostic="unreachable")
 
     basis = reduce_basis(buchberger(ik_system(arm, target), MonomialOrder.LEX))
-    gens = list(basis.generators)
-    if any(g.total_degree == 0 for g in gens):
+    eliminant, *lifts = basis.generators
+    if eliminant.total_degree == 0:
         return IKResult(solutions=(), diagnostic="unreachable")  # unit ideal
-    _require_finite(gens, basis.order)
-
-    assignments: list[dict[int, float]] = [{}]
-    for var in reversed(range(len(IK_VARIABLES))):
-        candidates = [
-            g
-            for g in gens
-            if _max_var(g) == var  # involves var and nothing more significant
-        ]
-        next_assignments: list[dict[int, float]] = []
-        for known in assignments:
-            values = _solve_variable(candidates, var, known, tol)
-            next_assignments.extend(known | {var: v} for v in values)
-        assignments = next_assignments
+    if len(lifts) != 3 or not all(map(_is_lift, lifts)):
+        raise ValueError("solution set not finite")
 
     # Poses are checked against the snapped target the algebra solved.
     solutions = []
     fx_snap, fy_snap = float(x), float(y)
     fx_target, fy_target = float(target.x), float(target.y)
-    for a in assignments:
-        off_circle = max(
-            abs(a[0] ** 2 + a[1] ** 2 - 1), abs(a[2] ** 2 + a[3] ** 2 - 1)
-        )
+    for s2 in univariate_real_roots(eliminant, tol * 1e-2):
+        c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
+        off_circle = max(abs(c1**2 + s1**2 - 1), abs(c2**2 + s2**2 - 1))
         if off_circle > 10 * tol:
             continue
-        theta1 = _angle(a[0], a[1])
-        theta2 = _angle(a[2], a[3])
+        theta1 = _angle(c1, s1)
+        theta2 = _angle(c2, s2)
         fx, fy = forward_kinematics(arm, theta1, theta2)
         if abs(fx - fx_snap) + abs(fy - fy_snap) <= 10 * tol:
             residual = abs(fx - fx_target) + abs(fy - fy_target)
@@ -164,96 +159,15 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     return IKResult(solutions=tuple(solutions), diagnostic=None)
 
 
-def _max_var(g: Polynomial) -> int:
-    """Index of the most significant variable appearing in g."""
-    indices = [min(i for i, e in enumerate(m) if e) for m in g.terms if any(m)]
-    return min(indices) if indices else len(IK_VARIABLES)
+def _is_lift(g: Polynomial) -> bool:
+    """Whether g is v - h(s2): one term outside s2, a lone variable v."""
+    outside = [m for m in g.terms if any(m[:-1])]
+    return len(outside) == 1 and outside[0].degree == 1
 
 
-def _require_finite(gens: list[Polynomial], order: MonomialOrder) -> None:
-    # Zero-dimensionality: every variable's pure power must lead some member.
-    nvars = len(IK_VARIABLES)
-    covered = set()
-    for g in gens:
-        lm = leading_monomial(g, order)
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            covered.add(support[0])
-    if covered != set(range(nvars)):
-        raise ValueError("solution set not finite")
-
-
-def _solve_variable(
-    candidates: list[Polynomial], var: int, known: dict[int, float], tol: float
-) -> list[float]:
-    """Roots for one variable given values of all less significant ones.
-
-    Each candidate polynomial is specialized to a univariate in var; the
-    lowest-degree nonvanishing specialization supplies the roots and the
-    rest filter them for consistency.
-    """
-    specialized = []
-    for g in candidates:
-        coeffs, scale = _specialize(g, var, known)
-        eps = 1e-12 * max(1.0, scale)
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= eps:
-            coeffs.pop()
-        if max(abs(c) for c in coeffs) <= eps:
-            continue  # vanished identically at this assignment
-        specialized.append((coeffs, scale))
-    if not specialized:
-        raise ValueError("solution set not finite")
-
-    specialized.sort(key=lambda cs: len(cs[0]))
-    coeffs, _ = specialized[0]
-    if len(coeffs) == 1:
-        return []  # nonzero constant: no consistent value at all
-    if len(coeffs) == 2:
-        roots = [-coeffs[0] / coeffs[1]]
-    else:
-        roots = _float_coefficient_roots(coeffs, tol * 1e-2)
-
-    consistent = []
-    for r in roots:
-        ok = True
-        for other_coeffs, other_scale in specialized[1:]:
-            value = 0.0
-            for c in reversed(other_coeffs):
-                value = value * r + c
-            if abs(value) > 1e-6 * max(1.0, other_scale):
-                ok = False
-                break
-        if ok:
-            consistent.append(r)
-    return consistent
-
-
-def _specialize(
-    g: Polynomial, var: int, known: dict[int, float]
-) -> tuple[list[float], float]:
-    """Numeric coefficients of g as a univariate in var, plus a magnitude
-    scale for noise thresholds."""
-    degree = max(m[var] for m in g.terms)
-    coeffs = [0.0] * (degree + 1)
-    scale = 0.0
-    for m, c in g.terms.items():
-        contribution = float(c)
-        for i, e in enumerate(m):
-            if e and i != var:
-                contribution *= known[i] ** e
-        coeffs[m[var]] += contribution
-        scale += abs(contribution)
-    return coeffs, scale
-
-
-def _float_coefficient_roots(coeffs: list[float], tol: float) -> list[float]:
-    # Floats convert to Fractions exactly, so the one exact isolator in
-    # ideal.py serves float-coefficient polynomials too.
-    ctx = VariableContext(("v",))
-    poly = Polynomial(
-        ctx, {Monomial((e,)): Fraction(c) for e, c in enumerate(coeffs) if c}
-    )
-    return univariate_real_roots(poly, tol)
+def _lift_value(g: Polynomial, s2: float) -> float:
+    """h(s2) for a lift v - h(s2), the value it gives its variable v."""
+    return -sum(float(c) * s2 ** m[-1] for m, c in g.terms.items() if not any(m[:-1]))
 
 
 def _angle(cosine: float, sine: float) -> float:

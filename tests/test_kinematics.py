@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from groebnerkit.kinematics import (
     ArmSpec,
@@ -38,12 +40,20 @@ def law_of_cosines_ik(l1, l2, x, y, tol=1e-12):
     return sorted(solutions)
 
 
+def angle_gap(a, b):
+    d = abs(a - b) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
 def assert_angles_match(solutions, expected, tol):
+    """Same pose count, each expected pose within tol; angles modulo 2*pi,
+    since pi and -pi + 1e-16 are the same joint angle."""
     assert len(solutions) == len(expected)
-    got = sorted((s.theta1, s.theta2) for s in solutions)
-    for (g1, g2), (e1, e2) in zip(got, sorted(expected)):
-        assert abs(g1 - e1) < tol
-        assert abs(g2 - e2) < tol
+    for e1, e2 in expected:
+        assert any(
+            angle_gap(s.theta1, e1) < tol and angle_gap(s.theta2, e2) < tol
+            for s in solutions
+        )
 
 
 class TestSystem:
@@ -81,8 +91,18 @@ class TestSolve:
             assert s.residual < 1e-6
 
     def test_full_extension_single_solution(self):
-        result = ik_solve(ArmSpec(1, 1), Target(2, 0), 1e-9)
-        assert_angles_match(result.solutions, [(0.0, 0.0)], 1e-6)
+        for arm, target, pose in [
+            (ArmSpec(1, 1), Target(2, 0), (0.0, 0.0)),
+            (ArmSpec(2, 1), Target(3, 0), (0.0, 0.0)),
+            (ArmSpec(1, 1), Target(0, 2), (math.pi / 2, 0.0)),
+        ]:
+            result = ik_solve(arm, target, 1e-9)
+            assert_angles_match(result.solutions, [pose], 1e-6)
+
+    def test_folded_on_inner_boundary_single_solution(self):
+        result = ik_solve(ArmSpec(2, 1), Target(1, 0), 1e-9)
+        assert result.diagnostic is None
+        assert_angles_match(result.solutions, [(0.0, math.pi)], 1e-6)
 
     def test_unreachable(self):
         result = ik_solve(ArmSpec(1, 1), Target(3, 0), 1e-9)
@@ -152,6 +172,35 @@ class TestAgainstOracle:
         result = ik_solve(ArmSpec(2, 1), Target(x, y))
         assert result.diagnostic is None
         assert_angles_match(result.solutions, law_of_cosines_ik(2.0, 1.0, x, y), 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l1=st.fractions(Fraction(1, 4), 3, max_denominator=6),
+        l2=st.fractions(Fraction(1, 4), 3, max_denominator=6),
+        triple=st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]),
+        signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+        swap=st.booleans(),
+        weight=st.fractions(0, 1, max_denominator=12),
+    )
+    def test_rational_targets_inside_and_on_both_boundaries(
+        self, l1, l2, triple, signs, swap, weight
+    ):
+        # rho*(a/c, b/c) has the rational radius rho: weight 0 and 1 put
+        # it exactly on the inner and outer circles.
+        a, b, c = triple
+        if swap:
+            a, b = b, a
+        inner, outer = abs(l1 - l2), l1 + l2
+        rho = inner + (outer - inner) * weight
+        assume(rho > 0)  # the folded origin is a continuum of poses
+        x, y = rho * signs[0] * a / c, rho * signs[1] * b / c
+        arm, tol = ArmSpec(l1, l2), 1e-9
+        result = ik_solve(arm, Target(x, y), tol)
+        assert result.diagnostic is None
+        assert_angles_match(result.solutions, law_of_cosines_ik(l1, l2, x, y), 1e-6)
+        for s in result.solutions:
+            fx, fy = forward_kinematics(arm, s.theta1, s.theta2)
+            assert abs(fx - x) + abs(fy - y) <= 10 * tol
 
     def test_solution_count_inside_annulus(self):
         # strictly inside: two distinct elbow branches
