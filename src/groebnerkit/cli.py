@@ -1,10 +1,12 @@
 """Command-line surface: parse inputs, run computations, emit results.
 
 Subcommands cover basis computation, division, membership, elimination,
-staircase diagrams, inverse kinematics, and oscillator sampling, with
-text, JSON, CSV, and SVG output. Exit codes: 0 on success, 1 on domain
-errors, 2 on usage or expression-syntax errors; usage errors are
-reported before any computation starts.
+staircase diagrams, inverse kinematics, and oscillator sampling. Each
+declares the output formats it accepts (text, JSON, CSV, SVG) as the
+choices of its --format flag, the first being the default, so argparse
+rejects a bad format like any other bad flag. Exit codes: 0 on success,
+1 on domain errors, 2 on usage or expression-syntax errors; usage errors
+are reported before any computation starts.
 """
 
 from __future__ import annotations
@@ -25,17 +27,6 @@ from .ring import VariableContext
 
 ORDER_NAMES = ("lex", "grlex", "grevlex")
 
-_FORMATS = {
-    "groebner": ("text", "json"),
-    "divide": ("text", "json"),
-    "member": ("text", "json"),
-    "eliminate": ("text", "json"),
-    "staircase": ("svg", "text", "json"),
-    "ik": ("text", "csv", "json"),
-    "oscillator": ("csv", "svg"),
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -47,27 +38,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, order=True, fmt_default="text"):
+    def common(p, formats, *, order=True):
         if order:
             p.add_argument("--order", choices=ORDER_NAMES, default="grevlex")
-        p.add_argument("--format", default=fmt_default, dest="fmt")
+        p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("groebner", help="reduced Groebner basis of the input system")
     p.add_argument("--vars", required=True)
     p.add_argument("--no-reduce", action="store_true", help="print the raw completed basis")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("exprs", nargs="+", metavar="EXPR")
 
     p = sub.add_parser("divide", help="divide F by an ordered divisor list: F -- D1 D2 ...")
     p.add_argument("--vars", required=True)
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("f", metavar="F")
     p.add_argument("divisors", nargs="+", metavar="D")
 
     p = sub.add_parser("member", help="ideal membership: F -- G1 G2 ...")
     p.add_argument("--vars", required=True)
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("f", metavar="F")
     p.add_argument("generators", nargs="+", metavar="G")
 
@@ -77,14 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vars", required=True)
     p.add_argument("--keep", type=int, required=True, help="trailing variables to keep")
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(order="lex")
     p.add_argument("exprs", nargs="+", metavar="EXPR")
 
     p = sub.add_parser("staircase", help="staircase diagram of the leading-term ideal")
     p.add_argument("--vars", required=True)
     p.add_argument("--cell", type=int, default=40, help="cell size in px for SVG")
-    common(p, fmt_default="svg")
+    common(p, ("svg", "text", "json"))
     p.add_argument("exprs", nargs="+", metavar="EXPR")
 
     p = sub.add_parser("ik", help="two-link planar inverse kinematics")
@@ -94,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--trajectory", default=None, help="CSV of x,y waypoints")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p, order=False)
+    common(p, ("text", "csv", "json"), order=False)
 
     p = sub.add_parser("oscillator", help="sample the underdamped closed-form solution")
     p.add_argument("--m", type=float, required=True)
@@ -106,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--svg-width", type=int, default=640)
     p.add_argument("--svg-height", type=int, default=400)
-    common(p, order=False, fmt_default="csv")
+    common(p, ("csv", "svg"), order=False)
 
     return parser
 
@@ -119,14 +110,9 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
 
-    handler = _HANDLERS[args.command]
     try:
-        _check_format(args)
-        text = handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
+        text = _HANDLERS[args.command](args)
+    except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
@@ -145,15 +131,6 @@ def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
 
-def _check_format(args) -> None:
-    allowed = _FORMATS[args.command]
-    if args.fmt not in allowed:
-        raise _UsageError(
-            f"format {args.fmt!r} not supported by {args.command!r} "
-            f"(choose from {', '.join(allowed)})"
-        )
-
-
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -168,6 +145,13 @@ def _context(spec: str) -> VariableContext:
         return VariableContext(names)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _render(args, payload: dict, lines: list[str]) -> str:
+    """The JSON payload under --format json, else the lines as text."""
+    if args.fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def _display(basis_polys, order: MonomialOrder) -> list[str]:
@@ -187,10 +171,8 @@ def _cmd_groebner(args) -> str:
     if not args.no_reduce:
         basis = reduce_basis(basis)
     lines = _display(basis.generators, order)
-    if args.fmt == "json":
-        payload = {"order": order.value, "vars": list(ctx.names), "basis": lines}
-        return json.dumps(payload, indent=2) + "\n"
-    return "".join(line + "\n" for line in lines)
+    payload = {"order": order.value, "vars": list(ctx.names), "basis": lines}
+    return _render(args, payload, lines)
 
 
 def _cmd_divide(args) -> str:
@@ -201,17 +183,15 @@ def _cmd_divide(args) -> str:
     result = divide(f, divisors, order)
     quotients = [format_polynomial(q, order) for q in result.quotients]
     remainder = format_polynomial(result.remainder, order)
-    if args.fmt == "json":
-        payload = {
-            "order": order.value,
-            "vars": list(ctx.names),
-            "quotients": quotients,
-            "remainder": remainder,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "order": order.value,
+        "vars": list(ctx.names),
+        "quotients": quotients,
+        "remainder": remainder,
+    }
     lines = [f"q{i + 1} = {q}" for i, q in enumerate(quotients)]
     lines.append(f"remainder = {remainder}")
-    return "".join(line + "\n" for line in lines)
+    return _render(args, payload, lines)
 
 
 def _cmd_member(args) -> str:
@@ -221,14 +201,12 @@ def _cmd_member(args) -> str:
     generators = parse_system(args.generators, ctx)
     basis = reduce_basis(buchberger(generators, order))
     verdict = is_member(f, basis)
-    if args.fmt == "json":
-        payload = {
-            "order": order.value,
-            "vars": list(ctx.names),
-            "member": verdict,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return ("true" if verdict else "false") + "\n"
+    payload = {
+        "order": order.value,
+        "vars": list(ctx.names),
+        "member": verdict,
+    }
+    return _render(args, payload, ["true" if verdict else "false"])
 
 
 def _cmd_eliminate(args) -> str:
@@ -241,15 +219,13 @@ def _cmd_eliminate(args) -> str:
     basis = reduce_basis(buchberger(polys, MonomialOrder.LEX))
     kept = eliminate(basis, args.keep)
     lines = _display(kept, MonomialOrder.LEX)
-    if args.fmt == "json":
-        payload = {
-            "order": "lex",
-            "vars": list(ctx.names),
-            "keep": args.keep,
-            "basis": lines,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return "".join(line + "\n" for line in lines)
+    payload = {
+        "order": "lex",
+        "vars": list(ctx.names),
+        "keep": args.keep,
+        "basis": lines,
+    }
+    return _render(args, payload, lines)
 
 
 def _cmd_staircase(args) -> str:
@@ -262,16 +238,14 @@ def _cmd_staircase(args) -> str:
     diagram = staircase(basis)
     if args.fmt == "svg":
         return _staircase_svg(diagram, ctx.names, args.cell)
-    if args.fmt == "json":
-        payload = {
-            "vars": list(ctx.names),
-            "generators": [list(g) for g in diagram.minimal_generators],
-            "width": diagram.width,
-            "height": diagram.height,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "vars": list(ctx.names),
+        "generators": [list(g) for g in diagram.minimal_generators],
+        "width": diagram.width,
+        "height": diagram.height,
+    }
     lines = [f"{a} {b}" for a, b in diagram.minimal_generators]
-    return "".join(line + "\n" for line in lines)
+    return _render(args, payload, lines)
 
 
 def _cmd_ik(args) -> str:
@@ -285,9 +259,7 @@ def _cmd_ik(args) -> str:
     results = [(t, ik_solve(arm, t, args.tol)) for t in targets]
     if args.fmt == "csv":
         return _ik_csv(results)
-    if args.fmt == "json":
-        return _ik_json(results)
-    return _ik_text(results)
+    return _render(args, _ik_payload(results), _ik_lines(results))
 
 
 def _cmd_oscillator(args) -> str:
@@ -357,7 +329,7 @@ def _ik_csv(results: list[tuple[Target, IKResult]]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _ik_text(results: list[tuple[Target, IKResult]]) -> str:
+def _ik_lines(results: list[tuple[Target, IKResult]]) -> list[str]:
     lines = []
     single = len(results) == 1
     for target, result in results:
@@ -370,10 +342,10 @@ def _ik_text(results: list[tuple[Target, IKResult]]) -> str:
             lines.append(
                 f"theta1={s.theta1:.12g} theta2={s.theta2:.12g} residual={s.residual:.3g}"
             )
-    return "".join(line + "\n" for line in lines)
+    return lines
 
 
-def _ik_json(results: list[tuple[Target, IKResult]]) -> str:
+def _ik_payload(results: list[tuple[Target, IKResult]]) -> dict:
     entries = []
     for target, result in results:
         entries.append(
@@ -387,8 +359,7 @@ def _ik_json(results: list[tuple[Target, IKResult]]) -> str:
                 "diagnostic": result.diagnostic,
             }
         )
-    payload = entries[0] if len(entries) == 1 else {"targets": entries}
-    return json.dumps(payload, indent=2) + "\n"
+    return entries[0] if len(entries) == 1 else {"targets": entries}
 
 
 # ---- SVG rendering -------------------------------------------------------

@@ -63,8 +63,9 @@ def divide(
             if lm_g.divides(lm_p):
                 shift = lm_p / lm_g
                 factor = c_p / lc_g
-                q = quotients[i]
-                q[shift] = q.get(shift, Fraction(0)) + factor
+                # lm_p falls every pass (asserted above), so no divisor
+                # sees the same shift twice.
+                quotients[i][shift] = factor
                 for m_g, c_g in terms_g:
                     m = m_g * shift
                     acc = p.get(m, Fraction(0)) - factor * c_g

@@ -130,19 +130,17 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     the others, and scale everything monic. Idempotent.
     """
     order = basis.order
-    survivors = list(basis.generators)
-
-    i = 0
-    while i < len(survivors):
-        lm_i = leading_monomial(survivors[i], order)
-        dominated = any(
-            j != i and leading_monomial(survivors[j], order).divides(lm_i)
-            for j in range(len(survivors))
-        )
-        if dominated:
-            survivors.pop(i)
-        else:
-            i += 1
+    # A leading monomial that divides another is never larger, so in
+    # ascending order every dominating member comes first; of two equal
+    # leading monomials the first is kept. Sorted here because a caller
+    # can build a GroebnerBasis unsorted.
+    survivors: list[Polynomial] = []
+    kept_lms = []
+    for g in _sorted_by_lm(basis.generators, order):
+        lm = leading_monomial(g, order)
+        if not any(m.divides(lm) for m in kept_lms):
+            survivors.append(g)
+            kept_lms.append(lm)
 
     # One pass suffices: leading terms are now pairwise indivisible, so
     # interreduction only rewrites trailing terms and never disturbs the

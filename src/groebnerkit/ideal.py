@@ -91,8 +91,8 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     Every bisection point is dyadic, and a root landing on one is
     returned exactly. Roots closer than tol merge, reporting the midpoint.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if p.is_zero():
         raise ValueError("identically zero")
     active = {i for m in p.terms for i, e in enumerate(m) if e}

@@ -46,6 +46,8 @@ class ArmSpec:
     l2: Real
 
     def __post_init__(self):
+        if not _finite(self.l1, self.l2):
+            raise ValueError("link lengths must be finite")
         if self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("link lengths must be positive")
 
@@ -56,6 +58,10 @@ class Target:
 
     x: Real
     y: Real
+
+    def __post_init__(self):
+        if not _finite(self.x, self.y):
+            raise ValueError("target coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,12 @@ class IKResult:
 
     def __iter__(self):
         return iter(self.solutions)
+
+
+def _finite(*values: Real) -> bool:
+    """No value is an infinite or NaN float. Only floats are tested:
+    math.isfinite overflows on a Fraction too large for a float."""
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
 def _snap(value: Real) -> Fraction:
@@ -121,8 +133,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     origin for equal links, admits a continuum of folded poses and is an
     error: the solution set is not finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     l1, l2 = _snap(arm.l1), _snap(arm.l2)
     x, y = _snap(target.x), _snap(target.y)
 
@@ -133,8 +145,6 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
 
     basis = reduce_basis(buchberger(ik_system(arm, target), MonomialOrder.LEX))
     eliminant, *lifts = basis.generators
-    if eliminant.total_degree == 0:
-        return IKResult(solutions=(), diagnostic="unreachable")  # unit ideal
     if len(lifts) != 3 or not all(map(_is_lift, lifts)):
         raise ValueError("solution set not finite")
 

@@ -75,8 +75,7 @@ def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Rational:
     return leading_term(p, order).coefficient
 
 
-def sorted_terms(p: Polynomial, order: MonomialOrder, descending: bool = True) -> list[Term]:
-    """Terms of p sorted under the order, largest first by default."""
-    key = order.key_function()
-    monomials = sorted(p.terms, key=key, reverse=descending)
+def sorted_terms(p: Polynomial, order: MonomialOrder) -> list[Term]:
+    """Terms of p sorted under the order, largest first."""
+    monomials = sorted(p.terms, key=order.key_function(), reverse=True)
     return [Term(p.terms[m], m) for m in monomials]

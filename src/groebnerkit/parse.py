@@ -2,20 +2,23 @@
 
 Grammar (whitespace ignored, multiplication always explicit):
 
-    expr   := ['-'] term (('+' | '-') term)*
-    term   := factor ('*' factor)*
-    factor := base ('^' nonneg-integer)?
-    base   := integer ('/' integer)? | variable | '(' expr ')'
+    expr     := ['-'] term (('+' | '-') term)*
+    term     := factor ('*' factor)*
+    factor   := base ('^' integer)?
+    base     := integer ('/' integer)? | variable | '(' expr ')'
+    integer  := decimal digits, exactly those int() reads
+    variable := word characters, the first not a decimal digit
 
 Rational literals are integer/integer pairs such as ``3/2``; general
 division is not part of the language. ``^`` binds tighter than ``*``,
 which binds tighter than ``+``/``-``, and powers are expanded eagerly so
-the result is always a plain polynomial. Errors carry the 1-based
-position of the offending character.
+the result is always a plain polynomial. Any other character is an
+error, and errors carry the 1-based position of the offending one.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .order import MonomialOrder, sorted_terms
@@ -34,34 +37,18 @@ class _Token(NamedTuple):
     position: int  # 1-based column of the first character
 
 
+# Whitespace matches no alternative, so finditer skips it.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        start = i + 1
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], start))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], start))
-            i = j
-        elif c in "+-*/^()":
-            tokens.append(_Token(c, c, start))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", start)
-    tokens.append(_Token("end", "", n + 1))
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, position = match.lastgroup, match.group(), match.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", position)
+        tokens.append(_Token(lexeme if kind == "op" else kind, lexeme, position))
+    tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 

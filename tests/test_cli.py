@@ -43,6 +43,10 @@ class TestGroebnerCommand:
         err = capsys.readouterr().err
         assert "position 4" in err
 
+    def test_superscript_exponent_exits_2(self, capsys):
+        assert run(["groebner", "--vars", "x,y", "x^\u00b2"]) == 2
+        assert "position 3" in capsys.readouterr().err
+
     def test_unknown_variable_exits_2(self, capsys):
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2
         assert "unknown variable" in capsys.readouterr().err
@@ -63,6 +67,11 @@ class TestGroebnerCommand:
 
     def test_bad_format_for_subcommand_exits_2(self, capsys):
         assert run(WORKED + ["--format", "svg"]) == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_help_lists_formats(self, capsys):
+        assert run(["staircase", "--help"]) == 0
+        assert "{svg,text,json}" in capsys.readouterr().out
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "basis.txt"
@@ -191,6 +200,21 @@ class TestIkCommand:
         assert run(["ik", "--l1", "1", "--l2", "1",
                     "--trajectory", "/nonexistent/path.csv"]) == 2
         assert "cannot read trajectory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--x", "inf", "--y", "0"],
+            ["--x", "1", "--y", "nan"],
+            ["--l1", "inf", "--x", "1", "--y", "1"],
+            ["--tol", "inf", "--x", "1", "--y", "1"],
+        ],
+    )
+    def test_non_finite_number_exits_1(self, flags, capsys):
+        assert run(["ik", "--l1", "1", "--l2", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
 
     def test_continuum_exits_1(self, capsys):
         assert run(["ik", "--l1", "1", "--l2", "1", "--x", "0", "--y", "0"]) == 1

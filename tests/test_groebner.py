@@ -162,6 +162,12 @@ class TestReduceBasis:
         reduced = reduce_basis(basis)
         assert canonical(reduced) == ["y^2 - 1/2*x", "x*y", "x^2"]
 
+    def test_equal_leading_monomials_keep_one(self):
+        # unsorted, with two members sharing the leading monomial x^2
+        for gens in [("x^2 + y", "y", "x^2"), ("x^2", "y", "x^2 + y")]:
+            basis = GroebnerBasis(tuple(map(_xy, gens)), GRLEX, reduced=False)
+            assert canonical(reduce_basis(basis)) == ["y", "x^2"]
+
     def test_monic_scaling(self):
         basis = GroebnerBasis((_xy("2*x"),), GRLEX, reduced=False)
         assert canonical(reduce_basis(basis)) == ["x"]

@@ -167,6 +167,11 @@ class TestUnivariateRealRoots:
         with pytest.raises(ValueError, match="not univariate"):
             univariate_real_roots(_xy("x + y"), 1e-9)
 
+    def test_bad_tolerance(self):
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                univariate_real_roots(parse_polynomial("t^2 - 2", CTX_T), tol)
+
     def test_nonzero_constant_has_no_roots(self):
         p = parse_polynomial("5", CTX_T)
         assert univariate_real_roots(p, 1e-9) == []

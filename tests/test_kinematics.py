@@ -74,6 +74,18 @@ class TestSystem:
             "3/2*c1 + c1*c2 - s1*s2 - 1/3", CTX_IK
         )
 
+    def test_non_finite_inputs_rejected(self):
+        for make in (
+            lambda: ArmSpec(float("nan"), 1),
+            lambda: ArmSpec(1, float("inf")),
+            lambda: Target(float("inf"), 0),
+            lambda: Target(0, float("nan")),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
+        # only floats are checked; an exact value too large for a float is fine
+        assert Target(Fraction(10**400), 0).x == 10**400
+
     def test_arm_validation(self):
         with pytest.raises(ValueError):
             ArmSpec(0, 1)
@@ -118,8 +130,9 @@ class TestSolve:
             ik_solve(ArmSpec(1, 1), Target(0, 0), 1e-9)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            ik_solve(ArmSpec(1, 1), Target(1, 1), 0.0)
+        for tol in (0.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                ik_solve(ArmSpec(1, 1), Target(1, 1), tol)
 
     def test_float_target_on_outer_circle_unreachable(self):
         # snaps 1.7e-13 outside the circle, where the exact algebra has no pose

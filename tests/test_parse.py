@@ -42,6 +42,20 @@ class TestParse:
             parse_polynomial("x +", CTX_XY)
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text, position",
+        # digits that int() does not read are outside the grammar
+        [("x^\u00b2", 3), ("\u00b2*x", 1), ("x + \u00bd", 5), ("3/\u00b2", 3), ("x $ y", 3)],
+    )
+    def test_character_outside_grammar_carries_position(self, text, position):
+        with pytest.raises(ParseError, match=rf"position {position}\)") as err:
+            parse_polynomial(text, CTX_XY)
+        assert err.value.position == position
+
+    def test_any_decimal_digit_is_an_integer(self):
+        # ARABIC-INDIC DIGIT THREE is a decimal digit, read by int() as 3
+        assert parse_polynomial("x^\u0663", CTX_XY) == _p([((3, 0), 1)])
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError, match="negative exponent"):
             parse_polynomial("x^-2", CTX_XY)
