@@ -27,8 +27,25 @@ from .ring import VariableContext
 
 ORDER_NAMES = ("lex", "grlex", "grevlex")
 
+# Blank border, in px, on each side of the oscillator plot.
+_PLOT_MARGIN = 50
+
+
 class _UsageError(Exception):
     pass
+
+
+def _int_above(floor: int):
+    """argparse type: an integer greater than floor."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value <= floor:
+            raise argparse.ArgumentTypeError(f"must be greater than {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("staircase", help="staircase diagram of the leading-term ideal")
     p.add_argument("--vars", required=True)
-    p.add_argument("--cell", type=int, default=40, help="cell size in px for SVG")
+    p.add_argument("--cell", type=_int_above(0), default=40, help="cell size in px for SVG")
     common(p, ("svg", "text", "json"))
     p.add_argument("exprs", nargs="+", metavar="EXPR")
 
@@ -95,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y1", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--svg-width", type=int, default=640)
-    p.add_argument("--svg-height", type=int, default=400)
+    p.add_argument("--svg-width", type=_int_above(2 * _PLOT_MARGIN), default=640)
+    p.add_argument("--svg-height", type=_int_above(2 * _PLOT_MARGIN), default=400)
     common(p, ("csv", "svg"), order=False)
 
     return parser
@@ -430,7 +447,7 @@ def _staircase_svg(diagram: StaircaseDiagram, names, cell: int) -> str:
 
 
 def _oscillator_svg(rows: list[Sample], width: int, height: int) -> str:
-    margin = 50
+    margin = _PLOT_MARGIN
     t_end = rows[-1].t
     y_max = max(max(abs(r.env_hi) for r in rows), 1e-12) * 1.08
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .order import MonomialOrder
+from .order import MonomialOrder, leading_term
 from .ring import Monomial, Polynomial, RingMismatchError
 
 
@@ -45,8 +45,8 @@ def divide(
     # (leading monomial, leading coefficient, all terms) per divisor
     leads = []
     for g in divisors:
-        lm = max(g.terms, key=key)
-        leads.append((lm, g.terms[lm], list(g.terms.items())))
+        lt = leading_term(g, order)
+        leads.append((lt.monomial, lt.coefficient, list(g.terms.items())))
 
     p = dict(f.terms)
     quotients: list[dict[Monomial, Fraction]] = [{} for _ in divisors]

@@ -7,7 +7,8 @@ every existing member. The loop ends with an unreduced Groebner basis
 containing the input generators. ``reduce_basis`` then drops members
 whose leading terms are divisible by another member's, interreduces the
 survivors, and scales them monic, yielding the unique reduced basis for
-the ideal and order.
+the ideal and order. Neither sorts its result: a ``GroebnerBasis``
+sorts its generators by leading monomial when it is built.
 
 Pairs whose leading monomials share no variable are skipped: their
 S-polynomials always reduce to zero (Buchberger's first criterion).
@@ -30,13 +31,19 @@ DEFAULT_BASIS_SIZE_CAP = 10_000
 class GroebnerBasis:
     """A generating set tagged with its order and reduced/unreduced status.
 
-    Generators are nonzero and sorted by leading monomial, smallest
-    first, so equal bases compare equal structurally.
+    Generators must be nonzero; construction sorts them by leading
+    monomial, smallest first, so equal bases compare equal structurally.
     """
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool
+
+    def __post_init__(self):
+        # leading_monomial raises ValueError on a zero generator.
+        key = self.order.key_function()
+        ordered = sorted(self.generators, key=lambda g: key(leading_monomial(g, self.order)))
+        object.__setattr__(self, "generators", tuple(ordered))
 
     @property
     def context(self):
@@ -55,14 +62,12 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomi
     The leading terms cancel by construction, exposing the next
     monomials underneath.
     """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("s-polynomial of zero polynomial")
     lt_p = leading_term(p, order)
     lt_q = leading_term(q, order)
     lcm = lt_p.monomial.lcm(lt_q.monomial)
     left = p.mul_term(Fraction(1) / lt_p.coefficient, lcm / lt_p.monomial)
-    right = q.mul_term(Fraction(1) / lt_q.coefficient, lcm / lt_q.monomial)
-    return left - right
+    right = q.mul_term(Fraction(-1) / lt_q.coefficient, lcm / lt_q.monomial)
+    return left + right
 
 
 def normal_form(
@@ -109,9 +114,9 @@ def buchberger(
         h = normal_form(s, G, order)
         if h.is_zero():
             continue
-        h = h / leading_term(h, order).coefficient
-        G.append(h)
-        lms.append(leading_monomial(h, order))
+        lm = leading_monomial(h, order)
+        G.append(h / h.terms[lm])
+        lms.append(lm)
         if len(G) > basis_size_cap:
             raise ValueError(
                 f"basis size exceeded the cap of {basis_size_cap} elements"
@@ -119,7 +124,7 @@ def buchberger(
         new = len(G) - 1
         pairs.extend((k, new) for k in range(new))
 
-    return GroebnerBasis(_sorted_by_lm(G, order), order, reduced=False)
+    return GroebnerBasis(tuple(G), order, reduced=False)
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -131,12 +136,11 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """
     order = basis.order
     # A leading monomial that divides another is never larger, so in
-    # ascending order every dominating member comes first; of two equal
-    # leading monomials the first is kept. Sorted here because a caller
-    # can build a GroebnerBasis unsorted.
+    # the basis's ascending order every dominating member comes first;
+    # of two equal leading monomials the first is kept.
     survivors: list[Polynomial] = []
     kept_lms = []
-    for g in _sorted_by_lm(basis.generators, order):
+    for g in basis.generators:
         lm = leading_monomial(g, order)
         if not any(m.divides(lm) for m in kept_lms):
             survivors.append(g)
@@ -150,17 +154,10 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         if others:
             survivors[i] = divide(survivors[i], others, order).remainder
 
-    monic = [g / leading_term(g, order).coefficient for g in survivors]
-    return GroebnerBasis(_sorted_by_lm(monic, order), order, reduced=True)
+    monic = [g / g.terms[lm] for g, lm in zip(survivors, kept_lms)]
+    return GroebnerBasis(tuple(monic), order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder, **kwargs) -> GroebnerBasis:
     """Convenience pipeline: complete, then reduce."""
     return reduce_basis(buchberger(generators, order, **kwargs))
-
-
-def _sorted_by_lm(
-    polys: list[Polynomial], order: MonomialOrder
-) -> tuple[Polynomial, ...]:
-    key = order.key_function()
-    return tuple(sorted(polys, key=lambda g: key(leading_monomial(g, order))))

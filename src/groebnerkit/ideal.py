@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .groebner import GroebnerBasis, normal_form
 from .order import MonomialOrder, leading_monomial
-from .ring import Polynomial, RingMismatchError
+from .ring import Polynomial
 
 
 def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -24,8 +24,6 @@ def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     Sound and complete because the basis is a Groebner basis: membership
     is exactly a zero normal form.
     """
-    if f.context != basis.context:
-        raise RingMismatchError("ring mismatch")
     return normal_form(f, list(basis.generators), basis.order).is_zero()
 
 

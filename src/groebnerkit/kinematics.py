@@ -24,18 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .groebner import buchberger, reduce_basis
 from .ideal import univariate_real_roots
 from .order import MonomialOrder
+from .reals import Real, all_finite
 from .ring import Polynomial, VariableContext
 
 IK_VARIABLES = ("c1", "s1", "c2", "s2")
 
 SNAP_DENOMINATOR = 10**6
-
-Real = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class ArmSpec:
     l2: Real
 
     def __post_init__(self):
-        if not _finite(self.l1, self.l2):
+        if not all_finite(self.l1, self.l2):
             raise ValueError("link lengths must be finite")
         if self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("link lengths must be positive")
@@ -60,7 +59,7 @@ class Target:
     y: Real
 
     def __post_init__(self):
-        if not _finite(self.x, self.y):
+        if not all_finite(self.x, self.y):
             raise ValueError("target coordinates must be finite")
 
 
@@ -81,12 +80,6 @@ class IKResult:
 
     def __iter__(self):
         return iter(self.solutions)
-
-
-def _finite(*values: Real) -> bool:
-    """No value is an infinite or NaN float. Only floats are tested:
-    math.isfinite overflows on a Fraction too large for a float."""
-    return all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
 def _snap(value: Real) -> Fraction:

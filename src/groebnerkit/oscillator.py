@@ -14,11 +14,11 @@ C2 < 0. The other damping regimes are rejected, not solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-Real = Union[int, float, Fraction]
+from .reals import Real, all_finite
 
 RELATIVE_EPSILON = 1e-12
 
@@ -35,6 +35,10 @@ class OscillatorParams:
     y1: Real
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not all_finite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.k <= 0:
@@ -76,6 +80,8 @@ def classify(m: Real, k: Real, b: Real) -> str:
     Rational inputs are compared exactly; floats within a relative
     epsilon of the critical line count as critical.
     """
+    if not all_finite(m, k, b):
+        raise ValueError("mass, spring constant and damping must be finite")
     if m <= 0 or k <= 0:
         raise ValueError("mass and spring constant must be positive")
     if b < 0:
@@ -123,8 +129,8 @@ def evaluate(sol: OscillatorSolution, t: float) -> Evaluation:
 
 def sample(sol: OscillatorSolution, t_end: float, n: int) -> list[Sample]:
     """n uniformly spaced samples on [0, t_end], endpoints included."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not all_finite(t_end) or t_end <= 0:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
     rows = []

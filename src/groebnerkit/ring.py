@@ -79,7 +79,9 @@ class Monomial(tuple):
     """Exponent vector of a power product; immutable and hashable.
 
     Multiplication adds exponents, division subtracts them (and requires
-    divisibility), ``lcm`` takes the componentwise maximum.
+    divisibility), ``lcm`` takes the componentwise maximum. Exponents are
+    checked where they enter, in the constructor; products, quotients
+    and lcms of valid vectors are valid and skip the check.
     """
 
     __slots__ = ()
@@ -103,16 +105,15 @@ class Monomial(tuple):
         if not isinstance(other, Monomial):
             return NotImplemented
         self._check_arity(other)
-        return Monomial(a + b for a, b in zip(self, other))
+        return _valid_monomial(a + b for a, b in zip(self, other))
 
     def __rmul__(self, other: object) -> "Monomial":  # type: ignore[override]
         return NotImplemented
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        self._check_arity(other)
         if not other.divides(self):
             raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial(a - b for a, b in zip(self, other))
+        return _valid_monomial(a - b for a, b in zip(self, other))
 
     def divides(self, other: "Monomial") -> bool:
         self._check_arity(other)
@@ -120,7 +121,7 @@ class Monomial(tuple):
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_arity(other)
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return _valid_monomial(max(a, b) for a, b in zip(self, other))
 
     def is_coprime_with(self, other: "Monomial") -> bool:
         self._check_arity(other)
@@ -128,6 +129,11 @@ class Monomial(tuple):
 
     def __repr__(self) -> str:
         return f"Monomial({tuple(self)!r})"
+
+
+def _valid_monomial(exponents: Iterable[int]) -> Monomial:
+    """A Monomial from exponents already known to be nonnegative integers."""
+    return tuple.__new__(Monomial, exponents)
 
 
 class Term:
@@ -220,11 +226,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def total_degree(self) -> int:
-        """Largest total degree of any term; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
 
     # ---- arithmetic ----------------------------------------------------
 

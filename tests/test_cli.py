@@ -47,6 +47,11 @@ class TestGroebnerCommand:
         assert run(["groebner", "--vars", "x,y", "x^\u00b2"]) == 2
         assert "position 3" in capsys.readouterr().err
 
+    def test_power_over_term_bound_exits_1(self, capsys):
+        assert run(["groebner", "--vars", "x,y,z", "(x+y+z)^300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power would expand") and "(position 8)" in err
+
     def test_unknown_variable_exits_2(self, capsys):
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2
         assert "unknown variable" in capsys.readouterr().err
@@ -157,6 +162,13 @@ class TestStaircaseCommand:
     def test_three_variables_rejected(self, capsys):
         assert run(["staircase", "--vars", "x,y,z", "x"]) == 2
 
+    @pytest.mark.parametrize("cell", ["-5", "0"])
+    def test_cell_must_be_positive(self, cell, capsys):
+        assert run(self.ARGS + ["--cell", cell]) == 2
+        captured = capsys.readouterr()
+        assert f"argument --cell: must be greater than 0, got {cell}" in captured.err
+        assert captured.out == ""
+
 
 class TestIkCommand:
     def test_text_solutions(self, capsys):
@@ -243,6 +255,26 @@ class TestOscillatorCommand:
         assert len(polylines) == 3  # solution plus two envelopes
         dashed = [e for e in polylines if "stroke-dasharray" in e.attrib]
         assert len(dashed) == 2
+
+    def test_svg_height_must_clear_margins(self, capsys):
+        assert run(self.ARGS + ["--format", "svg", "--svg-height", "-10"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --svg-height: must be greater than 100, got -10" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--y0", "nan"], "y0 must be finite, got nan"),
+            (["--t-end", "inf"], "t_end must be positive and finite, got inf"),
+            (["--m", "inf"], "m must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_number_exits_1(self, flags, message, capsys):
+        assert run(["oscillator", "--m", "1", "--k", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_non_underdamped_exits_1(self, capsys):
         assert run(["oscillator", "--m", "1", "--k", "1", "--b", "5"]) == 1

@@ -152,6 +152,16 @@ class TestBuchberger:
         assert_buchberger_criterion(basis)
 
 
+class TestGroebnerBasisType:
+    def test_sorted_on_construction(self):
+        basis = GroebnerBasis((_xy("x^2"), _xy("y")), GRLEX, reduced=False)
+        assert basis.generators == (_xy("y"), _xy("x^2"))
+
+    def test_zero_generator_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            GroebnerBasis((_xy("x"), Polynomial.zero(CTX_XY)), GRLEX, reduced=False)
+
+
 class TestReduceBasis:
     def test_drops_dominated_member(self):
         basis = GroebnerBasis(
@@ -163,7 +173,7 @@ class TestReduceBasis:
         assert canonical(reduced) == ["y^2 - 1/2*x", "x*y", "x^2"]
 
     def test_equal_leading_monomials_keep_one(self):
-        # unsorted, with two members sharing the leading monomial x^2
+        # given unsorted, with two members sharing the leading monomial x^2
         for gens in [("x^2 + y", "y", "x^2"), ("x^2", "y", "x^2 + y")]:
             basis = GroebnerBasis(tuple(map(_xy, gens)), GRLEX, reduced=False)
             assert canonical(reduce_basis(basis)) == ["y", "x^2"]

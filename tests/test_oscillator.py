@@ -41,6 +41,11 @@ class TestClassify:
     def test_float_epsilon_boundary(self):
         assert classify(0.25, 1.0, 1.0 + 1e-14) == "critical"
 
+    @pytest.mark.parametrize("args", [(math.nan, 1, 0), (1, math.inf, 0), (1, 1, -math.inf)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            classify(*args)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             classify(0, 1, 0)
@@ -87,6 +92,13 @@ class TestSolveIvp:
             OscillatorParams(m=1, k=0, b=0, y0=0, y1=0)
         with pytest.raises(ValueError):
             OscillatorParams(m=1, k=1, b=-1, y0=0, y1=0)
+
+    @pytest.mark.parametrize("field", ["m", "k", "b", "y0", "y1"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_params_non_finite_rejected(self, field, value):
+        values = {"m": 1, "k": 1, "b": 0, "y0": 0, "y1": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            OscillatorParams(**values)
 
 
 class TestEvaluate:
@@ -152,6 +164,9 @@ class TestSample:
             sample(sol, 0.0, 5)
         with pytest.raises(ValueError):
             sample(sol, 1.0, 1)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"t_end must be positive and finite, got {t_end}"):
+                sample(sol, t_end, 5)
 
 
 class TestAlgebraicIdentities:

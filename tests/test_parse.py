@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from groebnerkit import parse
 from groebnerkit.order import GRLEX, LEX
 from groebnerkit.parse import ParseError, format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial
@@ -36,6 +37,16 @@ class TestParse:
 
     def test_zero_exponent(self):
         assert parse_polynomial("x^0", CTX_XY) == _p([((0, 0), 1)])
+
+    def test_power_refused_over_term_bound(self, monkeypatch):
+        # (x+y)^e has e+1 terms; one-term and zero bases are never refused
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10)
+        assert len(parse_polynomial("(x+y)^9", CTX_XY).terms) == 10
+        assert parse_polynomial("(2*x)^100", CTX_XY) == _p([((100, 0), 2**100)])
+        assert parse_polynomial("(x-x)^100", CTX_XY) == _p([])
+        with pytest.raises(ValueError, match=r"more than 10 terms \(position 10\)") as err:
+            parse_polynomial("x + (x+y)^10", CTX_XY)
+        assert not isinstance(err.value, ParseError)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match=r"position 4") as err:

@@ -70,14 +70,18 @@ class TestMonomial:
         assert not a.divides(b)
         assert Monomial((1, 1)).divides(a)
         assert a / Monomial((1, 1)) == Monomial((1, 0))
+        for derived in (a * b, a.lcm(b), a / Monomial((1, 1))):
+            assert type(derived) is Monomial
 
     def test_quotient_requires_divisibility(self):
         with pytest.raises(ValueError):
             Monomial((1, 0)) / Monomial((0, 1))
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError, match="arity mismatch"):
-            Monomial((1,)).divides(Monomial((1, 2)))
+        a, b = Monomial((1,)), Monomial((1, 2))
+        for op in (a.divides, a.__mul__, a.__truediv__, a.lcm, a.is_coprime_with):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                op(b)
 
 
 def _poly(ctx, *terms):

@@ -1,0 +1,61 @@
+"""The benchmark's per-layer tracer still sees every layer of the program.
+
+``perfbench/tracing.py`` counts calls by wrapping the public functions of
+the package, so a refactor that routes work around one of them would
+silently zero its counter. The tracer is compiled from its source text,
+so nothing is imported from perfbench/ and no bytecode is written there.
+"""
+
+import types
+from pathlib import Path
+
+import groebnerkit as gk
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+CTX = gk.VariableContext(["x", "y"])
+SYSTEM = ["x^2 + y^2 - 4", "x*y - 1"]
+
+
+def traced_metrics(run) -> dict:
+    """Count and time metrics of one traced call of run()."""
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return {k: v for k, (v, unit) in tracer.metrics().items() if unit in ("count", "ms")}
+
+
+def touch_every_layer():
+    system = gk.parse_system(SYSTEM, CTX)
+    for g in gk.eliminate(gk.groebner_basis(system, gk.LEX), 1):
+        gk.univariate_real_roots(g, 1e-9)
+    grevlex = gk.groebner_basis(system, gk.GREVLEX)
+    assert gk.is_member(gk.parse_polynomial("x^3*y - x^2", CTX), grevlex)
+    rest = gk.normal_form(gk.parse_polynomial("x^3 + y", CTX), list(grevlex), gk.GREVLEX)
+    gk.format_polynomial(rest, gk.LEX)
+    gk.ik_solve(gk.ArmSpec(1, 1), gk.Target(1, 1))
+
+
+def test_every_layer_metric_is_nonzero():
+    metrics = traced_metrics(touch_every_layer)
+    assert [k for k, v in metrics.items() if not v > 0] == []
+
+
+def test_completion_alone_reaches_the_reduction_counters():
+    # Completion's own S-polynomials and normal forms, with no caller's
+    # normal_form or is_member to stand in for them.
+    system = gk.parse_system(SYSTEM, CTX)
+    metrics = traced_metrics(lambda: gk.buchberger(system, gk.LEX))
+    for name in (
+        "order.leading_term_calls",
+        "division.divide_calls",
+        "groebner.spoly_calls",
+        "groebner.normal_form_calls",
+        "groebner.zero_reductions",
+    ):
+        assert metrics[name] > 0, name
