@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .division import divide
-from .groebner import GroebnerBasis, buchberger, reduce_basis
+from .groebner import buchberger, groebner_basis, reduce_basis
 from .ideal import StaircaseDiagram, eliminate, is_member, staircase
 from .kinematics import ArmSpec, IKResult, Target, ik_solve
 from .order import MonomialOrder
@@ -216,7 +216,7 @@ def _cmd_member(args) -> str:
     order = MonomialOrder(args.order)
     f = parse_system([args.f], ctx)[0]
     generators = parse_system(args.generators, ctx)
-    basis = reduce_basis(buchberger(generators, order))
+    basis = groebner_basis(generators, order)
     verdict = is_member(f, basis)
     payload = {
         "order": order.value,
@@ -233,7 +233,7 @@ def _cmd_eliminate(args) -> str:
     if args.order != "lex":
         print("note: elimination requires lex; computing under lex", file=sys.stderr)
     polys = parse_system(args.exprs, ctx)
-    basis = reduce_basis(buchberger(polys, MonomialOrder.LEX))
+    basis = groebner_basis(polys, MonomialOrder.LEX)
     kept = eliminate(basis, args.keep)
     lines = _display(kept, MonomialOrder.LEX)
     payload = {
@@ -251,7 +251,7 @@ def _cmd_staircase(args) -> str:
         raise _UsageError("staircase supports 2 variables")
     order = MonomialOrder(args.order)
     polys = parse_system(args.exprs, ctx)
-    basis = reduce_basis(buchberger(polys, order))
+    basis = groebner_basis(polys, order)
     diagram = staircase(basis)
     if args.fmt == "svg":
         return _staircase_svg(diagram, ctx.names, args.cell)

@@ -2,9 +2,11 @@
 
 Ideal membership via normal forms, elimination ideals read off a lex
 basis, the two-variable staircase picture of a leading-term monomial
-ideal, and an exact real-root isolator (square-free part, Sturm chain,
-dyadic bisection over Q) for the univariate polynomials that
-elimination produces.
+ideal, and an exact real-root isolator for the univariate polynomials
+that elimination produces: one signed remainder sequence of p and p',
+built with the division kernel, ends in gcd(p, p'), and divided through
+by it gives the Sturm chain of the square-free part, which dyadic
+bisection over Q reads.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .division import divide
 from .groebner import GroebnerBasis, normal_form
-from .order import MonomialOrder, leading_monomial
+from .order import LEX, MonomialOrder, leading_monomial
 from .ring import Polynomial
 
 
@@ -82,9 +85,11 @@ def staircase(basis: GroebnerBasis) -> StaircaseDiagram:
 def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     """All distinct real roots of a univariate polynomial, ascending.
 
-    Exact over Q up to the final float: the square-free part p/gcd(p, p')
-    keeps every root once whatever its multiplicity, Sturm counts bisect
-    (-2^k, 2^k], a power of two past the Cauchy bound, until each
+    Exact over Q up to the final float. One signed remainder sequence
+    p, p', -rem(p, p'), ... ends in gcd(p, p'); divided through by that
+    last member it is a Sturm chain of the square-free part p/gcd(p, p'),
+    which keeps every root once whatever its multiplicity. Sturm counts
+    bisect (-2^k, 2^k], a power of two past the Cauchy bound, until each
     interval holds one root, and sign bisection refines it to width tol.
     Every bisection point is dyadic, and a root landing on one is
     returned exactly. Roots closer than tol merge, reporting the midpoint.
@@ -100,19 +105,23 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
         return []  # nonzero constant
     var = active.pop()
 
-    degree = max(m[var] for m in p.terms)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for m, c in p.terms.items():
-        coeffs[m[var]] = c
+    # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p').
+    chain = [p, p._derivative(var)]
+    while True:
+        rem = divide(chain[-2], [chain[-1]], LEX).remainder
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    gcd = chain[-1]
+    # A constant gcd (p square-free) would only scale every member.
+    if any(m[var] for m in gcd.terms):
+        chain = [divide(f, [gcd], LEX).quotients[0] for f in chain]
+    chain = [_integral(f, var) for f in chain]
 
-    square_free = _divmod(coeffs, _gcd(coeffs, _derivative(coeffs)))[0]
-    chain = [square_free, _derivative(square_free)]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
-    chain = [_integral(s) for s in chain]
-
-    lead = coeffs[-1]
-    bound = 1 + max(abs(c / lead) for c in coeffs[:-1])
+    # Every exponent but var's is zero, so tuple order is degree order.
+    top = max(p.terms)
+    lead = p.terms[top]
+    bound = 1 + max((abs(c / lead) for m, c in p.terms.items() if m != top), default=0)
     half = Fraction(2 ** (math.ceil(bound) - 1).bit_length())
     width = Fraction(tol)
     found: list[Fraction] = []
@@ -137,38 +146,17 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     return [float((c[0] + c[-1]) / 2) for c in clusters]
 
 
-# Coefficient lists, lowest degree first, no trailing zero; [] is zero.
+# Integer coefficient lists, lowest degree first, as _sign evaluates them.
 
 
-def _derivative(f: list) -> list:
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def _divmod(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by a nonzero g over Q."""
-    r = list(f)
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(r) >= len(g):
-        shift = len(r) - len(g)
-        factor = q[shift] = r[-1] / g[-1]
-        for i, c in enumerate(g):
-            r[shift + i] -= factor * c
-        r.pop()  # the leading term cancels exactly
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
-
-
-def _gcd(f: list, g: list) -> list:
-    while g:
-        f, g = g, _divmod(f, g)[1]
-    return f
-
-
-def _integral(f: list) -> list[int]:
-    """f scaled by the positive lcm of its denominators: integers, same signs."""
-    scale = math.lcm(*(c.denominator for c in f))
-    return [int(c * scale) for c in f]
+def _integral(f: Polynomial, var: int) -> list[int]:
+    """f's coefficients in var scaled by the positive lcm of their
+    denominators: integers with the same signs."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    coeffs = [0] * (1 + max(m[var] for m in f.terms))
+    for m, c in f.terms.items():
+        coeffs[m[var]] = int(c * scale)
+    return coeffs
 
 
 def _sign(f: list[int], x: Fraction) -> int:

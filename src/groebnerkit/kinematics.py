@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groebner import buchberger, reduce_basis
+from .groebner import groebner_basis
 from .ideal import univariate_real_roots
 from .order import MonomialOrder
 from .reals import Real, all_finite
@@ -136,7 +136,7 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     if radius_sq > (l1 + l2) ** 2 or radius_sq < (l1 - l2) ** 2:
         return IKResult(solutions=(), diagnostic="unreachable")
 
-    basis = reduce_basis(buchberger(ik_system(arm, target), MonomialOrder.LEX))
+    basis = groebner_basis(ik_system(arm, target), MonomialOrder.LEX)
     eliminant, *lifts = basis.generators
     if len(lifts) != 3 or not all(map(_is_lift, lifts)):
         raise ValueError("solution set not finite")

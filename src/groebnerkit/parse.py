@@ -15,9 +15,12 @@ which binds tighter than ``+``/``-``, and powers are expanded eagerly so
 the result is always a plain polynomial. Any other character is an
 error, and errors carry the 1-based position of the offending one.
 
-A power whose expansion could hold more than ``MAX_POWER_TERMS`` terms
-is refused before it is expanded, with a ``ValueError`` (not a syntax
-error) giving the position of its ``^``.
+Three work budgets are checked before the work they guard, and a breach
+raises a ``ValueError`` (not a syntax error) giving the position of its
+``^`` or ``*``. A power may expand to at most ``MAX_POWER_TERMS`` terms;
+a product, or any one step of a power, may multiply at most
+``MAX_PRODUCT_PAIRS`` pairs of terms; and no power or product may risk
+coefficients of more than ``MAX_COEFFICIENT_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from .ring import Polynomial, VariableContext, rat_normalize
 # The largest power under the cap, (x+y+z)^61 with 1953 terms, expands in
 # about 1.1 s on one core of a 2-core Xeon VM.
 MAX_POWER_TERMS = 2_000
+# One multiplication inside (x+y+z)^61, the largest power of three terms
+# the cap admits, could pair up to C(32, 2) * C(33, 2) = 496 * 528 terms.
+MAX_PRODUCT_PAIRS = 261_888
+# (12345678901/98765432103)^27000 comes within the budget and takes about
+# 1.4 s on the same VM, nearly all of it in Fraction gcds.
+MAX_COEFFICIENT_BITS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -97,11 +106,22 @@ class _Parser:
 
     def term(self) -> Polynomial:
         poly = self.factor()
+        # B(p*q) <= B(p) + B(q), so a running sum bounds the product's B
+        # without measuring the product again at every factor. A term
+        # with no product needs no bound.
+        bits = None
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                pairs = len(poly.terms) * len(rhs.terms)
+                _budget(pairs, MAX_PRODUCT_PAIRS, "product would multiply", "term pairs", tok)
+                if bits is None:
+                    bits = _coefficient_bits(poly)
+                bits += _coefficient_bits(rhs)
+                _budget(bits, MAX_COEFFICIENT_BITS, "product could reach", "coefficient bits", tok)
+                poly = poly * rhs
             elif tok.kind == "/":
                 raise ParseError(
                     "division is only allowed between integer literals", tok.position
@@ -119,15 +139,20 @@ class _Parser:
             if tok.kind != "int":
                 self.fail("expected a nonnegative integer exponent")
             self.advance()
-            exponent, t = int(tok.text), len(base.terms)
-            # The product of e terms taken from t with repetition has at
-            # most C(e+t-1, t-1) distinct monomials.
-            if t > 1 and math.comb(exponent + t - 1, t - 1) > MAX_POWER_TERMS:
-                raise ValueError(
-                    f"power would expand to more than {MAX_POWER_TERMS} terms "
-                    f"(position {caret.position})"
-                )
-            base = base ** exponent
+            e, t = int(tok.text), len(base.terms)
+            if t > 1:
+                # base^k has at most C(k+t-1, t-1) terms, and each
+                # multiplication inside base^e pairs base^a with base^b,
+                # a + b <= e, which pairs the most terms at a = e // 2.
+                def terms(k: int) -> int:
+                    return math.comb(k + t - 1, t - 1)
+
+                _budget(terms(e), MAX_POWER_TERMS, "power would expand to", "terms", caret)
+                pairs = terms(e // 2) * terms(e - e // 2)
+                _budget(pairs, MAX_PRODUCT_PAIRS, "power would multiply", "term pairs", caret)
+            bits = e * _coefficient_bits(base)
+            _budget(bits, MAX_COEFFICIENT_BITS, "power could reach", "coefficient bits", caret)
+            base = base ** e
         return base
 
     def base(self) -> Polynomial:
@@ -164,6 +189,31 @@ class _Parser:
             return poly
         self.fail("expected a number, variable, or '('")
         raise AssertionError("unreachable")
+
+
+def _coefficient_bits(p: Polynomial) -> int:
+    """B such that p^e has numerators and denominators at most 2^(e*B),
+    and p*q at most 2^(B(p) + B(q)).
+
+    With D the lcm of p's denominators, D*p has integer coefficients whose
+    absolute values sum to S; every coefficient of (D*p)^e is at most S^e
+    and every denominator of p^e divides D^e, so B = ceil(log2 max(S, D)).
+    For one term n/d this is at most the bit length of max(|n|, d), and
+    it is 0 for +-1, so powers of a bare variable cost nothing.
+    """
+    coeffs = p.terms.values()
+    if len(coeffs) == 1:  # the common case, a variable or a literal, kept cheap
+        (c,) = coeffs
+        return (max(abs(c.numerator), c.denominator) - 1).bit_length()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    total = sum(abs(c.numerator) * (scale // c.denominator) for c in coeffs)
+    return (max(total, scale) - 1).bit_length()
+
+
+def _budget(value: int, limit: int, what: str, unit: str, tok: _Token) -> None:
+    """Refuse work past a budget, giving the position of its operator."""
+    if value > limit:
+        raise ValueError(f"{what} more than {limit} {unit} (position {tok.position})")
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:

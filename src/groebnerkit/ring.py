@@ -321,6 +321,15 @@ class Polynomial:
             raise RingMismatchError("ring mismatch")
         return self._wrap({m * monomial: v * c for m, v in self.terms.items()})
 
+    def _derivative(self, index: int) -> "Polynomial":
+        """Partial derivative in the variable at position index."""
+        out = {}
+        for m, c in self.terms.items():
+            e = m[index]
+            if e:
+                out[_valid_monomial(m[:index] + (e - 1,) + m[index + 1 :])] = e * c
+        return self._wrap(out)
+
     def _wrap(self, terms: dict) -> "Polynomial":
         # Internal fast path: terms are already canonical (no zeros, no dups).
         p = object.__new__(Polynomial)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,30 @@ from groebnerkit.ring import VariableContext
 CTX_XY = VariableContext(["x", "y"])
 
 WORKED = ["groebner", "--vars", "x,y", "--order", "grlex", "x^3-2*x*y", "x^2*y-2*y^2+x"]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestEntryPoint:
+    """``python -m groebnerkit`` runs main(), which exits with run's code."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (WORKED, 0, "x^2\nx*y\ny^2 - 1/2*x\n"),
+            (["groebner", "--vars", "x,y", "x +"], 2, ""),
+            (["groebner", "--vars", "x,y,z", "(x+y+z)^300"], 1, ""),
+        ],
+        ids=["success", "syntax-error", "domain-error"],
+    )
+    def test_module_exit_code_and_stdout(self, argv, code, out):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "groebnerkit", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, out)
+        assert bool(done.stderr) == (code != 0)
 
 
 class TestGroebnerCommand:
@@ -51,6 +79,21 @@ class TestGroebnerCommand:
         assert run(["groebner", "--vars", "x,y,z", "(x+y+z)^300"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: power would expand") and "(position 8)" in err
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (
+                "(x+y+z)^61*(x+y+z)^61",
+                "product would multiply more than 261888 term pairs (position 11)",
+            ),
+            ("3^30000000*x", "power could reach more than 1000000 coefficient bits (position 2)"),
+        ],
+        ids=["term-pairs", "coefficient-bits"],
+    )
+    def test_over_parse_budget_exits_1(self, capsys, expr, message):
+        assert run(["groebner", "--vars", "x,y,z", expr]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_variable_exits_2(self, capsys):
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2

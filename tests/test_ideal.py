@@ -16,11 +16,9 @@ from groebnerkit.ideal import (
 )
 from groebnerkit.order import GREVLEX, GRLEX, LEX
 from groebnerkit.parse import parse_polynomial, parse_system
-from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
+from groebnerkit.ring import Monomial, Polynomial, RingMismatchError
 
-from strategies import CTX_XY, CTX_T, rationals
-
-CTX_XYZ = VariableContext(["x", "y", "z"])
+from strategies import CTX_XY, CTX_XYZ, CTX_T, nonzero_rationals, rationals
 
 
 def _xy(text):
@@ -233,3 +231,30 @@ class TestUnivariateRealRoots:
         assert len(roots) == len(multiplicities)
         for got, want in zip(roots, sorted(multiplicities)):
             assert abs(got - float(want)) <= tol
+
+    def test_multiple_roots_on_bisection_points_are_exact(self):
+        # -3 and 1/2 are dyadic, so bisection lands on them exactly
+        p = parse_polynomial("(2*t - 1)^2*(t + 3)^3", CTX_T)
+        assert univariate_real_roots(p, 1e-9) == [-3.0, 0.5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(rationals(), st.integers(1, 3), min_size=1, max_size=4),
+        nonzero_rationals(),
+        st.booleans(),
+        st.sampled_from(CTX_XYZ.names),
+    )
+    def test_result_depends_only_on_distinct_roots(
+        self, multiplicities, scale, times_t2_plus_1, name
+    ):
+        # scale, multiplicity, a factor without real roots and the
+        # surrounding context change the polynomial but not its roots
+        t = Polynomial.variable(CTX_XYZ, name)
+        p = (t * t + 1) * scale if times_t2_plus_1 else Polynomial.constant(CTX_XYZ, scale)
+        for root, multiplicity in multiplicities.items():
+            p = p * (t - root) ** multiplicity
+        s = Polynomial.variable(CTX_T, "t")
+        distinct = Polynomial.constant(CTX_T, 1)
+        for root in multiplicities:
+            distinct = distinct * (s - root)
+        assert univariate_real_roots(p, 1e-9) == univariate_real_roots(distinct, 1e-9)

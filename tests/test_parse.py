@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,52 @@ class TestParse:
         with pytest.raises(ValueError, match=r"more than 10 terms \(position 10\)") as err:
             parse_polynomial("x + (x+y)^10", CTX_XY)
         assert not isinstance(err.value, ParseError)
+
+    def test_product_refused_over_pair_bound(self, monkeypatch):
+        # (x+y)^2 * (x+y)^3 multiplies 3 * 4 term pairs
+        monkeypatch.setattr(parse, "MAX_PRODUCT_PAIRS", 12)
+        assert parse_polynomial("(x+y)^2*(x+y)^3", CTX_XY) == parse_polynomial("(x+y)^5", CTX_XY)
+        with pytest.raises(ValueError, match=r"more than 12 term pairs \(position 16\)") as err:
+            parse_polynomial("(x+y)^2*(x+y)^3*(x+y+1)", CTX_XY)
+        assert not isinstance(err.value, ParseError)
+
+    def test_power_refused_over_pair_bound(self, monkeypatch):
+        # the largest step inside (x+y)^e multiplies (x+y)^(e//2) by the rest
+        monkeypatch.setattr(parse, "MAX_PRODUCT_PAIRS", 12)
+        assert len(parse_polynomial("(x+y)^5", CTX_XY).terms) == 6
+        message = r"power would multiply more than 12 term pairs \(position 6\)"
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial("(x+y)^6", CTX_XY)
+
+    def test_refused_over_bit_bound(self, monkeypatch):
+        monkeypatch.setattr(parse, "MAX_COEFFICIENT_BITS", 10)
+        # 3/2 and x+1 cost 2 bits and 1 bit a power, a bare variable none
+        assert parse_polynomial("(3/2)^5*x", CTX_XY) == _p([((1, 0), (243, 32))])
+        assert len(parse_polynomial("(x+1)^10", CTX_XY).terms) == 11
+        assert parse_polynomial("x^1000", CTX_XY) == _p([((1000, 0), 1)])
+        assert parse_polynomial("32*31", CTX_XY) == _p([((0, 0), 992)])
+        refused = {
+            "(3/2)^6": "power could reach more than 10 coefficient bits (position 6)",
+            "y + (x+1)^11": "power could reach more than 10 coefficient bits (position 10)",
+            "32*33": "product could reach more than 10 coefficient bits (position 3)",
+        }
+        for text, message in refused.items():
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                parse_polynomial(text, CTX_XY)
+            assert not isinstance(err.value, ParseError)
+
+    @given(polynomials(max_terms=3, max_exponent=2), polynomials(max_terms=3, max_exponent=2))
+    def test_coefficient_bit_bound_holds(self, p, q):
+        def within(poly, bits):
+            return all(
+                abs(c.numerator) <= 2**bits and c.denominator <= 2**bits
+                for c in poly.terms.values()
+            )
+
+        bits_p, bits_q = parse._coefficient_bits(p), parse._coefficient_bits(q)
+        assert within(p * q, bits_p + bits_q)
+        for e in range(4):
+            assert within(p**e, e * bits_p)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match=r"position 4") as err:
