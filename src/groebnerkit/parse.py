@@ -202,9 +202,6 @@ def _coefficient_bits(p: Polynomial) -> int:
     it is 0 for +-1, so powers of a bare variable cost nothing.
     """
     coeffs = p.terms.values()
-    if len(coeffs) == 1:  # the common case, a variable or a literal, kept cheap
-        (c,) = coeffs
-        return (max(abs(c.numerator), c.denominator) - 1).bit_length()
     scale = math.lcm(*(c.denominator for c in coeffs))
     total = sum(abs(c.numerator) * (scale // c.denominator) for c in coeffs)
     return (max(total, scale) - 1).bit_length()
