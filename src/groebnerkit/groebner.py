@@ -1,28 +1,49 @@
 """Groebner bases: S-polynomials, Buchberger completion, reduction.
 
-The completion loop keeps a FIFO queue of unordered index pairs. Each
-pair's S-polynomial is reduced to normal form against the current
-basis; a nonzero normal form is made monic, appended, and paired with
-every existing member. The loop ends with an unreduced Groebner basis
-containing the input generators. ``reduce_basis`` then drops members
-whose leading terms are divisible by another member's, interreduces the
-survivors, and scales them monic, yielding the unique reduced basis for
-the ideal and order. Neither sorts its result: a ``GroebnerBasis``
-sorts its generators by leading monomial when it is built.
+Completion keeps the pending pairs of basis members and always reduces
+the pair of smallest sugar, ties going to the smaller lcm under the
+order and then to the older pair (Giovini, Mora, Niesi, Robbiano and
+Traverso, "One sugar cube, please", 1991). An input's sugar is its total
+degree; a pair's is the larger of sugar(g) + deg lcm - deg LM(g) over
+its two members, and a new member takes the sugar of the pair it came
+from. Sugar tracks the degree the computation would have without
+cancellation, so under lex as under a graded order low-degree work is
+done first.
 
-Pairs whose leading monomials share no variable are skipped: their
-S-polynomials always reduce to zero (Buchberger's first criterion).
+Each pair's S-polynomial is reduced to normal form against the current
+basis; a nonzero normal form is made monic and enters the basis. Every
+member, the inputs first, enters through the Gebauer-Moeller update
+(Gebauer and Moeller, "On an installation of Buchberger's algorithm",
+1988), which drops the pairs that the pairs it keeps make redundant:
+
+- of the new pairs, one whose lcm is a multiple of another new pair's
+  lcm (equal lcms keep one of them);
+- a new pair whose leading monomials share no variable (Buchberger's
+  product criterion, which replaces the former coprime skip);
+- an old pair (i, j) whose lcm the new leading monomial t divides, when
+  neither lcm(LM(i), t) nor lcm(LM(j), t) equals it (the chain
+  criterion).
+
+An older member whose leading monomial the new t divides stays in the
+basis for reduction but is paired with no later member.
+
+The loop ends with an unreduced Groebner basis containing the input
+generators; which other members it holds depends on this algorithm.
+``reduce_basis`` then drops members whose leading terms are divisible
+by another member's, interreduces the survivors, and scales them monic,
+yielding the unique reduced basis for the ideal and order. Neither sorts
+its result: a ``GroebnerBasis`` sorts its generators by leading monomial
+when it is built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .division import divide
 from .order import MonomialOrder, leading_monomial, leading_term
-from .ring import Polynomial, RingMismatchError
+from .ring import Monomial, Polynomial, RingMismatchError
 
 DEFAULT_BASIS_SIZE_CAP = 10_000
 
@@ -90,24 +111,59 @@ def buchberger(
     """Complete a generating set to a Groebner basis.
 
     Zero generators are stripped first; an empty or all-zero input is an
-    error. The cap turns a runaway computation into a clean failure
-    instead of an unbounded loop.
+    error. The inputs, then each nonzero monic normal form, enter the
+    basis through the Gebauer-Moeller update, and pairs are reduced in
+    sugar order (see the module docstring). The result holds the inputs
+    as given; its other members depend on this algorithm, so the raw
+    basis is not unique and only ``reduce_basis`` of it is. The cap
+    turns a runaway computation into a clean failure instead of an
+    unbounded loop.
     """
-    G = [g for g in generators if not g.is_zero()]
-    if not G:
+    inputs = [g for g in generators if not g.is_zero()]
+    if not inputs:
         raise ValueError("empty generating set")
-    ctx = G[0].context
-    for g in G:
+    ctx = inputs[0].context
+    for g in inputs:
         if g.context != ctx:
             raise RingMismatchError("ring mismatch")
 
-    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-    lms = [leading_monomial(g, order) for g in G]
+    key = order.key_function()
+    G: list[Polynomial] = []
+    lms: list[Monomial] = []
+    sugars: list[int] = []
+    active: list[int] = []  # members that later members are paired with
+    # (i, j) -> (sugar, key(lcm), lcm); min() returns the first of equal
+    # values in insertion order, so ties go to the older pair.
+    pairs: dict[tuple[int, int], tuple] = {}
+
+    def enter(h: Polynomial, t: Monomial, sugar: int) -> None:
+        with_t = [lm.lcm(t) for lm in lms]
+        new = len(G)
+        # A coprime pair stays as a witness until the product criterion.
+        formed = [(k, with_t[k], lms[k].is_coprime_with(t)) for k in active]
+        kept = []
+        for n, (k, m, coprime) in enumerate(formed):
+            if coprime or not any(w.divides(m) for _, w, _ in formed[n + 1 :] + kept):
+                kept.append((k, m, coprime))
+        for (i, j), (_, _, m) in list(pairs.items()):
+            if t.divides(m) and with_t[i] != m != with_t[j]:
+                del pairs[i, j]
+        for k, m, coprime in kept:
+            if not coprime:
+                d = m.degree
+                pair_sugar = max(sugars[k] + d - lms[k].degree, sugar + d - t.degree)
+                pairs[k, new] = (pair_sugar, key(m), m)
+        active[:] = [k for k in active if not t.divides(lms[k])] + [new]
+        G.append(h)
+        lms.append(t)
+        sugars.append(sugar)
+
+    for g in inputs:
+        enter(g, leading_monomial(g, order), max(m.degree for m in g.terms))
 
     while pairs:
-        i, j = pairs.popleft()
-        if lms[i].is_coprime_with(lms[j]):
-            continue
+        i, j = min(pairs, key=pairs.__getitem__)
+        sugar = pairs.pop((i, j))[0]
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero():
             continue
@@ -115,14 +171,11 @@ def buchberger(
         if h.is_zero():
             continue
         lm = leading_monomial(h, order)
-        G.append(h / h.terms[lm])
-        lms.append(lm)
+        enter(h / h.terms[lm], lm, sugar)
         if len(G) > basis_size_cap:
             raise ValueError(
                 f"basis size exceeded the cap of {basis_size_cap} elements"
             )
-        new = len(G) - 1
-        pairs.extend((k, new) for k in range(new))
 
     return GroebnerBasis(tuple(G), order, reduced=False)
 

@@ -18,9 +18,8 @@ from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_coefficient, leading_
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, VariableContext
 
-from strategies import CTX_XY, nonzero_polynomials, orders
-
-CTX_XYZ = VariableContext(["x", "y", "z"])
+from groebnerkit import groebner
+from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders
 
 
 def _xy(text):
@@ -142,14 +141,62 @@ class TestBuchberger:
         for g in gens:
             assert normal_form(g, list(basis.generators), GREVLEX).is_zero()
 
-    def test_coprime_skip_is_only_an_optimization(self):
-        # Completion never reduces coprime pairs; every S-pair of its
-        # result, the coprime ones included, must still reduce to zero.
-        gens = [_xy("x^2 + y"), _xy("y^3 - x"), _xy("x*y - 2")]
-        basis = buchberger(gens, GRLEX)
-        lms = [leading_monomial(g, GRLEX) for g in basis.generators]
-        assert any(p.is_coprime_with(q) for p, q in itertools.combinations(lms, 2))
+    @pytest.mark.parametrize(
+        "gens, order",
+        [
+            # The product criterion drops six pairs here, the chain criterion one.
+            (["x^2 + y", "y^3 - x", "x*y - 2"], GRLEX),
+            # When y + z enters, its leading y divides lcm(x*y, y*z) and
+            # the chain criterion drops the pair of the first two inputs.
+            (["x*y + z^2", "y*z + x", "y + z"], GREVLEX),
+        ],
+        ids=["product", "chain"],
+    )
+    def test_pair_criteria_are_only_an_optimization(self, monkeypatch, gens, order):
+        # Completion reduces neither coprime pairs (product criterion) nor
+        # pairs the Gebauer-Moeller update drops; every S-pair of its
+        # result, the pruned ones included, must still reduce to zero.
+        s_pairs = []
+        real = groebner.s_polynomial
+
+        def counting(p, q, order):
+            s_pairs.append((p, q))
+            return real(p, q, order)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        ctx = CTX_XYZ if "z" in "".join(gens) else CTX_XY
+        basis = buchberger([parse_polynomial(g, ctx) for g in gens], order)
+        monkeypatch.undo()
+        lms = [leading_monomial(g, order) for g in basis.generators]
+        pairs = list(itertools.combinations(lms, 2))
+        assert any(p.is_coprime_with(q) for p, q in pairs)
+        assert len(s_pairs) < sum(not p.is_coprime_with(q) for p, q in pairs)
         assert_buchberger_criterion(basis)
+
+    def test_cyclic4_work_is_independent_of_input_order(self, monkeypatch):
+        ctx = VariableContext(["a", "b", "c", "d"])
+        cyclic4 = parse_system(
+            ["a + b + c + d", "a*b + b*c + c*d + d*a",
+             "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"],
+            ctx,
+        )
+        real = groebner.normal_form
+        results = []
+        for perm in itertools.permutations(cyclic4):
+            calls = []
+
+            def counting(f, basis, order):
+                calls.append(f)
+                return real(f, basis, order)
+
+            monkeypatch.setattr(groebner, "normal_form", counting)
+            basis = buchberger(list(perm), GREVLEX)
+            monkeypatch.undo()
+            # Each order takes 11 normal forms; a FIFO pair queue without
+            # the Gebauer-Moeller criteria took 35 to 114.
+            assert len(calls) <= 15
+            results.append(canonical(reduce_basis(basis)))
+        assert all(r == results[0] for r in results)
 
 
 class TestGroebnerBasisType:
@@ -210,36 +257,53 @@ def random_polynomial(rng, ctx, max_terms=3, max_exponent=3, max_coeff=5):
 class TestRandomizedProperties:
     def test_criterion_holds_on_random_sets(self):
         rng = random.Random(20250809)
-        checked = 0
-        while checked < 25:
-            gens = [
-                random_polynomial(rng, CTX_XY, max_terms=3, max_exponent=3)
-                for _ in range(rng.randint(1, 3))
-            ]
-            gens = [g for g in gens if not g.is_zero()]
-            if not gens:
-                continue
-            order = rng.choice([LEX, GRLEX, GREVLEX])
-            basis = buchberger(gens, order)
-            assert_buchberger_criterion(basis)
-            for g in gens:
-                assert normal_form(g, list(basis.generators), order).is_zero()
-            checked += 1
+        # The chain criterion drops a pair in 2 of the 25 sets in two
+        # variables and in 9 of the 25 in three.
+        for ctx, order_choices, max_terms, max_exponent in [
+            (CTX_XY, [LEX, GRLEX, GREVLEX], 3, 3),
+            (CTX_XYZ, [LEX, GREVLEX], 4, 2),
+        ]:
+            checked = 0
+            while checked < 25:
+                gens = [
+                    random_polynomial(rng, ctx, max_terms=max_terms, max_exponent=max_exponent)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                gens = [g for g in gens if not g.is_zero()]
+                if not gens:
+                    continue
+                order = rng.choice(order_choices)
+                basis = buchberger(gens, order)
+                assert_buchberger_criterion(basis)
+                for g in gens:
+                    assert normal_form(g, list(basis.generators), order).is_zero()
+                checked += 1
 
     def test_reduced_basis_unique_under_permutation(self):
         rng = random.Random(42)
-        for _ in range(10):
-            gens = [random_polynomial(rng, CTX_XY) for _ in range(3)]
-            gens = [g for g in gens if not g.is_zero()]
-            if not gens:
-                continue
-            reference = None
-            for perm in itertools.permutations(gens):
-                result = canonical(reduce_basis(buchberger(list(perm), GRLEX)))
-                if reference is None:
-                    reference = result
-                else:
-                    assert result == reference
+        # The chain criterion drops a pair, in some input order, in 4 of
+        # the 10 sets under GRLEX and in 6 of the 10 under each 3-variable
+        # order.
+        for ctx, order_choices, max_exponent in [
+            (CTX_XY, [GRLEX], 3),
+            (CTX_XYZ, [LEX, GREVLEX], 2),
+        ]:
+            for order in order_choices:
+                for _ in range(10):
+                    gens = [
+                        random_polynomial(rng, ctx, max_exponent=max_exponent)
+                        for _ in range(3)
+                    ]
+                    gens = [g for g in gens if not g.is_zero()]
+                    if not gens:
+                        continue
+                    reference = None
+                    for perm in itertools.permutations(gens):
+                        result = canonical(reduce_basis(buchberger(list(perm), order)))
+                        if reference is None:
+                            reference = result
+                        else:
+                            assert result == reference
 
     def test_reducedness_and_monicity(self):
         rng = random.Random(7)
