@@ -10,14 +10,40 @@ Three total, multiplicative well-orders on monomials of a fixed arity:
 Each order is realized as a key function; ``compare`` and every sort in
 the package go through the same key, so display order and algorithm
 order can never disagree.
+
+Each order also has a packed form, which the division kernel works in
+(Bachmann and Schoenemann, "Monomial representations for Groebner bases
+computations", 1998). ``order.packing(nvars, width)`` lays a monomial
+out as one ``int`` of fixed-width fields, the top bit of each field a
+guard bit that a valid monomial leaves clear:
+
+- ``lex``: the exponents, the first variable's in the top field.
+- ``grlex``: the total degree in the top field, then the exponents as
+  for lex.
+- ``grevlex``: the total degree in the top field, then the exponents in
+  reversed variable order, the last variable's just under the degree.
+
+Packing is additive, so a product is the sum ``a + b``. A divides b
+exactly when ``((b | G) - a) & G == G`` for the guard mask G: each
+field's guard survives the subtraction just when b's exponent there is
+at least a's, and no borrow crosses a field. The order key of a packed
+monomial is an ``int`` that compares as the order does: the packed
+value itself for lex and grlex, and ``2*(P & degree_bits) - P``, the
+degree less the reversed exponents, for grevlex, where a larger exponent
+of a later variable makes the monomial smaller. The key is additive too.
+All of this holds while no field reaches its guard bit; a caller picks
+the width from its inputs' degrees and checks the guard bits of what it
+builds.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+from operator import mul
 from typing import Callable
 
-from .ring import Monomial, Polynomial, Rational, Term
+from .ring import Monomial, Polynomial, Rational, Term, _valid_monomial
 
 
 def _lex_key(m: Monomial):
@@ -47,6 +73,66 @@ class MonomialOrder(enum.Enum):
         key = _KEYS[self]
         ka, kb = key(a), key(b)
         return (ka > kb) - (ka < kb)
+
+    @functools.lru_cache(maxsize=64)
+    def packing(self, nvars: int, width: int) -> "Packing":
+        """The packed form of monomials in nvars variables, in fields of
+        width bits, guard bit included."""
+        return Packing(self, nvars, width)
+
+
+class Packing:
+    """One order's packed form of the monomials of a fixed arity.
+
+    See the module docstring for the layout. ``guards`` is the mask of
+    the guard bits; a packed value that has any of them set is not a
+    monomial of this packing.
+    """
+
+    __slots__ = ("width", "guards", "_weights", "_shifts", "_top", "_degree_bits")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        if width < 2:
+            raise ValueError("field width must leave room for a guard bit")
+        graded = order is not MonomialOrder.LEX
+        top = nvars * width  # the degree field's shift, when there is one
+        # The field of variable i counts from the low end of the int.
+        fields = range(nvars) if order is MonomialOrder.GREVLEX else range(nvars - 1, -1, -1)
+        self.width = width
+        self._top = top
+        self._shifts = tuple(width * f for f in fields)
+        # Each exponent adds itself to its own field and, under a graded
+        # order, to the degree field.
+        self._weights = tuple((1 << s) + (graded << top) for s in self._shifts)
+        self.guards = sum(1 << (width * f + width - 1) for f in range(nvars + graded))
+        self._degree_bits = ((1 << width) - 1) << top if order is MonomialOrder.GREVLEX else 0
+
+    def pack(self, m: Monomial) -> int:
+        return sum(map(mul, m, self._weights))
+
+    def unpack(self, packed: int) -> Monomial:
+        mask = (1 << self.width) - 1
+        return _valid_monomial((packed >> s) & mask for s in self._shifts)
+
+    def key(self, packed: int) -> int:
+        """The order key: a < b under the order iff key(a) < key(b)."""
+        if not self._degree_bits:
+            return packed
+        return 2 * (packed & self._degree_bits) - packed
+
+    def unkey(self, key: int) -> int:
+        """The packed monomial whose order key is key."""
+        if not self._degree_bits:
+            return key
+        # key = D - R with D the degree field in place and 0 <= R < 2^top,
+        # so D is key rounded up to a multiple of 2^top.
+        top = self._top
+        degree = -(-key >> top) << top
+        return 2 * degree - key
+
+    def divides(self, a: int, b: int) -> bool:
+        guards = self.guards
+        return ((b | guards) - a) & guards == guards
 
 
 _KEYS = {

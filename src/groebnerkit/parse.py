@@ -15,12 +15,14 @@ which binds tighter than ``+``/``-``, and powers are expanded eagerly so
 the result is always a plain polynomial. Any other character is an
 error, and errors carry the 1-based position of the offending one.
 
-Three work budgets are checked before the work they guard, and a breach
+Four work budgets are checked before the work they guard, and a breach
 raises a ``ValueError`` (not a syntax error) giving the position of its
 ``^`` or ``*``. A power may expand to at most ``MAX_POWER_TERMS`` terms;
 a product, or any one step of a power, may multiply at most
-``MAX_PRODUCT_PAIRS`` pairs of terms; and no power or product may risk
-coefficients of more than ``MAX_COEFFICIENT_BITS`` bits.
+``MAX_PRODUCT_PAIRS`` pairs of terms; no power or product may risk
+coefficients of more than ``MAX_COEFFICIENT_BITS`` bits; and the pairs
+times the bits, for a product or the largest step of a power, may come
+to at most ``MAX_PAIR_BITS``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ MAX_PRODUCT_PAIRS = 261_888
 # (12345678901/98765432103)^27000 comes within the budget and takes about
 # 1.4 s on the same VM, nearly all of it in Fraction gcds.
 MAX_COEFFICIENT_BITS = 1_000_000
+# Pairs and bits each within budget can still add up: the 1953 x 1 pairs
+# of (x+y+z)^61*(3/2)^400000 at a bound of 800,097 bits (1.6e9) took 2.3 s
+# beyond its factors on the same VM. The largest step of (x+y+z)^61, the
+# largest power of three terms, comes to 261,888 pairs at 122 bits (3.2e7).
+MAX_PAIR_BITS = 100_000_000
 
 
 class ParseError(ValueError):
@@ -121,6 +128,7 @@ class _Parser:
                     bits = _coefficient_bits(poly)
                 bits += _coefficient_bits(rhs)
                 _budget(bits, MAX_COEFFICIENT_BITS, "product could reach", "coefficient bits", tok)
+                _budget(pairs * bits, MAX_PAIR_BITS, "product would cost", "term pairs times coefficient bits", tok)
                 poly = poly * rhs
             elif tok.kind == "/":
                 raise ParseError(
@@ -140,6 +148,7 @@ class _Parser:
                 self.fail("expected a nonnegative integer exponent")
             self.advance()
             e, t = int(tok.text), len(base.terms)
+            pairs = 1
             if t > 1:
                 # base^k has at most C(k+t-1, t-1) terms, and each
                 # multiplication inside base^e pairs base^a with base^b,
@@ -152,6 +161,7 @@ class _Parser:
                 _budget(pairs, MAX_PRODUCT_PAIRS, "power would multiply", "term pairs", caret)
             bits = e * _coefficient_bits(base)
             _budget(bits, MAX_COEFFICIENT_BITS, "power could reach", "coefficient bits", caret)
+            _budget(pairs * bits, MAX_PAIR_BITS, "power would cost", "term pairs times coefficient bits", caret)
             base = base ** e
         return base
 

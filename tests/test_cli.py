@@ -88,8 +88,12 @@ class TestGroebnerCommand:
                 "product would multiply more than 261888 term pairs (position 11)",
             ),
             ("3^30000000*x", "power could reach more than 1000000 coefficient bits (position 2)"),
+            (
+                "(x+y+z)^61*(3/2)^400000",
+                "product would cost more than 100000000 term pairs times coefficient bits (position 11)",
+            ),
         ],
-        ids=["term-pairs", "coefficient-bits"],
+        ids=["term-pairs", "coefficient-bits", "pair-bits"],
     )
     def test_over_parse_budget_exits_1(self, capsys, expr, message):
         assert run(["groebner", "--vars", "x,y,z", expr]) == 1

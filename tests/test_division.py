@@ -5,11 +5,13 @@ from hypothesis import given, settings
 
 import hypothesis.strategies as st
 
+from groebnerkit import division
 from groebnerkit.division import divide
-from groebnerkit.order import LEX, leading_monomial
+from groebnerkit.order import GREVLEX, LEX, leading_monomial
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import Polynomial, RingMismatchError
 
+from reference_division import reference_divide
 from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders, polynomials
 
 
@@ -64,6 +66,47 @@ class TestWorkedExamples:
         assert result.remainder.is_zero()
 
 
+def widths_tried(monkeypatch) -> list[int]:
+    """Record the field width of every packed pass divide makes."""
+    widths = []
+    packed = division._divide_packed
+
+    def spy(f, divisors, degree, packing):
+        widths.append(packing.width)
+        return packed(f, divisors, degree, packing)
+
+    monkeypatch.setattr(division, "_divide_packed", spy)
+    return widths
+
+
+class TestFieldWidth:
+    def test_lex_products_past_the_initial_width_repack(self, monkeypatch):
+        # x^3 by x - y^k leaves y^(3k); with k = 2^10 - 1 the inputs fit
+        # the first width but the products do not.
+        k = 2**10 - 1
+        f, divisors = _xy("x^3"), [_xy(f"x - y^{k}")]
+        widths = widths_tried(monkeypatch)
+        result = divide(f, divisors, LEX)
+        assert 3 * k >= 2 ** (widths[0] - 1)
+        assert len(widths) > 1
+        assert result == reference_divide(f, divisors, LEX)
+        assert result.remainder == _xy(f"y^{3 * k}")
+
+    def test_grevlex_input_exponent_of_a_million(self):
+        f = _xy("x^1000000*y + 3*x*y^2 - y")
+        divisors = [_xy("x^999999 - y^2"), _xy("y^2 + x")]
+        result = divide(f, divisors, GREVLEX)
+        assert result == reference_divide(f, divisors, GREVLEX)
+        assert reconstruct(result, divisors) == f
+
+    def test_inputs_past_their_fields_are_refused_not_divided(self):
+        # Width 3 holds exponents up to 3; x^4 sets a guard bit, which the
+        # step that takes it must catch.
+        f, g = _xy("x^4 + y"), _xy("x + 1")
+        with pytest.raises(RuntimeError, match="order"):
+            division._divide_packed(f, [g], 4, LEX.packing(2, 3))
+
+
 class TestErrors:
     def test_zero_divisor(self):
         with pytest.raises(ValueError, match="zero divisor"):
@@ -80,6 +123,23 @@ class TestErrors:
 
 
 class TestDivisionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([CTX_XY, CTX_XYZ]).flatmap(
+            lambda ctx: st.tuples(
+                polynomials(ctx, max_terms=6, max_exponent=4),
+                st.lists(nonzero_polynomials(ctx, max_terms=4, max_exponent=3), min_size=1, max_size=3),
+            )
+        ),
+        orders(),
+    )
+    def test_equals_reference_kernel(self, inputs, order):
+        f, divisors = inputs
+        result = divide(f, divisors, order)
+        expected = reference_divide(f, divisors, order)
+        assert result.quotients == expected.quotients
+        assert result.remainder == expected.remainder
+
     @settings(max_examples=60, deadline=None)
     @given(
         polynomials(CTX_XYZ, max_terms=5, max_exponent=3),

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import hypothesis.strategies as st
+
 from groebnerkit.order import (
     GREVLEX,
     GRLEX,
@@ -101,3 +103,48 @@ class TestOrderProperties:
     @given(monomials(2), monomials(2))
     def test_grlex_equals_grevlex_in_two_variables(self, a, b):
         assert GRLEX.compare(a, b) == GREVLEX.compare(a, b)
+
+
+def packed_cases():
+    """An order, two monomials of 1 to 4 variables, and a packing of
+    that arity wide enough for their product."""
+
+    def for_arity(n):
+        return st.tuples(orders(), monomials(n, max_exponent=6), monomials(n, max_exponent=6), st.integers(0, 3))
+
+    def with_packing(case):
+        order, a, b, spare = case
+        width = max(2, (a * b).degree.bit_length() + 1) + spare
+        return order, a, b, order.packing(len(a), width)
+
+    return st.integers(1, 4).flatmap(for_arity).map(with_packing)
+
+
+class TestPacking:
+    @given(packed_cases())
+    def test_keys_compare_as_the_order(self, case):
+        order, a, b, packing = case
+        ka, kb = packing.key(packing.pack(a)), packing.key(packing.pack(b))
+        assert (ka > kb) - (ka < kb) == order.compare(a, b)
+
+    @given(packed_cases())
+    def test_product_is_sum(self, case):
+        _, a, b, packing = case
+        assert packing.pack(a * b) == packing.pack(a) + packing.pack(b)
+        product_key = packing.key(packing.pack(a * b))
+        assert product_key == packing.key(packing.pack(a)) + packing.key(packing.pack(b))
+
+    @given(packed_cases())
+    def test_mask_test_is_divides(self, case):
+        _, a, b, packing = case
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.divides(pa, pb) == a.divides(b)
+        assert packing.divides(pb, pa) == b.divides(a)
+
+    @given(packed_cases())
+    def test_round_trips(self, case):
+        _, a, _, packing = case
+        packed = packing.pack(a)
+        assert packed & packing.guards == 0
+        assert packing.unkey(packing.key(packed)) == packed
+        assert packing.unpack(packed) == a

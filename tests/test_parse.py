@@ -82,6 +82,22 @@ class TestParse:
                 parse_polynomial(text, CTX_XY)
             assert not isinstance(err.value, ParseError)
 
+    def test_refused_over_pair_bit_bound(self, monkeypatch):
+        # each budget alone admits these; their pairs times bits do not
+        monkeypatch.setattr(parse, "MAX_PAIR_BITS", 20)
+        # (x+1)^2 * 3^2 is 3 pairs at 2 + 4 bits; the largest step of
+        # (x+1)^3 is 2 * 3 pairs at 3 bits
+        assert parse_polynomial("(x+1)^2*3^2", CTX_XY) == parse_polynomial("9*(x+1)^2", CTX_XY)
+        assert len(parse_polynomial("(x+1)^3", CTX_XY).terms) == 4
+        refused = {
+            "(x+1)^2*3^3": "product would cost more than 20 term pairs times coefficient bits (position 8)",
+            "(x+1)^4": "power would cost more than 20 term pairs times coefficient bits (position 6)",
+        }
+        for text, message in refused.items():
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                parse_polynomial(text, CTX_XY)
+            assert not isinstance(err.value, ParseError)
+
     @given(polynomials(max_terms=3, max_exponent=2), polynomials(max_terms=3, max_exponent=2))
     def test_coefficient_bit_bound_holds(self, p, q):
         def within(poly, bits):
