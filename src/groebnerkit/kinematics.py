@@ -2,16 +2,27 @@
 
 The joint angles enter through their cosines and sines, turning the
 forward-kinematics equations into polynomials over (c1, s1, c2, s2)
-with two unit-circle constraints. For every reachable target but the
-origin, the reduced lex basis with c1 > s1 > c2 > s2 is in shape
+with two unit-circle constraints. With the link lengths and the target
+as variables too, c1 > s1 > c2 > s2 > l1 > l2 > x > y, the system has
+one parametric lex basis of 20 members. A target needs only the four
+whose leading monomials in the (c1, s1, c2, s2) block are s2^2, c2, s1
+and c1, with leading coefficients l1^2*l2^2, l1*l2, r^2 = x^2 + y^2
+and x (or y when x = 0) (Kalkbrener, "On the stability of Groebner
+bases under specializations", 1997; Weispfenning, "Comprehensive
+Groebner bases", 1992). They are the circle s2^2 = 1 - c2^2, the law
+of cosines c2 = (r^2 - l1^2 - l2^2) / (2*l1*l2), and the 2x2 linear
+system of determinant r^2 in (c1, s1). Unless the target or a link is
+zero, ik_solve builds them at the target's rationals. Their leading
+monomials are pairwise coprime, so they are a Groebner basis by
+Buchberger's product criterion; they lie in the ideal, and each system
+polynomial is checked to reduce to zero modulo them, so they generate
+all of it. Interreduced, they give the reduced lex basis in shape
 position: an eliminant e(s2) and the lifts c2 - h3(s2), s1 - h2(s2),
-c1 - h1(s2), each h of degree at most one. The law of cosines fixes
-c2 = (r^2 - l1^2 - l2^2) / (2*l1*l2), where r^2 = x^2 + y^2, and
-(c1, s1) solves a 2x2 linear system of determinant r^2. At the origin,
-reachable only when l1 == l2, that determinant vanishes: the folded
-arm can point anywhere and the basis is {s2, c2 + 1, c1^2 + s1^2 - 1}.
-The real roots of the eliminant are isolated exactly over Q, each lift
-is evaluated at each root, and every pose is verified by forward
+c1 - h1(s2), each h of degree at most one. At the origin, reachable
+only when l1 == l2, the folded arm can point anywhere, and a link
+snapped to zero turns freely: the solution set is not finite. The real
+roots of the eliminant are isolated exactly over Q, each lift is
+evaluated at each root, and every pose is verified by forward
 kinematics.
 
 Link lengths and targets are snapped to exact rationals before any
@@ -26,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groebner import groebner_basis
+from .division import divide
+from .groebner import GroebnerBasis, reduce_basis
 from .ideal import univariate_real_roots
-from .order import MonomialOrder
+from .order import LEX
 from .reals import Real, all_finite
 from .ring import Polynomial, VariableContext
 
@@ -95,16 +107,51 @@ def ik_system(arm: ArmSpec, target: Target) -> list[Polynomial]:
     Two forward-kinematics equations in cosine/sine variables and the
     two Pythagorean constraints; the latter are target-independent.
     """
+    return _system(_snap(arm.l1), _snap(arm.l2), _snap(target.x), _snap(target.y))
+
+
+def _variables() -> list[Polynomial]:
     ctx = VariableContext(IK_VARIABLES)
-    c1, s1, c2, s2 = (Polynomial.variable(ctx, n) for n in IK_VARIABLES)
-    l1, l2 = _snap(arm.l1), _snap(arm.l2)
-    x, y = _snap(target.x), _snap(target.y)
+    return [Polynomial.variable(ctx, n) for n in IK_VARIABLES]
+
+
+def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
+    c1, s1, c2, s2 = _variables()
     return [
         l1 * c1 + l2 * (c1 * c2 - s1 * s2) - x,
         l1 * s1 + l2 * (s1 * c2 + c1 * s2) - y,
         c1 * c1 + s1 * s1 - 1,
         c2 * c2 + s2 * s2 - 1,
     ]
+
+
+def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
+    """The parametric basis members led by s2^2, c2, s1 and c1 at the
+    given rationals, each divided by its leading coefficient (see the
+    module docstring). Neither the target nor a link may be zero."""
+    c1, s1, c2, s2 = _variables()
+    r2 = x * x + y * y
+    cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
+    return [
+        s2 * s2 + (cos2 * cos2 - 1),
+        c2 - cos2,
+        s1 + (l2 * x * s2 - l2 * y * c2 - l1 * y) / r2,
+        # c1*x + s1*y - c2*l2 - l1, or c1*y - s1*x - s2*l2 on the y axis
+        c1 + (y * s1 - l2 * c2 - l1) / x if x else c1 - l2 * s2 / y,
+    ]
+
+
+def _basis(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> GroebnerBasis:
+    """The reduced lex basis of the system, interreduced from the four
+    members once they are certified; neither the target nor a link may
+    be zero."""
+    # The members lie in the ideal; the system reducing to zero modulo
+    # them proves they generate all of it.
+    members = _members(l1, l2, x, y)
+    for f in _system(l1, l2, x, y):
+        if divide(f, members, LEX).remainder:
+            raise RuntimeError("the IK system does not reduce to zero modulo its basis members")
+    return reduce_basis(GroebnerBasis(tuple(members), LEX, reduced=False))
 
 
 def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[float, float]:
@@ -122,9 +169,10 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     (see the module docstring), so each real root of the eliminant in s2
     gives one candidate pose through the three lifts. Unreachable targets
     report an empty solution list with an "unreachable" diagnostic. The
-    one reachable target whose basis is not in shape position, the
-    origin for equal links, admits a continuum of folded poses and is an
-    error: the solution set is not finite.
+    reachable targets whose basis is not in shape position, the origin
+    for equal links and any target of an arm with a link that snaps to
+    zero, admit a continuum of poses and are an error: the solution set
+    is not finite.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -135,11 +183,12 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     radius_sq = x * x + y * y
     if radius_sq > (l1 + l2) ** 2 or radius_sq < (l1 - l2) ** 2:
         return IKResult(solutions=(), diagnostic="unreachable")
-
-    basis = groebner_basis(ik_system(arm, target), MonomialOrder.LEX)
-    eliminant, *lifts = basis.generators
-    if len(lifts) != 3 or not all(map(_is_lift, lifts)):
+    # The folded arm of equal links at the origin, or a zero link: a
+    # joint turns freely, and a leading coefficient of the basis vanishes.
+    if not (radius_sq and l1 and l2):
         raise ValueError("solution set not finite")
+
+    eliminant, *lifts = _basis(l1, l2, x, y).generators
 
     # Poses are checked against the snapped target the algebra solved.
     solutions = []
@@ -160,12 +209,6 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     solutions = _deduplicate(solutions, tol)
     solutions.sort(key=lambda s: (s.theta1, s.theta2))
     return IKResult(solutions=tuple(solutions), diagnostic=None)
-
-
-def _is_lift(g: Polynomial) -> bool:
-    """Whether g is v - h(s2): one term outside s2, a lone variable v."""
-    outside = [m for m in g.terms if any(m[:-1])]
-    return len(outside) == 1 and outside[0].degree == 1
 
 
 def _lift_value(g: Polynomial, s2: float) -> float:

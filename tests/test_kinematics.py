@@ -1,10 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from groebnerkit import kinematics
+from groebnerkit.groebner import groebner_basis
+from groebnerkit.ideal import is_member
 from groebnerkit.kinematics import (
     ArmSpec,
     IKResult,
@@ -14,9 +18,9 @@ from groebnerkit.kinematics import (
     ik_solve,
     ik_system,
 )
-from groebnerkit.parse import format_polynomial, parse_polynomial
-from groebnerkit.order import GRLEX
-from groebnerkit.ring import VariableContext
+from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
+from groebnerkit.order import GRLEX, LEX
+from groebnerkit.ring import Polynomial, VariableContext
 
 CTX_IK = VariableContext(["c1", "s1", "c2", "s2"])
 
@@ -124,10 +128,24 @@ class TestSolve:
     def test_inside_inner_boundary_unreachable(self):
         result = ik_solve(ArmSpec(2, 1), Target(0.2, 0), 1e-9)
         assert result.diagnostic == "unreachable"
+        for arm in (ArmSpec(2, 1), ArmSpec(Fraction(3, 2), Fraction(1, 2)), ArmSpec(0.5, 0.75)):
+            assert ik_solve(arm, Target(0, 0)).diagnostic == "unreachable"
 
     def test_folded_arm_continuum_rejected(self):
         with pytest.raises(ValueError, match="solution set not finite"):
             ik_solve(ArmSpec(1, 1), Target(0, 0), 1e-9)
+        # also for rational and float links, and a float target snapping to 0
+        for link in (Fraction(3, 2), 0.75):
+            for target in (Target(0.0, -0.0), Target(1e-9, 0)):
+                with pytest.raises(ValueError, match="solution set not finite"):
+                    ik_solve(ArmSpec(link, link), target)
+
+    @pytest.mark.parametrize("l1, l2, x, y", [(1e-300, 1, 1, 0), (1, 1e-9, 0.6, -0.8), (2e-7, 1.5, 0, 1.5)])
+    def test_link_snapped_to_zero_is_not_finite(self, l1, l2, x, y):
+        # the zero link turns freely at every point of the other's circle
+        with pytest.raises(ValueError, match="solution set not finite"):
+            ik_solve(ArmSpec(l1, l2), Target(x, y))
+        assert ik_solve(ArmSpec(l1, l2), Target(x / 2, y / 2)).diagnostic == "unreachable"
 
     def test_bad_tolerance(self):
         for tol in (0.0, -1e-9, math.inf, math.nan):
@@ -226,3 +244,152 @@ class TestAgainstOracle:
             for s in result.solutions:
                 assert -math.pi < s.theta1 <= math.pi
                 assert -math.pi < s.theta2 <= math.pi
+
+
+# ---- the four members of the parametric lex basis -----------------------
+
+# The link lengths and the target as variables too, after the joint block.
+CTX_PARAM = VariableContext(["c1", "s1", "c2", "s2", "l1", "l2", "x", "y"])
+PARAMETRIC_SYSTEM = [
+    "l1*c1 + l2*(c1*c2 - s1*s2) - x",
+    "l1*s1 + l2*(s1*c2 + c1*s2) - y",
+    "c1^2 + s1^2 - 1",
+    "c2^2 + s2^2 - 1",
+]
+# Each member ik_solve builds, with its leading coefficient cleared: its
+# leading monomial and leading coefficient in the (c1, s1, c2, s2) block.
+# The last two are the two choices for c1, as x or y vanishes.
+PARAMETRIC_MEMBERS = [
+    ("l1^2*l2^2*s2^2 + 1/4*(x^2 + y^2 - l1^2 - l2^2)^2 - l1^2*l2^2", (0, 0, 0, 2), "l1^2*l2^2"),
+    ("l1*l2*c2 - 1/2*(x^2 + y^2 - l1^2 - l2^2)", (0, 0, 1, 0), "l1*l2"),
+    ("(x^2 + y^2)*s1 - l2*y*c2 + l2*x*s2 - l1*y", (0, 1, 0, 0), "x^2 + y^2"),
+    ("x*c1 + y*s1 - l2*c2 - l1", (1, 0, 0, 0), "x"),
+    ("y*c1 - x*s1 - l2*s2", (1, 0, 0, 0), "y"),
+]
+IK_SWEEP_ARMS = [(1, 1), (2, 1), (Fraction(3, 2), Fraction(1, 2))]
+
+
+@pytest.fixture(scope="module")
+def parametric_basis():
+    return groebner_basis(parse_system(PARAMETRIC_SYSTEM, CTX_PARAM), LEX)
+
+
+def block_lead(p):
+    """p's leading monomial in the (c1, s1, c2, s2) block under lex, and
+    its coefficient there, a polynomial in l1, l2, x, y."""
+    top = max(m[:4] for m in p.terms)
+    return top, Polynomial(CTX_PARAM, [((0,) * 4 + m[4:], c) for m, c in p.terms.items() if m[:4] == top])
+
+
+def specialise(p, l1, l2, x, y):
+    """p over (c1, s1, c2, s2) with the given rationals for l1, l2, x, y."""
+    values = (l1, l2, x, y)
+    return Polynomial(
+        CTX_IK,
+        [(m[:4], c * math.prod(v**e for v, e in zip(values, m[4:]))) for m, c in p.terms.items()],
+    )
+
+
+def seeded_rationals(count):
+    """Arms and targets of small rationals, half of them on an axis;
+    never the origin."""
+    rng = random.Random(20261018)
+
+    def fraction():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    while count:
+        l1, l2 = abs(fraction()) + Fraction(1, 8), abs(fraction()) + Fraction(1, 8)
+        x, y = fraction(), fraction()
+        x, y = rng.choice([(x, y), (x, y), (0, y), (x, 0)])
+        if x or y:
+            count -= 1
+            yield l1, l2, Fraction(x), Fraction(y)
+
+
+class TestParametricBasis:
+    def test_members_belong_to_the_parametric_basis(self, parametric_basis):
+        assert len(parametric_basis) == 20
+        for text, _, _ in PARAMETRIC_MEMBERS:
+            member = parse_polynomial(text, CTX_PARAM)
+            assert is_member(member, parametric_basis)
+            # each is already monic in full lex, so it is a basis member itself
+            assert member in parametric_basis.generators
+
+    def test_block_leading_coefficients(self):
+        for text, monomial, coefficient in PARAMETRIC_MEMBERS:
+            top, lead = block_lead(parse_polynomial(text, CTX_PARAM))
+            assert top == monomial
+            assert lead == parse_polynomial(coefficient, CTX_PARAM)
+
+    def test_ik_solve_builds_the_members_specialised(self):
+        members = [parse_polynomial(text, CTX_PARAM) for text, _, _ in PARAMETRIC_MEMBERS]
+        unit = CTX_IK.unit_monomial()
+        for l1, l2, x, y in seeded_rationals(200):
+            chosen = members[:3] + [members[3] if x else members[4]]
+            expected = []
+            for member in chosen:
+                lead = specialise(block_lead(member)[1], l1, l2, x, y).terms[unit]
+                expected.append(specialise(member, l1, l2, x, y) / lead)
+            assert kinematics._members(l1, l2, x, y) == expected
+
+
+def named_targets(l1, l2):
+    """Exact and float targets on the two boundary circles, on both axes,
+    at r^2 = l1^2 + l2^2, r = l1 and r = l2. Some are out of reach."""
+    inner, outer, middle = abs(l1 - l2), l1 + l2, (abs(l1 - l2) + l1 + l2) / 2
+    exact = [
+        (outer, 0), (outer * Fraction(3, 5), outer * Fraction(4, 5)), (0, -outer),
+        (-inner, 0), (inner * Fraction(4, 5), -inner * Fraction(3, 5)),
+        (0, middle), (0, -middle), (middle, 0), (-middle, 0),
+        (l1, l2), (l2, -l1),
+        (l1 * Fraction(3, 5), l1 * Fraction(4, 5)), (0, l1),
+        (l2, 0), (-l2 * Fraction(4, 5), l2 * Fraction(3, 5)),
+    ]
+    floats = [(radius * math.cos(phi), radius * math.sin(phi))
+              for radius in map(float, (outer, inner, l1, l2, math.sqrt(l1 * l1 + l2 * l2)))
+              for phi in (0.0, math.pi / 2, 2.0, -1.0)]
+    return [(Fraction(x), Fraction(y)) for x, y in exact] + floats
+
+
+def sweep_targets(per_arm):
+    """Seeded targets inside the annulus of each ik-sweep arm, alternately
+    float and rational, and the named ones."""
+    rng = random.Random(7)
+    for l1, l2 in IK_SWEEP_ARMS:
+        inner, outer = abs(l1 - l2), l1 + l2
+        for k in range(per_arm):
+            radius = float(inner) + float(outer - inner) * rng.random()
+            phi = rng.uniform(-math.pi, math.pi)
+            x, y = radius * math.cos(phi), radius * math.sin(phi)
+            if k % 2:
+                x, y = Fraction(x).limit_denominator(97), Fraction(y).limit_denominator(97)
+            yield l1, l2, x, y
+        for x, y in named_targets(l1, l2):
+            yield l1, l2, x, y
+
+
+class TestSpecialisedBasis:
+    def test_equals_direct_completion(self):
+        compared = 0
+        for l1, l2, x, y in sweep_targets(140):
+            sl1, sl2, sx, sy = map(kinematics._snap, (l1, l2, x, y))
+            r2 = sx * sx + sy * sy
+            if not (sl1 - sl2) ** 2 <= r2 <= (sl1 + sl2) ** 2 or not r2:
+                continue
+            direct = groebner_basis(ik_system(ArmSpec(l1, l2), Target(x, y)), LEX)
+            specialised = kinematics._basis(sl1, sl2, sx, sy)
+            assert [g.terms for g in specialised] == [g.terms for g in direct], (l1, l2, x, y)
+            compared += 1
+        assert compared >= 400
+
+    def test_members_that_miss_the_system_raise(self, monkeypatch):
+        members = kinematics._members
+
+        def corrupted(*args):
+            s2_squared, c2, s1, c1 = members(*args)
+            return [s2_squared, c2 + Fraction(1, 7), s1, c1]
+
+        monkeypatch.setattr(kinematics, "_members", corrupted)
+        with pytest.raises(RuntimeError, match="does not reduce to zero"):
+            ik_solve(ArmSpec(1, 1), Target(1, 1))
