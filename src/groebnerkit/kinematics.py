@@ -2,28 +2,24 @@
 
 The joint angles enter through their cosines and sines, turning the
 forward-kinematics equations into polynomials over (c1, s1, c2, s2)
-with two unit-circle constraints. With the link lengths and the target
-as variables too, c1 > s1 > c2 > s2 > l1 > l2 > x > y, the system has
-one parametric lex basis of 20 members. A target needs only the four
-whose leading monomials in the (c1, s1, c2, s2) block are s2^2, c2, s1
-and c1, with leading coefficients l1^2*l2^2, l1*l2, r^2 = x^2 + y^2
-and x (or y when x = 0) (Kalkbrener, "On the stability of Groebner
-bases under specializations", 1997; Weispfenning, "Comprehensive
-Groebner bases", 1992). They are the circle s2^2 = 1 - c2^2, the law
-of cosines c2 = (r^2 - l1^2 - l2^2) / (2*l1*l2), and the 2x2 linear
-system of determinant r^2 in (c1, s1). Unless the target or a link is
-zero, ik_solve builds them at the target's rationals. Their leading
-monomials are pairwise coprime, so they are a Groebner basis by
-Buchberger's product criterion; they lie in the ideal, and each system
-polynomial is checked to reduce to zero modulo them, so they generate
-all of it. Interreduced, they give the reduced lex basis in shape
-position: an eliminant e(s2) and the lifts c2 - h3(s2), s1 - h2(s2),
-c1 - h1(s2), each h of degree at most one. At the origin, reachable
-only when l1 == l2, the folded arm can point anywhere, and a link
-snapped to zero turns freely: the solution set is not finite. The real
-roots of the eliminant are isolated exactly over Q, each lift is
-evaluated at each root, and every pose is verified by forward
-kinematics.
+with two unit-circle constraints. Their reduced lex basis, c1 > s1 >
+c2 > s2, is written term by term. With r^2 = x^2 + y^2, the law of
+cosines cos2 = (r^2 - l1^2 - l2^2) / (2*l1*l2) and A = l1 + l2*cos2:
+
+    s2^2 + cos2^2 - 1,  c2 - cos2,
+    s1 - (A*y - l2*x*s2) / r^2,  c1 - (A*x + l2*y*s2) / r^2,
+
+the unit circle, the law of cosines and Cramer's rule on the linear
+system in (c1, s1), of determinant r^2. They lie in the ideal, and
+each system polynomial is checked to reduce to zero modulo them, so
+they generate it. Their leading monomials s2^2, c2, s1 and c1 are
+pairwise coprime (Buchberger's product criterion), each is monic and
+every tail is a constant or linear in s2: the basis is reduced and in
+shape position. A zero target or link leaves a continuum of poses: at
+the origin, reachable only when l1 == l2, the folded arm can point
+anywhere, and a zero link turns freely. The real roots of the first
+member are isolated exactly over Q, the others are evaluated at each
+root, and every pose is verified by forward kinematics.
 
 Link lengths and targets are snapped to exact rationals before any
 algebra, so the basis computation itself is exact; the snap error is
@@ -38,7 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .division import divide
-from .groebner import GroebnerBasis, reduce_basis
+from .groebner import GroebnerBasis
 from .ideal import univariate_real_roots
 from .order import LEX
 from .reals import Real, all_finite
@@ -126,32 +122,29 @@ def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyno
 
 
 def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
-    """The parametric basis members led by s2^2, c2, s1 and c1 at the
-    given rationals, each divided by its leading coefficient (see the
-    module docstring). Neither the target nor a link may be zero."""
+    """The reduced lex basis at the given rationals, term by term (see
+    the module docstring). Neither the target nor a link may be zero."""
     c1, s1, c2, s2 = _variables()
     r2 = x * x + y * y
     cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
+    a = l1 + l2 * cos2
     return [
         s2 * s2 + (cos2 * cos2 - 1),
         c2 - cos2,
-        s1 + (l2 * x * s2 - l2 * y * c2 - l1 * y) / r2,
-        # c1*x + s1*y - c2*l2 - l1, or c1*y - s1*x - s2*l2 on the y axis
-        c1 + (y * s1 - l2 * c2 - l1) / x if x else c1 - l2 * s2 / y,
+        s1 - (a * y - l2 * x * s2) / r2,
+        c1 - (a * x + l2 * y * s2) / r2,
     ]
 
 
 def _basis(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> GroebnerBasis:
-    """The reduced lex basis of the system, interreduced from the four
-    members once they are certified; neither the target nor a link may
-    be zero."""
-    # The members lie in the ideal; the system reducing to zero modulo
-    # them proves they generate all of it.
+    """The reduced lex basis of the system. The members lie in the ideal;
+    the system reducing to zero modulo them proves they generate all of
+    it. Neither the target nor a link may be zero."""
     members = _members(l1, l2, x, y)
     for f in _system(l1, l2, x, y):
         if divide(f, members, LEX).remainder:
             raise RuntimeError("the IK system does not reduce to zero modulo its basis members")
-    return reduce_basis(GroebnerBasis(tuple(members), LEX, reduced=False))
+    return GroebnerBasis(tuple(members), LEX, reduced=True)
 
 
 def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[float, float]:
@@ -165,19 +158,28 @@ def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[floa
 def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     """All joint-angle solutions for the target, sorted by theta1.
 
-    The reduced lex basis of a reachable target is in shape position
-    (see the module docstring), so each real root of the eliminant in s2
-    gives one candidate pose through the three lifts. Unreachable targets
-    report an empty solution list with an "unreachable" diagnostic. The
-    reachable targets whose basis is not in shape position, the origin
-    for equal links and any target of an arm with a link that snaps to
-    zero, admit a continuum of poses and are an error: the solution set
-    is not finite.
+    Each real root of the eliminant in s2 gives one candidate pose
+    through the three lifts (see the module docstring). Unreachable
+    targets report an empty solution list with an "unreachable"
+    diagnostic. The origin for equal links and any target of an arm with
+    a link that snaps to zero admit a continuum of poses and are an
+    error: the solution set is not finite.
+
+    tol is an absolute position tolerance in the arm's length unit: a
+    pose is kept when its forward kinematics lands within 10*tol of the
+    snapped target. Float arithmetic cannot meet a tol below the floor
+    2^-52 * max(1, l1 + l2), and such a tol is an error.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     l1, l2 = _snap(arm.l1), _snap(arm.l2)
     x, y = _snap(target.x), _snap(target.y)
+    # The float checks below see errors of a few ulps of the reach in a
+    # position and of 1 in a cosine or sine.
+    scale = max(1.0, float(l1 + l2))
+    floor = 2**-52 * scale
+    if tol < floor:
+        raise ValueError(f"tol {tol:g} is below the floor {floor:.3g} that float arithmetic can meet for this arm")
 
     # The algebra is exact: outside the annulus by any margin, no real pose.
     radius_sq = x * x + y * y
@@ -194,7 +196,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     solutions = []
     fx_snap, fy_snap = float(x), float(y)
     fx_target, fy_target = float(target.x), float(target.y)
-    for s2 in univariate_real_roots(eliminant, tol * 1e-2):
+    # s2 is unitless; an error in it moves the end effector by up to the reach.
+    for s2 in univariate_real_roots(eliminant, tol * 1e-2 / scale):
         c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
         off_circle = max(abs(c1**2 + s1**2 - 1), abs(c2**2 + s2**2 - 1))
         if off_circle > 10 * tol:

@@ -279,6 +279,19 @@ class TestIkCommand:
         assert run(["ik", "--l1", "1", "--l2", "1", "--x", "0", "--y", "0"]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--l1", "1", "--l2", "1", "--x", "1.2", "--y", "0.5", "--tol", "1e-17"],
+            ["--l1", "1e8", "--l2", "1e8", "--x", "1.2e8", "--y", "0.5e8"],
+        ],
+    )
+    def test_tol_below_the_floor_exits_1(self, flags, capsys):
+        assert run(["ik", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol ") and "below the floor" in captured.err
+
 
 class TestOscillatorCommand:
     ARGS = ["oscillator", "--m", "1", "--k", "1", "--y0", "0", "--y1", "1"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from groebnerkit import kinematics
-from groebnerkit.groebner import groebner_basis
+from groebnerkit.groebner import GroebnerBasis, groebner_basis, reduce_basis
 from groebnerkit.ideal import is_member
 from groebnerkit.kinematics import (
     ArmSpec,
@@ -256,9 +256,10 @@ PARAMETRIC_SYSTEM = [
     "c1^2 + s1^2 - 1",
     "c2^2 + s2^2 - 1",
 ]
-# Each member ik_solve builds, with its leading coefficient cleared: its
-# leading monomial and leading coefficient in the (c1, s1, c2, s2) block.
-# The last two are the two choices for c1, as x or y vanishes.
+# The members that, specialised and interreduced, give the basis ik_solve
+# builds: each with its leading monomial and leading coefficient in the
+# (c1, s1, c2, s2) block. The last two are the two choices for c1, as x
+# or y vanishes.
 PARAMETRIC_MEMBERS = [
     ("l1^2*l2^2*s2^2 + 1/4*(x^2 + y^2 - l1^2 - l2^2)^2 - l1^2*l2^2", (0, 0, 0, 2), "l1^2*l2^2"),
     ("l1*l2*c2 - 1/2*(x^2 + y^2 - l1^2 - l2^2)", (0, 0, 1, 0), "l1*l2"),
@@ -323,15 +324,25 @@ class TestParametricBasis:
             assert lead == parse_polynomial(coefficient, CTX_PARAM)
 
     def test_ik_solve_builds_the_members_specialised(self):
+        # Interreduced, the specialised members give ik_solve's closed
+        # form term by term, with either member led by c1.
         members = [parse_polynomial(text, CTX_PARAM) for text, _, _ in PARAMETRIC_MEMBERS]
-        unit = CTX_IK.unit_monomial()
+        compared = 0
         for l1, l2, x, y in seeded_rationals(200):
-            chosen = members[:3] + [members[3] if x else members[4]]
-            expected = []
-            for member in chosen:
-                lead = specialise(block_lead(member)[1], l1, l2, x, y).terms[unit]
-                expected.append(specialise(member, l1, l2, x, y) / lead)
-            assert kinematics._members(l1, l2, x, y) == expected
+            for c1_member, c1_lead in ((members[3], x), (members[4], y)):
+                if not c1_lead:
+                    continue
+                chosen = [specialise(m, l1, l2, x, y) for m in members[:3] + [c1_member]]
+                reduced = reduce_basis(GroebnerBasis(tuple(chosen), LEX, reduced=False))
+                assert list(reduced.generators) == kinematics._members(l1, l2, x, y)
+                compared += 1
+        assert compared > 300
+
+    def test_basis_is_tagged_reduced_and_is_reduced(self):
+        for l1, l2, x, y in seeded_rationals(50):
+            basis = kinematics._basis(l1, l2, x, y)
+            assert basis.reduced
+            assert reduce_basis(basis) == basis
 
 
 def named_targets(l1, l2):
@@ -393,3 +404,62 @@ class TestSpecialisedBasis:
         monkeypatch.setattr(kinematics, "_members", corrupted)
         with pytest.raises(RuntimeError, match="does not reduce to zero"):
             ik_solve(ArmSpec(1, 1), Target(1, 1))
+
+
+# ---- arms of every size, and the floor of tol ---------------------------
+
+SCALES = [10.0**k for k in range(-3, 7)]
+
+
+def scaled_targets(scales, per_scale):
+    """Seeded float arms of links between a fifth of the scale and the
+    scale, and float targets in the annulus, uniform in radius."""
+    rng = random.Random(20261019)
+    for scale in scales:
+        for _ in range(per_scale):
+            l1, l2 = scale * rng.uniform(0.5, 1), scale * rng.uniform(0.2, 1)
+            inner, outer = abs(l1 - l2), l1 + l2
+            radius = inner + (outer - inner) * rng.random()
+            phi = rng.uniform(-math.pi, math.pi)
+            yield l1, l2, radius * math.cos(phi), radius * math.sin(phi)
+
+
+def snapped_reachable(l1, l2, x, y):
+    sl1, sl2, sx, sy = map(kinematics._snap, (l1, l2, x, y))
+    return (sl1 - sl2) ** 2 < sx * sx + sy * sy < (sl1 + sl2) ** 2
+
+
+class TestScale:
+    def test_every_scale_keeps_both_poses(self):
+        tol = 1e-9
+        swept = 0
+        for l1, l2, x, y in scaled_targets(SCALES, 30):
+            if not snapped_reachable(l1, l2, x, y):
+                continue
+            result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
+            assert_angles_match(result.solutions, law_of_cosines_ik(l1, l2, x, y), 1e-6)
+            for s in result.solutions:
+                assert s.residual <= 10 * tol
+            swept += 1
+        assert swept >= 280
+
+    def test_tol_at_the_floor_keeps_both_poses(self):
+        # Exact arms and targets: a float link's snap error would count
+        # against the forward-kinematics check as well.
+        swept = 0
+        for l1, l2, x, y in scaled_targets([10.0**k for k in range(-3, 10, 2)], 15):
+            l1, l2, x, y = map(kinematics._snap, (l1, l2, x, y))
+            if not snapped_reachable(l1, l2, x, y):
+                continue
+            floor = 2**-52 * max(1.0, float(l1 + l2))
+            result = ik_solve(ArmSpec(l1, l2), Target(x, y), floor)
+            assert len(result.solutions) == 2, (l1, l2, x, y)
+            with pytest.raises(ValueError, match="below the floor"):
+                ik_solve(ArmSpec(l1, l2), Target(x, y), floor / 2)
+            swept += 1
+        assert swept >= 100
+
+    @pytest.mark.parametrize("link, tol", [(1, 1e-17), (1, 5e-324), (1e7, 1e-9), (1e8, 1e-9), (0.5, 2e-16)])
+    def test_tol_below_the_floor_is_refused(self, link, tol):
+        with pytest.raises(ValueError, match=r"^tol \S+ is below the floor \S+ "):
+            ik_solve(ArmSpec(link, link), Target(1.2 * link, 0.5 * link), tol)

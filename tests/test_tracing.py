@@ -43,7 +43,15 @@ def touch_every_layer():
 
 def test_every_layer_metric_is_nonzero():
     metrics = traced_metrics(touch_every_layer)
+    del metrics["kinematics.completion_ms"]  # see the test below
     assert [k for k, v in metrics.items() if not v > 0] == []
+
+
+def test_ik_solve_runs_no_completion():
+    # ik_solve writes its reduced basis in closed form.
+    metrics = traced_metrics(lambda: gk.ik_solve(gk.ArmSpec(1, 1), gk.Target(1, 1)))
+    assert metrics["kinematics.completion_ms"] == 0
+    assert metrics["kinematics.ik_solve_ms"] > 0
 
 
 def test_completion_alone_reaches_the_reduction_counters():
