@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .division import divide
@@ -55,66 +56,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats, *, order=True):
+    @contextmanager
+    def command(name, handler, formats, help, *, variables=True, order="grevlex"):
+        """Declare subcommand name, run by handler. The arguments added in
+        the with block come after --vars and before --order, --format and
+        --output, the order help lists them in; order is the default of
+        --order, None for no --order."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if variables:
+            p.add_argument("--vars", required=True)
+        yield p
         if order:
-            p.add_argument("--order", choices=ORDER_NAMES, default="grevlex")
+            p.add_argument("--order", choices=ORDER_NAMES, default=order)
         p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("groebner", help="reduced Groebner basis of the input system")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--no-reduce", action="store_true", help="print the raw completed basis")
-    common(p, ("text", "json"))
-    p.add_argument("exprs", nargs="+", metavar="EXPR")
+    with command("groebner", _cmd_groebner, ("text", "json"),
+                 "reduced Groebner basis of the input system") as p:
+        p.add_argument("--no-reduce", action="store_true", help="print the raw completed basis")
+        p.add_argument("exprs", nargs="+", metavar="EXPR")
 
-    p = sub.add_parser("divide", help="divide F by an ordered divisor list: F -- D1 D2 ...")
-    p.add_argument("--vars", required=True)
-    common(p, ("text", "json"))
-    p.add_argument("f", metavar="F")
-    p.add_argument("divisors", nargs="+", metavar="D")
+    with command("divide", _cmd_divide, ("text", "json"),
+                 "divide F by an ordered divisor list: F -- D1 D2 ...") as p:
+        p.add_argument("f", metavar="F")
+        p.add_argument("divisors", nargs="+", metavar="D")
 
-    p = sub.add_parser("member", help="ideal membership: F -- G1 G2 ...")
-    p.add_argument("--vars", required=True)
-    common(p, ("text", "json"))
-    p.add_argument("f", metavar="F")
-    p.add_argument("generators", nargs="+", metavar="G")
+    with command("member", _cmd_member, ("text", "json"),
+                 "ideal membership: F -- G1 G2 ...") as p:
+        p.add_argument("f", metavar="F")
+        p.add_argument("generators", nargs="+", metavar="G")
 
-    p = sub.add_parser(
-        "eliminate",
-        help="elimination ideal basis; always computed under lex",
-    )
-    p.add_argument("--vars", required=True)
-    p.add_argument("--keep", type=int, required=True, help="trailing variables to keep")
-    common(p, ("text", "json"))
-    p.set_defaults(order="lex")
-    p.add_argument("exprs", nargs="+", metavar="EXPR")
+    with command("eliminate", _cmd_eliminate, ("text", "json"),
+                 "elimination ideal basis; always computed under lex", order="lex") as p:
+        p.add_argument("--keep", type=int, required=True, help="trailing variables to keep")
+        p.add_argument("exprs", nargs="+", metavar="EXPR")
 
-    p = sub.add_parser("staircase", help="staircase diagram of the leading-term ideal")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--cell", type=_int_above(0), default=40, help="cell size in px for SVG")
-    common(p, ("svg", "text", "json"))
-    p.add_argument("exprs", nargs="+", metavar="EXPR")
+    with command("staircase", _cmd_staircase, ("svg", "text", "json"),
+                 "staircase diagram of the leading-term ideal") as p:
+        p.add_argument("--cell", type=_int_above(0), default=40, help="cell size in px for SVG")
+        p.add_argument("exprs", nargs="+", metavar="EXPR")
 
-    p = sub.add_parser("ik", help="two-link planar inverse kinematics")
-    p.add_argument("--l1", type=float, required=True)
-    p.add_argument("--l2", type=float, required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--trajectory", default=None, help="CSV of x,y waypoints")
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p, ("text", "csv", "json"), order=False)
+    with command("ik", _cmd_ik, ("text", "csv", "json"),
+                 "two-link planar inverse kinematics", variables=False, order=None) as p:
+        p.add_argument("--l1", type=float, required=True)
+        p.add_argument("--l2", type=float, required=True)
+        p.add_argument("--x", type=float, default=None)
+        p.add_argument("--y", type=float, default=None)
+        p.add_argument("--trajectory", default=None, help="CSV of x,y waypoints")
+        p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("oscillator", help="sample the underdamped closed-form solution")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--y1", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--svg-width", type=_int_above(2 * _PLOT_MARGIN), default=640)
-    p.add_argument("--svg-height", type=_int_above(2 * _PLOT_MARGIN), default=400)
-    common(p, ("csv", "svg"), order=False)
+    with command("oscillator", _cmd_oscillator, ("csv", "svg"),
+                 "sample the underdamped closed-form solution", variables=False, order=None) as p:
+        p.add_argument("--m", type=float, required=True)
+        p.add_argument("--k", type=float, required=True)
+        p.add_argument("--b", type=float, default=0.0)
+        p.add_argument("--y0", type=float, default=1.0)
+        p.add_argument("--y1", type=float, default=0.0)
+        p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
+        p.add_argument("--n", type=int, default=200)
+        p.add_argument("--svg-width", type=_int_above(2 * _PLOT_MARGIN), default=640)
+        p.add_argument("--svg-height", type=_int_above(2 * _PLOT_MARGIN), default=400)
 
     return parser
 
@@ -128,7 +130,7 @@ def run(argv: Sequence[str]) -> int:
         return 0 if code in (0, None) else int(code)
 
     try:
-        text = _HANDLERS[args.command](args)
+        text = args.handler(args)
     except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -290,17 +292,6 @@ def _cmd_oscillator(args) -> str:
         f"{r.t:.12g},{r.y:.12g},{r.env_hi:.12g},{r.env_lo:.12g}\n" for r in rows
     )
     return header + body
-
-
-_HANDLERS = {
-    "groebner": _cmd_groebner,
-    "divide": _cmd_divide,
-    "member": _cmd_member,
-    "eliminate": _cmd_eliminate,
-    "staircase": _cmd_staircase,
-    "ik": _cmd_ik,
-    "oscillator": _cmd_oscillator,
-}
 
 
 # ---- inverse-kinematics output ------------------------------------------

@@ -18,12 +18,13 @@ every tail is a constant or linear in s2: the basis is reduced and in
 shape position. A zero target or link leaves a continuum of poses: at
 the origin, reachable only when l1 == l2, the folded arm can point
 anywhere, and a zero link turns freely. The real roots of the first
-member are isolated exactly over Q, the others are evaluated at each
-root, and every pose is verified by forward kinematics.
+member are isolated exactly over Q and the others evaluated at each.
 
 Link lengths and targets are snapped to exact rationals before any
-algebra, so the basis computation itself is exact; the snap error is
-folded into the reported residual.
+algebra, so the basis computation itself is exact. A pose is kept by
+one rule: forward kinematics of the snapped arm lands within 10*tol of
+the snapped target. Its residual is the caller's arm against the
+caller's target, so it includes the snap error.
 """
 
 from __future__ import annotations
@@ -165,17 +166,19 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     a link that snaps to zero admit a continuum of poses and are an
     error: the solution set is not finite.
 
-    tol is an absolute position tolerance in the arm's length unit: a
-    pose is kept when its forward kinematics lands within 10*tol of the
-    snapped target. Float arithmetic cannot meet a tol below the floor
-    2^-52 * max(1, l1 + l2), and such a tol is an error.
+    tol is an absolute position tolerance in the arm's length unit. A
+    pose is kept by one rule: forward kinematics of the snapped arm, the
+    rationals the algebra solved, lands within 10*tol of the snapped
+    target. Its residual is the caller's arm against the caller's
+    target, so it includes the snap error. Float arithmetic cannot meet
+    a tol below the floor 2^-52 * max(1, l1 + l2), and such a tol is an
+    error.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     l1, l2 = _snap(arm.l1), _snap(arm.l2)
     x, y = _snap(target.x), _snap(target.y)
-    # The float checks below see errors of a few ulps of the reach in a
-    # position and of 1 in a cosine or sine.
+    # The pose check sees float errors of a few ulps of the reach.
     scale = max(1.0, float(l1 + l2))
     floor = 2**-52 * scale
     if tol < floor:
@@ -192,21 +195,15 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
 
     eliminant, *lifts = _basis(l1, l2, x, y).generators
 
-    # Poses are checked against the snapped target the algebra solved.
     solutions = []
-    fx_snap, fy_snap = float(x), float(y)
-    fx_target, fy_target = float(target.x), float(target.y)
     # s2 is unitless; an error in it moves the end effector by up to the reach.
     for s2 in univariate_real_roots(eliminant, tol * 1e-2 / scale):
         c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
-        off_circle = max(abs(c1**2 + s1**2 - 1), abs(c2**2 + s2**2 - 1))
-        if off_circle > 10 * tol:
-            continue
-        theta1 = _angle(c1, s1)
-        theta2 = _angle(c2, s2)
-        fx, fy = forward_kinematics(arm, theta1, theta2)
-        if abs(fx - fx_snap) + abs(fy - fy_snap) <= 10 * tol:
-            residual = abs(fx - fx_target) + abs(fy - fy_target)
+        theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
+        fx, fy = forward_kinematics(ArmSpec(l1, l2), theta1, theta2)
+        if abs(fx - float(x)) + abs(fy - float(y)) <= 10 * tol:
+            fx, fy = forward_kinematics(arm, theta1, theta2)
+            residual = abs(fx - float(target.x)) + abs(fy - float(target.y))
             solutions.append(JointSolution(theta1, theta2, residual))
 
     solutions = _deduplicate(solutions, tol)

@@ -44,7 +44,7 @@ MAX_PRODUCT_PAIRS = 261_888
 # 1.4 s on the same VM, nearly all of it in Fraction gcds.
 MAX_COEFFICIENT_BITS = 1_000_000
 # Pairs and bits each within budget can still add up: the 1953 x 1 pairs
-# of (x+y+z)^61*(3/2)^400000 at a bound of 800,097 bits (1.6e9) took 2.3 s
+# of (x+y+z)^61*(3/2)^400000 at a bound of 634,083 bits (1.2e9) took 2.3 s
 # beyond its factors on the same VM. The largest step of (x+y+z)^61, the
 # largest power of three terms, comes to 261,888 pairs at 122 bits (3.2e7).
 MAX_PAIR_BITS = 100_000_000

@@ -224,6 +224,12 @@ class TestIkCommand:
         assert len(out) == 2
         assert out[0].startswith("theta1=0 theta2=1.570796")
 
+    def test_near_origin_target_gives_two_poses(self, capsys):
+        assert run(["ik", "--l1", "1", "--l2", "1", "--x", "1e-4", "--y", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("theta1=") for line in lines)
+
     def test_unreachable_text(self, capsys):
         assert run(["ik", "--l1", "1", "--l2", "1", "--x", "3", "--y", "0"]) == 0
         assert capsys.readouterr().out == "unreachable\n"

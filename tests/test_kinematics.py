@@ -463,3 +463,77 @@ class TestScale:
     def test_tol_below_the_floor_is_refused(self, link, tol):
         with pytest.raises(ValueError, match=r"^tol \S+ is below the floor \S+ "):
             ik_solve(ArmSpec(link, link), Target(1.2 * link, 0.5 * link), tol)
+
+
+# ---- one pose check: the snapped arm reaches the snapped target ---------
+
+
+def snap_error_bound(l1, l2, x, y):
+    """How far the caller's arm and target can put a pose's residual
+    beyond the pose check: a link moves the end effector by its own
+    error, at most sqrt(2) times that in |dx| + |dy|."""
+    d = [abs(float(kinematics._snap(v)) - v) for v in (l1, l2, x, y)]
+    return 1.5 * (d[0] + d[1]) + d[2] + d[3]
+
+
+def near_origin_targets(count):
+    """Seeded arms of equal or nearly equal links, with float targets at
+    radii from 1e-6 to 1e-2, where the c1 and s1 lifts divide by r^2."""
+    rng = random.Random(20261020)
+    for i in range(count):
+        l1 = rng.uniform(0.5, 2)
+        l2 = l1 if i % 2 else l1 * (1 + rng.uniform(-1e-7, 1e-7))
+        radius, phi = 10 ** rng.uniform(-6, -2), rng.uniform(-math.pi, math.pi)
+        yield l1, l2, radius * math.cos(phi), radius * math.sin(phi)
+
+
+def short_float_arms(count):
+    """Seeded float arms of reach at most 2, with float targets uniform
+    over the annulus, whose links snap by up to about 1e-11."""
+    rng = random.Random(20261021)
+    for _ in range(count):
+        l1, l2 = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
+        inner, outer = abs(l1 - l2), l1 + l2
+        radius = math.sqrt(rng.uniform(inner**2, outer**2))
+        phi = rng.uniform(-math.pi, math.pi)
+        yield l1, l2, radius * math.cos(phi), radius * math.sin(phi)
+
+
+class TestOnePoseCheck:
+    """A pose is kept when forward kinematics of the snapped arm lands
+    within 10*tol of the snapped target, and by no other rule."""
+
+    def assert_two_poses(self, l1, l2, x, y, tol):
+        result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
+        assert result.diagnostic is None and len(result.solutions) == 2, (l1, l2, x, y, result)
+        elbow = [s.theta2 for s in result.solutions]
+        assert abs(elbow[0] + elbow[1]) < 1e-6, result  # elbow up and elbow down
+        for s in result.solutions:
+            assert s.residual <= 10 * tol + snap_error_bound(l1, l2, x, y) + 1e-15, (l1, l2, x, y, s)
+        return result
+
+    def test_near_origin_of_equal_links(self):
+        result = self.assert_two_poses(1, 1, 1e-4, 0, 1e-9)
+        assert_angles_match(result.solutions, law_of_cosines_ik(1, 1, 1e-4, 0), 1e-6)
+
+    def test_float_arm_at_small_tol(self):
+        l1, l2 = 0.3986196605015865, 0.6013803394984135
+        x, y = 0.5999667845020998, -0.5615315927524492
+        result = self.assert_two_poses(l1, l2, x, y, 1e-12)
+        assert_angles_match(result.solutions, law_of_cosines_ik(l1, l2, x, y), 1e-6)
+
+    @pytest.mark.parametrize(
+        "targets, tol",
+        [(list(near_origin_targets(200)), 1e-9), (list(short_float_arms(300)), 1e-12)],
+        ids=["near-origin", "float-arms-tol-1e-12"],
+    )
+    def test_sweep_keeps_both_poses_strictly_inside(self, targets, tol):
+        inside = 0
+        for l1, l2, x, y in targets:
+            if snapped_reachable(l1, l2, x, y):
+                self.assert_two_poses(l1, l2, x, y, tol)
+                inside += 1
+            else:
+                result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
+                assert result.solutions or result.diagnostic, (l1, l2, x, y)
+        assert inside >= 190
