@@ -15,39 +15,31 @@ which binds tighter than ``+``/``-``, and powers are expanded eagerly so
 the result is always a plain polynomial. Any other character is an
 error, and errors carry the 1-based position of the offending one.
 
-Four work budgets are checked before the work they guard, and a breach
-raises a ``ValueError`` (not a syntax error) giving the position of its
-``^`` or ``*``. A power may expand to at most ``MAX_POWER_TERMS`` terms;
-a product, or any one step of a power, may multiply at most
-``MAX_PRODUCT_PAIRS`` pairs of terms; no power or product may risk
-coefficients of more than ``MAX_COEFFICIENT_BITS`` bits; and the pairs
-times the bits, for a product or the largest step of a power, may come
-to at most ``MAX_PAIR_BITS``.
+One budget, ``MAX_WORK``, covers the whole expression. Each ``+``, ``-``,
+``*`` and ``^`` adds its cost to a running total before it computes, priced
+from the exact sizes of its operands, and past the budget raises a
+``ValueError`` (not a syntax error) at its position. An operation on
+coefficients of up to b bits costs ``1 + (b >> 11)**2`` units: a product
+makes one per pair of terms, a power one per pair in each step of
+``Polynomial.__pow__``, and a summand one per term, at the bits of the
+running sum. A literal longer than CPython reads is refused the same way.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+import sys
+from typing import Iterator, NamedTuple, Optional
 
 from .order import MonomialOrder, sorted_terms
 from .ring import Polynomial, VariableContext, rat_normalize
 
-# The largest power under the cap, (x+y+z)^61 with 1953 terms, expands in
-# about 1.1 s on one core of a 2-core Xeon VM.
-MAX_POWER_TERMS = 2_000
-# One multiplication inside (x+y+z)^61, the largest power of three terms
-# the cap admits, could pair up to C(32, 2) * C(33, 2) = 496 * 528 terms.
-MAX_PRODUCT_PAIRS = 261_888
-# (12345678901/98765432103)^27000 comes within the budget and takes about
-# 1.4 s on the same VM, nearly all of it in Fraction gcds.
-MAX_COEFFICIENT_BITS = 1_000_000
-# Pairs and bits each within budget can still add up: the 1953 x 1 pairs
-# of (x+y+z)^61*(3/2)^400000 at a bound of 634,083 bits (1.2e9) took 2.3 s
-# beyond its factors on the same VM. The largest step of (x+y+z)^61, the
-# largest power of three terms, comes to 261,888 pairs at 122 bits (3.2e7).
-MAX_PAIR_BITS = 100_000_000
+# A unit is about one product of two small Fractions, some 3 us. On one
+# core of a 2-core Xeon VM the slowest admitted probe, (x+y+z)^70 at 400,583
+# units, parses in 1.1 to 1.4 s, and (12345678901/98765432103)^27000, at
+# 392,353, in 0.7 to 0.8 s.
+MAX_WORK = 450_000
 
 
 class ParseError(ValueError):
@@ -82,6 +74,8 @@ class _Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.pos = 0
+        self.work = 0
+        self.variables: dict[str, Polynomial] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -97,45 +91,50 @@ class _Parser:
             raise ParseError(f"{message}, found end of input", tok.position)
         raise ParseError(f"{message}, found {tok.text!r}", tok.position)
 
+    def charge(self, count: int, bits: int, tok: _Token) -> None:
+        """Add count coefficient operations at up to bits bits to the work."""
+        self.work += count * (1 + (bits >> 11) ** 2)
+        if self.work > MAX_WORK:
+            raise ValueError(f"expression would cost more than {MAX_WORK} units of work (position {tok.position})")
+
     def expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind == "-":
+        negate = self.peek().kind == "-"
+        if negate:
             self.advance()
-            negate = True
-        poly = self.term()
+        poly, bound = self.term()
         if negate:
             poly = -poly
+        if self.peek().kind not in ("+", "-"):
+            return poly
+        bound = bound or _measure(poly)
+        # One dict for the whole sum, where Polynomial.__add__ copies at each sign
+        terms = dict(poly.terms)
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            poly = poly + rhs if op.kind == "+" else poly - rhs
-        return poly
+            sign = self.advance()
+            rhs, rhs_bound = self.term()
+            bound = _sum_bound(bound, rhs_bound or _measure(rhs))
+            self.charge(len(rhs.terms), _bits(*bound), sign)
+            for m, c in (-rhs if sign.kind == "-" else rhs).terms.items():
+                if m in terms:
+                    c += terms.pop(m)
+                if c:
+                    terms[m] = c
+        return poly._wrap(terms)
 
-    def term(self) -> Polynomial:
-        poly = self.factor()
-        # B(p*q) <= B(p) + B(q), so a running sum bounds the product's B
-        # without measuring the product again at every factor. A term
-        # with no product needs no bound.
-        bits = None
-        while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                rhs = self.factor()
-                pairs = len(poly.terms) * len(rhs.terms)
-                _budget(pairs, MAX_PRODUCT_PAIRS, "product would multiply", "term pairs", tok)
-                if bits is None:
-                    bits = _coefficient_bits(poly)
-                bits += _coefficient_bits(rhs)
-                _budget(bits, MAX_COEFFICIENT_BITS, "product could reach", "coefficient bits", tok)
-                _budget(pairs * bits, MAX_PAIR_BITS, "product would cost", "term pairs times coefficient bits", tok)
-                poly = poly * rhs
-            elif tok.kind == "/":
-                raise ParseError(
-                    "division is only allowed between integer literals", tok.position
-                )
-            else:
-                return poly
+    def term(self) -> tuple[Polynomial, Optional[tuple[int, int]]]:
+        """A product, and the bound of its coefficients if it has two factors or more."""
+        poly, bound = self.factor(), None
+        while self.peek().kind == "*":
+            star = self.advance()
+            rhs = self.factor()
+            total, scale = bound or _measure(poly)
+            rhs_total, rhs_scale = _measure(rhs)
+            bound = total * rhs_total, scale * rhs_scale
+            self.charge(len(poly.terms) * len(rhs.terms), _bits(*bound), star)
+            poly = poly * rhs
+        if self.peek().kind == "/":
+            raise ParseError("division is only allowed between integer literals", self.peek().position)
+        return poly, bound
 
     def factor(self) -> Polynomial:
         base = self.base()
@@ -147,21 +146,9 @@ class _Parser:
             if tok.kind != "int":
                 self.fail("expected a nonnegative integer exponent")
             self.advance()
-            e, t = int(tok.text), len(base.terms)
-            pairs = 1
-            if t > 1:
-                # base^k has at most C(k+t-1, t-1) terms, and each
-                # multiplication inside base^e pairs base^a with base^b,
-                # a + b <= e, which pairs the most terms at a = e // 2.
-                def terms(k: int) -> int:
-                    return math.comb(k + t - 1, t - 1)
-
-                _budget(terms(e), MAX_POWER_TERMS, "power would expand to", "terms", caret)
-                pairs = terms(e // 2) * terms(e - e // 2)
-                _budget(pairs, MAX_PRODUCT_PAIRS, "power would multiply", "term pairs", caret)
-            bits = e * _coefficient_bits(base)
-            _budget(bits, MAX_COEFFICIENT_BITS, "power could reach", "coefficient bits", caret)
-            _budget(pairs * bits, MAX_PAIR_BITS, "power would cost", "term pairs times coefficient bits", caret)
+            e, bits = _integer(tok), _bits(*_measure(base))
+            for pairs, k in _power_steps(max(len(base.terms), 1), e):
+                self.charge(pairs, k * bits, caret)
             base = base ** e
         return base
 
@@ -169,31 +156,29 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            numerator = int(tok.text)
+            numerator, denominator = _integer(tok), 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok.kind != "int":
-                    raise ParseError(
-                        "divisor must be an integer literal", den_tok.position
-                    )
+                    raise ParseError("divisor must be an integer literal", den_tok.position)
                 self.advance()
-                if int(den_tok.text) == 0:
+                denominator = _integer(den_tok)
+                if denominator == 0:
                     raise ParseError("zero denominator", den_tok.position)
-                value = rat_normalize(numerator, int(den_tok.text))
-            else:
-                value = rat_normalize(numerator, 1)
-            return Polynomial.constant(self.ctx, value)
+            return Polynomial.constant(self.ctx, rat_normalize(numerator, denominator))
         if tok.kind == "name":
             self.advance()
-            if tok.text not in self.ctx.names:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.position)
-            return Polynomial.variable(self.ctx, tok.text)
+            poly = self.variables.get(tok.text)
+            if poly is None:
+                if tok.text not in self.ctx.names:
+                    raise ParseError(f"unknown variable {tok.text!r}", tok.position)
+                poly = self.variables[tok.text] = Polynomial.variable(self.ctx, tok.text)
+            return poly
         if tok.kind == "(":
             self.advance()
             poly = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
+            if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.advance()
             return poly
@@ -201,34 +186,57 @@ class _Parser:
         raise AssertionError("unreachable")
 
 
-def _coefficient_bits(p: Polynomial) -> int:
-    """B such that p^e has numerators and denominators at most 2^(e*B),
-    and p*q at most 2^(B(p) + B(q)).
+def _integer(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # the token is all digits: only CPython's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer literal longer than {limit} digits (position {tok.position})") from None
 
-    With D the lcm of p's denominators, D*p has integer coefficients whose
-    absolute values sum to S; every coefficient of (D*p)^e is at most S^e
-    and every denominator of p^e divides D^e, so B = ceil(log2 max(S, D)).
-    For one term n/d this is at most the bit length of max(|n|, d), and
-    it is 0 for +-1, so powers of a bare variable cost nothing.
-    """
+
+def _measure(p: Polynomial) -> tuple[int, int]:
+    """The least bound (total, scale) of p. A bound has scale * p integral,
+    its coefficients' absolute values summing to at most total, so total and
+    scale bound p's numerators and denominators; bounds multiply entrywise."""
     coeffs = p.terms.values()
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    total = sum(abs(c.numerator) * (scale // c.denominator) for c in coeffs)
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    return sum([abs(c.numerator) * (scale // c.denominator) for c in coeffs]), scale
+
+
+def _sum_bound(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The bound of p + q from a bound a of p and b of q."""
+    scale = math.lcm(a[1], b[1])
+    return a[0] * (scale // a[1]) + b[0] * (scale // b[1]), scale
+
+
+def _bits(total: int, scale: int) -> int:
+    """B with 2^B at least both entries of the bound; 0 for that of +-1."""
     return (max(total, scale) - 1).bit_length()
 
 
-def _budget(value: int, limit: int, what: str, unit: str, tok: _Token) -> None:
-    """Refuse work past a budget, giving the position of its operator."""
-    if value > limit:
-        raise ValueError(f"{what} more than {limit} {unit} (position {tok.position})")
+def _power_steps(t: int, e: int) -> Iterator[tuple[int, int]]:
+    """Term pairs and degree of each product that Polynomial.__pow__ makes
+    for p^e, p of t >= 1 terms; p^k has at most C(k+t-1, t-1) terms."""
+
+    def terms(k: int) -> int:
+        return math.comb(k + t - 1, t - 1)
+
+    low, high = 0, 1  # __pow__'s result is p^low, and its base p^high
+    while e:
+        if e & 1:
+            yield terms(low) * terms(high), low + high
+            low += high
+        if e > 1:
+            yield terms(high) ** 2, 2 * high
+            high *= 2
+        e >>= 1
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
     """Parse one expression into a polynomial over ctx."""
     parser = _Parser(_tokenize(text), ctx)
     poly = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
+    if parser.peek().kind != "end":
         parser.fail("unexpected trailing input")
     return poly
 
@@ -252,19 +260,10 @@ def format_polynomial(p: Polynomial, order: MonomialOrder) -> str:
     for i, term in enumerate(sorted_terms(p, order)):
         c = term.coefficient
         magnitude = -c if c < 0 else c
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, term.monomial)
-            if e > 0
-        ]
-        if factors:
-            body = "*".join(factors)
-            if magnitude != 1:
-                body = f"{magnitude}*{body}"
-        else:
-            body = str(magnitude)
-        if i == 0:
-            chunks.append(f"-{body}" if c < 0 else body)
-        else:
-            chunks.append(f" - {body}" if c < 0 else f" + {body}")
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, term.monomial) if e > 0]
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = "*".join(factors)
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        chunks.append(sign + body)
     return "".join(chunks)

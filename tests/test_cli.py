@@ -77,27 +77,26 @@ class TestGroebnerCommand:
 
     def test_power_over_term_bound_exits_1(self, capsys):
         assert run(["groebner", "--vars", "x,y,z", "(x+y+z)^300"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: power would expand") and "(position 8)" in err
+        assert capsys.readouterr().err == "error: expression would cost more than 450000 units of work (position 8)\n"
 
     @pytest.mark.parametrize(
-        "expr, message",
-        [
-            (
-                "(x+y+z)^31*(x+y+z)^31",
-                "product would multiply more than 261888 term pairs (position 11)",
-            ),
-            ("3^30000000*x", "power could reach more than 1000000 coefficient bits (position 2)"),
-            (
-                "(x+y+z)^61*(3/2)^400000",
-                "product would cost more than 100000000 term pairs times coefficient bits (position 11)",
-            ),
-        ],
+        "expr, position",
+        [("(x+y+z)^40*(x+y+z)^40", 11), ("3^30000000*x", 2), ("(x+y+z)^61*(3/2)^400000", 17)],
         ids=["term-pairs", "coefficient-bits", "pair-bits"],
     )
-    def test_over_parse_budget_exits_1(self, capsys, expr, message):
+    def test_over_parse_budget_exits_1(self, capsys, expr, position):
         assert run(["groebner", "--vars", "x,y,z", expr]) == 1
+        message = f"expression would cost more than 450000 units of work (position {position})"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "expr, position",
+        [("7" * 5000 + "*x", 1), ("x^" + "7" * 5000, 3), ("1/" + "7" * 5000, 3)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_literal_over_digit_limit_exits_1(self, capsys, expr, position):
+        assert run(["groebner", "--vars", "x", expr]) == 1
+        assert capsys.readouterr().err == f"error: integer literal longer than 4300 digits (position {position})\n"
 
     def test_unknown_variable_exits_2(self, capsys):
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2

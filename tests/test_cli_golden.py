@@ -1,6 +1,8 @@
-"""Golden CLI outputs: stdout and exit code for a fixed table of
+"""Golden CLI outputs: stdout, stderr and exit code for a fixed table of
 invocations, covering every subcommand and format, the usage and domain
-errors, and every --help. SVG output is pinned by its SHA-256 digest.
+errors, and every --help. SVG output is pinned by its SHA-256 digest, and
+the temporary paths an invocation names appear in stderr as their
+{output}, {trajectory} or {missing} placeholders.
 
 The values live in cli_golden.json next to this file. After a change
 that is meant to alter CLI output, regenerate them with
@@ -103,6 +105,9 @@ CASES = {
     "syntax-error": ["groebner", "--vars", "x,y", "x +"],
     "unknown-variable": ["member", "--vars", "x,y", "x*z", "--", "x"],
     "power-budget": ["groebner", "--vars", "x,y,z", "(x+y+z)^300"],
+    "product-budget": ["groebner", "--vars", "x,y,z", "(x+y+z)^61*(3/2)^400000"],
+    "sum-budget": ["groebner", "--vars", "x", " + ".join(f"(1/{p})^240000*x" for p in (3, 5, 7, 11, 13))],
+    "long-literal": ["groebner", "--vars", "x", "1" * 5000 + "*x"],
     "unwritable-output": ["groebner", "--output", "{missing}/out.txt", *WORKED],
     # help
     "help": ["--help"],
@@ -127,10 +132,13 @@ def _invoke(argv: list[str], tmp: Path) -> dict:
         "missing": str(tmp / "missing"),
     }
     (tmp / "trajectory.csv").write_text(TRAJECTORY)
-    stdout = io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
         code = run([arg.format(**paths) for arg in argv])
-    record = {"exit": code, "stdout": _pin(stdout.getvalue())}
+    err = stderr.getvalue()
+    for name, path in paths.items():
+        err = err.replace(path, f"{{{name}}}")
+    record = {"exit": code, "stdout": _pin(stdout.getvalue()), "stderr": err}
     output = tmp / "out"
     if output.exists():
         record["file"] = _pin(output.read_text())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from groebnerkit import parse
 from groebnerkit.order import GRLEX, LEX
@@ -39,77 +40,124 @@ class TestParse:
     def test_zero_exponent(self):
         assert parse_polynomial("x^0", CTX_XY) == _p([((0, 0), 1)])
 
+    @staticmethod
+    def _refused_at(text, position):
+        with pytest.raises(ValueError, match=rf"more than \d+ units of work \(position {position}\)$") as err:
+            parse_polynomial(text, CTX_XY)
+        assert not isinstance(err.value, ParseError)
+
+    def test_sum_refused_over_work_budget(self, monkeypatch):
+        # a summand costs one unit a term below 2048 bits of the running sum
+        monkeypatch.setattr(parse, "MAX_WORK", 3)
+        assert parse_polynomial("x + y - 1 - x", CTX_XY) == _p([((0, 1), 1), ((0, 0), -1)])
+        self._refused_at("x + y - 1 - x + y", 15)
+        # and 1 + (4097 >> 11)**2 = 5 at the 4097 bits of 2^4096*x + y,
+        # though y alone is small; the product 2^4096*x costs 5 as well
+        big = str(2**4096)
+        monkeypatch.setattr(parse, "MAX_WORK", 5 + 5)
+        assert len(parse_polynomial(f"{big}*x + y", CTX_XY).terms) == 2
+        monkeypatch.setattr(parse, "MAX_WORK", 5 + 5 - 1)
+        self._refused_at(f"{big}*x + y", len(big) + 4)
+
     def test_power_refused_over_term_bound(self, monkeypatch):
-        # (x+y)^e has e+1 terms; one-term and zero bases are never refused
-        monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10)
-        assert len(parse_polynomial("(x+y)^9", CTX_XY).terms) == 10
+        # (x+y)^3 is 1 * (x+y), then (x+y)^2, then (x+y) * (x+y)^2: 2 + 4 + 6
+        # pairs, after the 1 unit of x+y; the outer sum adds 4 terms
+        monkeypatch.setattr(parse, "MAX_WORK", 13)
+        assert parse_polynomial("(x+y)^3", CTX_XY) == _p([((3, 0), 1), ((2, 1), 3), ((1, 2), 3), ((0, 3), 1)])
+        # one-term and zero bases cost a unit a step, a bare variable too
         assert parse_polynomial("(2*x)^100", CTX_XY) == _p([((100, 0), 2**100)])
         assert parse_polynomial("(x-x)^100", CTX_XY) == _p([])
-        with pytest.raises(ValueError, match=r"more than 10 terms \(position 10\)") as err:
-            parse_polynomial("x + (x+y)^10", CTX_XY)
-        assert not isinstance(err.value, ParseError)
+        assert parse_polynomial("x^100", CTX_XY) == _p([((100, 0), 1)])
+        monkeypatch.setattr(parse, "MAX_WORK", 17)
+        assert len(parse_polynomial("x + (x+y)^3", CTX_XY).terms) == 5
+        monkeypatch.setattr(parse, "MAX_WORK", 16)
+        self._refused_at("x + (x+y)^3", 3)
+        monkeypatch.setattr(parse, "MAX_WORK", 12)
+        self._refused_at("x + (x+y)^3", 10)
+        self._refused_at("(x+y)^3", 6)
 
     def test_product_refused_over_pair_bound(self, monkeypatch):
-        # (x+y)^2 * (x+y)^3 multiplies 3 * 4 term pairs
-        monkeypatch.setattr(parse, "MAX_PRODUCT_PAIRS", 12)
-        assert parse_polynomial("(x+y)^2*(x+y)^3", CTX_XY) == parse_polynomial("(x+y)^5", CTX_XY)
-        with pytest.raises(ValueError, match=r"more than 12 term pairs \(position 16\)") as err:
-            parse_polynomial("(x+y)^2*(x+y)^3*(x+y+1)", CTX_XY)
-        assert not isinstance(err.value, ParseError)
+        # three sums of 1 unit each; then 2 * 2 pairs, and 2 * 2 again, since
+        # (x+y)*(x-y) cancels to two terms
+        monkeypatch.setattr(parse, "MAX_WORK", 11)
+        assert parse_polynomial("(x+y)*(x-y)*(x+1)", CTX_XY) == _p(
+            [((3, 0), 1), ((2, 0), 1), ((1, 2), -1), ((0, 2), -1)]
+        )
+        monkeypatch.setattr(parse, "MAX_WORK", 10)
+        self._refused_at("(x+y)*(x-y)*(x+1)", 12)
 
     def test_power_refused_over_pair_bound(self, monkeypatch):
-        # the largest step inside (x+y)^e multiplies (x+y)^(e//2) by the rest
-        monkeypatch.setattr(parse, "MAX_PRODUCT_PAIRS", 12)
+        # each square-and-multiply step of __pow__ is priced by its pairs:
+        # (x+y)^5 has 6 terms but makes 2 + 4 + 9 + 10 pairs, (x+y)^6 makes
+        # 4 + 3 + 9 + 15
+        assert list(parse._power_steps(2, 5)) == [(2, 1), (4, 2), (9, 4), (10, 5)]
+        assert list(parse._power_steps(2, 6)) == [(4, 2), (3, 2), (9, 4), (15, 6)]
+        monkeypatch.setattr(parse, "MAX_WORK", 1 + 25)
         assert len(parse_polynomial("(x+y)^5", CTX_XY).terms) == 6
-        message = r"power would multiply more than 12 term pairs \(position 6\)"
-        with pytest.raises(ValueError, match=message):
-            parse_polynomial("(x+y)^6", CTX_XY)
+        self._refused_at("(x+y)^6", 6)
+        monkeypatch.setattr(parse, "MAX_WORK", 1 + 25 - 1)
+        self._refused_at("(x+y)^5", 6)
 
     def test_refused_over_bit_bound(self, monkeypatch):
-        monkeypatch.setattr(parse, "MAX_COEFFICIENT_BITS", 10)
-        # 3/2 and x+1 cost 2 bits and 1 bit a power, a bare variable none
-        assert parse_polynomial("(3/2)^5*x", CTX_XY) == _p([((1, 0), (243, 32))])
-        assert len(parse_polynomial("(x+1)^10", CTX_XY).terms) == 11
-        assert parse_polynomial("x^1000", CTX_XY) == _p([((1000, 0), 1)])
-        assert parse_polynomial("32*31", CTX_XY) == _p([((0, 0), 992)])
-        refused = {
-            "(3/2)^6": "power could reach more than 10 coefficient bits (position 6)",
-            "y + (x+1)^11": "power could reach more than 10 coefficient bits (position 10)",
-            "32*33": "product could reach more than 10 coefficient bits (position 3)",
-        }
-        for text, message in refused.items():
-            with pytest.raises(ValueError, match=re.escape(message)) as err:
-                parse_polynomial(text, CTX_XY)
-            assert not isinstance(err.value, ParseError)
+        # (2^4096)^2 squares 4096 bits, then multiplies 1 by the square, both
+        # at 8192 bits: 1 + 4**2 units each
+        big = str(2**4096)
+        monkeypatch.setattr(parse, "MAX_WORK", 34)
+        assert parse_polynomial(f"{big}^2", CTX_XY) == _p([((0, 0), 2**8192)])
+        monkeypatch.setattr(parse, "MAX_WORK", 33)
+        self._refused_at(f"{big}^2", len(big) + 1)
+        # below 2048 bits an operation costs one unit, whatever its bits
+        assert parse_polynomial(f"{2**2047}^2", CTX_XY) == _p([((0, 0), 2**4094)])
 
     def test_refused_over_pair_bit_bound(self, monkeypatch):
-        # each budget alone admits these; their pairs times bits do not
-        monkeypatch.setattr(parse, "MAX_PAIR_BITS", 20)
-        # (x+1)^2 * 3^2 is 3 pairs at 2 + 4 bits; the largest step of
-        # (x+1)^3 is 2 * 3 pairs at 3 bits
-        assert parse_polynomial("(x+1)^2*3^2", CTX_XY) == parse_polynomial("9*(x+1)^2", CTX_XY)
-        assert len(parse_polynomial("(x+1)^3", CTX_XY).terms) == 4
-        refused = {
-            "(x+1)^2*3^3": "product would cost more than 20 term pairs times coefficient bits (position 8)",
-            "(x+1)^4": "power would cost more than 20 term pairs times coefficient bits (position 6)",
-        }
-        for text, message in refused.items():
-            with pytest.raises(ValueError, match=re.escape(message)) as err:
-                parse_polynomial(text, CTX_XY)
-            assert not isinstance(err.value, ParseError)
+        # 2^4096 * (x+1) pairs 1 * 2 terms at 4098 bits, 5 units a pair
+        big = str(2**4096)
+        monkeypatch.setattr(parse, "MAX_WORK", 1 + 2 * 5)
+        assert len(parse_polynomial(f"{big}*(x+1)", CTX_XY).terms) == 2
+        monkeypatch.setattr(parse, "MAX_WORK", 1 + 2 * 5 - 1)
+        self._refused_at(f"{big}*(x+1)", len(big) + 1)
 
-    @given(polynomials(max_terms=3, max_exponent=2), polynomials(max_terms=3, max_exponent=2))
-    def test_coefficient_bit_bound_holds(self, p, q):
+    def test_found_sum_refused_at_a_sign(self):
+        # coprime denominators multiply, so each summand passes alone but
+        # the sum runs to millions of bits
+        text = " + ".join(f"(1/{p})^240000*x" for p in (3, 5, 7, 11, 13))
+        signs = [i + 1 for i, ch in enumerate(text) if ch == "+"]
+        with pytest.raises(ValueError, match=r"units of work \(position (\d+)\)$") as err:
+            parse_polynomial(text, CTX_XY)
+        assert not isinstance(err.value, ParseError)
+        assert int(re.search(r"position (\d+)", str(err.value)).group(1)) in signs
+
+    def test_cheap_inputs_admitted(self):
+        # (x+1)*(x-1) cancels to two terms, which a price from term-count
+        # bounds would not see
+        assert parse_polynomial("((x+1)*(x-1))^40", CTX_XY) == _p([((2, 0), 1), ((0, 0), -1)]) ** 40
+        assert parse_polynomial("((x+y)*(x-y))^30", CTX_XY) == _p([((2, 0), 1), ((0, 2), -1)]) ** 30
+        # a long flat sum costs its terms, not its length at every sign
+        terms = {(k % 71, k // 71): k % 97 + 1 for k in range(5000)}
+        text = " + ".join(f"{c}*x^{i}*y^{j}" for (i, j), c in terms.items())
+        assert parse_polynomial(text, CTX_XY) == _p(terms.items())
+
+    @given(
+        polynomials(max_terms=3, max_exponent=2),
+        polynomials(max_terms=3, max_exponent=2),
+        st.lists(polynomials(max_terms=3, max_exponent=2), max_size=6),
+    )
+    def test_coefficient_bit_bound_holds(self, p, q, summands):
         def within(poly, bits):
             return all(
                 abs(c.numerator) <= 2**bits and c.denominator <= 2**bits
                 for c in poly.terms.values()
             )
 
-        bits_p, bits_q = parse._coefficient_bits(p), parse._coefficient_bits(q)
-        assert within(p * q, bits_p + bits_q)
+        (total_p, scale_p), (total_q, scale_q) = parse._measure(p), parse._measure(q)
+        assert within(p * q, parse._bits(total_p * total_q, scale_p * scale_q))
         for e in range(4):
-            assert within(p**e, e * bits_p)
+            assert within(p**e, e * parse._bits(total_p, scale_p))
+        # the running bound of a sum bounds every partial sum
+        partial, bound = p, parse._measure(p)
+        for s in summands:
+            partial, bound = partial + s, parse._sum_bound(bound, parse._measure(s))
+            assert within(partial, parse._bits(*bound))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match=r"position 4") as err:
