@@ -201,13 +201,17 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
 
     # One pass suffices: leading terms are now pairwise indivisible, so
     # interreduction only rewrites trailing terms and never disturbs the
-    # leading ones the divisibility checks depend on.
-    for i in range(len(survivors)):
-        others = survivors[:i] + survivors[i + 1 :]
-        if others:
-            survivors[i] = divide(survivors[i], others, order).remainder
-
-    monic = [g / g.terms[lm] for g, lm in zip(survivors, kept_lms)]
+    # leading ones the divisibility checks depend on. Every tail term is
+    # below its own lead, which therefore never divides it, so each tail
+    # is reduced by one list of all survivors; that list is a Groebner
+    # basis, so the remainder is the unique normal form either way.
+    monic = []
+    for g, lm in zip(survivors, kept_lms):
+        lead = g._wrap({lm: g.terms[lm]})
+        tail = g - lead
+        if tail:
+            tail = divide(tail, survivors, order).remainder
+        monic.append((lead + tail) / g.terms[lm])
     return GroebnerBasis(tuple(monic), order, reduced=True)
 
 

@@ -23,6 +23,11 @@ coefficients of up to b bits costs ``1 + (b >> 11)**2`` units: a product
 makes one per pair of terms, a power one per pair in each step of
 ``Polynomial.__pow__``, and a summand one per term, at the bits of the
 running sum. A literal longer than CPython reads is refused the same way.
+Parentheses nest at most ``MAX_DEPTH`` deep, so the recursive descent stays
+far inside the interpreter's recursion limit; a ``(`` past that depth is a
+syntax error at its position. Output is held to the same digit limit as
+input: ``format_polynomial`` refuses a coefficient or exponent that CPython
+would not print, naming its term.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ from .ring import Polynomial, VariableContext, rat_normalize
 # units, parses in 1.1 to 1.4 s, and (12345678901/98765432103)^27000, at
 # 392,353, in 0.7 to 0.8 s.
 MAX_WORK = 450_000
+
+# Each level of parentheses takes four frames of the descent (base, expr,
+# term, factor); 100 levels stay well under the default limit of 1000.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -75,6 +84,7 @@ class _Parser:
         self.ctx = ctx
         self.pos = 0
         self.work = 0
+        self.depth = 0
         self.variables: dict[str, Polynomial] = {}
 
     def peek(self) -> _Token:
@@ -177,10 +187,14 @@ class _Parser:
             return poly
         if tok.kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok.position)
             poly = self.expr()
             if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return poly
         self.fail("expected a number, variable, or '('")
         raise AssertionError("unreachable")
@@ -257,13 +271,27 @@ def format_polynomial(p: Polynomial, order: MonomialOrder) -> str:
         return "0"
     names = p.context.names
     chunks: list[str] = []
-    for i, term in enumerate(sorted_terms(p, order)):
+    for i, term in enumerate(sorted_terms(p, order), 1):
         c = term.coefficient
         magnitude = -c if c < 0 else c
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, term.monomial) if e > 0]
+        factors = [
+            name if e == 1 else f"{name}^{_digits(e, f'exponent of {name}', i)}"
+            for name, e in zip(names, term.monomial)
+            if e > 0
+        ]
         if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
+            what = f"coefficient of {'*'.join(factors)}" if factors else "constant term"
+            factors.insert(0, _digits(magnitude, what, i))
         body = "*".join(factors)
-        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        sign = ("-" if c < 0 else "") if i == 1 else (" - " if c < 0 else " + ")
         chunks.append(sign + body)
     return "".join(chunks)
+
+
+def _digits(value, what: str, term: int) -> str:
+    """str(value), or a ValueError naming the term past CPython's digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # only CPython's digit limit: the value is a number
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} longer than {limit} digits (term {term})") from None

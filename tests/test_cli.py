@@ -98,6 +98,14 @@ class TestGroebnerCommand:
         assert run(["groebner", "--vars", "x", expr]) == 1
         assert capsys.readouterr().err == f"error: integer literal longer than 4300 digits (position {position})\n"
 
+    def test_deep_parentheses_exit_2(self, capsys):
+        assert run(["groebner", "--vars", "x", "(" * 300 + "x" + ")" * 300]) == 2
+        assert capsys.readouterr().err == "error: parentheses nested deeper than 100 (position 101)\n"
+
+    def test_output_over_digit_limit_exits_1(self, capsys):
+        assert run(["divide", "--vars", "x,y", "2^15000*x", "--", "y"]) == 1
+        assert capsys.readouterr().err == "error: coefficient of x longer than 4300 digits (term 1)\n"
+
     def test_unknown_variable_exits_2(self, capsys):
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2
         assert "unknown variable" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,10 @@ from groebnerkit.ring import Polynomial, RingMismatchError
 
 from reference_division import reference_divide
 from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders, polynomials
+
+# Coefficients far past one machine word, either sign, so leading
+# coefficients are negative about half the time.
+WIDE = dict(max_magnitude=10**40, max_denominator=10**20)
 
 
 def _xy(text):
@@ -140,6 +146,25 @@ class TestDivisionProperties:
         assert result.quotients == expected.quotients
         assert result.remainder == expected.remainder
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([CTX_XY, CTX_XYZ]).flatmap(
+            lambda ctx: st.tuples(
+                polynomials(ctx, max_terms=6, max_exponent=4, **WIDE),
+                st.lists(
+                    nonzero_polynomials(ctx, max_terms=4, max_exponent=3, **WIDE), min_size=1, max_size=3
+                ),
+            )
+        ),
+        orders(),
+    )
+    def test_equals_reference_kernel_on_wide_coefficients(self, inputs, order):
+        f, divisors = inputs
+        result = divide(f, divisors, order)
+        expected = reference_divide(f, divisors, order)
+        assert result.quotients == expected.quotients
+        assert result.remainder == expected.remainder
+
     @settings(max_examples=60, deadline=None)
     @given(
         polynomials(CTX_XYZ, max_terms=5, max_exponent=3),
@@ -168,3 +193,74 @@ class TestDivisionProperties:
                 continue
             product = q * g
             assert key(leading_monomial(product, order)) <= bound
+
+
+class TestDivisorMemo:
+    """Divisor forms are reused by object identity, never by value."""
+
+    def test_every_reuse_pattern_matches_the_reference(self, monkeypatch):
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+
+        def check(f, divisors, order, conversions):
+            converted.clear()
+            result = divide(f, divisors, order)
+            assert result == reference_divide(f, divisors, order)
+            assert len(converted) == conversions
+
+        g1, g2, g3 = _xy("2*x*y - 3/5"), _xy("-7/3*y^2 + x"), _xy("x^2 - 5*y")
+        f = _xy("x^3*y^2 - 4/9*x*y + 11")
+        check(f, [g1, g2], GREVLEX, 2)
+        check(f, [g1, g2], GREVLEX, 0)  # the same list again
+        check(_xy("3*x^2*y^3 + y"), [g1, g2], GREVLEX, 0)  # another dividend
+        check(f, [g1, g2, g3], GREVLEX, 1)  # the list grown at its end
+        check(f, [g3, g1, g2], GREVLEX, 3)  # the same polynomials reordered
+        equal = _xy("2*x*y - 3/5")
+        assert equal == g1 and equal is not g1
+        check(f, [g3, equal, g2], GREVLEX, 2)  # a member replaced by an equal value
+        check(f, [g3, equal, g2], LEX, 3)  # a different order
+        # x^3 by x - y^k leaves y^(3k): past the first width, so the division
+        # starts again, twice as wide, and converts the list again.
+        k = 2**10 - 1
+        wide = [_xy(f"x - y^{k}"), g1]
+        check(_xy("y^2"), wide, LEX, 2)
+        check(_xy("x^3"), wide, LEX, 2)
+        check(_xy("x^2*y + 1"), wide, LEX, 0)  # the wider fields are kept
+
+    def test_threads_sharing_the_memo_get_their_own_results(self):
+        # Each thread divides by its own lists, which share members, so
+        # every call replaces the memo another thread may be reading.
+        shared = [_xy("3*x*y - 2"), _xy("5/7*y^2 + x")]
+        lists = [shared, shared + [_xy("x^2 - y")], [_xy("-4*x + 9/2*y")] + shared]
+        jobs = [(_xy(f"x^3*y^2 + {k}*x*y - 1/{k + 2}"), divisors, order)
+                for k, divisors in enumerate(lists) for order in (GREVLEX, LEX)]
+        expected = [reference_divide(*job) for job in jobs]
+        wrong = []
+        done = []
+
+        def work(offset):
+            for n in range(40):
+                i = (n + offset) % len(jobs)
+                if divide(*jobs[i]) != expected[i]:
+                    wrong.append(i)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert wrong == []

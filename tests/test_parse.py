@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,17 @@ class TestParse:
         with pytest.raises(ParseError, match=r"\)"):
             parse_polynomial("(x + y", CTX_XY)
 
+    def test_nesting_past_the_depth_limit_refused_at_its_paren(self):
+        deep = "(" * 300 + "x" + ")" * 300
+        with pytest.raises(ParseError, match=rf"deeper than {parse.MAX_DEPTH} \(position 101\)") as err:
+            parse_polynomial(deep, CTX_XY)
+        assert err.value.position == parse.MAX_DEPTH + 1
+
+    def test_nesting_at_the_depth_limit_parses(self):
+        depth = parse.MAX_DEPTH
+        assert parse_polynomial("(" * depth + "x" + ")" * depth, CTX_XY) == _p([((1, 0), 1)])
+        assert parse_polynomial("-(" * depth + "y" + ")" * depth, CTX_XY) == _p([((0, 1), (-1) ** depth)])
+
     def test_system_rejected_as_a_whole(self):
         with pytest.raises(ParseError):
             parse_system(["x", "y +"], CTX_XY)
@@ -231,6 +243,20 @@ class TestFormat:
 
     def test_unit_coefficient_suppressed(self):
         assert format_polynomial(_p([((1, 0), -1)]), LEX) == "-x"
+
+    def test_coefficient_past_digit_limit_names_its_term(self):
+        limit = sys.get_int_max_str_digits()
+        big = _p([((1, 1), 1), ((1, 0), 2**15000)])
+        with pytest.raises(ValueError, match=rf"^coefficient of x longer than {limit} digits \(term 2\)$"):
+            format_polynomial(big, LEX)
+        constant = _p([((0, 0), (1, 10**5000))])
+        with pytest.raises(ValueError, match=rf"^constant term longer than {limit} digits \(term 1\)$"):
+            format_polynomial(constant, LEX)
+
+    def test_exponent_past_digit_limit_names_its_term(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=rf"^exponent of y longer than {limit} digits \(term 1\)$"):
+            format_polynomial(_p([((1, 10**5000), 1)]), LEX)
 
     @given(polynomials(), orders())
     def test_round_trip(self, p, order):
