@@ -31,18 +31,27 @@ ORDER_NAMES = ("lex", "grlex", "grevlex")
 # Blank border, in px, on each side of the oscillator plot.
 _PLOT_MARGIN = 50
 
+# Most oscillator samples, and most staircase cells drawn as SVG (a
+# 400 x 400 diagram). Each renders in under a second at its bound, and
+# the time and memory grow with the count.
+MAX_SAMPLES = 100_000
+MAX_SVG_CELLS = 400 * 400
+
 
 class _UsageError(Exception):
     pass
 
 
-def _int_above(floor: int):
-    """argparse type: an integer greater than floor."""
+def _int_above(floor: int, ceiling: Optional[int] = None):
+    """argparse type: an integer greater than floor and, when a ceiling is
+    given, at most the ceiling."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value <= floor:
             raise argparse.ArgumentTypeError(f"must be greater than {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
@@ -114,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y0", type=float, default=1.0)
         p.add_argument("--y1", type=float, default=0.0)
         p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-        p.add_argument("--n", type=int, default=200)
+        p.add_argument("--n", type=_int_above(1, MAX_SAMPLES), default=200)
         p.add_argument("--svg-width", type=_int_above(2 * _PLOT_MARGIN), default=640)
         p.add_argument("--svg-height", type=_int_above(2 * _PLOT_MARGIN), default=400)
 
@@ -256,6 +265,11 @@ def _cmd_staircase(args) -> str:
     basis = groebner_basis(polys, order)
     diagram = staircase(basis)
     if args.fmt == "svg":
+        if diagram.width * diagram.height > MAX_SVG_CELLS:
+            raise ValueError(
+                f"staircase diagram of {diagram.width} x {diagram.height} cells is over "
+                f"the SVG bound of {MAX_SVG_CELLS} cells; use --format text or json"
+            )
         return _staircase_svg(diagram, ctx.names, args.cell)
     payload = {
         "vars": list(ctx.names),

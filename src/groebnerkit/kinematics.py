@@ -15,16 +15,14 @@ each system polynomial is checked to reduce to zero modulo them, so
 they generate it. Their leading monomials s2^2, c2, s1 and c1 are
 pairwise coprime (Buchberger's product criterion), each is monic and
 every tail is a constant or linear in s2: the basis is reduced and in
-shape position. A zero target or link leaves a continuum of poses: at
-the origin, reachable only when l1 == l2, the folded arm can point
-anywhere, and a zero link turns freely. The real roots of the first
-member are isolated exactly over Q and the others evaluated at each.
+shape position. At the origin, reachable only when l1 == l2, the
+folded arm points anywhere. The real roots of the first member are
+isolated exactly over Q and the others evaluated at each.
 
-Link lengths and targets are snapped to exact rationals before any
-algebra, so the basis computation itself is exact. A pose is kept by
-one rule: forward kinematics of the snapped arm lands within 10*tol of
-the snapped target. Its residual is the caller's arm against the
-caller's target, so it includes the snap error.
+Ints and Fractions are read as themselves, and a float as the shortest
+decimal that reads back as the same float (its repr). The workspace
+test is exact on these rationals: a float target is on a boundary
+circle when its decimal is, and out of reach when outside by any margin.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from .reals import Real, all_finite
 from .ring import Polynomial, VariableContext
 
 IK_VARIABLES = ("c1", "s1", "c2", "s2")
-
-SNAP_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,11 @@ class IKResult:
         return iter(self.solutions)
 
 
-def _snap(value: Real) -> Fraction:
-    """Rationals pass through exactly; floats snap to denominator <= 10^6."""
+def _exact(value: Real) -> Fraction:
+    """The rational a value reads as: a float as the shortest decimal that
+    reads back as the same float, an int or a Fraction as itself."""
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(SNAP_DENOMINATOR)
+        return Fraction(repr(value))
     return Fraction(value)
 
 
@@ -104,7 +101,7 @@ def ik_system(arm: ArmSpec, target: Target) -> list[Polynomial]:
     Two forward-kinematics equations in cosine/sine variables and the
     two Pythagorean constraints; the latter are target-independent.
     """
-    return _system(_snap(arm.l1), _snap(arm.l2), _snap(target.x), _snap(target.y))
+    return _system(_exact(arm.l1), _exact(arm.l2), _exact(target.x), _exact(target.y))
 
 
 def _variables() -> list[Polynomial]:
@@ -124,7 +121,7 @@ def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyno
 
 def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
     """The reduced lex basis at the given rationals, term by term (see
-    the module docstring). Neither the target nor a link may be zero."""
+    the module docstring). The target may not be the origin."""
     c1, s1, c2, s2 = _variables()
     r2 = x * x + y * y
     cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
@@ -140,7 +137,7 @@ def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyn
 def _basis(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> GroebnerBasis:
     """The reduced lex basis of the system. The members lie in the ideal;
     the system reducing to zero modulo them proves they generate all of
-    it. Neither the target nor a link may be zero."""
+    it. The target may not be the origin."""
     members = _members(l1, l2, x, y)
     for f in _system(l1, l2, x, y):
         if divide(f, members, LEX).remainder:
@@ -162,22 +159,20 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     Each real root of the eliminant in s2 gives one candidate pose
     through the three lifts (see the module docstring). Unreachable
     targets report an empty solution list with an "unreachable"
-    diagnostic. The origin for equal links and any target of an arm with
-    a link that snaps to zero admit a continuum of poses and are an
-    error: the solution set is not finite.
+    diagnostic. The origin for equal links admits a continuum of poses
+    and is an error: the solution set is not finite.
 
     tol is an absolute position tolerance in the arm's length unit. A
-    pose is kept by one rule: forward kinematics of the snapped arm, the
-    rationals the algebra solved, lands within 10*tol of the snapped
-    target. Its residual is the caller's arm against the caller's
-    target, so it includes the snap error. Float arithmetic cannot meet
-    a tol below the floor 2^-52 * max(1, l1 + l2), and such a tol is an
-    error.
+    pose is kept when forward kinematics of the arm lands within 10*tol
+    of the target, and that distance is its residual. Float arithmetic
+    cannot meet a tol below the floor 2^-52 * max(1, l1 + l2), and such
+    a tol is an error. A float is read as the decimal it prints; pass
+    Fraction(1, 3), not 1/3, for an exact third.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    l1, l2 = _snap(arm.l1), _snap(arm.l2)
-    x, y = _snap(target.x), _snap(target.y)
+    l1, l2 = _exact(arm.l1), _exact(arm.l2)
+    x, y = _exact(target.x), _exact(target.y)
     # The pose check sees float errors of a few ulps of the reach.
     scale = max(1.0, float(l1 + l2))
     floor = 2**-52 * scale
@@ -188,9 +183,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     radius_sq = x * x + y * y
     if radius_sq > (l1 + l2) ** 2 or radius_sq < (l1 - l2) ** 2:
         return IKResult(solutions=(), diagnostic="unreachable")
-    # The folded arm of equal links at the origin, or a zero link: a
-    # joint turns freely, and a leading coefficient of the basis vanishes.
-    if not (radius_sq and l1 and l2):
+    # The folded arm of equal links at the origin turns freely.
+    if radius_sq == 0:
         raise ValueError("solution set not finite")
 
     eliminant, *lifts = _basis(l1, l2, x, y).generators
@@ -200,10 +194,9 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     for s2 in univariate_real_roots(eliminant, tol * 1e-2 / scale):
         c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
         theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
-        fx, fy = forward_kinematics(ArmSpec(l1, l2), theta1, theta2)
-        if abs(fx - float(x)) + abs(fy - float(y)) <= 10 * tol:
-            fx, fy = forward_kinematics(arm, theta1, theta2)
-            residual = abs(fx - float(target.x)) + abs(fy - float(target.y))
+        fx, fy = forward_kinematics(arm, theta1, theta2)
+        residual = abs(fx - float(x)) + abs(fy - float(y))
+        if residual <= 10 * tol:
             solutions.append(JointSolution(theta1, theta2, residual))
 
     solutions = _deduplicate(solutions, tol)

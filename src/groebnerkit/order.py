@@ -7,9 +7,11 @@ Three total, multiplicative well-orders on monomials of a fixed arity:
 - ``grevlex``: compare total degree, break ties by the last nonzero
   entry of the exponent difference (negative entry means larger).
 
-Each order is realized as a key function; ``compare`` and every sort in
-the package go through the same key, so display order and algorithm
-order can never disagree.
+Each order is realized as a key function; ``compare`` and every sort
+on ``Monomial`` tuples go through the same key, so display order and
+algorithm order can never disagree. ``divide`` orders its terms by the
+packed key below instead, and ``tests/test_order.py::TestPacking``
+checks that the two keys compare alike.
 
 Each order also has a packed form, which the division kernel works in
 (Bachmann and Schoenemann, "Monomial representations for Groebner bases

@@ -313,7 +313,8 @@ class Polynomial:
         return result
 
     def mul_term(self, coefficient: Scalar, monomial: Monomial) -> "Polynomial":
-        """Product with a single term, the workhorse of reduction steps."""
+        """Product with a single term, as S-polynomials scale their two
+        members; reduction steps run on packed integer forms in divide."""
         c = Fraction(coefficient)
         if not c:
             return Polynomial.zero(self.context)

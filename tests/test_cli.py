@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from groebnerkit.cli import run
+from groebnerkit import cli
+from groebnerkit.cli import build_parser, run
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import VariableContext
 
@@ -223,6 +224,30 @@ class TestStaircaseCommand:
         assert f"argument --cell: must be greater than 0, got {cell}" in captured.err
         assert captured.out == ""
 
+    def test_svg_over_cell_bound_exits_1(self, capsys):
+        huge = ["staircase", "--vars", "x,y", "x^1000000", "y^1000000"]
+        assert run(huge) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: staircase diagram of 1000002 x 1000002 cells is over the SVG "
+            "bound of 160000 cells; use --format text or json\n"
+        )
+        assert captured.out == ""
+        assert run(huge + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == "0 1000000\n1000000 0\n"
+        assert run(huge + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["width"] == 1000002
+
+    def test_svg_at_cell_bound_renders(self, monkeypatch, capsys):
+        # x^3, x*y^2, y^4 draw a 5 x 6 diagram
+        args = ["staircase", "--vars", "x,y", "x^3", "x*y^2", "y^4"]
+        monkeypatch.setattr(cli, "MAX_SVG_CELLS", 30)
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("<svg")
+        monkeypatch.setattr(cli, "MAX_SVG_CELLS", 29)
+        assert run(args) == 1
+        assert "5 x 6 cells is over the SVG bound of 29 cells" in capsys.readouterr().err
+
 
 class TestIkCommand:
     def test_text_solutions(self, capsys):
@@ -347,6 +372,15 @@ class TestOscillatorCommand:
         assert run(["oscillator", "--m", "1", "--k", "1", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_n_at_most_max_samples(self, capsys):
+        # parsing alone: the bound is admitted without sampling it
+        args = build_parser().parse_args(self.ARGS + ["--n", str(cli.MAX_SAMPLES)])
+        assert args.n == cli.MAX_SAMPLES == 100_000
+        assert run(self.ARGS + ["--n", str(cli.MAX_SAMPLES + 1)]) == 2
+        captured = capsys.readouterr()
+        assert "argument --n: must be at most 100000, got 100001" in captured.err
         assert captured.out == ""
 
     def test_non_underdamped_exits_1(self, capsys):

@@ -62,6 +62,7 @@ CASES = {
     "staircase-json": ["staircase", "--vars", "x,y", "--format", "json", "x^3", "x*y^2", "y^4"],
     "staircase-three-vars": ["staircase", "--vars", "x,y,z", "x"],
     "staircase-cell-0": ["staircase", "--vars", "x,y", "--cell", "0", "x"],
+    "staircase-svg-over-bound": ["staircase", "--vars", "x,y", "x^1000000", "y^1000000"],
     # ik
     "ik-text": [*IK, "--x", "1", "--y", "1"],
     "ik-csv": [*IK, "--x", "1.2", "--y", "0.5", "--format", "csv"],
@@ -93,6 +94,7 @@ CASES = {
     "oscillator-nan": ["oscillator", "--m", "1", "--k", "1", "--y0", "nan"],
     "oscillator-svg-width": [*OSC, "--format", "svg", "--svg-width", "100"],
     "oscillator-bad-n": ["oscillator", "--m", "1", "--k", "1", "--n", "many"],
+    "oscillator-n-over-bound": ["oscillator", "--m", "1", "--k", "1", "--n", "100001"],
     # usage and syntax errors
     "no-command": [],
     "unknown-command": ["frobnicate"],

@@ -97,6 +97,25 @@ class TestSystem:
             ArmSpec(1, -2)
 
 
+class TestReader:
+    @settings(max_examples=500)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_reads_back_as_itself(self, value):
+        exact = kinematics._exact(value)
+        assert isinstance(exact, Fraction)
+        assert float(exact) == value
+
+    @given(value=st.one_of(st.integers(), st.fractions()))
+    def test_ints_and_fractions_pass_unchanged(self, value):
+        exact = kinematics._exact(value)
+        assert isinstance(exact, Fraction) and exact == value
+
+    def test_float_reads_as_the_decimal_it_prints(self):
+        assert kinematics._exact(0.1) == Fraction(1, 10)
+        assert kinematics._exact(1e-300) == Fraction(1, 10**300)
+        assert kinematics._exact(1 / 3) == Fraction(3333333333333333, 10**16)
+
+
 class TestSolve:
     def test_two_elbow_branches(self):
         result = ik_solve(ArmSpec(1, 1), Target(1, 1), 1e-9)
@@ -134,17 +153,21 @@ class TestSolve:
     def test_folded_arm_continuum_rejected(self):
         with pytest.raises(ValueError, match="solution set not finite"):
             ik_solve(ArmSpec(1, 1), Target(0, 0), 1e-9)
-        # also for rational and float links, and a float target snapping to 0
+        # also for rational and float links; a float target next to the
+        # origin is read as its decimal, which is off it
         for link in (Fraction(3, 2), 0.75):
-            for target in (Target(0.0, -0.0), Target(1e-9, 0)):
-                with pytest.raises(ValueError, match="solution set not finite"):
-                    ik_solve(ArmSpec(link, link), target)
+            with pytest.raises(ValueError, match="solution set not finite"):
+                ik_solve(ArmSpec(link, link), Target(0.0, -0.0))
+            result = ik_solve(ArmSpec(link, link), Target(1e-9, 0), 1e-9)
+            assert result.diagnostic is None and len(result.solutions) == 2
+            assert all(s.residual <= 1e-8 for s in result.solutions)
 
     @pytest.mark.parametrize("l1, l2, x, y", [(1e-300, 1, 1, 0), (1, 1e-9, 0.6, -0.8), (2e-7, 1.5, 0, 1.5)])
-    def test_link_snapped_to_zero_is_not_finite(self, l1, l2, x, y):
-        # the zero link turns freely at every point of the other's circle
-        with pytest.raises(ValueError, match="solution set not finite"):
-            ik_solve(ArmSpec(l1, l2), Target(x, y))
+    def test_tiny_link_keeps_two_poses(self, l1, l2, x, y):
+        # a positive float link is read as its decimal, never as zero
+        result = ik_solve(ArmSpec(l1, l2), Target(x, y), 1e-9)
+        assert result.diagnostic is None and len(result.solutions) == 2
+        assert all(s.residual <= 1e-8 for s in result.solutions)
         assert ik_solve(ArmSpec(l1, l2), Target(x / 2, y / 2)).diagnostic == "unreachable"
 
     def test_bad_tolerance(self):
@@ -153,11 +176,23 @@ class TestSolve:
                 ik_solve(ArmSpec(1, 1), Target(1, 1), tol)
 
     def test_float_target_on_outer_circle_unreachable(self):
-        # snaps 1.7e-13 outside the circle, where the exact algebra has no pose
+        # its decimal has r^2 = 4 + 7.7e-17, where the exact algebra has no pose
         target = Target(2 * math.cos(2.0), 2 * math.sin(2.0))
         result = ik_solve(ArmSpec(1, 1), target)
         assert result.solutions == ()
         assert result.diagnostic == "unreachable"
+
+    def test_float_target_just_past_outer_circle_has_no_near_fold_poses(self):
+        # r^2 = 4 + 2.8e-16: out of reach, not two poses with theta2 near 0
+        target = Target(2 * math.cos(0.0471), 2 * math.sin(0.0471))
+        result = ik_solve(ArmSpec(1, 1), target)
+        assert result.solutions == ()
+        assert result.diagnostic == "unreachable"
+
+    def test_decimal_target_on_outer_circle_keeps_its_pose(self):
+        # 1.2^2 + 1.6^2 = 4 in decimals; in the floats' binary values, 4 + 1.8e-16
+        result = ik_solve(ArmSpec(1, 1), Target(1.2, 1.6), 1e-9)
+        assert_angles_match(result.solutions, [(math.atan2(1.6, 1.2), 0.0)], 1e-6)
 
     def test_solutions_sorted_by_theta1(self):
         result = ik_solve(ArmSpec(1, 1), Target(1, 1), 1e-9)
@@ -198,11 +233,14 @@ class TestAgainstOracle:
             assert_angles_match(result.solutions, oracle, 1e-6)
 
     def test_float_target_next_to_a_small_fraction(self):
-        # x snaps to -499999/999999, 2.4e-7 from the float target
+        # x is 2.4e-7 from -499999/999999; read as its decimal, it stays put
         x, y = -0.4999997438596893, -1.3286535499664534
-        result = ik_solve(ArmSpec(2, 1), Target(x, y))
+        tol = 1e-9
+        result = ik_solve(ArmSpec(2, 1), Target(x, y), tol)
         assert result.diagnostic is None
         assert_angles_match(result.solutions, law_of_cosines_ik(2.0, 1.0, x, y), 1e-6)
+        for s in result.solutions:
+            assert s.residual <= 10 * tol
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -384,7 +422,7 @@ class TestSpecialisedBasis:
     def test_equals_direct_completion(self):
         compared = 0
         for l1, l2, x, y in sweep_targets(140):
-            sl1, sl2, sx, sy = map(kinematics._snap, (l1, l2, x, y))
+            sl1, sl2, sx, sy = map(kinematics._exact, (l1, l2, x, y))
             r2 = sx * sx + sy * sy
             if not (sl1 - sl2) ** 2 <= r2 <= (sl1 + sl2) ** 2 or not r2:
                 continue
@@ -424,9 +462,10 @@ def scaled_targets(scales, per_scale):
             yield l1, l2, radius * math.cos(phi), radius * math.sin(phi)
 
 
-def snapped_reachable(l1, l2, x, y):
-    sl1, sl2, sx, sy = map(kinematics._snap, (l1, l2, x, y))
-    return (sl1 - sl2) ** 2 < sx * sx + sy * sy < (sl1 + sl2) ** 2
+def strictly_inside(l1, l2, x, y):
+    """The target's rational lies strictly inside the arm's annulus."""
+    el1, el2, ex, ey = map(kinematics._exact, (l1, l2, x, y))
+    return (el1 - el2) ** 2 < ex * ex + ey * ey < (el1 + el2) ** 2
 
 
 class TestScale:
@@ -434,7 +473,7 @@ class TestScale:
         tol = 1e-9
         swept = 0
         for l1, l2, x, y in scaled_targets(SCALES, 30):
-            if not snapped_reachable(l1, l2, x, y):
+            if not strictly_inside(l1, l2, x, y):
                 continue
             result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
             assert_angles_match(result.solutions, law_of_cosines_ik(l1, l2, x, y), 1e-6)
@@ -444,12 +483,11 @@ class TestScale:
         assert swept >= 280
 
     def test_tol_at_the_floor_keeps_both_poses(self):
-        # Exact arms and targets: a float link's snap error would count
-        # against the forward-kinematics check as well.
+        # Exact arms and targets, the decimals of the seeded floats.
         swept = 0
         for l1, l2, x, y in scaled_targets([10.0**k for k in range(-3, 10, 2)], 15):
-            l1, l2, x, y = map(kinematics._snap, (l1, l2, x, y))
-            if not snapped_reachable(l1, l2, x, y):
+            l1, l2, x, y = map(kinematics._exact, (l1, l2, x, y))
+            if not strictly_inside(l1, l2, x, y):
                 continue
             floor = 2**-52 * max(1.0, float(l1 + l2))
             result = ik_solve(ArmSpec(l1, l2), Target(x, y), floor)
@@ -465,15 +503,7 @@ class TestScale:
             ik_solve(ArmSpec(link, link), Target(1.2 * link, 0.5 * link), tol)
 
 
-# ---- one pose check: the snapped arm reaches the snapped target ---------
-
-
-def snap_error_bound(l1, l2, x, y):
-    """How far the caller's arm and target can put a pose's residual
-    beyond the pose check: a link moves the end effector by its own
-    error, at most sqrt(2) times that in |dx| + |dy|."""
-    d = [abs(float(kinematics._snap(v)) - v) for v in (l1, l2, x, y)]
-    return 1.5 * (d[0] + d[1]) + d[2] + d[3]
+# ---- one pose check: the arm reaches the target within 10*tol ----------
 
 
 def near_origin_targets(count):
@@ -489,7 +519,7 @@ def near_origin_targets(count):
 
 def short_float_arms(count):
     """Seeded float arms of reach at most 2, with float targets uniform
-    over the annulus, whose links snap by up to about 1e-11."""
+    over the annulus."""
     rng = random.Random(20261021)
     for _ in range(count):
         l1, l2 = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
@@ -500,8 +530,8 @@ def short_float_arms(count):
 
 
 class TestOnePoseCheck:
-    """A pose is kept when forward kinematics of the snapped arm lands
-    within 10*tol of the snapped target, and by no other rule."""
+    """A pose is kept when forward kinematics of the arm lands within
+    10*tol of the target, and by no other rule."""
 
     def assert_two_poses(self, l1, l2, x, y, tol):
         result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
@@ -509,7 +539,7 @@ class TestOnePoseCheck:
         elbow = [s.theta2 for s in result.solutions]
         assert abs(elbow[0] + elbow[1]) < 1e-6, result  # elbow up and elbow down
         for s in result.solutions:
-            assert s.residual <= 10 * tol + snap_error_bound(l1, l2, x, y) + 1e-15, (l1, l2, x, y, s)
+            assert s.residual <= 10 * tol, (l1, l2, x, y, s)
         return result
 
     def test_near_origin_of_equal_links(self):
@@ -522,6 +552,27 @@ class TestOnePoseCheck:
         result = self.assert_two_poses(l1, l2, x, y, 1e-12)
         assert_angles_match(result.solutions, law_of_cosines_ik(l1, l2, x, y), 1e-6)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l1=st.floats(1e-3, 1e3),
+        l2=st.floats(1e-3, 1e3),
+        radius=st.floats(0, 1.5),
+        phi=st.floats(-math.pi, math.pi),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    )
+    def test_every_pose_lands_within_ten_tol(self, l1, l2, radius, phi, tol):
+        # targets anywhere up to 1.5 times the reach, boundaries included
+        x, y = radius * (l1 + l2) * math.cos(phi), radius * (l1 + l2) * math.sin(phi)
+        tol *= max(1.0, l1 + l2)
+        try:
+            result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
+        except ValueError as exc:
+            assert str(exc) == "solution set not finite" and l1 == l2 and x == y == 0
+            return
+        assert result.solutions or result.diagnostic, (l1, l2, x, y, tol)
+        for s in result.solutions:
+            assert s.residual <= 10 * tol, (l1, l2, x, y, tol, s)
+
     @pytest.mark.parametrize(
         "targets, tol",
         [(list(near_origin_targets(200)), 1e-9), (list(short_float_arms(300)), 1e-12)],
@@ -530,7 +581,7 @@ class TestOnePoseCheck:
     def test_sweep_keeps_both_poses_strictly_inside(self, targets, tol):
         inside = 0
         for l1, l2, x, y in targets:
-            if snapped_reachable(l1, l2, x, y):
+            if strictly_inside(l1, l2, x, y):
                 self.assert_two_poses(l1, l2, x, y, tol)
                 inside += 1
             else:
