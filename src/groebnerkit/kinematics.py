@@ -191,7 +191,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
 
     solutions = []
     # s2 is unitless; an error in it moves the end effector by up to the reach.
-    for s2 in univariate_real_roots(eliminant, tol * 1e-2 / scale):
+    for root in univariate_real_roots(eliminant, tol * 1e-2 / scale):
+        s2 = Fraction(root)
         c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
         theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
         fx, fy = forward_kinematics(arm, theta1, theta2)
@@ -204,13 +205,19 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     return IKResult(solutions=tuple(solutions), diagnostic=None)
 
 
-def _lift_value(g: Polynomial, s2: float) -> float:
-    """h(s2) for a lift v - h(s2), the value it gives its variable v."""
-    return -sum(float(c) * s2 ** m[-1] for m, c in g.terms.items() if not any(m[:-1]))
+def _lift_value(g: Polynomial, s2: Fraction) -> Fraction:
+    """h(s2) for a lift v - h(s2), the value it gives its variable v.
+
+    Exact: near the origin a coefficient of h can pass the float range
+    while its product with the small root s2 does not.
+    """
+    return -sum(c * s2 ** m[-1] for m, c in g.terms.items() if not any(m[:-1]))
 
 
-def _angle(cosine: float, sine: float) -> float:
-    theta = math.atan2(sine, cosine)
+def _angle(cosine: Fraction, sine: Fraction) -> float:
+    # atan2 reads only the direction; scaled to at most 1, both fit a float.
+    scale = max(abs(cosine), abs(sine)) or 1
+    theta = math.atan2(float(sine / scale), float(cosine / scale))
     if theta <= -math.pi:
         theta += 2 * math.pi
     return theta + 0.0  # fold -0.0 into 0.0

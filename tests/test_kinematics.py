@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from groebnerkit import kinematics
 from groebnerkit.groebner import GroebnerBasis, groebner_basis, reduce_basis
@@ -560,6 +560,8 @@ class TestOnePoseCheck:
         phi=st.floats(-math.pi, math.pi),
         tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
     )
+    # a lift coefficient near 1/radius passes the float range
+    @example(l1=1.0, l2=1.0, radius=2.225073858507e-311, phi=0.0, tol=1e-12)
     def test_every_pose_lands_within_ten_tol(self, l1, l2, radius, phi, tol):
         # targets anywhere up to 1.5 times the reach, boundaries included
         x, y = radius * (l1 + l2) * math.cos(phi), radius * (l1 + l2) * math.sin(phi)
