@@ -59,11 +59,15 @@ def _int_above(floor: int, ceiling: Optional[int] = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A metavar and a fixed help column keep argparse from laying out the
+    # usage line and the command list differently on each Python version;
+    # a column wider than 14 splits 3.12 from 3.13 again.
     parser = argparse.ArgumentParser(
         prog="groebnerkit",
         description="Exact-arithmetic Groebner basis toolkit",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=14),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     @contextmanager
     def command(name, handler, formats, help, *, variables=True, order="grevlex"):

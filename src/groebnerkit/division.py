@@ -59,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .order import MonomialOrder, Packing
 from .ring import Polynomial, RingMismatchError
@@ -72,42 +72,27 @@ class DivisionResult:
     exact arithmetic, with no remainder term divisible by any divisor's
     leading term.
 
-    Immutable, and compared, hashed and printed by value. ``divide``
-    fills in the remainder as it goes, at the running scale of its
-    fraction-free loop, but only records its steps as (divisor index,
-    shift, b, A); the quotients are built from those records, and the
-    divisors' integer forms, when ``quotients`` is first read, and kept.
-    A result built as ``DivisionResult(quotients=..., remainder=...)``
-    holds them already.
+    Immutable, and compared, hashed, printed and pickled by value.
+    ``divide`` fills in the remainder as it goes, at the running scale of
+    its fraction-free loop, but only records its steps as (divisor index,
+    shift, b, A). It passes a function that builds the quotients from
+    those records, and the divisors' integer forms, in place of them; the
+    first read of ``quotients`` replaces the function by the tuple it
+    builds. Two threads may both build it; they build equal tuples.
     """
 
-    __slots__ = ("remainder", "_quotients", "_build")
+    __slots__ = ("remainder", "_quotients")
 
-    def __init__(self, quotients: tuple[Polynomial, ...], remainder: Polynomial):
+    def __init__(self, quotients: Iterable[Polynomial] | Callable[[], tuple], remainder: Polynomial):
         object.__setattr__(self, "remainder", remainder)
-        object.__setattr__(self, "_quotients", tuple(quotients))
-        object.__setattr__(self, "_build", None)
-
-    @classmethod
-    def _lazy(cls, build, remainder: Polynomial) -> "DivisionResult":
-        """A result whose quotients are build() once they are read."""
-        result = object.__new__(cls)
-        object.__setattr__(result, "remainder", remainder)
-        object.__setattr__(result, "_quotients", None)
-        object.__setattr__(result, "_build", build)
-        return result
+        object.__setattr__(self, "_quotients", quotients if callable(quotients) else tuple(quotients))
 
     @property
     def quotients(self) -> tuple[Polynomial, ...]:
-        # _quotients is set before _build is cleared, so reading _build
-        # first never finds both unset. Two threads may both build; they
-        # build equal tuples.
-        build = self._build
         quotients = self._quotients
-        if quotients is None:
-            quotients = build()
+        if callable(quotients):
+            quotients = quotients()
             object.__setattr__(self, "_quotients", quotients)
-            object.__setattr__(self, "_build", None)
         return quotients
 
     def __setattr__(self, name, value):
@@ -309,6 +294,4 @@ def _divide_packed(
             terms[i][unpack(shift)] = Fraction(n * b * form.t, d * step_scale * form.s)
         return tuple(wrap(q) for q in terms)
 
-    return DivisionResult._lazy(
-        quotients, wrap({unpack(m): c for m, c in remainder.items()})
-    )
+    return DivisionResult(quotients, wrap({unpack(m): c for m, c in remainder.items()}))

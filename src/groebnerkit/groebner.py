@@ -45,7 +45,8 @@ from .division import divide
 from .order import MonomialOrder, leading_monomial, leading_term
 from .ring import Monomial, Polynomial, RingMismatchError
 
-DEFAULT_BASIS_SIZE_CAP = 10_000
+# Most members completion may hold before it gives up with a ValueError.
+MAX_BASIS_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,7 @@ def normal_form(
     return divide(f, list(basis), order).remainder
 
 
-def buchberger(
-    generators: list[Polynomial],
-    order: MonomialOrder,
-    *,
-    basis_size_cap: int = DEFAULT_BASIS_SIZE_CAP,
-) -> GroebnerBasis:
+def buchberger(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Complete a generating set to a Groebner basis.
 
     Zero generators are stripped first; an empty or all-zero input is an
@@ -115,9 +111,9 @@ def buchberger(
     basis through the Gebauer-Moeller update, and pairs are reduced in
     sugar order (see the module docstring). The result holds the inputs
     as given; its other members depend on this algorithm, so the raw
-    basis is not unique and only ``reduce_basis`` of it is. The cap
-    turns a runaway computation into a clean failure instead of an
-    unbounded loop.
+    basis is not unique and only ``reduce_basis`` of it is. A basis of
+    more than ``MAX_BASIS_SIZE`` members raises a ValueError, so a runaway
+    computation fails cleanly instead of looping without bound.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
@@ -172,10 +168,8 @@ def buchberger(
             continue
         lm = leading_monomial(h, order)
         enter(h / h.terms[lm], lm, sugar)
-        if len(G) > basis_size_cap:
-            raise ValueError(
-                f"basis size exceeded the cap of {basis_size_cap} elements"
-            )
+        if len(G) > MAX_BASIS_SIZE:
+            raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
 
     return GroebnerBasis(tuple(G), order, reduced=False)
 
@@ -215,6 +209,6 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(tuple(monic), order, reduced=True)
 
 
-def groebner_basis(generators: list[Polynomial], order: MonomialOrder, **kwargs) -> GroebnerBasis:
+def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Convenience pipeline: complete, then reduce."""
-    return reduce_basis(buchberger(generators, order, **kwargs))
+    return reduce_basis(buchberger(generators, order))

@@ -38,7 +38,7 @@ import sys
 from typing import Iterator, NamedTuple, Optional
 
 from .order import MonomialOrder, sorted_terms
-from .ring import Polynomial, VariableContext, rat_normalize
+from .ring import Polynomial, VariableContext, _merge, _square_and_multiply, rat_normalize
 
 # A unit is about one product of two small Fractions, some 3 us. On one
 # core of a 2-core Xeon VM the slowest admitted probe, (x+y+z)^70 at 400,583
@@ -124,11 +124,7 @@ class _Parser:
             rhs, rhs_bound = self.term()
             bound = _sum_bound(bound, rhs_bound or _measure(rhs))
             self.charge(len(rhs.terms), _bits(*bound), sign)
-            for m, c in (-rhs if sign.kind == "-" else rhs).terms.items():
-                if m in terms:
-                    c += terms.pop(m)
-                if c:
-                    terms[m] = c
+            _merge(terms, (-rhs if sign.kind == "-" else rhs).terms.items())
         return poly._wrap(terms)
 
     def term(self) -> tuple[Polynomial, Optional[tuple[int, int]]]:
@@ -230,20 +226,13 @@ def _bits(total: int, scale: int) -> int:
 
 def _power_steps(t: int, e: int) -> Iterator[tuple[int, int]]:
     """Term pairs and degree of each product that Polynomial.__pow__ makes
-    for p^e, p of t >= 1 terms; p^k has at most C(k+t-1, t-1) terms."""
+    for p^e, from the schedule it runs, p of t >= 1 terms; p^k has at most
+    C(k+t-1, t-1) terms."""
 
     def terms(k: int) -> int:
         return math.comb(k + t - 1, t - 1)
 
-    low, high = 0, 1  # __pow__'s result is p^low, and its base p^high
-    while e:
-        if e & 1:
-            yield terms(low) * terms(high), low + high
-            low += high
-        if e > 1:
-            yield terms(high) ** 2, 2 * high
-            high *= 2
-        e >>= 1
+    return ((terms(i) * terms(j), i + j) for i, j in _square_and_multiply(e))
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from groebnerkit import division
-from groebnerkit.division import divide
+from groebnerkit.division import DivisionResult, divide
 from groebnerkit.order import GREVLEX, LEX, leading_monomial
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import Polynomial, RingMismatchError
@@ -70,6 +71,40 @@ class TestWorkedExamples:
         result = divide(f, [_xy("2")], LEX)
         assert result.quotients == (f / 2,)
         assert result.remainder.is_zero()
+
+
+class TestDivisionResult:
+    # Cox, Little and O'Shea's example: quotients x + y and 1, remainder x + y + 1.
+    DIVISORS = ("x*y - 1", "y^2 - 1")
+
+    def _divided(self):
+        return divide(_xy("x^2*y + x*y^2 + y^2"), [_xy(g) for g in self.DIVISORS], LEX)
+
+    def test_pickles_to_an_equal_result(self):
+        result = self._divided()
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result
+        assert copy.quotients == (_xy("x + y"), _xy("1"))
+
+    def test_hashes_equal_to_an_equal_result_built_eagerly(self):
+        eager = DivisionResult(quotients=[_xy("x + y"), _xy("1")], remainder=_xy("x + y + 1"))
+        result = self._divided()
+        assert hash(result) == hash(eager)
+        assert result == eager and repr(result) == repr(eager)
+
+    def test_refuses_setattr_and_delattr(self):
+        result = self._divided()
+        for name in ("quotients", "remainder", "_quotients"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+            with pytest.raises(AttributeError):
+                delattr(result, name)
+        assert result.remainder == _xy("x + y + 1")
+        assert result.quotients == (_xy("x + y"), _xy("1"))
+
+    def test_quotients_are_built_once(self):
+        result = self._divided()
+        assert result.quotients is result.quotients
 
 
 def widths_tried(monkeypatch) -> list[int]:

@@ -99,6 +99,24 @@ class TestParse:
         monkeypatch.setattr(parse, "MAX_WORK", 1 + 25 - 1)
         self._refused_at("(x+y)^5", 6)
 
+    @pytest.mark.parametrize("text", ["x + 1", "x + y + 1"])
+    def test_power_makes_the_products_it_is_priced_by(self, text, monkeypatch):
+        # Every power of p has all C(k+t-1, t-1) terms, so the pairs that
+        # _power_steps prices are those of the products __pow__ makes.
+        p = parse_polynomial(text, CTX_XY)
+        made = []
+        multiply = Polynomial.__mul__
+
+        def counting(a, b):
+            made.append((len(a.terms) * len(b.terms), max(map(sum, a.terms)) + max(map(sum, b.terms))))
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        for e in range(41):
+            made.clear()
+            p ** e
+            assert made == list(parse._power_steps(len(p.terms), e))
+
     def test_refused_over_bit_bound(self, monkeypatch):
         # (2^4096)^2 squares 4096 bits, then multiplies 1 by the square, both
         # at 8192 bits: 1 + 4**2 units each

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from groebnerkit.order import GREVLEX
+from groebnerkit.parse import format_polynomial, parse_polynomial
 from groebnerkit.ring import (
     Monomial,
     Polynomial,
@@ -190,4 +193,18 @@ class TestRingAxioms:
     @given(polynomials(), polynomials())
     def test_no_zero_coefficients_stored(self, p, q):
         for result in (p + q, p - q, p * q, -p):
+            assert all(c != 0 for c in result.terms.values())
+
+    @given(polynomials(), polynomials(), st.booleans())
+    def test_one_merge_gives_one_answer(self, p, r, cancel):
+        # q = r - p cancels every term of p that r does not share
+        q = r - p if cancel else r
+        fp, fq = format_polynomial(p, GREVLEX), format_polynomial(q, GREVLEX)
+        results = [
+            Polynomial(CTX_XY, [*p.terms.items(), *q.terms.items()]),
+            p + q,
+            parse_polynomial(f"({fp}) + ({fq})", CTX_XY),
+        ]
+        assert results[0] == results[1] == results[2]
+        for result in results:
             assert all(c != 0 for c in result.terms.values())
