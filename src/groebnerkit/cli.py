@@ -2,9 +2,9 @@
 
 Subcommands cover basis computation, division, membership, elimination,
 staircase diagrams, inverse kinematics, and oscillator sampling. Each
-declares the output formats it accepts (text, JSON, CSV, SVG) as the
-choices of its --format flag, the first being the default, so argparse
-rejects a bad format like any other bad flag. Exit codes: 0 on success,
+declares the output formats it accepts (text, JSON, CSV, SVG) for its
+--format flag, the first being the default, so a bad format is a usage
+error like any other bad flag. Exit codes: 0 on success,
 1 on domain errors, 2 on usage or expression-syntax errors; usage errors
 are reported before any computation starts.
 """
@@ -58,6 +58,20 @@ def _int_above(floor: int, ceiling: Optional[int] = None):
     return parse
 
 
+def _choice_flag(p: argparse.ArgumentParser, flag: str, names: tuple[str, ...], **kwargs) -> None:
+    """Add flag taking one of names, shown as {a,b,...} in usage and help.
+    A bad value is refused in the words argparse's choices used up to
+    3.13.0, worded here because later versions word it differently."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            listed = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    p.add_argument(flag, type=parse, metavar="{" + ",".join(names) + "}", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # A metavar and a fixed help column keep argparse from laying out the
     # usage line and the command list differently on each Python version;
@@ -81,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--vars", required=True)
         yield p
         if order:
-            p.add_argument("--order", choices=ORDER_NAMES, default=order)
-        p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
+            _choice_flag(p, "--order", ORDER_NAMES, default=order)
+        _choice_flag(p, "--format", formats, default=formats[0], dest="fmt")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     with command("groebner", _cmd_groebner, ("text", "json"),

@@ -5,8 +5,9 @@ basis, the two-variable staircase picture of a leading-term monomial
 ideal, and an exact real-root isolator for the univariate polynomials
 that elimination produces: one signed remainder sequence of p and p',
 built with the division kernel, ends in gcd(p, p'), and divided through
-by it gives the Sturm chain of the square-free part, which dyadic
-bisection over Q reads.
+by it gives the Sturm chain of the square-free part. Bisection reads it
+at dyadic points, each an integer numerator over a power of two, so the
+signs are integer Horner sums and only a returned root is a Fraction.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     p, p', -rem(p, p'), ... ends in gcd(p, p'); divided through by that
     last member it is a Sturm chain of the square-free part p/gcd(p, p'),
     which keeps every root once whatever its multiplicity. Sturm counts
-    bisect (-2^k, 2^k], a power of two past the Cauchy bound, until each
+    bisect (-2^e, 2^e], a power of two past the Cauchy bound, until each
     interval holds one root, and sign bisection refines it to width tol.
-    Every bisection point is dyadic, and a root landing on one is
-    returned exactly. Roots closer than tol merge, reporting the midpoint.
+    A point is an integer numerator over 2^s, with s = -e at the start
+    and one more at each halving, so no Fraction is built per point. A
+    root landing on one is returned exactly. Roots closer than tol merge,
+    reporting the midpoint.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -122,20 +125,27 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     top = max(p.terms)
     lead = p.terms[top]
     bound = 1 + max((abs(c / lead) for m, c in p.terms.items() if m != top), default=0)
-    half = Fraction(2 ** (math.ceil(bound) - 1).bit_length())
+    s = -(math.ceil(bound) - 1).bit_length()
+    # An interval (a, b] at level s has b - a = 2, so it is 2^(1 - s) wide;
+    # it is split while that is at least tol, that is below level stop.
+    # Halving doubles both ends and puts the midpoint a + b at level s + 1.
     width = Fraction(tol)
+    # At this first guess the intervals are still at least tol wide.
+    stop = width.denominator.bit_length() - width.numerator.bit_length()
+    while Fraction(2) ** (1 - stop) >= width:
+        stop += 1
     found: list[Fraction] = []
-    stack = [(-half, _variations(chain, -half), half, _variations(chain, half))]
+    stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
     while stack:
-        a, va, b, vb = stack.pop()
-        if va - vb > 1 and b - a >= width:
-            mid = (a + b) / 2
-            vm = _variations(chain, mid)
-            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+        a, va, b, vb, s = stack.pop()
+        if va - vb > 1 and s < stop:
+            mid = a + b
+            vm = _variations_at(chain, mid, s + 1)
+            stack += [(2 * a, va, mid, vm, s + 1), (mid, vm, 2 * b, vb, s + 1)]
         elif va - vb == 1:
-            found.append(_refine(chain[0], a, b, width))
+            found.append(_refine(chain[0], a, b, s, stop))
         elif va > vb:
-            found.append((a + b) / 2)  # several roots closer than tol
+            found.append(_dyadic(a + b, s + 1))  # several roots closer than tol
 
     clusters: list[list[Fraction]] = []
     for root in sorted(found):
@@ -146,7 +156,8 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     return [float((c[0] + c[-1]) / 2) for c in clusters]
 
 
-# Integer coefficient lists, lowest degree first, as _sign evaluates them.
+# Integer coefficient lists, lowest degree first, read at dyadic points
+# num / 2^s: an integer numerator num and a level s, which may be negative.
 
 
 def _integral(f: Polynomial, var: int) -> list[int]:
@@ -155,37 +166,51 @@ def _integral(f: Polynomial, var: int) -> list[int]:
     scale = math.lcm(*(c.denominator for c in f.terms.values()))
     coeffs = [0] * (1 + max(m[var] for m in f.terms))
     for m, c in f.terms.items():
-        coeffs[m[var]] = int(c * scale)
+        coeffs[m[var]] = c.numerator * (scale // c.denominator)
     return coeffs
 
 
-def _sign(f: list[int], x: Fraction) -> int:
-    """Sign of f(x), from den^deg * f(num/den) in integers."""
-    acc, power = 0, 1
-    for c in reversed(f):
-        acc = acc * x.numerator + c * power
-        power *= x.denominator
+def _dyadic(num: int, s: int) -> Fraction:
+    """The point num / 2^s as a Fraction."""
+    return Fraction(num, 1 << s) if s > 0 else Fraction(num << -s)
+
+
+def _sign_at(f: list[int], num: int, s: int) -> int:
+    """Sign of f(num / 2^s) by integer Horner: at s <= 0 the point is the
+    integer num * 2^-s, and at s > 0 the sum is 2^(s*deg) f(num / 2^s),
+    each coefficient shifted by s more bits than the one above it."""
+    acc = 0
+    if s <= 0:
+        x = num << -s
+        for c in reversed(f):
+            acc = acc * x + c
+    else:
+        shift = 0
+        for c in reversed(f):
+            acc = acc * num + (c << shift)
+            shift += s
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    """Sign changes along the Sturm chain at x; zeros are skipped."""
-    signs = [s for s in (_sign(f, x) for f in chain) if s]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _variations_at(chain: list[list[int]], num: int, s: int) -> int:
+    """Sign changes along the Sturm chain at num / 2^s; zeros are skipped."""
+    signs = [t for t in (_sign_at(f, num, s) for f in chain) if t]
+    return sum(t != u for t, u in zip(signs, signs[1:]))
 
 
-def _refine(f: list[int], a: Fraction, b: Fraction, width: Fraction) -> Fraction:
-    """The one root of square-free f in (a, b]; f may vanish at a."""
-    end = _sign(f, b)
+def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> Fraction:
+    """The one root of square-free f in (a, b] at level s, halved until
+    level stop; f may vanish at a."""
+    end = _sign_at(f, b, s)
     if end == 0:
-        return b
-    while b - a >= width:
-        mid = (a + b) / 2
-        sign = _sign(f, mid)
+        return _dyadic(b, s)
+    while s < stop:
+        mid, s = a + b, s + 1
+        sign = _sign_at(f, mid, s)
         if sign == 0:
-            return mid
+            return _dyadic(mid, s)
         if sign == end:
-            b = mid
+            a, b = 2 * a, mid
         else:
-            a = mid
-    return (a + b) / 2
+            a, b = mid, 2 * b
+    return _dyadic(a + b, s + 1)

@@ -18,6 +18,7 @@ from groebnerkit.order import GREVLEX, GRLEX, LEX
 from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError
 
+from reference_roots import reference_roots
 from strategies import CTX_XY, CTX_XYZ, CTX_T, nonzero_rationals, rationals
 
 
@@ -258,3 +259,62 @@ class TestUnivariateRealRoots:
         for root in multiplicities:
             distinct = distinct * (s - root)
         assert univariate_real_roots(p, 1e-9) == univariate_real_roots(distinct, 1e-9)
+
+
+# The 12 points of perfbench's fixed lex system with forms (3, 2, 2): their
+# last coordinates are distinct, and the monic eliminant they give has a
+# Cauchy bound near 1e13.
+FIXED_POINTS = [
+    (-1, -10, -14), (-4, -25, -35), (3, 14, 22), (0, -1, 1),
+    (-1, -3, -7), (-4, -18, -28), (3, 21, 29), (0, 6, 8),
+    (-1, -7, -11), (-4, -22, -32), (3, 17, 25), (0, 2, 4),
+]
+
+
+class TestDyadicPoints:
+    """univariate_real_roots bisects on integer numerators over 2^s; the
+    reference bisects on Fractions at the same points, so the two return
+    the same list exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(rationals(), st.integers(1, 3), min_size=1, max_size=4),
+        st.booleans(),
+        st.floats(1e-15, 1),
+    )
+    def test_same_roots_as_the_reference(self, multiplicities, times_t2_plus_1, tol):
+        t = Polynomial.variable(CTX_T, "t")
+        p = t * t + 1 if times_t2_plus_1 else Polynomial.constant(CTX_T, 1)
+        for root, multiplicity in multiplicities.items():
+            p = p * (t - root) ** multiplicity
+        assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.25, 1.0])
+    def test_small_cauchy_bound(self, tol):
+        # t and -3*t^2 start on (-1, 1], so every midpoint lies below 1;
+        # 2*t - 1 starts on (-2, 2]
+        for text, want in [("t", [0.0]), ("-3*t^2", [0.0]), ("2*t - 1", [0.5])]:
+            p = parse_polynomial(text, CTX_T)
+            assert univariate_real_roots(p, tol) == reference_roots(p, tol) == want
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 2.0**-11])
+    def test_root_on_a_deep_dyadic_point_is_exact(self, tol):
+        p = parse_polynomial("1024*t - 3", CTX_T)
+        assert univariate_real_roots(p, tol) == reference_roots(p, tol) == [3 / 1024]
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-3])
+    def test_cauchy_bound_near_1e13(self, tol):
+        t = Polynomial.variable(CTX_T, "t")
+        p = Polynomial.constant(CTX_T, 1)
+        for *_, last in FIXED_POINTS:
+            p = p * (t - last)
+        roots = univariate_real_roots(p, tol)
+        assert roots == reference_roots(p, tol)
+        assert roots == sorted(float(last) for *_, last in FIXED_POINTS)
+
+    def test_tol_wider_than_the_start_interval(self):
+        # (-2, 2] is never split at tol 5: both roots +-1/2 merge into its
+        # midpoint, and the one root 1/3 is not refined past it
+        for text in ("4*t^2 - 1", "3*t - 1"):
+            p = parse_polynomial(text, CTX_T)
+            assert univariate_real_roots(p, 5.0) == reference_roots(p, 5.0) == [0.0]
