@@ -340,17 +340,25 @@ def _read_trajectory(path: str) -> list[Target]:
             line = line.strip()
             if not line:
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            fields = [_number(part) for part in line.split(",")[:2]]
+            if line_number == 1 and all(f is None for f in fields):
+                continue  # a header row: no field reads as a number
+            if len(fields) < 2 or None in fields:
+                raise _UsageError(f"bad trajectory row {line_number}: {line!r}")
             try:
-                x, y = float(parts[0]), float(parts[1])
-            except (ValueError, IndexError):
-                if line_number == 1:
-                    continue  # header row
-                raise _UsageError(f"bad trajectory row {line_number}: {line!r}") from None
-            targets.append(Target(x, y))
+                targets.append(Target(*fields))
+            except ValueError as exc:
+                raise ValueError(f"trajectory row {line_number}: {exc}") from None
     if not targets:
         raise _UsageError("trajectory file holds no waypoints")
     return targets
+
+
+def _number(text: str) -> Optional[float]:
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def _ik_csv(results: list[tuple[Target, IKResult]]) -> str:

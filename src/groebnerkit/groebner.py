@@ -19,7 +19,7 @@ member, the inputs first, enters through the Gebauer-Moeller update
 - of the new pairs, one whose lcm is a multiple of another new pair's
   lcm (equal lcms keep one of them);
 - a new pair whose leading monomials share no variable (Buchberger's
-  product criterion, which replaces the former coprime skip);
+  product criterion);
 - an old pair (i, j) whose lcm the new leading monomial t divides, when
   neither lcm(LM(i), t) nor lcm(LM(j), t) equals it (the chain
   criterion).

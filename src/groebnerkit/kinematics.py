@@ -41,6 +41,13 @@ from .ring import Polynomial, VariableContext
 
 IK_VARIABLES = ("c1", "s1", "c2", "s2")
 
+# The algebra no target changes, built once; polynomials are immutable
+# values. cos12 and sin12 are cos and sin of theta1 + theta2.
+_CONTEXT = VariableContext(IK_VARIABLES)
+_C1, _S1, _C2, _S2 = (Polynomial.variable(_CONTEXT, n) for n in IK_VARIABLES)
+_COS12, _SIN12 = (_C1 * _C2 - _S1 * _S2, _S1 * _C2 + _C1 * _S2)
+_CIRCLES = (_C1 * _C1 + _S1 * _S1 - 1, _C2 * _C2 + _S2 * _S2 - 1)
+
 
 @dataclass(frozen=True)
 class ArmSpec:
@@ -104,33 +111,21 @@ def ik_system(arm: ArmSpec, target: Target) -> list[Polynomial]:
     return _system(_exact(arm.l1), _exact(arm.l2), _exact(target.x), _exact(target.y))
 
 
-def _variables() -> list[Polynomial]:
-    ctx = VariableContext(IK_VARIABLES)
-    return [Polynomial.variable(ctx, n) for n in IK_VARIABLES]
-
-
 def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
-    c1, s1, c2, s2 = _variables()
-    return [
-        l1 * c1 + l2 * (c1 * c2 - s1 * s2) - x,
-        l1 * s1 + l2 * (s1 * c2 + c1 * s2) - y,
-        c1 * c1 + s1 * s1 - 1,
-        c2 * c2 + s2 * s2 - 1,
-    ]
+    return [l1 * _C1 + l2 * _COS12 - x, l1 * _S1 + l2 * _SIN12 - y, *_CIRCLES]
 
 
 def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
     """The reduced lex basis at the given rationals, term by term (see
     the module docstring). The target may not be the origin."""
-    c1, s1, c2, s2 = _variables()
     r2 = x * x + y * y
     cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
     a = l1 + l2 * cos2
     return [
-        s2 * s2 + (cos2 * cos2 - 1),
-        c2 - cos2,
-        s1 - (a * y - l2 * x * s2) / r2,
-        c1 - (a * x + l2 * y * s2) / r2,
+        _S2 * _S2 + (cos2 * cos2 - 1),
+        _C2 - cos2,
+        _S1 - (a * y - l2 * x * _S2) / r2,
+        _C1 - (a * x + l2 * y * _S2) / r2,
     ]
 
 
@@ -177,7 +172,7 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     scale = max(1.0, float(l1 + l2))
     floor = 2**-52 * scale
     if tol < floor:
-        raise ValueError(f"tol {tol:g} is below the floor {floor:.3g} that float arithmetic can meet for this arm")
+        raise ValueError(f"tol {float(tol):g} is below the floor {floor:.3g} that float arithmetic can meet for this arm")
 
     # The algebra is exact: outside the annulus by any margin, no real pose.
     radius_sq = x * x + y * y

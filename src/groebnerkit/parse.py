@@ -38,7 +38,7 @@ import sys
 from typing import Iterator, NamedTuple, Optional
 
 from .order import MonomialOrder, sorted_terms
-from .ring import Polynomial, VariableContext, _merge, _square_and_multiply, rat_normalize
+from .ring import NAME, Polynomial, VariableContext, _merge, _square_and_multiply, rat_normalize
 
 # A unit is about one product of two small Fractions, some 3 us. On one
 # core of a 2-core Xeon VM the slowest admitted probe, (x+y+z)^70 at 400,583
@@ -64,7 +64,7 @@ class _Token(NamedTuple):
 
 
 # Whitespace matches no alternative, so finditer skips it.
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<name>{NAME.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -10,6 +10,7 @@ order can be applied on demand without converting the value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -33,8 +34,14 @@ def rat_normalize(numerator: int, denominator: int) -> Rational:
     return Fraction(numerator, denominator)
 
 
+# A variable name: a letter or underscore, then letters, digits or
+# underscores. The parser reads names by this pattern, so printed
+# polynomials re-parse.
+NAME = re.compile(r"[^\W\d]\w*")
+
+
 class VariableContext:
-    """Ordered list of distinct variable names.
+    """Ordered list of distinct variable names, each matching NAME.
 
     List position is the variable index; earlier names are the more
     significant ones for lex-style comparisons.
@@ -46,6 +53,11 @@ class VariableContext:
         names = tuple(names)
         if not names:
             raise ValueError("variable context must name at least one variable")
+        for name in names:
+            if not (isinstance(name, str) and NAME.fullmatch(name)):
+                raise ValueError(
+                    f"bad variable name {name!r}: a name is a letter or underscore, then letters, digits or underscores"
+                )
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names!r}")
         self.names = names

@@ -111,6 +111,13 @@ class TestGroebnerCommand:
         assert run(["groebner", "--vars", "x,y", "x*z"]) == 2
         assert "unknown variable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, name", [("x,2y", "'2y'"), ("a b,c", "'a b'"), ("x-1", "'x-1'")])
+    def test_bad_variable_name_exits_2(self, spec, name, capsys):
+        assert run(["groebner", "--vars", spec, "x^2 - 1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad variable name {name}")
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -289,6 +296,23 @@ class TestIkCommand:
         assert lines[0] == "x,y,theta1,theta2,residual"
         assert len(lines) == 4  # 2 solutions + 0 (unreachable) + 1 boundary
         assert "unreachable" in captured.err
+
+    @pytest.mark.parametrize("first", ["1.5,oops", "oops,1", "1"])
+    def test_mistyped_first_waypoint_exits_2(self, first, tmp_path, capsys):
+        waypoints = tmp_path / "path.csv"
+        waypoints.write_text(f"{first}\n1,1\n")
+        assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad trajectory row 1: {first!r}\n"
+
+    def test_non_finite_waypoint_names_its_row(self, tmp_path, capsys):
+        waypoints = tmp_path / "path.csv"
+        waypoints.write_text("x,y\n1,1\nnan,1\n")
+        assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trajectory row 3: target coordinates must be finite\n"
 
     def test_missing_target_exits_2(self, capsys):
         assert run(["ik", "--l1", "1", "--l2", "1"]) == 2

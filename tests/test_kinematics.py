@@ -10,6 +10,7 @@ from groebnerkit import kinematics
 from groebnerkit.groebner import GroebnerBasis, groebner_basis, reduce_basis
 from groebnerkit.ideal import is_member
 from groebnerkit.kinematics import (
+    IK_VARIABLES,
     ArmSpec,
     IKResult,
     JointSolution,
@@ -432,6 +433,33 @@ class TestSpecialisedBasis:
             compared += 1
         assert compared >= 400
 
+    def test_fixed_polynomials_survive_a_sweep(self):
+        fixed = [kinematics._C1, kinematics._S1, kinematics._C2, kinematics._S2,
+                 kinematics._COS12, kinematics._SIN12, *kinematics._CIRCLES]
+        before = [list(p.terms.items()) for p in fixed]
+        solved = 0
+        for l1, l2, x, y in sweep_targets(60):
+            try:
+                solved += len(ik_solve(ArmSpec(l1, l2), Target(x, y)).solutions)
+            except ValueError:
+                pass  # the folded arm of equal links at the origin
+        assert solved >= 300
+        assert [list(p.terms.items()) for p in fixed] == before
+        assert all(p.context.names == IK_VARIABLES for p in fixed)
+
+    def test_system_equals_the_system_written_from_scratch(self):
+        ctx = VariableContext(IK_VARIABLES)
+        c1, s1, c2, s2 = (Polynomial.variable(ctx, n) for n in IK_VARIABLES)
+        for l1, l2, x, y in seeded_rationals(200):
+            expected = [
+                l1 * c1 + l2 * (c1 * c2 - s1 * s2) - x,
+                l1 * s1 + l2 * (s1 * c2 + c1 * s2) - y,
+                c1 * c1 + s1 * s1 - 1,
+                c2 * c2 + s2 * s2 - 1,
+            ]
+            assert ik_system(ArmSpec(l1, l2), Target(x, y)) == expected
+            assert kinematics._system(l1, l2, x, y) == expected
+
     def test_members_that_miss_the_system_raise(self, monkeypatch):
         members = kinematics._members
 
@@ -497,7 +525,15 @@ class TestScale:
             swept += 1
         assert swept >= 100
 
-    @pytest.mark.parametrize("link, tol", [(1, 1e-17), (1, 5e-324), (1e7, 1e-9), (1e8, 1e-9), (0.5, 2e-16)])
+    @pytest.mark.parametrize("tol", [1, Fraction(1, 10**9), 1e-9])
+    def test_tol_of_any_number_type_at_or_above_the_floor_solves(self, tol):
+        assert len(ik_solve(ArmSpec(1, 1), Target(1, 1), tol).solutions) == 2
+
+    @pytest.mark.parametrize(
+        "link, tol",
+        [(1, 1e-17), (1, 5e-324), (1e7, 1e-9), (1e8, 1e-9), (0.5, 2e-16),
+         (1, Fraction(1, 10**20)), (10**16, 1), (10**16, Fraction(1, 3))],
+    )
     def test_tol_below_the_floor_is_refused(self, link, tol):
         with pytest.raises(ValueError, match=r"^tol \S+ is below the floor \S+ "):
             ik_solve(ArmSpec(link, link), Target(1.2 * link, 0.5 * link), tol)

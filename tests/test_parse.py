@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from groebnerkit import parse
 from groebnerkit.order import GRLEX, LEX
 from groebnerkit.parse import ParseError, format_polynomial, parse_polynomial, parse_system
-from groebnerkit.ring import Monomial, Polynomial
+from groebnerkit.ring import NAME, Monomial, Polynomial, VariableContext
 
 from strategies import CTX_XY, orders, polynomials
 
@@ -279,6 +279,13 @@ class TestFormat:
     @given(polynomials(), orders())
     def test_round_trip(self, p, order):
         assert parse_polynomial(format_polynomial(p, order), CTX_XY) == p
+
+    @given(st.data(), orders())
+    def test_round_trip_over_any_valid_names(self, data, order):
+        names = data.draw(st.lists(st.from_regex(NAME, fullmatch=True), min_size=1, max_size=4, unique=True))
+        ctx = VariableContext(names)
+        p = data.draw(polynomials(ctx, max_exponent=3))
+        assert parse_polynomial(format_polynomial(p, order), ctx) == p
 
     @given(polynomials(), orders())
     def test_canonical_and_deterministic(self, p, order):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,15 @@ class TestVariableContext:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             VariableContext(["x", "x"])
+
+    @pytest.mark.parametrize("name", ["2y", "a b", "x-1", "", " x", "x^2", 3])
+    def test_rejects_names_the_parser_cannot_read(self, name):
+        with pytest.raises(ValueError, match=rf"^bad variable name {re.escape(repr(name))}: "):
+            VariableContext(["x", name])
+
+    @pytest.mark.parametrize("name", ["y", "_", "x_1", "Y2", "\u03b8"])
+    def test_accepts_names(self, name):
+        assert VariableContext(["x", name]).names == ("x", name)
 
     def test_index(self):
         assert CTX_XYZ.index("y") == 1
