@@ -195,7 +195,8 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         if residual <= 10 * tol:
             solutions.append(JointSolution(theta1, theta2, residual))
 
-    solutions = _deduplicate(solutions, tol)
+    # tol is a length; an angle moves the end effector by up to scale times it.
+    solutions = _deduplicate(solutions, tol / scale)
     solutions.sort(key=lambda s: (s.theta1, s.theta2))
     return IKResult(solutions=tuple(solutions), diagnostic=None)
 
@@ -218,12 +219,13 @@ def _angle(cosine: Fraction, sine: Fraction) -> float:
     return theta + 0.0  # fold -0.0 into 0.0
 
 
-def _deduplicate(solutions: list[JointSolution], tol: float) -> list[JointSolution]:
+def _deduplicate(solutions: list[JointSolution], radians: float) -> list[JointSolution]:
+    """One pose of each set whose joint angles lie within radians of each other."""
     kept: list[JointSolution] = []
     for s in sorted(solutions, key=lambda s: s.residual):
         duplicate = any(
-            _angle_distance(s.theta1, t.theta1) <= tol
-            and _angle_distance(s.theta2, t.theta2) <= tol
+            _angle_distance(s.theta1, t.theta1) <= radians
+            and _angle_distance(s.theta2, t.theta2) <= radians
             for t in kept
         )
         if not duplicate:

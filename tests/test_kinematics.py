@@ -525,6 +525,12 @@ class TestScale:
             swept += 1
         assert swept >= 100
 
+    def test_huge_reach_keeps_both_poses(self):
+        # tol is a length: poses merge when their angles lie within
+        # tol / max(1, l1 + l2) radians, not within tol radians
+        result = ik_solve(ArmSpec(10**17, 10**17), Target(10**17, 10**17), 50)
+        assert [(s.theta1, s.theta2) for s in result.solutions] == [(0.0, math.pi / 2), (math.pi / 2, -math.pi / 2)]
+
     @pytest.mark.parametrize("tol", [1, Fraction(1, 10**9), 1e-9])
     def test_tol_of_any_number_type_at_or_above_the_floor_solves(self, tol):
         assert len(ik_solve(ArmSpec(1, 1), Target(1, 1), tol).solutions) == 2

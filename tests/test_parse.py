@@ -1,9 +1,12 @@
+import functools
+import math
+import operator
 import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groebnerkit import parse
@@ -11,11 +14,16 @@ from groebnerkit.order import GRLEX, LEX
 from groebnerkit.parse import ParseError, format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import NAME, Monomial, Polynomial, VariableContext
 
-from strategies import CTX_XY, orders, polynomials
+from strategies import CTX_XY, CTX_XYZ, orders, polynomials
 
 
 def _p(terms):
     return Polynomial(CTX_XY, {Monomial(m): Fraction(*c) if isinstance(c, tuple) else Fraction(c) for m, c in terms})
+
+
+def _packed(text, ctx=CTX_XY):
+    """The parser's packed value of text."""
+    return parse._Parser(parse._tokenize(text), ctx).expr()
 
 
 class TestParse:
@@ -102,20 +110,20 @@ class TestParse:
     @pytest.mark.parametrize("text", ["x + 1", "x + y + 1"])
     def test_power_makes_the_products_it_is_priced_by(self, text, monkeypatch):
         # Every power of p has all C(k+t-1, t-1) terms, so the pairs that
-        # _power_steps prices are those of the products __pow__ makes.
-        p = parse_polynomial(text, CTX_XY)
+        # _power_steps prices are those of the products the parser makes.
+        value, parser = _packed(text), parse._Parser([], CTX_XY)
         made = []
-        multiply = Polynomial.__mul__
+        times = parse._Parser.times
 
-        def counting(a, b):
-            made.append((len(a.terms) * len(b.terms), max(map(sum, a.terms)) + max(map(sum, b.terms))))
-            return multiply(a, b)
+        def counting(self, a, b):
+            made.append((len(a.terms) * len(b.terms), a.degree + b.degree))
+            return times(self, a, b)
 
-        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        monkeypatch.setattr(parse._Parser, "times", counting)
         for e in range(41):
             made.clear()
-            p ** e
-            assert made == list(parse._power_steps(len(p.terms), e))
+            parser.power(value, e)
+            assert made == list(parse._power_steps(len(value.terms), e))
 
     def test_refused_over_bit_bound(self, monkeypatch):
         # (2^4096)^2 squares 4096 bits, then multiplies 1 by the square, both
@@ -162,21 +170,22 @@ class TestParse:
         st.lists(polynomials(max_terms=3, max_exponent=2), max_size=6),
     )
     def test_coefficient_bit_bound_holds(self, p, q, summands):
-        def within(poly, bits):
-            return all(
-                abs(c.numerator) <= 2**bits and c.denominator <= 2**bits
-                for c in poly.terms.values()
-            )
+        # The bounds the parser charges, measured on its packed values,
+        # bound every integer its products, powers and sums hold.
+        def within(value, bits):
+            return value.den <= 2**bits and all(abs(c) <= 2**bits for c in value.terms.values())
 
-        (total_p, scale_p), (total_q, scale_q) = parse._measure(p), parse._measure(q)
-        assert within(p * q, parse._bits(total_p * total_q, scale_p * scale_q))
+        parser = parse._Parser([], CTX_XY)
+        a, b, *rest = (_packed(format_polynomial(poly, LEX)) for poly in (p, q, *summands))
+        (total_p, scale_p), (total_q, scale_q) = parse._measure(a), parse._measure(b)
+        assert within(parser.multiply(a, b), parse._bits(total_p * total_q, scale_p * scale_q))
         for e in range(4):
-            assert within(p**e, e * parse._bits(total_p, scale_p))
+            assert within(parser.power(a, e), e * parse._bits(total_p, scale_p))
         # the running bound of a sum bounds every partial sum
-        partial, bound = p, parse._measure(p)
-        for s in summands:
-            partial, bound = partial + s, parse._sum_bound(bound, parse._measure(s))
-            assert within(partial, parse._bits(*bound))
+        bound = parse._measure(a)
+        for k, s in enumerate(rest, 1):
+            bound = parse._sum_bound(bound, parse._measure(s))
+            assert within(parser.add([(v, False) for v in (a, *rest[:k])]), parse._bits(*bound))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match=r"position 4") as err:
@@ -237,6 +246,112 @@ class TestParse:
     def test_system_rejected_as_a_whole(self):
         with pytest.raises(ParseError):
             parse_system(["x", "y +"], CTX_XY)
+
+
+# Expression trees: ("num", n, d), ("var", name), ("pow", base, e),
+# ("mul", factors) and ("sum", negate_first, [(sign, term), ...]).
+_LEAVES = st.one_of(
+    st.builds(lambda n, d: ("num", n, d), st.integers(0, 12), st.sampled_from([1, 1, 2, 3, 4])),
+    st.sampled_from(CTX_XYZ.names).map(lambda name: ("var", name)),
+    # exponents past 2^16 widen the packed fields
+    st.builds(lambda name, e: ("pow", ("var", name), e), st.sampled_from(CTX_XYZ.names), st.integers(2**16 - 2, 2**17)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.builds(lambda base, e: ("pow", base, e), children, st.integers(0, 3)),
+        st.builds(lambda factors: ("mul", factors), st.lists(children, min_size=2, max_size=3)),
+        st.builds(
+            lambda negate, terms: ("sum", negate, terms),
+            st.booleans(),
+            st.lists(st.tuples(st.sampled_from("+-"), children), min_size=1, max_size=3),
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+def _text(node) -> str:
+    kind = node[0]
+    if kind == "num":
+        return f"{node[1]}/{node[2]}" if node[2] != 1 else str(node[1])
+    if kind == "var":
+        return node[1]
+    if kind == "pow":
+        return f"{_enclosed(node[1], 'sum', 'mul', 'pow')}^{node[2]}"
+    if kind == "mul":
+        return "*".join(_enclosed(f, "sum", "mul") for f in node[1])
+    (_, first), *rest = node[2]
+    return ("-" if node[1] else "") + "".join(
+        [_enclosed(first, "sum"), *(f" {sign} {_enclosed(t, 'sum')}" for sign, t in rest)]
+    )
+
+
+def _enclosed(node, *kinds) -> str:
+    """node's text, in parentheses if it is of one of kinds."""
+    return f"({_text(node)})" if node[0] in kinds else _text(node)
+
+
+def _evaluate(node, ctx) -> Polynomial:
+    """node by Polynomial arithmetic, operand by operand as the grammar reads it."""
+    kind = node[0]
+    if kind == "num":
+        return Polynomial.constant(ctx, Fraction(node[1], node[2]))
+    if kind == "var":
+        return Polynomial.variable(ctx, node[1])
+    if kind == "pow":
+        return _evaluate(node[1], ctx) ** node[2]
+    if kind == "mul":
+        return functools.reduce(operator.mul, (_evaluate(f, ctx) for f in node[1]))
+    (_, first), *rest = node[2]
+    total = _evaluate(first, ctx)
+    if node[1]:
+        total = -total
+    for sign, t in rest:
+        total = total + _evaluate(t, ctx) if sign == "+" else total - _evaluate(t, ctx)
+    return total
+
+
+class TestPackedEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_equals_ring_arithmetic_in_term_order(self, tree):
+        got = parse_polynomial(_text(tree), CTX_XYZ)
+        assert list(got.terms.items()) == list(_evaluate(tree, CTX_XYZ).terms.items())
+        # and the denominator it holds is least
+        value = _packed(_text(tree), CTX_XYZ)
+        assert math.gcd(value.den, *value.terms.values()) == 1
+
+    @given(polynomials(max_terms=3), polynomials(max_terms=3))
+    def test_products_powers_and_sums_keep_the_denominator_least(self, p, q):
+        parser = parse._Parser([], CTX_XY)
+        a, b = _packed(format_polynomial(p, LEX)), _packed(format_polynomial(q, LEX))
+        for value in (parser.multiply(a, b), parser.multiply(a, a), parser.power(a, 3), parser.add([(a, False), (b, True)])):
+            assert math.gcd(value.den, *value.terms.values()) == 1
+
+    def test_degree_past_the_field_widens(self):
+        # x^65535 fills 16-bit fields; the product needs a 17th bit
+        assert parse_polynomial("x^65535*x", CTX_XY) == _p([((65536, 0), 1)])
+        big = str(2**70)
+        assert parse_polynomial(f"x^{big}*y - y*x^{big}", CTX_XY) == _p([])
+        got = parse_polynomial("(x*y)^40000*(x+y)^2", CTX_XY)
+        assert list(got.terms.items()) == [
+            ((40002, 40000), 1), ((40001, 40001), 2), ((40000, 40002), 1),
+        ]
+
+    def test_only_the_operands_widen(self):
+        # the power's 26,576-bit fields reach the 1891-term summand only at
+        # its sum, and its terms keep their order
+        e = 10**1000
+        text = "(x+y+z)^60 + " + "(" * 8 + "x" + (f")^{e}") * 8
+        got = parse_polynomial(text, CTX_XYZ)
+        expanded = parse_polynomial("(x+y+z)^60", CTX_XYZ)
+        assert list(got.terms.items()) == [*expanded.terms.items(), ((e**8, 0, 0), 1)]
+        assert len(expanded.terms) == 1891
+
+    def test_one_term_result_is_a_reduced_fraction(self):
+        got = parse_polynomial("(6/4)^3*x + 0*y", CTX_XY).terms[(1, 0)]
+        assert (got.numerator, got.denominator) == (27, 8) and type(got) is Fraction
 
 
 class TestFormat:
