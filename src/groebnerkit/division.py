@@ -191,9 +191,7 @@ def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int
     """g as (s / t) * G: G as a dict from order key to coprime integers,
     then s and t."""
     pack, key = packing.pack, packing.key
-    t = 1
-    for c in g.terms.values():
-        t = lcm(t, c.denominator)
+    t = lcm(*[c.denominator for c in g.terms.values()])
     integral = {key(pack(m)): c.numerator * (t // c.denominator) for m, c in g.terms.items()}
     s = 0
     for v in integral.values():

@@ -39,11 +39,10 @@ when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .division import divide
 from .order import MonomialOrder, leading_monomial, leading_term
-from .ring import Monomial, Polynomial, RingMismatchError
+from .ring import Monomial, Polynomial, RingMismatchError, _merge
 
 # Most members completion may hold before it gives up with a ValueError.
 MAX_BASIS_SIZE = 10_000
@@ -87,9 +86,12 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomi
     lt_p = leading_term(p, order)
     lt_q = leading_term(q, order)
     lcm = lt_p.monomial.lcm(lt_q.monomial)
-    left = p.mul_term(Fraction(1) / lt_p.coefficient, lcm / lt_p.monomial)
-    right = q.mul_term(Fraction(-1) / lt_q.coefficient, lcm / lt_q.monomial)
-    return left + right
+    if p.context != q.context:
+        raise RingMismatchError("ring mismatch")
+    u, a = lcm / lt_p.monomial, 1 / lt_p.coefficient
+    v, b = lcm / lt_q.monomial, -1 / lt_q.coefficient
+    left = {m * u: c * a for m, c in p.terms.items()}
+    return p._wrap(_merge(left, [(m * v, c * b) for m, c in q.terms.items()]))
 
 
 def normal_form(

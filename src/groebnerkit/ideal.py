@@ -176,19 +176,15 @@ def _dyadic(num: int, s: int) -> Fraction:
 
 
 def _sign_at(f: list[int], num: int, s: int) -> int:
-    """Sign of f(num / 2^s) by integer Horner: at s <= 0 the point is the
-    integer num * 2^-s, and at s > 0 the sum is 2^(s*deg) f(num / 2^s),
-    each coefficient shifted by s more bits than the one above it."""
-    acc = 0
-    if s <= 0:
-        x = num << -s
-        for c in reversed(f):
-            acc = acc * x + c
-    else:
-        shift = 0
-        for c in reversed(f):
-            acc = acc * num + (c << shift)
-            shift += s
+    """Sign of f(num / 2^s) by integer Horner: the sum is 2^(s*deg)
+    f(num / 2^s), each coefficient shifted by s more bits than the one
+    above it. A point at s < 0 is the integer num * 2^-s, read at s = 0."""
+    if s < 0:
+        num, s = num << -s, 0
+    acc = shift = 0
+    for c in reversed(f):
+        acc = acc * num + (c << shift)
+        shift += s
     return (acc > 0) - (acc < 0)
 
 

@@ -45,7 +45,7 @@ import functools
 from operator import mul
 from typing import Callable
 
-from .ring import Monomial, Polynomial, Rational, Term, _valid_monomial
+from .ring import Monomial, Polynomial, Term, _valid_monomial
 
 
 def _lex_key(m: Monomial):
@@ -157,10 +157,6 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> Term:
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
     return leading_term(p, order).monomial
-
-
-def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Rational:
-    return leading_term(p, order).coefficient
 
 
 def sorted_terms(p: Polynomial, order: MonomialOrder) -> list[Term]:

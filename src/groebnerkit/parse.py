@@ -27,7 +27,9 @@ Parentheses nest at most ``MAX_DEPTH`` deep, so the recursive descent stays
 far inside the interpreter's recursion limit; a ``(`` past that depth is a
 syntax error at its position. Output is held to the same digit limit as
 input: ``format_polynomial`` refuses a coefficient or exponent that CPython
-would not print, naming its term.
+would not print, naming its term. Reading is not priced, so a text longer
+than ``MAX_TEXT`` characters is refused with a ``ValueError`` before it is
+read.
 
 The parser evaluates on packed integers, not on ``Polynomial``. A value is
 a dict from a monomial packed under lex (``order.Packing``) to an integer
@@ -39,9 +41,7 @@ no gcd; a sum takes one, at the end of its ``expr``. An operation whose
 degree bound outgrows its operands' fields repacks those operands, into
 fields at least twice as wide. ``parse_polynomial`` builds the
 ``Polynomial`` once, with its terms in the order that ``Polynomial``
-arithmetic on the same expression gives them. On one core of a 2-core
-Xeon VM, the 2018 distinct texts that the benchmark workloads parse on
-seed 1 take 0.85 to 1.4 s so, against 2.3 to 2.5 s on ``Polynomial``.
+arithmetic on the same expression gives them.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ from .ring import NAME, Polynomial, VariableContext, _merge, _square_and_multipl
 # gcds over a sum's common denominator: (1/3)^100000*x + (1/5)^100000*y +
 # (1/7)^100000*z, at 268,739 units, takes 2.3 to 3 s.
 MAX_WORK = 450_000
+
+# Characters in one text: Linux's limit on one argument, so any text that
+# reaches the CLI as an argument is read. Reading takes some 11 to 14 us
+# per summand or factor; at this length it stays under a second.
+MAX_TEXT = 131_072
 
 # Each level of parentheses takes four frames of the descent (base, expr,
 # term, factor); 100 levels stay well under the default limit of 1000.
@@ -269,13 +274,12 @@ class _Parser:
 
     def multiply(self, a: _Packed, b: _Packed) -> _Packed:
         """a * b, cross-cancelled as Fraction multiplies: with a and b least
-        the product is least (Gauss's lemma), and a square needs no gcd."""
-        if a is not b:
-            g1 = math.gcd(b.den, *a.terms.values()) if b.den > 1 else 1
-            g2 = math.gcd(a.den, *b.terms.values()) if a.den > 1 else 1
-            if g1 > 1 or g2 > 1:
-                a = _Packed({m: c // g1 for m, c in a.terms.items()}, a.den // g2, a.degree, a.width)
-                b = _Packed({m: c // g2 for m, c in b.terms.items()}, b.den // g1, b.degree, b.width)
+        the product is least (Gauss's lemma). A den of 1 takes no gcd."""
+        g1 = math.gcd(b.den, *a.terms.values()) if b.den > 1 else 1
+        g2 = math.gcd(a.den, *b.terms.values()) if a.den > 1 else 1
+        if g1 > 1 or g2 > 1:
+            a = _Packed({m: c // g1 for m, c in a.terms.items()}, a.den // g2, a.degree, a.width)
+            b = _Packed({m: c // g2 for m, c in b.terms.items()}, b.den // g1, b.degree, b.width)
         return self.times(a, b)
 
     def power(self, base: _Packed, e: int) -> _Packed:
@@ -357,6 +361,8 @@ def _power_steps(t: int, e: int) -> Iterator[tuple[int, int]]:
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
     """Parse one expression into a polynomial over ctx."""
+    if len(text) > MAX_TEXT:
+        raise ValueError(f"expression of {len(text)} characters is longer than the limit of {MAX_TEXT}")
     parser = _Parser(_tokenize(text), ctx)
     value = parser.expr()
     if parser.peek().kind != "end":

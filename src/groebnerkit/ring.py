@@ -302,20 +302,9 @@ class Polynomial:
         q = self._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        # Not _merge: a generator per term pair made (x+y+z+1)^16 about 10% slower.
-        out: dict[Monomial, Fraction] = {}
+        out, pairs = {}, q.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in q.terms.items():
-                m = m1 * m2
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
+            _merge(out, [(m1 * m2, c1 * c2) for m2, c2 in pairs])
         return self._wrap(out)
 
     __rmul__ = __mul__
@@ -334,16 +323,6 @@ class Polynomial:
             else:
                 result = result * base
         return result
-
-    def mul_term(self, coefficient: Scalar, monomial: Monomial) -> "Polynomial":
-        """Product with a single term, as S-polynomials scale their two
-        members; reduction steps run on packed integer forms in divide."""
-        c = Fraction(coefficient)
-        if not c:
-            return Polynomial.zero(self.context)
-        if len(monomial) != len(self.context):
-            raise RingMismatchError("ring mismatch")
-        return self._wrap({m * monomial: v * c for m, v in self.terms.items()})
 
     def _derivative(self, index: int) -> "Polynomial":
         """Partial derivative in the variable at position index."""

@@ -90,6 +90,10 @@ class TestGroebnerCommand:
         message = f"expression would cost more than 450000 units of work (position {position})"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_text_past_the_length_limit_exits_1(self, capsys):
+        assert run(["groebner", "--vars", "x", "x" + " " * 131_072]) == 1
+        assert capsys.readouterr().err == "error: expression of 131073 characters is longer than the limit of 131072\n"
+
     @pytest.mark.parametrize(
         "expr, position",
         [("7" * 5000 + "*x", 1), ("x^" + "7" * 5000, 3), ("1/" + "7" * 5000, 3)],

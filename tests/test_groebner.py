@@ -14,9 +14,9 @@ from groebnerkit.groebner import (
     s_polynomial,
 )
 from groebnerkit.division import divide
-from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_coefficient, leading_monomial
+from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_monomial, leading_term
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
-from groebnerkit.ring import Monomial, Polynomial, VariableContext
+from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
 from groebnerkit import groebner
 from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders
@@ -76,6 +76,24 @@ class TestSPolynomial:
         key = order.key_function()
         if not s.is_zero():
             assert key(leading_monomial(s, order)) < key(lcm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nonzero_polynomials(max_terms=5), nonzero_polynomials(max_terms=5), orders())
+    def test_equals_its_definition(self, p, q, order):
+        """(L/LT(p))*p - (L/LT(q))*q, each multiple a Polynomial product
+        with a one-term polynomial, in value and in term order."""
+        lt_p, lt_q = leading_term(p, order), leading_term(q, order)
+        lcm = lt_p.monomial.lcm(lt_q.monomial)
+        left = Polynomial(CTX_XY, {lcm / lt_p.monomial: 1 / lt_p.coefficient}) * p
+        right = Polynomial(CTX_XY, {lcm / lt_q.monomial: 1 / lt_q.coefficient}) * q
+        s = s_polynomial(p, q, order)
+        assert s == left - right
+        assert list(s.terms.items()) == list((left - right).terms.items())
+
+    def test_ring_mismatch_rejected(self):
+        other = parse_polynomial("a*b", VariableContext(["a", "b"]))
+        with pytest.raises(RingMismatchError):
+            s_polynomial(_xy("x*y"), other, LEX)
 
 
 class TestNormalForm:
@@ -316,7 +334,7 @@ class TestRandomizedProperties:
             basis = reduce_basis(buchberger(gens, GREVLEX))
             lead = [leading_monomial(g, GREVLEX) for g in basis.generators]
             for i, g in enumerate(basis.generators):
-                assert leading_coefficient(g, GREVLEX) == 1
+                assert leading_term(g, GREVLEX).coefficient == 1
                 for m in g.terms:
                     assert not any(
                         lead[j].divides(m) for j in range(len(lead)) if j != i

@@ -10,7 +10,6 @@ from groebnerkit.order import (
     GRLEX,
     LEX,
     MonomialOrder,
-    leading_coefficient,
     leading_monomial,
     leading_term,
     sorted_terms,
@@ -67,7 +66,6 @@ class TestLeadingTerm:
         p = self._p([((2, 0), Fraction(-3, 2)), ((0, 0), 5)])
         term = leading_term(p, GRLEX)
         assert term.coefficient == Fraction(-3, 2)
-        assert leading_coefficient(p, GRLEX) == Fraction(-3, 2)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError, match="leading term of zero polynomial"):

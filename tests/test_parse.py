@@ -243,6 +243,18 @@ class TestParse:
         assert parse_polynomial("(" * depth + "x" + ")" * depth, CTX_XY) == _p([((1, 0), 1)])
         assert parse_polynomial("-(" * depth + "y" + ")" * depth, CTX_XY) == _p([((0, 1), (-1) ** depth)])
 
+    def test_text_at_the_length_limit_parses(self):
+        text = "+".join(["1"] * (parse.MAX_TEXT // 2)) + " "
+        assert len(text) == parse.MAX_TEXT
+        assert parse_polynomial(text, CTX_XY) == _p([((0, 0), parse.MAX_TEXT // 2)])
+
+    def test_text_past_the_length_limit_refused_before_reading(self):
+        text = "#" * (parse.MAX_TEXT + 1)
+        message = f"expression of {parse.MAX_TEXT + 1} characters is longer than the limit of {parse.MAX_TEXT}"
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            parse_polynomial(text, CTX_XY)
+        assert not isinstance(err.value, ParseError)
+
     def test_system_rejected_as_a_whole(self):
         with pytest.raises(ParseError):
             parse_system(["x", "y +"], CTX_XY)
