@@ -29,11 +29,29 @@ f = (n / d) * P. A step on leading coefficient c of P against a divisor
 of leading coefficient l multiplies P by ``a = l / gcd(c, l)`` and
 subtracts ``b = c / gcd(c, l)`` times the shifted G, which cancels the
 lead in integers. With A the product of every ``a`` so far, the running
-polynomial is always (n / d) * P / A; a term that moves to the
-remainder is read at that scale, and the step's quotient term is
-(n / d) * b / A / (s / t). The loop makes ``int`` products and one
-``gcd`` per step, and strips no content from P, whose coefficients grow
-with A; ``Fraction`` reduces only once per output coefficient.
+polynomial is always (n / d) * P / A; a term c * m of P that moves to
+the remainder is kept as the integer record (key of m, m, c, A) of the
+step that moved it, and the step's quotient term is (n / d) * b / A /
+(s / t). The loop makes ``int`` products and one ``gcd`` per step, and
+strips no content from P, whose coefficients grow with A.
+
+There is one reduction loop, ``_reduce``, and three entries to it:
+
+- ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
+  and records its steps for the quotients;
+- ``reduce_s_pair`` starts from two members' forms, as
+  ``(l_j / g) * u * G_i - (l_i / g) * v * G_j`` with ``g = gcd(l_i, l_j)``
+  and u, v the shifts to the lcm of their leading monomials, which
+  cancels the leads in integers; up to a scalar that is the
+  S-polynomial, so its normal form made monic is the completion's new
+  member;
+- ``interreduce`` starts from each kept member's tail and reduces it by
+  all kept members.
+
+The last two read the records as one primitive integer form,
+``c * (A_last / A)`` divided by the content, whose first record is the
+lead; they build the monic ``Polynomial`` from it with one ``Fraction``
+per term, and keep the form itself for the memo.
 
 Converting a divisor to its form costs as much as a few steps, and
 callers divide by the same list again and again: completion by its
@@ -41,7 +59,14 @@ growing basis, membership tests by one basis. So the forms of the last
 division are kept in one module-level memo, matched by object identity
 in list order. A call whose list repeats the memo's list, or extends
 it at its end, converts only the members past the common prefix, and
-divides in the memo's fields when they are wider than it needs.
+divides in the memo's fields when they are wider than it needs; when
+its degrees outgrow them, the fields double, as after an overflow, and
+every member is converted again. A new member from ``reduce_s_pair``
+enters the memo as the member after its list; ``leading_monomials``
+takes the memo's forms in any order, so the sorted generators of a
+``GroebnerBasis`` that completion built are not converted again; and
+the members from ``interreduce`` replace the memo, so completion and
+the queries after it never convert what the kernel made.
 Polynomials are values, never mutated, so the same object always has the
 same form; the memo holds its polynomials, so their ids are not reused
 while it lives. An entry is replaced whole and never mutated, so a
@@ -59,10 +84,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .order import MonomialOrder, Packing
-from .ring import Polynomial, RingMismatchError
+from .ring import Monomial, Polynomial, RingMismatchError, _merge
 
 
 class DivisionResult:
@@ -127,22 +152,80 @@ def divide(
         if g.is_zero():
             raise ValueError("zero divisor")
 
-    nvars = len(f.context)
-    known, packing, forms = _recall(divisors)
-    degree = max(
-        [max(map(sum, g.terms), default=0) for g in (f, *divisors[known:])]
-        + [form.degree for form in forms[:known]]
-    )
-    # Room for twice the largest input degree, and the guard bit.
-    width = degree.bit_length() + 2
-    if known and packing is order.packing(nvars, packing.width):
-        # Wider fields divide as well, and keep the memo's forms.
-        width = max(width, packing.width)
-    while True:
-        result = _divide_packed(f, divisors, degree, order.packing(nvars, width))
+    for packing, degree, forms in _packings(divisors, order, max(map(sum, f.terms), default=0)):
+        result = _divide_packed(f, forms, degree, packing)
         if result is not None:
             return result
-        width *= 2
+
+
+def reduce_s_pair(
+    basis: list[Polynomial], i: int, j: int, order: MonomialOrder
+) -> tuple[Polynomial, Monomial] | None:
+    """The S-polynomial of basis[i] and basis[j] reduced modulo basis and
+    made monic, with its leading monomial, or None when it reduces to zero.
+
+    This is ``normal_form(s_polynomial(basis[i], basis[j]), basis)``
+    scaled monic, term order included, for a list of nonzero polynomials
+    in one ring. Its form enters the memo as the member after basis.
+    """
+    global _memo
+    for packing, degree, forms in _packings(basis, order, 0):
+        f_i, f_j = forms[i], forms[j]
+        # Each field of the lcm is at most the larger lead's, so no field
+        # of a shifted tail exceeds twice the degree, which fits.
+        unpack, key = packing.unpack, packing.key
+        k_lcm = key(packing.pack(unpack(f_i.lead).lcm(unpack(f_j.lead))))
+        k_u, k_v = k_lcm - f_i.key, k_lcm - f_j.key
+        common = gcd(f_i.lc, f_j.lc)
+        a, b = f_j.lc // common, f_i.lc // common
+        p = _merge({k + k_u: a * c for k, c in f_i.tail}, [(k + k_v, -b * c) for k, c in f_j.tail])
+        records = _reduce(p, forms, degree, packing, None)
+        if records is None:
+            continue
+        if not records:
+            return None
+        member, form = _monic(records, basis[0]._wrap, packing)
+        _memo = (packing, (*basis, member), (*forms, form))
+        return member, unpack(form.lead)
+
+
+def interreduce(basis: list[Polynomial], keep: list[int], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """For each index in keep, basis[i] with its tail reduced modulo the
+    kept members, made monic.
+
+    This is ``(lead + divide(tail, kept).remainder) / lc`` per kept
+    member, term order included; the kept members' leading monomials
+    must be pairwise indivisible, so no member reduces its own lead.
+    """
+    global _memo
+    for packing, degree, forms in _packings(basis, order, 0):
+        kept = [forms[i] for i in keep]
+        reduced = []
+        for g in kept:
+            records = _reduce(dict(g.tail), kept, degree, packing, None)
+            if records is None:
+                break
+            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], basis[0]._wrap, packing))
+        else:
+            members, member_forms = zip(*reduced)
+            _memo = (packing, members, member_forms)
+            return members
+
+
+def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
+    """The leading monomials of nonzero polynomials, read off the forms
+    that the memo then holds for them. A memo that holds every one of
+    them, in any order, converts none."""
+    global _memo
+    packing, known, forms = _memo
+    # The memo's polynomials are alive, so no other object has their ids.
+    by_id = dict(zip(map(id, known), forms))
+    recalled = tuple(map(by_id.get, map(id, polynomials)))
+    if None not in recalled:
+        _memo = (packing, tuple(polynomials), recalled)
+    packing, _, forms = next(_packings(polynomials, order, 0))
+    unpack = packing.unpack
+    return [unpack(form.lead) for form in forms]
 
 
 # (packing, divisors, their forms) of the last division; see the module
@@ -160,14 +243,38 @@ def _recall(divisors: list[Polynomial]) -> tuple[int, Packing | None, tuple]:
     return n, packing, forms
 
 
-def _forms(divisors: list[Polynomial], packing: Packing) -> tuple[_Form, ...]:
-    """The divisors' forms in packing, converting only those the memo
-    does not hold, and the memo replaced by this list."""
+def _packings(
+    divisors: list[Polynomial], order: MonomialOrder, degree: int
+) -> Iterator[tuple[Packing, int, tuple[_Form, ...]]]:
+    """Packings to divide in, each twice as wide as the last, with the
+    largest total degree of the divisors and of degree, and the divisors'
+    forms in each, which the memo then holds."""
+    nvars = len(divisors[0].context)
+    known, packing, forms = _recall(divisors)
+    degree = max(
+        [degree]
+        + [max(map(sum, g.terms)) for g in divisors[known:]]
+        + [form.degree for form in forms[:known]]
+    )
+    # Room for twice the largest input degree, and the guard bit.
+    width = degree.bit_length() + 2
+    if known and packing is order.packing(nvars, packing.width):
+        # Wider fields divide as well, and keep the memo's forms; fields
+        # that must grow double, so a growing basis seldom converts again.
+        width = packing.width if width <= packing.width else max(width, 2 * packing.width)
+    memo_packing = packing
+    while True:
+        packing = order.packing(nvars, width)
+        yield packing, degree, _forms(divisors, packing, known if packing is memo_packing else 0, forms)
+        width *= 2
+
+
+def _forms(divisors: list[Polynomial], packing: Packing, known: int, forms: tuple) -> tuple[_Form, ...]:
+    """The divisors' forms in packing, the first known of them taken from
+    the memo's forms and the others converted, and the memo replaced by
+    this list."""
     global _memo
-    known, memo_packing, forms = _recall(divisors)
-    if memo_packing is not packing:
-        known = 0
-    elif known == len(divisors) == len(forms):
+    if known == len(divisors) == len(forms):
         return forms
     forms = forms[:known] + tuple(_form(g, packing) for g in divisors[known:])
     _memo = (packing, tuple(divisors), forms)
@@ -215,24 +322,48 @@ def _form(g: Polynomial, packing: Packing) -> _Form:
     return _Form(packing.unkey(k_lead), k_lead, lc, tail, s, t, max(map(sum, g.terms)))
 
 
-def _divide_packed(
-    f: Polynomial, divisors: list[Polynomial], degree: int, packing: Packing
-) -> DivisionResult | None:
-    """The division in one packing, or None if a product could overflow
-    its fields. No input term has a total degree above degree."""
+def _monic(
+    records: list[tuple[int, int, int, int]], wrap: Callable[[dict], Polynomial], packing: Packing
+) -> tuple[Polynomial, _Form]:
+    """The monic polynomial whose terms the remainder records hold, the
+    first record its lead, and its form."""
+    top = records[-1][3]  # scales only grow, so every scale divides it
+    coefficients = [c * (top // scale) for _, _, c, scale in records]
+    content = gcd(*coefficients)
+    if coefficients[0] < 0:
+        content = -content
+    if content != 1:
+        coefficients = [c // content for c in coefficients]
+    lc = coefficients[0]
+    monomials = [packing.unpack(lm) for _, lm, _, _ in records]
+    member = wrap(dict(zip(monomials, [Fraction(c, lc) for c in coefficients])))
+    k_lead, lead = records[0][:2]
+    tail = [(k, c) for (k, _, _, _), c in zip(records[1:], coefficients[1:])]
+    return member, _Form(lead, k_lead, lc, tail, 1, lc, max(map(sum, monomials)))
+
+
+def _reduce(
+    p: dict[int, int], forms: Sequence[_Form], degree: int, packing: Packing, steps: list | None
+) -> list[tuple[int, int, int, int]] | None:
+    """Reduce p, a dict from order key to integer coefficient, by the
+    forms in one packing, consuming p; or None if a product could
+    overflow its fields. Every term of p fits the fields, and no term of
+    a form has a total degree above degree.
+
+    The remainder comes back as records (order key, packed monomial, c,
+    A), largest first: the term c * monomial / A of p's remainder, A the
+    scale when it moved. Each step is appended to steps, when given, as
+    (form index, shift, b, A).
+    """
     unkey, guards = packing.unkey, packing.guards
     # Every field of reach holds degree, so no field of a divisor term
     # times a shift exceeds that field of reach + shift.
     reach = degree * (guards >> (packing.width - 1))
-    forms = _forms(divisors, packing)
     leads = [form.lead for form in forms]
-
-    p, n, d = _integral(f, packing)
     heap = [-k for k in p]
     heapify(heap)
-    steps: list[tuple[int, int, int, int]] = []  # (divisor, shift, b, A)
-    remainder: dict[int, Fraction] = {}
-    scale = 1  # A: the running polynomial is (n / d) * p / A
+    records: list[tuple[int, int, int, int]] = []
+    scale = 1  # A: the running polynomial is p / A
     previous = None
 
     while heap:
@@ -266,7 +397,8 @@ def _divide_packed(
                 # lm_p falls every step, so no divisor sees the same shift
                 # twice. The lead's own product cancels a * c_p exactly, and
                 # c_p has left p already.
-                steps.append((i, shift, b, scale))
+                if steps is not None:
+                    steps.append((i, shift, b, scale))
                 for k_t, c_t in form.tail:
                     m = k_t + k_shift
                     acc = p.get(m)
@@ -281,8 +413,21 @@ def _divide_packed(
                             del p[m]
                 break
         else:
-            remainder[lm_p] = Fraction(n * c_p, d * scale)
+            records.append((k_p, lm_p, c_p, scale))
+    return records
 
+
+def _divide_packed(
+    f: Polynomial, forms: tuple[_Form, ...], degree: int, packing: Packing
+) -> DivisionResult | None:
+    """The division by the forms in their packing, or None if a product
+    could overflow its fields. No input term has a total degree above
+    degree."""
+    p, n, d = _integral(f, packing)
+    steps: list[tuple[int, int, int, int]] = []  # (divisor, shift, b, A)
+    records = _reduce(p, forms, degree, packing, steps)
+    if records is None:
+        return None
     unpack, wrap = packing.unpack, f._wrap
 
     def quotients() -> tuple[Polynomial, ...]:
@@ -292,4 +437,4 @@ def _divide_packed(
             terms[i][unpack(shift)] = Fraction(n * b * form.t, d * step_scale * form.s)
         return tuple(wrap(q) for q in terms)
 
-    return DivisionResult(quotients, wrap({unpack(m): c for m, c in remainder.items()}))
+    return DivisionResult(quotients, wrap({unpack(lm): Fraction(n * c, d * scale) for _, lm, c, scale in records}))

@@ -11,7 +11,11 @@ cancellation, so under lex as under a graded order low-degree work is
 done first.
 
 Each pair's S-polynomial is reduced to normal form against the current
-basis; a nonzero normal form is made monic and enters the basis. Every
+basis; a nonzero normal form is made monic and enters the basis. The
+division kernel does both in its integer forms (``division.reduce_s_pair``):
+completion hands it the pair's indices, and it hands back the new monic
+member with its leading monomial, so no S-polynomial is built as a
+``Polynomial`` and no leading term is searched for. Every
 member, the inputs first, enters through the Gebauer-Moeller update
 (Gebauer and Moeller, "On an installation of Buchberger's algorithm",
 1988), which drops the pairs that the pairs it keeps make redundant:
@@ -31,16 +35,17 @@ The loop ends with an unreduced Groebner basis containing the input
 generators; which other members it holds depends on this algorithm.
 ``reduce_basis`` then drops members whose leading terms are divisible
 by another member's, interreduces the survivors, and scales them monic,
-yielding the unique reduced basis for the ideal and order. Neither sorts
-its result: a ``GroebnerBasis`` sorts its generators by leading monomial
-when it is built.
+yielding the unique reduced basis for the ideal and order; the kernel
+interreduces the survivors' integer forms (``division.interreduce``).
+Neither sorts its result: a ``GroebnerBasis`` sorts its generators by
+leading monomial when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .division import divide
+from .division import divide, interreduce, leading_monomials, reduce_s_pair
 from .order import MonomialOrder, leading_monomial, leading_term
 from .ring import Monomial, Polynomial, RingMismatchError, _merge
 
@@ -105,7 +110,9 @@ def normal_form(
     return divide(f, list(basis), order).remainder
 
 
-def buchberger(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+def buchberger(
+    generators: list[Polynomial], order: MonomialOrder, stats: dict | None = None
+) -> GroebnerBasis:
     """Complete a generating set to a Groebner basis.
 
     Zero generators are stripped first; an empty or all-zero input is an
@@ -116,6 +123,14 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBa
     basis is not unique and only ``reduce_basis`` of it is. A basis of
     more than ``MAX_BASIS_SIZE`` members raises a ValueError, so a runaway
     computation fails cleanly instead of looping without bound.
+
+    Given a dict as stats, completion adds its work to it, once per pair
+    and per member: ``pairs_formed`` (each entering member with each
+    member it is paired with), the pairs of those pruned by the lcm
+    criterion (``pruned_lcm``) and by the product criterion
+    (``pruned_product``), older pairs pruned by the chain criterion
+    (``pruned_chain``), ``s_pairs_reduced``, the ``new_members`` they gave,
+    and ``basis_high_water``, the most members held, kept as a maximum.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
@@ -143,9 +158,9 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBa
         for n, (k, m, coprime) in enumerate(formed):
             if coprime or not any(w.divides(m) for _, w, _ in formed[n + 1 :] + kept):
                 kept.append((k, m, coprime))
-        for (i, j), (_, _, m) in list(pairs.items()):
-            if t.divides(m) and with_t[i] != m != with_t[j]:
-                del pairs[i, j]
+        chained = [(i, j) for (i, j), (_, _, m) in pairs.items() if t.divides(m) and with_t[i] != m != with_t[j]]
+        for pair in chained:
+            del pairs[pair]
         for k, m, coprime in kept:
             if not coprime:
                 d = m.degree
@@ -155,25 +170,33 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBa
         G.append(h)
         lms.append(t)
         sugars.append(sugar)
+        if stats is not None:
+            coprime = sum(c for _, _, c in kept)
+            _add(stats, pairs_formed=len(formed), pruned_lcm=len(formed) - len(kept),
+                 pruned_product=coprime, pruned_chain=len(chained))
+            stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(G))
 
-    for g in inputs:
-        enter(g, leading_monomial(g, order), max(m.degree for m in g.terms))
+    for g, lm in zip(inputs, leading_monomials(inputs, order)):
+        enter(g, lm, max(m.degree for m in g.terms))
 
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar = pairs.pop((i, j))[0]
-        s = s_polynomial(G[i], G[j], order)
-        if s.is_zero():
+        reduced = reduce_s_pair(G, i, j, order)
+        if stats is not None:
+            _add(stats, s_pairs_reduced=1, new_members=reduced is not None)
+        if reduced is None:
             continue
-        h = normal_form(s, G, order)
-        if h.is_zero():
-            continue
-        lm = leading_monomial(h, order)
-        enter(h / h.terms[lm], lm, sugar)
+        enter(*reduced, sugar)
         if len(G) > MAX_BASIS_SIZE:
             raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
 
     return GroebnerBasis(tuple(G), order, reduced=False)
+
+
+def _add(stats: dict, **counts: int) -> None:
+    for name, n in counts.items():
+        stats[name] = stats.get(name, 0) + n
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -181,19 +204,21 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
 
     Drop any member whose leading term another surviving member's
     leading term divides, replace each survivor by its remainder modulo
-    the others, and scale everything monic. Idempotent.
+    the others, and scale everything monic. Idempotent. The kernel reads
+    the leading monomials off the members' integer forms and
+    interreduces those forms (``division.interreduce``), so no lead or
+    tail is built as a ``Polynomial``.
     """
     order = basis.order
+    generators = list(basis.generators)
+    lms = leading_monomials(generators, order)
     # A leading monomial that divides another is never larger, so in
     # the basis's ascending order every dominating member comes first;
     # of two equal leading monomials the first is kept.
-    survivors: list[Polynomial] = []
-    kept_lms = []
-    for g in basis.generators:
-        lm = leading_monomial(g, order)
-        if not any(m.divides(lm) for m in kept_lms):
-            survivors.append(g)
-            kept_lms.append(lm)
+    survivors: list[int] = []
+    for i, lm in enumerate(lms):
+        if not any(lms[k].divides(lm) for k in survivors):
+            survivors.append(i)
 
     # One pass suffices: leading terms are now pairwise indivisible, so
     # interreduction only rewrites trailing terms and never disturbs the
@@ -201,14 +226,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     # below its own lead, which therefore never divides it, so each tail
     # is reduced by one list of all survivors; that list is a Groebner
     # basis, so the remainder is the unique normal form either way.
-    monic = []
-    for g, lm in zip(survivors, kept_lms):
-        lead = g._wrap({lm: g.terms[lm]})
-        tail = g - lead
-        if tail:
-            tail = divide(tail, survivors, order).remainder
-        monic.append((lead + tail) / g.terms[lm])
-    return GroebnerBasis(tuple(monic), order, reduced=True)
+    return GroebnerBasis(interreduce(generators, survivors, order), order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:

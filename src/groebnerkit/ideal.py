@@ -163,7 +163,7 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
 def _integral(f: Polynomial, var: int) -> list[int]:
     """f's coefficients in var scaled by the positive lcm of their
     denominators: integers with the same signs."""
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    scale = math.lcm(*[c.denominator for c in f.terms.values()])
     coeffs = [0] * (1 + max(m[var] for m in f.terms))
     for m, c in f.terms.items():
         coeffs[m[var]] = c.numerator * (scale // c.denominator)

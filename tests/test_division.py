@@ -9,8 +9,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from groebnerkit import division
-from groebnerkit.division import DivisionResult, divide
-from groebnerkit.order import GREVLEX, LEX, leading_monomial
+from groebnerkit.division import DivisionResult, divide, reduce_s_pair
+from groebnerkit.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_polynomial
+from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_monomial
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import Polynomial, RingMismatchError
 
@@ -112,9 +113,9 @@ def widths_tried(monkeypatch) -> list[int]:
     widths = []
     packed = division._divide_packed
 
-    def spy(f, divisors, degree, packing):
+    def spy(f, forms, degree, packing):
         widths.append(packing.width)
-        return packed(f, divisors, degree, packing)
+        return packed(f, forms, degree, packing)
 
     monkeypatch.setattr(division, "_divide_packed", spy)
     return widths
@@ -143,9 +144,9 @@ class TestFieldWidth:
     def test_inputs_past_their_fields_are_refused_not_divided(self):
         # Width 3 holds exponents up to 3; x^4 sets a guard bit, which the
         # step that takes it must catch.
-        f, g = _xy("x^4 + y"), _xy("x + 1")
+        f, g, packing = _xy("x^4 + y"), _xy("x + 1"), LEX.packing(2, 3)
         with pytest.raises(RuntimeError, match="order"):
-            division._divide_packed(f, [g], 4, LEX.packing(2, 3))
+            division._divide_packed(f, (division._form(g, packing),), 4, packing)
 
 
 class TestErrors:
@@ -228,6 +229,148 @@ class TestDivisionProperties:
                 continue
             product = q * g
             assert key(leading_monomial(product, order)) <= bound
+
+
+def ring_lists(max_size):
+    """A ring, and a list of nonzero polynomials in it."""
+    return st.sampled_from([CTX_XY, CTX_XYZ]).flatmap(
+        lambda ctx: st.lists(nonzero_polynomials(ctx, max_terms=4, max_exponent=3), min_size=1, max_size=max_size)
+    )
+
+
+def as_items(p: Polynomial) -> list:
+    """p's terms in their stored order, which printing and pickling keep."""
+    return list(p.terms.items())
+
+
+def monic_items(p: Polynomial, order) -> list:
+    return as_items(p / p.terms[leading_monomial(p, order)])
+
+
+def reference_reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
+    """reduce_basis as lead plus the remainder of the tail, over lc."""
+    order, survivors, lms = basis.order, [], []
+    for g in basis.generators:
+        lm = leading_monomial(g, order)
+        if not any(m.divides(lm) for m in lms):
+            survivors.append(g)
+            lms.append(lm)
+    monic = []
+    for g, lm in zip(survivors, lms):
+        lead = g._wrap({lm: g.terms[lm]})
+        tail = g - lead
+        if tail:
+            tail = divide(tail, survivors, order).remainder
+        monic.append((lead + tail) / g.terms[lm])
+    return GroebnerBasis(tuple(monic), order, reduced=True)
+
+
+class TestCompletionEntries:
+    """The kernel's S-pair and interreduction entries give what the
+    Polynomial routes give, term order included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_lists(4), orders(), st.data())
+    def test_s_pair_entry_is_the_monic_normal_form(self, basis, order, data):
+        i, j = (data.draw(st.integers(0, len(basis) - 1)) for _ in range(2))
+        expected = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        result = reduce_s_pair(basis, i, j, order)
+        if expected.is_zero():
+            assert result is None
+        else:
+            member, lead = result
+            assert lead == leading_monomial(expected, order)
+            assert as_items(member) == monic_items(expected, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_lists(4), orders())
+    def test_s_pair_entry_on_wide_coefficients(self, basis, order):
+        basis = [g * Fraction(10**30 + k, 10**17 + 3 * k) for k, g in enumerate(basis, 1)]
+        expected = normal_form(s_polynomial(basis[0], basis[-1], order), basis, order)
+        result = reduce_s_pair(basis, 0, len(basis) - 1, order)
+        assert (result is None) == expected.is_zero()
+        if result is not None:
+            assert as_items(result[0]) == monic_items(expected, order)
+
+    def test_zero_s_polynomial_and_zero_normal_form_give_no_member(self):
+        g = _xy("x^2*y - 3*y + 1/2")
+        assert s_polynomial(g, 3 * g, GRLEX).is_zero()
+        assert reduce_s_pair([g, 3 * g], 0, 1, GRLEX) is None
+        # A reduced basis: S(x*y, y^2 - 1/2*x) is 1/2*x^2, which x^2 reduces.
+        basis = [_xy("x^2"), _xy("x*y"), _xy("y^2 - 1/2*x")]
+        assert not s_polynomial(basis[1], basis[2], GRLEX).is_zero()
+        assert reduce_s_pair(basis, 1, 2, GRLEX) is None
+
+    def test_new_member_enters_the_memo(self, monkeypatch):
+        # The S-polynomial is -y^2 - x + 3*y: a negative lead and two
+        # tail terms, which the member's form keeps in order.
+        basis = [_xy("x^2 - y + 3"), _xy("x*y + 1")]
+        member, _ = reduce_s_pair(basis, 0, 1, GREVLEX)
+        assert as_items(member) == [((0, 2), 1), ((1, 0), 1), ((0, 1), -3)]
+        # The kernel keeps the form that converting the member would give.
+        packing, held, forms = division._memo
+        assert held == (*basis, member) and held[-1] is member
+        assert forms[-1] == division._form(member, packing)
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+        grown = basis + [member]
+        f = _xy("x^2*y + x - 7")  # of no higher degree than the basis
+        assert divide(f, grown, GREVLEX) == reference_divide(f, grown, GREVLEX)
+        assert converted == []
+
+    def test_completion_and_reduction_convert_only_the_inputs(self, monkeypatch):
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+        gens = [_xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")]
+        raw = buchberger(gens, GRLEX)
+        assert len(raw) == 5 and converted == gens
+        # The raw basis sorts its members; reduce_basis converts none of
+        # them, and queries against the reduced basis convert none either.
+        reduced = reduce_basis(raw)
+        f = _xy("x^2*y + 3*y - 1")
+        assert normal_form(f, list(reduced), GRLEX) == reference_divide(f, list(reduced), GRLEX).remainder
+        assert converted == gens
+
+    def test_lex_s_pair_past_the_memo_width_repacks(self, monkeypatch):
+        # S(x - y^3, x^2 - z) = -x*y^3 + z, which y - z^3 turns into
+        # z^18: past the fields of width 4 that degree 3 asks for.
+        basis = [parse_polynomial(t, CTX_XYZ) for t in ("x - y^3", "y - z^3", "x^2 - z")]
+        tried = []
+        reduce = division._reduce
+
+        def spy(p, forms, degree, packing, steps):
+            records = reduce(p, forms, degree, packing, steps)
+            tried.append((packing.width, records is None))
+            return records
+
+        monkeypatch.setattr(division, "_reduce", spy)
+        member, lead = reduce_s_pair(basis, 0, 2, LEX)
+        assert tried == [(4, True), (8, False)]
+        monkeypatch.undo()
+        expected = normal_form(s_polynomial(basis[0], basis[2], LEX), basis, LEX)
+        assert as_items(member) == monic_items(expected, LEX)
+        assert as_items(member) == [((0, 0, 18), 1), ((0, 0, 1), -1)]
+        assert lead == (0, 0, 18)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_lists(5), orders())
+    def test_interreduction_is_lead_plus_reduced_tail(self, generators, order):
+        basis = GroebnerBasis(tuple(generators), order, reduced=False)
+        expected = reference_reduce_basis(basis)
+        result = reduce_basis(basis)
+        assert [as_items(g) for g in result] == [as_items(g) for g in expected]
 
 
 class TestDivisorMemo:

@@ -171,49 +171,49 @@ class TestBuchberger:
         ],
         ids=["product", "chain"],
     )
-    def test_pair_criteria_are_only_an_optimization(self, monkeypatch, gens, order):
+    def test_pair_criteria_are_only_an_optimization(self, gens, order):
         # Completion reduces neither coprime pairs (product criterion) nor
         # pairs the Gebauer-Moeller update drops; every S-pair of its
         # result, the pruned ones included, must still reduce to zero.
-        s_pairs = []
-        real = groebner.s_polynomial
-
-        def counting(p, q, order):
-            s_pairs.append((p, q))
-            return real(p, q, order)
-
-        monkeypatch.setattr(groebner, "s_polynomial", counting)
         ctx = CTX_XYZ if "z" in "".join(gens) else CTX_XY
-        basis = buchberger([parse_polynomial(g, ctx) for g in gens], order)
-        monkeypatch.undo()
+        inputs = [parse_polynomial(g, ctx) for g in gens]
+        stats = {}
+        basis = buchberger(inputs, order, stats)
         lms = [leading_monomial(g, order) for g in basis.generators]
         pairs = list(itertools.combinations(lms, 2))
         assert any(p.is_coprime_with(q) for p, q in pairs)
-        assert len(s_pairs) < sum(not p.is_coprime_with(q) for p, q in pairs)
+        assert stats["s_pairs_reduced"] < sum(not p.is_coprime_with(q) for p, q in pairs)
+        assert stats["pruned_product"] > 0 and stats["pruned_chain"] > 0
+        # Every pair formed is pruned once or reduced once.
+        pruned = stats["pruned_lcm"] + stats["pruned_product"] + stats["pruned_chain"]
+        assert stats["pairs_formed"] - pruned == stats["s_pairs_reduced"]
+        assert stats["new_members"] == len(basis) - len(inputs)
+        assert stats["basis_high_water"] == len(basis)
         assert_buchberger_criterion(basis)
 
-    def test_cyclic4_work_is_independent_of_input_order(self, monkeypatch):
+    def test_stats_add_to_the_callers_record(self):
+        gens = [_xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")]
+        once, twice = {}, {"basis_high_water": 9}
+        assert buchberger(gens, GRLEX, once) == buchberger(gens, GRLEX)
+        buchberger(gens, GRLEX, twice)
+        buchberger(gens, GRLEX, twice)
+        assert twice == {name: 2 * n for name, n in once.items()} | {"basis_high_water": 9}
+        assert once["basis_high_water"] == 5
+
+    def test_cyclic4_work_is_independent_of_input_order(self):
         ctx = VariableContext(["a", "b", "c", "d"])
         cyclic4 = parse_system(
             ["a + b + c + d", "a*b + b*c + c*d + d*a",
              "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"],
             ctx,
         )
-        real = groebner.normal_form
         results = []
         for perm in itertools.permutations(cyclic4):
-            calls = []
-
-            def counting(f, basis, order):
-                calls.append(f)
-                return real(f, basis, order)
-
-            monkeypatch.setattr(groebner, "normal_form", counting)
-            basis = buchberger(list(perm), GREVLEX)
-            monkeypatch.undo()
-            # Each order takes 11 normal forms; a FIFO pair queue without
-            # the Gebauer-Moeller criteria took 35 to 114.
-            assert len(calls) <= 15
+            stats = {}
+            basis = buchberger(list(perm), GREVLEX, stats)
+            # Each order reduces 11 S-pairs; a FIFO pair queue without the
+            # Gebauer-Moeller criteria took 35 to 114 normal forms.
+            assert stats["s_pairs_reduced"] <= 15
             results.append(canonical(reduce_basis(basis)))
         assert all(r == results[0] for r in results)
 

@@ -44,6 +44,10 @@ def touch_every_layer():
 def test_every_layer_metric_is_nonzero():
     metrics = traced_metrics(touch_every_layer)
     del metrics["kinematics.completion_ms"]  # see the test below
+    # Completion reduces its S-pairs inside the division kernel, and no
+    # caller here builds an S-polynomial; see
+    # test_completion_counts_its_own_reductions.
+    del metrics["groebner.spoly_calls"]
     assert [k for k, v in metrics.items() if not v > 0] == []
 
 
@@ -54,16 +58,22 @@ def test_ik_solve_runs_no_completion():
     assert metrics["kinematics.ik_solve_ms"] > 0
 
 
-def test_completion_alone_reaches_the_reduction_counters():
-    # Completion's own S-polynomials and normal forms, with no caller's
-    # normal_form or is_member to stand in for them.
+# Completion of SYSTEM as the tracer counted it when completion still
+# called s_polynomial and normal_form: (S-polynomials, normal forms,
+# normal forms that were zero).
+TRACED_COMPLETION = {gk.LEX: (3, 3, 1), gk.GREVLEX: (2, 2, 1)}
+
+
+def test_completion_counts_its_own_reductions():
+    # Completion hands the kernel its pairs, so the tracer's wrappers see
+    # none of its reductions; its own record counts them instead, as the
+    # tracer did before.
     system = gk.parse_system(SYSTEM, CTX)
     metrics = traced_metrics(lambda: gk.buchberger(system, gk.LEX))
-    for name in (
-        "order.leading_term_calls",
-        "division.divide_calls",
-        "groebner.spoly_calls",
-        "groebner.normal_form_calls",
-        "groebner.zero_reductions",
-    ):
-        assert metrics[name] > 0, name
+    for name in ("groebner.spoly_calls", "groebner.normal_form_calls", "division.divide_calls"):
+        assert metrics[name] == 0, name
+    for order, (spolys, normal_forms, zeros) in TRACED_COMPLETION.items():
+        stats = {}
+        gk.buchberger(system, order, stats)
+        assert stats["s_pairs_reduced"] == spolys
+        assert stats["new_members"] == normal_forms - zeros
