@@ -3,21 +3,23 @@
 The joint angles enter through their cosines and sines, turning the
 forward-kinematics equations into polynomials over (c1, s1, c2, s2)
 with two unit-circle constraints. Their reduced lex basis, c1 > s1 >
-c2 > s2, is written term by term. With r^2 = x^2 + y^2, the law of
-cosines cos2 = (r^2 - l1^2 - l2^2) / (2*l1*l2) and A = l1 + l2*cos2:
+c2 > s2, is a closed form. With r^2 = x^2 + y^2, the law of cosines
+cos2 = (r^2 - l1^2 - l2^2) / (2*l1*l2) and A = l1 + l2*cos2:
 
     s2^2 + cos2^2 - 1,  c2 - cos2,
     s1 - (A*y - l2*x*s2) / r^2,  c1 - (A*x + l2*y*s2) / r^2,
 
 the unit circle, the law of cosines and Cramer's rule on the linear
-system in (c1, s1), of determinant r^2. They lie in the ideal, and
-each system polynomial is checked to reduce to zero modulo them, so
-they generate it. Their leading monomials s2^2, c2, s1 and c1 are
-pairwise coprime (Buchberger's product criterion), each is monic and
-every tail is a constant or linear in s2: the basis is reduced and in
-shape position. At the origin, reachable only when l1 == l2, the
-folded arm points anywhere. The real roots of the first member are
-isolated exactly over Q and the others evaluated at each.
+system in (c1, s1), of determinant r^2. They generate the system's
+ideal wherever l1*l2*r^2 != 0: tests/test_kinematics.py writes each
+system polynomial as a combination of them, and each of them as one
+of the system, once over Q[l1, l2, x, y]. Their leading monomials
+s2^2, c2, s1 and c1 are pairwise coprime (Buchberger's product
+criterion), each is monic and every tail is a constant or linear in
+s2: the basis is reduced and in shape position. At the origin,
+reachable only when l1 == l2, the folded arm points anywhere. The
+real roots of the first member are isolated exactly over Q and the
+others evaluated at each.
 
 Ints and Fractions are read as themselves, and a float as the shortest
 decimal that reads back as the same float (its repr). The workspace
@@ -27,15 +29,13 @@ circle when its decimal is, and out of reach when outside by any margin.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .division import divide
-from .groebner import GroebnerBasis
 from .ideal import univariate_real_roots
-from .order import LEX
 from .reals import Real, all_finite
 from .ring import Polynomial, VariableContext
 
@@ -47,6 +47,7 @@ _CONTEXT = VariableContext(IK_VARIABLES)
 _C1, _S1, _C2, _S2 = (Polynomial.variable(_CONTEXT, n) for n in IK_VARIABLES)
 _COS12, _SIN12 = (_C1 * _C2 - _S1 * _S2, _S1 * _C2 + _C1 * _S2)
 _CIRCLES = (_C1 * _C1 + _S1 * _S1 - 1, _C2 * _C2 + _S2 * _S2 - 1)
+_S2_SQUARED = _S2 * _S2
 
 
 @dataclass(frozen=True)
@@ -115,29 +116,32 @@ def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyno
     return [l1 * _C1 + l2 * _COS12 - x, l1 * _S1 + l2 * _SIN12 - y, *_CIRCLES]
 
 
-def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
-    """The reduced lex basis at the given rationals, term by term (see
-    the module docstring). The target may not be the origin."""
+def _closed_form(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
+    """The basis's cos2, A*y/r^2, l2*x/r^2, A*x/r^2 and l2*y/r^2; not at the origin."""
     r2 = x * x + y * y
     cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
     a = l1 + l2 * cos2
-    return [
-        _S2 * _S2 + (cos2 * cos2 - 1),
-        _C2 - cos2,
-        _S1 - (a * y - l2 * x * _S2) / r2,
-        _C1 - (a * x + l2 * y * _S2) / r2,
-    ]
+    return cos2, a * y / r2, l2 * x / r2, a * x / r2, l2 * y / r2
 
 
-def _basis(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> GroebnerBasis:
-    """The reduced lex basis of the system. The members lie in the ideal;
-    the system reducing to zero modulo them proves they generate all of
-    it. The target may not be the origin."""
-    members = _members(l1, l2, x, y)
-    for f in _system(l1, l2, x, y):
-        if divide(f, members, LEX).remainder:
-            raise RuntimeError("the IK system does not reduce to zero modulo its basis members")
-    return GroebnerBasis(tuple(members), LEX, reduced=True)
+def _eliminant(form: tuple[Fraction, ...]) -> Polynomial:
+    """s2^2 + cos2^2 - 1, the basis member in s2 alone."""
+    return _S2_SQUARED + (form[0] * form[0] - 1)
+
+
+def _lifts(form: tuple[Fraction, ...], s2):
+    """c2, s1 and c1 as the other members give them: polynomials at _S2,
+    exact Fractions at a root (near the origin a coefficient can pass the
+    float range while its product with the small root does not)."""
+    cos2, ay, l2x, ax, l2y = form
+    return cos2, ay - l2x * s2, ax + l2y * s2
+
+
+def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
+    """The reduced lex basis at the given rationals, sorted s2 < c2 < s1 < c1."""
+    form = _closed_form(l1, l2, x, y)
+    c2, s1, c1 = _lifts(form, _S2)
+    return [_eliminant(form), _C2 - c2, _S1 - s1, _C1 - c1]
 
 
 def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[float, float]:
@@ -152,27 +156,32 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     """All joint-angle solutions for the target, sorted by theta1.
 
     Each real root of the eliminant in s2 gives one candidate pose
-    through the three lifts (see the module docstring). Unreachable
-    targets report an empty solution list with an "unreachable"
-    diagnostic. The origin for equal links admits a continuum of poses
-    and is an error: the solution set is not finite.
+    through the three lifts; the module docstring says where they are
+    proved. Unreachable targets report an empty solution list with an
+    "unreachable" diagnostic. The origin for equal links admits a
+    continuum of poses and is an error: the solution set is not finite.
 
     tol is an absolute position tolerance in the arm's length unit. A
     pose is kept when forward kinematics of the arm lands within 10*tol
     of the target, and that distance is its residual. Float arithmetic
     cannot meet a tol below the floor 2^-52 * max(1, l1 + l2), and such
-    a tol is an error. A float is read as the decimal it prints; pass
-    Fraction(1, 3), not 1/3, for an exact third.
+    a tol is an error, as is a reach l1 + l2 beyond the float range. A
+    float is read as the decimal it prints; pass Fraction(1, 3), not
+    1/3, for an exact third.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     l1, l2 = _exact(arm.l1), _exact(arm.l2)
     x, y = _exact(target.x), _exact(target.y)
     # The pose check sees float errors of a few ulps of the reach.
-    scale = max(1.0, float(l1 + l2))
+    try:
+        scale = max(1.0, float(l1 + l2))
+    except OverflowError:
+        raise ValueError("the reach l1 + l2 is beyond the float range") from None
     floor = 2**-52 * scale
     if tol < floor:
-        raise ValueError(f"tol {float(tol):g} is below the floor {floor:.3g} that float arithmetic can meet for this arm")
+        shown = float(tol) or decimal.Context(prec=6, Emin=decimal.MIN_EMIN).divide(tol.numerator, tol.denominator)
+        raise ValueError(f"tol {shown:g} is below the floor {floor:.3g} that float arithmetic can meet for this arm")
 
     # The algebra is exact: outside the annulus by any margin, no real pose.
     radius_sq = x * x + y * y
@@ -182,13 +191,12 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     if radius_sq == 0:
         raise ValueError("solution set not finite")
 
-    eliminant, *lifts = _basis(l1, l2, x, y).generators
-
+    form = _closed_form(l1, l2, x, y)
     solutions = []
     # s2 is unitless; an error in it moves the end effector by up to the reach.
-    for root in univariate_real_roots(eliminant, tol * 1e-2 / scale):
+    for root in univariate_real_roots(_eliminant(form), tol * 1e-2 / scale):
         s2 = Fraction(root)
-        c2, s1, c1 = (_lift_value(g, s2) for g in lifts)  # sorted c2 < s1 < c1
+        c2, s1, c1 = _lifts(form, s2)
         theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
         fx, fy = forward_kinematics(arm, theta1, theta2)
         residual = abs(fx - float(x)) + abs(fy - float(y))
@@ -199,15 +207,6 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     solutions = _deduplicate(solutions, tol / scale)
     solutions.sort(key=lambda s: (s.theta1, s.theta2))
     return IKResult(solutions=tuple(solutions), diagnostic=None)
-
-
-def _lift_value(g: Polynomial, s2: Fraction) -> Fraction:
-    """h(s2) for a lift v - h(s2), the value it gives its variable v.
-
-    Exact: near the origin a coefficient of h can pass the float range
-    while its product with the small root s2 does not.
-    """
-    return -sum(c * s2 ** m[-1] for m, c in g.terms.items() if not any(m[:-1]))
 
 
 def _angle(cosine: Fraction, sine: Fraction) -> float:

@@ -358,6 +358,13 @@ class TestIkCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: tol ") and "below the floor" in captured.err
 
+    def test_reach_past_the_float_range_exits_1(self, capsys):
+        flags = ["--l1", "1e308", "--l2", "1e308", "--x", "1e308", "--y", "1e308"]
+        assert run(["ik", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the reach l1 + l2 is beyond the float range\n"
+
 
 class TestOscillatorCommand:
     ARGS = ["oscillator", "--m", "1", "--k", "1", "--y0", "0", "--y1", "1"]

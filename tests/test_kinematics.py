@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from groebnerkit import kinematics
+from groebnerkit.division import divide
 from groebnerkit.groebner import GroebnerBasis, groebner_basis, reduce_basis
 from groebnerkit.ideal import is_member
 from groebnerkit.kinematics import (
@@ -379,8 +381,7 @@ class TestParametricBasis:
 
     def test_basis_is_tagged_reduced_and_is_reduced(self):
         for l1, l2, x, y in seeded_rationals(50):
-            basis = kinematics._basis(l1, l2, x, y)
-            assert basis.reduced
+            basis = GroebnerBasis(tuple(kinematics._members(l1, l2, x, y)), LEX, reduced=True)
             assert reduce_basis(basis) == basis
 
 
@@ -428,7 +429,7 @@ class TestSpecialisedBasis:
             if not (sl1 - sl2) ** 2 <= r2 <= (sl1 + sl2) ** 2 or not r2:
                 continue
             direct = groebner_basis(ik_system(ArmSpec(l1, l2), Target(x, y)), LEX)
-            specialised = kinematics._basis(sl1, sl2, sx, sy)
+            specialised = GroebnerBasis(tuple(kinematics._members(sl1, sl2, sx, sy)), LEX, reduced=True)
             assert [g.terms for g in specialised] == [g.terms for g in direct], (l1, l2, x, y)
             compared += 1
         assert compared >= 400
@@ -460,16 +461,165 @@ class TestSpecialisedBasis:
             assert ik_system(ArmSpec(l1, l2), Target(x, y)) == expected
             assert kinematics._system(l1, l2, x, y) == expected
 
-    def test_members_that_miss_the_system_raise(self, monkeypatch):
-        members = kinematics._members
+    def test_system_reduces_to_zero_modulo_the_members(self):
+        # The proof below, seen at seeded targets: divided by the members,
+        # each system polynomial leaves no remainder.
+        checked = 0
+        for target in itertools.chain(seeded_rationals(100), sweep_targets(20)):
+            l1, l2, x, y = map(kinematics._exact, target)
+            if not (x or y):
+                continue  # the closed form divides by r^2
+            members = kinematics._members(l1, l2, x, y)
+            for f in kinematics._system(l1, l2, x, y):
+                assert not divide(f, members, LEX).remainder, target
+            checked += 1
+        assert checked >= 250
 
-        def corrupted(*args):
-            s2_squared, c2, s1, c1 = members(*args)
-            return [s2_squared, c2 + Fraction(1, 7), s1, c1]
+    def test_ik_solve_lifts_zero_the_members(self, monkeypatch):
+        # ik_solve isolates the roots of the first member and lifts each
+        # through the other three, all read off one closed form: at every
+        # pose it lifts, those three vanish exactly, and so does the first
+        # where the root is exact (theta2 a multiple of pi/2).
+        eliminants, angles = [], []
+        roots, angle = kinematics.univariate_real_roots, kinematics._angle
+        monkeypatch.setattr(kinematics, "univariate_real_roots", lambda p, tol: eliminants.append(p) or roots(p, tol))
+        monkeypatch.setattr(kinematics, "_angle", lambda c, s: angles.append((c, s)) or angle(c, s))
+        lifted = exact = 0
+        for target in sweep_targets(40):
+            eliminants.clear()
+            angles.clear()
+            try:
+                ik_solve(ArmSpec(*target[:2]), Target(*target[2:]))
+            except ValueError:
+                continue  # the folded arm of equal links at the origin
+            if not eliminants:
+                continue  # out of reach
+            members = kinematics._members(*map(kinematics._exact, target))
+            assert eliminants == members[:1]
+            for (c1, s1), (c2, s2) in zip(angles[::2], angles[1::2]):
+                values = [value_at(m, (c1, s1, c2, s2)) for m in members]
+                assert values[1:] == [0, 0, 0], target
+                exact += values[0] == 0
+                lifted += 1
+        assert lifted >= 300 and exact >= 20
 
-        monkeypatch.setattr(kinematics, "_members", corrupted)
-        with pytest.raises(RuntimeError, match="does not reduce to zero"):
-            ik_solve(ArmSpec(1, 1), Target(1, 1))
+
+def value_at(p, point):
+    """p at a point, exactly."""
+    return sum(c * math.prod(v**e for v, e in zip(point, m)) for m, c in p.terms.items())
+
+
+# ---- the closed form, proved once over Q[l1, l2, x, y] ------------------
+
+# Each member of kinematics._members with its denominator cleared, and
+# that denominator: M_j = d_j * m_j.
+CLEARED_MEMBERS = [
+    ("4*l1^2*l2^2*s2^2 + (x^2 + y^2 - l1^2 - l2^2)^2 - 4*l1^2*l2^2", "4*l1^2*l2^2"),
+    ("2*l1*l2*c2 - (x^2 + y^2 - l1^2 - l2^2)", "2*l1*l2"),
+    ("2*l1*(x^2 + y^2)*s1 - (x^2 + y^2 + l1^2 - l2^2)*y + 2*l1*l2*x*s2", "2*l1*(x^2 + y^2)"),
+    ("2*l1*(x^2 + y^2)*c1 - (x^2 + y^2 + l1^2 - l2^2)*x - 2*l1*l2*y*s2", "2*l1*(x^2 + y^2)"),
+]
+# k_i * F_i = sum_j a_ij * M_j for the PARAMETRIC_SYSTEM polynomials F_i:
+# k_i, then a_i1 .. a_i4.
+SYSTEM_FROM_MEMBERS = [
+    ("4*l1^2*(x^2 + y^2)",
+     ["x", "2*l1*(x^2 + y^2)*c1", "-2*l1*l2*s2", "x^2 + y^2 + l1^2 - l2^2"]),
+    ("4*l1^2*(x^2 + y^2)",
+     ["y", "2*l1*(x^2 + y^2)*s1", "x^2 + y^2 + l1^2 - l2^2", "2*l1*l2*s2"]),
+    ("4*l1^2*(x^2 + y^2)^2",
+     ["x^2 + y^2", "0",
+      "2*l1*(x^2 + y^2)*s1 + (x^2 + y^2 + l1^2 - l2^2)*y - 2*l1*l2*x*s2",
+      "2*l1*(x^2 + y^2)*c1 + (x^2 + y^2 + l1^2 - l2^2)*x + 2*l1*l2*y*s2"]),
+    ("4*l1^2*l2^2",
+     ["1", "2*l1*l2*c2 + x^2 + y^2 - l1^2 - l2^2", "0", "0"]),
+]
+# M_j = sum_i b_ji * F_i: b_j1 .. b_j4. The second is the law of cosines
+# from |(x, y)|^2; the first follows from it and the unit circle in s2,
+# the last two from Cramer's rule on F_1 and F_2.
+MEMBERS_FROM_SYSTEM = [
+    ["-(2*l1*l2*c2 + x^2 + y^2 - l1^2 - l2^2)*(l1*c1 + l2*(c1*c2 - s1*s2) + x)",
+     "-(2*l1*l2*c2 + x^2 + y^2 - l1^2 - l2^2)*(l1*s1 + l2*(s1*c2 + c1*s2) + y)",
+     "(2*l1*l2*c2 + x^2 + y^2 - l1^2 - l2^2)*(l1^2 + 2*l1*l2*c2 + l2^2*(c2^2 + s2^2))",
+     "(2*l1*l2*c2 + x^2 + y^2 - l1^2 - l2^2)*l2^2 + 4*l1^2*l2^2"],
+    ["l1*c1 + l2*(c1*c2 - s1*s2) + x",
+     "l1*s1 + l2*(s1*c2 + c1*s2) + y",
+     "-(l1^2 + 2*l1*l2*c2 + l2^2*(c2^2 + s2^2))",
+     "-l2^2"],
+    ["-2*l1*l2*s2 + (y - 2*l1*s1)*(l1*c1 + l2*(c1*c2 - s1*s2) + x)",
+     "2*l1*(l1 + l2*c2) + (y - 2*l1*s1)*(l1*s1 + l2*(s1*c2 + c1*s2) + y)",
+     "-(y - 2*l1*s1)*(l1^2 + 2*l1*l2*c2 + l2^2*(c2^2 + s2^2))",
+     "-l2^2*y"],
+    ["2*l1*(l1 + l2*c2) + (x - 2*l1*c1)*(l1*c1 + l2*(c1*c2 - s1*s2) + x)",
+     "2*l1*l2*s2 + (x - 2*l1*c1)*(l1*s1 + l2*(s1*c2 + c1*s2) + y)",
+     "-(x - 2*l1*c1)*(l1^2 + 2*l1*l2*c2 + l2^2*(c2^2 + s2^2))",
+     "-l2^2*x"],
+]
+
+
+def combination(cofactors, polynomials):
+    return sum((parse_polynomial(c, CTX_PARAM) * p for c, p in zip(cofactors, polynomials)),
+               Polynomial.zero(CTX_PARAM))
+
+
+def system_from_members(members):
+    """For each system polynomial F_i: k_i * F_i == sum_j a_ij * M_j."""
+    system = parse_system(PARAMETRIC_SYSTEM, CTX_PARAM)
+    return [parse_polynomial(k, CTX_PARAM) * f == combination(cofactors, members)
+            for f, (k, cofactors) in zip(system, SYSTEM_FROM_MEMBERS)]
+
+
+class TestClosedFormProof:
+    """The members of kinematics._members generate the ideal of the
+    system at every target with l1*l2*r^2 != 0, and are its reduced lex
+    basis there; proved once, over Q[l1, l2, x, y].
+
+    Write F_i for the system (PARAMETRIC_SYSTEM), m_j for the monic
+    members and M_j = d_j * m_j for the members with their denominators
+    d_j cleared (CLEARED_MEMBERS): 4*l1^2*l2^2, 2*l1*l2, 2*l1*r^2 and
+    2*l1*r^2. These identities hold in Q[c1, s1, c2, s2, l1, l2, x, y]:
+
+        k_i * F_i = sum_j a_ij * M_j,    M_j = sum_i b_ji * F_i,
+
+    where each k_i is a product of powers of 2, l1, l2 and r^2. Putting
+    rationals in for l1, l2, x and y is a ring homomorphism, so both hold
+    at every target. Where l1*l2*r^2 != 0 every k_i and d_j is a nonzero
+    rational: dividing by k_i puts each F_i in the ideal of the m_j, and
+    dividing by d_j puts each m_j in the ideal of the F_i. The two ideals
+    are equal.
+
+    Under lex c1 > s1 > c2 > s2 the m_j lead with s2^2, c2, s1 and c1,
+    which are pairwise coprime, so every S-polynomial of two of them
+    reduces to zero (Buchberger's product criterion) and they are a
+    Groebner basis of that ideal. Each is monic, and their tails hold
+    only constants and s2, which no leading monomial divides: the basis
+    is reduced, so it is the ideal's one reduced lex basis.
+    """
+
+    def test_cleared_members_are_the_closed_form(self):
+        cleared = [(parse_polynomial(m, CTX_PARAM), parse_polynomial(d, CTX_PARAM)) for m, d in CLEARED_MEMBERS]
+        for l1, l2, x, y in seeded_rationals(100):
+            members = kinematics._members(l1, l2, x, y)
+            for (m, d), member in zip(cleared, members):
+                assert specialise(m, l1, l2, x, y) == specialise(d, l1, l2, x, y) * member
+
+    def test_system_is_a_combination_of_the_members(self):
+        members = [parse_polynomial(m, CTX_PARAM) for m, _ in CLEARED_MEMBERS]
+        assert system_from_members(members) == [True] * 4
+
+    def test_members_are_combinations_of_the_system(self):
+        system = parse_system(PARAMETRIC_SYSTEM, CTX_PARAM)
+        for (member, _), cofactors in zip(CLEARED_MEMBERS, MEMBERS_FROM_SYSTEM):
+            assert parse_polynomial(member, CTX_PARAM) == combination(cofactors, system)
+
+    def test_a_corrupted_member_breaks_the_identity(self):
+        # c2 - cos2 + 1/7 in place of c2 - cos2: cleared, M_2 + 2*l1*l2/7
+        members = [parse_polynomial(m, CTX_PARAM) for m, _ in CLEARED_MEMBERS]
+        members[1] = members[1] + parse_polynomial("2/7*l1*l2", CTX_PARAM)
+        assert system_from_members(members) == [False, False, True, False]  # F_3 needs no M_2
+        for l1, l2, x, y in seeded_rationals(20):
+            s2_squared, c2, s1, c1 = kinematics._members(l1, l2, x, y)
+            corrupted = [s2_squared, c2 + Fraction(1, 7), s1, c1]
+            assert any(divide(f, corrupted, LEX).remainder for f in kinematics._system(l1, l2, x, y))
 
 
 # ---- arms of every size, and the floor of tol ---------------------------
@@ -543,6 +693,19 @@ class TestScale:
     def test_tol_below_the_floor_is_refused(self, link, tol):
         with pytest.raises(ValueError, match=r"^tol \S+ is below the floor \S+ "):
             ik_solve(ArmSpec(link, link), Target(1.2 * link, 0.5 * link), tol)
+
+    @pytest.mark.parametrize(
+        "tol, shown",
+        [(Fraction(1, 10**400), "1e-400"), (Fraction(2, 3 * 10**330), "6.66667e-331"), (Fraction(1, 10**20), "1e-20")],
+    )
+    def test_tol_below_the_float_range_is_shown_as_itself(self, tol, shown):
+        with pytest.raises(ValueError, match=rf"^tol {shown} is below the floor 4.44e-16 "):
+            ik_solve(ArmSpec(1, 1), Target(1.2, 0.5), tol)
+
+    @pytest.mark.parametrize("link", [1e308, Fraction(10**400)])
+    def test_reach_past_the_float_range_is_refused(self, link):
+        with pytest.raises(ValueError, match=r"^the reach l1 \+ l2 is beyond the float range$"):
+            ik_solve(ArmSpec(link, link), Target(link, link))
 
 
 # ---- one pose check: the arm reaches the target within 10*tol ----------
