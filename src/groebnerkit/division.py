@@ -35,7 +35,7 @@ step that moved it, and the step's quotient term is (n / d) * b / A /
 (s / t). The loop makes ``int`` products and one ``gcd`` per step, and
 strips no content from P, whose coefficients grow with A.
 
-There is one reduction loop, ``_reduce``, and three entries to it:
+There is one reduction loop, ``_reduce``, and four entries to it:
 
 - ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
   and records its steps for the quotients;
@@ -46,11 +46,16 @@ There is one reduction loop, ``_reduce``, and three entries to it:
   S-polynomial, so its normal form made monic is the completion's new
   member;
 - ``interreduce`` starts from each kept member's tail and reduces it by
-  all kept members.
+  all kept members;
+- ``pseudo_divide`` divides one integer coefficient list by another,
+  lowest degree first, in a one-variable lex packing where x^k packs to
+  k. It reads the records and steps at the last scale A, so it returns
+  A times the quotient and remainder over Q, all in integers. The Sturm
+  chain of ``ideal.univariate_real_roots`` is built with it.
 
-The last two read the records as one primitive integer form,
-``c * (A_last / A)`` divided by the content, whose first record is the
-lead; they build the monic ``Polynomial`` from it with one ``Fraction``
+``reduce_s_pair`` and ``interreduce`` read the records as one
+primitive integer form, ``c * (A_last / A)`` divided by the content,
+whose first record is the lead; they build the monic ``Polynomial`` from it with one ``Fraction``
 per term, and keep the form itself for the memo.
 
 Converting a divisor to its form costs as much as a few steps, and
@@ -71,7 +76,9 @@ Polynomials are values, never mutated, so the same object always has the
 same form; the memo holds its polynomials, so their ids are not reused
 while it lives. An entry is replaced whole and never mutated, so a
 thread that reads it sees one consistent entry. The memo changes no
-result, only how much is converted.
+result, only how much is converted. ``pseudo_divide`` builds its one
+form itself and neither reads nor replaces the memo, so root isolation
+between two queries on a basis leaves that basis's forms in place.
 
 Quotients are not built during the division. Each step is recorded as
 (divisor index, shift, b, A), and ``DivisionResult.quotients`` turns
@@ -86,7 +93,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .order import MonomialOrder, Packing
+from .order import LEX, MonomialOrder, Packing
 from .ring import Monomial, Polynomial, RingMismatchError, _merge
 
 
@@ -210,6 +217,37 @@ def interreduce(basis: list[Polynomial], keep: list[int], order: MonomialOrder) 
             members, member_forms = zip(*reduced)
             _memo = (packing, members, member_forms)
             return members
+
+
+def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Univariate division of integer coefficient lists, lowest degree
+    first, g's last coefficient nonzero: (q, r) with A * f = q * g + r
+    for the positive scale A of the loop, deg r < deg g, and r free of
+    leading zeros ([] when it is zero).
+
+    q and r are A times ``divide``'s quotient and remainder of the same
+    polynomials. The memo is neither read nor replaced.
+    """
+    degree = len(g) - 1
+    # g = sign * G with G's lead positive, so q takes the sign; x^k packs
+    # to k, which is its own key.
+    sign = 1 if g[-1] > 0 else -1
+    tail = [(k, sign * c) for k, c in enumerate(g[:-1]) if c]
+    form = _Form(degree, degree, sign * g[-1], tail, sign, 1, degree)
+    # Room for twice the largest degree, and the guard bit: no overflow.
+    packing = LEX.packing(1, max(len(f) - 1, degree).bit_length() + 2)
+    steps: list[tuple[int, int, int, int]] = []
+    records = _reduce({k: c for k, c in enumerate(f) if c}, [form], degree, packing, steps)
+    # In one variable a term moves to the remainder only once the lead is
+    # below deg g, after the last step, so every record is at scale top.
+    top = steps[-1][3] if steps else 1
+    q = [0] * (steps[0][1] + 1 if steps else 0)
+    for _, shift, b, scale in steps:
+        q[shift] = sign * b * (top // scale)
+    r = [0] * (records[0][0] + 1 if records else 0)
+    for k, _, c, _ in records:
+        r[k] = c
+    return q, r
 
 
 def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:

@@ -3,11 +3,16 @@
 Ideal membership via normal forms, elimination ideals read off a lex
 basis, the two-variable staircase picture of a leading-term monomial
 ideal, and an exact real-root isolator for the univariate polynomials
-that elimination produces: one signed remainder sequence of p and p',
-built with the division kernel, ends in gcd(p, p'), and divided through
-by it gives the Sturm chain of the square-free part. Bisection reads it
-at dyadic points, each an integer numerator over a power of two, so the
-signs are integer Horner sums and only a returned root is a Fraction.
+that elimination produces: one signed remainder sequence of p and p'
+ends in gcd(p, p'), and divided through by it gives the Sturm chain of
+the square-free part. The chain is built on integer coefficient lists
+with the division kernel's ``pseudo_divide``, each member primitive and
+a positive multiple of the member over Q (the primitive remainder
+sequence of Collins, "Subresultants and reduced polynomial remainder
+sequences", 1967), so no Fraction polynomial is built. Bisection reads
+it at dyadic points, each an integer numerator over a power of two, so
+the signs are integer Horner sums and only a returned root is a
+Fraction.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .division import divide
+from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
-from .order import LEX, MonomialOrder, leading_monomial
+from .order import MonomialOrder, leading_monomial
 from .ring import Polynomial
 
 
@@ -89,7 +94,11 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     Exact over Q up to the final float. One signed remainder sequence
     p, p', -rem(p, p'), ... ends in gcd(p, p'); divided through by that
     last member it is a Sturm chain of the square-free part p/gcd(p, p'),
-    which keeps every root once whatever its multiplicity. Sturm counts
+    which keeps every root once whatever its multiplicity. The chain is
+    integer coefficient lists, each a positive multiple of the member
+    over Q, so every sign is the same; each remainder and each quotient
+    by the gcd comes from ``division.pseudo_divide`` and is made
+    primitive. The Cauchy bound is read off p's integer list. Sturm counts
     bisect (-2^e, 2^e], a power of two past the Cauchy bound, until each
     interval holds one root, and sign bisection refines it to width tol.
     A point is an integer numerator over 2^s, with s = -e at the start
@@ -108,24 +117,24 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
         return []  # nonzero constant
     var = active.pop()
 
-    # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p').
-    chain = [p, p._derivative(var)]
+    # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p'),
+    # each member a positive multiple of the one over Q.
+    f = _integral(p, var)
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
     while True:
-        rem = divide(chain[-2], [chain[-1]], LEX).remainder
-        if rem.is_zero():
+        _, rem = pseudo_divide(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(-rem)
+        chain.append(_primitive([-c for c in rem]))
     gcd = chain[-1]
     # A constant gcd (p square-free) would only scale every member.
-    if any(m[var] for m in gcd.terms):
-        chain = [divide(f, [gcd], LEX).quotients[0] for f in chain]
-    chain = [_integral(f, var) for f in chain]
+    if len(gcd) > 1:
+        chain = [_primitive(pseudo_divide(h, gcd)[0]) for h in chain]
 
-    # Every exponent but var's is zero, so tuple order is degree order.
-    top = max(p.terms)
-    lead = p.terms[top]
-    bound = 1 + max((abs(c / lead) for m, c in p.terms.items() if m != top), default=0)
-    s = -(math.ceil(bound) - 1).bit_length()
+    # The Cauchy bound 1 + max |c_i / c_d| over i < d, rounded up, is
+    # 1 + ceiling, read off p's integer list with the same ratios.
+    ceiling = -(-max(map(abs, f[:-1]), default=0) // abs(f[-1]))
+    s = -ceiling.bit_length()
     # An interval (a, b] at level s has b - a = 2, so it is 2^(1 - s) wide;
     # it is split while that is at least tol, that is below level stop.
     # Halving doubles both ends and puts the midpoint a + b at level s + 1.
@@ -168,6 +177,12 @@ def _integral(f: Polynomial, var: int) -> list[int]:
     for m, c in f.terms.items():
         coeffs[m[var]] = c.numerator * (scale // c.denominator)
     return coeffs
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by the positive gcd of its coefficients."""
+    content = math.gcd(*f)
+    return f if content == 1 else [c // content for c in f]
 
 
 def _dyadic(num: int, s: int) -> Fraction:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groebnerkit import division
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
     StaircaseDiagram,
@@ -278,16 +279,30 @@ class TestDyadicPoints:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.dictionaries(rationals(), st.integers(1, 3), min_size=1, max_size=4),
+        st.dictionaries(rationals(), st.integers(1, 5), min_size=1, max_size=4),
         st.booleans(),
         st.floats(1e-15, 1),
+        st.sampled_from([(CTX_T, "t"), *((CTX_XYZ, name) for name in CTX_XYZ.names)]),
     )
-    def test_same_roots_as_the_reference(self, multiplicities, times_t2_plus_1, tol):
-        t = Polynomial.variable(CTX_T, "t")
-        p = t * t + 1 if times_t2_plus_1 else Polynomial.constant(CTX_T, 1)
+    def test_same_roots_as_the_reference(self, multiplicities, times_t2_plus_1, tol, variable):
+        # Multiple roots make the chain end in a gcd that is not constant,
+        # and a variable past the first is read at its own index.
+        context, name = variable
+        t = Polynomial.variable(context, name)
+        p = t * t + 1 if times_t2_plus_1 else Polynomial.constant(context, 1)
         for root, multiplicity in multiplicities.items():
             p = p * (t - root) ** multiplicity
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+
+    def test_leaves_the_division_memo_as_it_found_it(self):
+        # The chain divides integer lists outside the memo, so the next
+        # query on the basis converts none of its members again.
+        basis = groebner_basis([_xy("x - y^2"), _xy("y^3 - 2*y^2 + y")], LEX)
+        assert is_member(_xy("x^2 - y^4"), basis)
+        memo = division._memo
+        (eliminant,) = eliminate(basis, 1)
+        assert univariate_real_roots(eliminant, 1e-9) == [0.0, 1.0]
+        assert division._memo is memo
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.25, 1.0])
     def test_small_cauchy_bound(self, tol):
@@ -296,6 +311,15 @@ class TestDyadicPoints:
         for text, want in [("t", [0.0]), ("-3*t^2", [0.0]), ("2*t - 1", [0.5])]:
             p = parse_polynomial(text, CTX_T)
             assert univariate_real_roots(p, tol) == reference_roots(p, tol) == want
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.25])
+    def test_cauchy_bound_rounds_up(self, tol):
+        # max |c_i / c_d| is 7/4, so the bound 11/4 starts on (-4, 4]; had
+        # it rounded down to (-2, 2], the root 9/4 would be outside
+        p = parse_polynomial("(t - 9/4)*(t + 1/2)", CTX_T)
+        roots = univariate_real_roots(p, tol)
+        assert roots == reference_roots(p, tol)
+        assert len(roots) == 2 and abs(roots[1] - 2.25) < tol
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-9, 2.0**-11])
     def test_root_on_a_deep_dyadic_point_is_exact(self, tol):
