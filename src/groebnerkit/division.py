@@ -45,8 +45,8 @@ There is one reduction loop, ``_reduce``, and four entries to it:
   cancels the leads in integers; up to a scalar that is the
   S-polynomial, so its normal form made monic is the completion's new
   member;
-- ``interreduce`` starts from each kept member's tail and reduces it by
-  all kept members;
+- ``interreduce`` keeps each member whose lead no kept member's lead
+  divides, and reduces each kept member's tail by all of them;
 - ``pseudo_divide`` divides one integer coefficient list by another,
   lowest degree first, in a one-variable lex packing where x^k packs to
   k. It reads the records and steps at the last scale A, so it returns
@@ -59,19 +59,19 @@ whose first record is the lead; they build the monic ``Polynomial`` from it with
 per term, and keep the form itself for the memo.
 
 Converting a divisor to its form costs as much as a few steps, and
-callers divide by the same list again and again: completion by its
-growing basis, membership tests by one basis. So the forms of the last
-division are kept in one module-level memo, matched by object identity
-in list order. A call whose list repeats the memo's list, or extends
-it at its end, converts only the members past the common prefix, and
-divides in the memo's fields when they are wider than it needs; when
-its degrees outgrow them, the fields double, as after an overflow, and
-every member is converted again. A new member from ``reduce_s_pair``
-enters the memo as the member after its list; ``leading_monomials``
-takes the memo's forms in any order, so the sorted generators of a
-``GroebnerBasis`` that completion built are not converted again; and
-the members from ``interreduce`` replace the memo, so completion and
-the queries after it never convert what the kernel made.
+callers divide by the same polynomials again and again: completion by
+its growing basis, reduction by the same members sorted, membership
+tests by one basis. So the forms of the last list converted are kept in
+one module-level memo, and each divisor's form is looked up there by
+object identity, in any order. A call converts only the divisors the
+memo does not hold, and then its list replaces the memo; a call that
+converts none leaves the memo as it is. When it finds a form there, it
+divides in the memo's fields if they are wider than it needs; when its
+degrees outgrow them, the fields double, as after an overflow, and
+every divisor is converted again. A new member from ``reduce_s_pair``
+enters the memo as the member after its list, and the members from
+``interreduce`` replace the memo, so completion, the reduction of its
+basis and the queries after it never convert what the kernel made.
 Polynomials are values, never mutated, so the same object always has the
 same form; the memo holds its polynomials, so their ids are not reused
 while it lives. An entry is replaced whole and never mutated, so a
@@ -196,17 +196,29 @@ def reduce_s_pair(
         return member, unpack(form.lead)
 
 
-def interreduce(basis: list[Polynomial], keep: list[int], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """For each index in keep, basis[i] with its tail reduced modulo the
-    kept members, made monic.
+def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of a Groebner basis listed in ascending
+    order of leading monomials, as a ``GroebnerBasis`` holds it.
 
-    This is ``(lead + divide(tail, kept).remainder) / lc`` per kept
-    member, term order included; the kept members' leading monomials
-    must be pairwise indivisible, so no member reduces its own lead.
+    A member whose lead another kept member's lead divides is dropped, and
+    of two equal leads the first is kept. Each survivor becomes
+    ``(lead + divide(tail, survivors).remainder) / lc``, term order
+    included. The survivors' forms replace the memo.
     """
     global _memo
     for packing, degree, forms in _packings(basis, order, 0):
-        kept = [forms[i] for i in keep]
+        # A lead that divides another is never larger, so in ascending
+        # order every dominating member comes before what it dominates.
+        kept: list[_Form] = []
+        for form in forms:
+            if not any(packing.divides(g.lead, form.lead) for g in kept):
+                kept.append(form)
+        # One pass suffices: the kept leads are pairwise indivisible, so
+        # interreduction only rewrites trailing terms and never disturbs
+        # the leads the divisibility checks depend on. Every tail term is
+        # below its own lead, which therefore never divides it, so each
+        # tail is reduced by one list of all survivors; that list is a
+        # Groebner basis, so the remainder is the unique normal form.
         reduced = []
         for g in kept:
             records = _reduce(dict(g.tail), kept, degree, packing, None)
@@ -251,34 +263,15 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 
 def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
-    """The leading monomials of nonzero polynomials, read off the forms
-    that the memo then holds for them. A memo that holds every one of
-    them, in any order, converts none."""
-    global _memo
-    packing, known, forms = _memo
-    # The memo's polynomials are alive, so no other object has their ids.
-    by_id = dict(zip(map(id, known), forms))
-    recalled = tuple(map(by_id.get, map(id, polynomials)))
-    if None not in recalled:
-        _memo = (packing, tuple(polynomials), recalled)
+    """The leading monomials of nonzero polynomials, read off their forms,
+    which the memo then holds."""
     packing, _, forms = next(_packings(polynomials, order, 0))
-    unpack = packing.unpack
-    return [unpack(form.lead) for form in forms]
+    return [packing.unpack(form.lead) for form in forms]
 
 
-# (packing, divisors, their forms) of the last division; see the module
+# (packing, divisors, their forms) of the last conversion; see the module
 # docstring. Replaced whole, never mutated.
 _memo: tuple = (None, (), ())
-
-
-def _recall(divisors: list[Polynomial]) -> tuple[int, Packing | None, tuple]:
-    """How many leading divisors the memo holds, matched by identity,
-    with the memo's packing and forms."""
-    packing, known, forms = _memo
-    n, limit = 0, min(len(known), len(divisors))
-    while n < limit and known[n] is divisors[n]:
-        n += 1
-    return n, packing, forms
 
 
 def _packings(
@@ -286,37 +279,33 @@ def _packings(
 ) -> Iterator[tuple[Packing, int, tuple[_Form, ...]]]:
     """Packings to divide in, each twice as wide as the last, with the
     largest total degree of the divisors and of degree, and the divisors'
-    forms in each, which the memo then holds."""
+    forms in each: the memo's where it holds them in that packing, the
+    others converted. When any is converted, this list replaces the memo."""
+    global _memo
     nvars = len(divisors[0].context)
-    known, packing, forms = _recall(divisors)
+    memo_packing, known, forms = _memo
+    # The memo's polynomials are alive, so no other object has their ids.
+    by_id = dict(zip(map(id, known), forms))
+    recalled = [by_id.get(id(g)) for g in divisors]
     degree = max(
-        [degree]
-        + [max(map(sum, g.terms)) for g in divisors[known:]]
-        + [form.degree for form in forms[:known]]
+        degree,
+        *(max(map(sum, g.terms)) if form is None else form.degree for g, form in zip(divisors, recalled)),
     )
     # Room for twice the largest input degree, and the guard bit.
     width = degree.bit_length() + 2
-    if known and packing is order.packing(nvars, packing.width):
+    if recalled.count(None) < len(divisors) and memo_packing is order.packing(nvars, memo_packing.width):
         # Wider fields divide as well, and keep the memo's forms; fields
         # that must grow double, so a growing basis seldom converts again.
-        width = packing.width if width <= packing.width else max(width, 2 * packing.width)
-    memo_packing = packing
+        width = memo_packing.width if width <= memo_packing.width else max(width, 2 * memo_packing.width)
     while True:
         packing = order.packing(nvars, width)
-        yield packing, degree, _forms(divisors, packing, known if packing is memo_packing else 0, forms)
+        if packing is not memo_packing:
+            recalled = [None] * len(divisors)
+        forms = tuple(_form(g, packing) if form is None else form for g, form in zip(divisors, recalled))
+        if None in recalled:
+            _memo = (packing, tuple(divisors), forms)
+        yield packing, degree, forms
         width *= 2
-
-
-def _forms(divisors: list[Polynomial], packing: Packing, known: int, forms: tuple) -> tuple[_Form, ...]:
-    """The divisors' forms in packing, the first known of them taken from
-    the memo's forms and the others converted, and the memo replaced by
-    this list."""
-    global _memo
-    if known == len(divisors) == len(forms):
-        return forms
-    forms = forms[:known] + tuple(_form(g, packing) for g in divisors[known:])
-    _memo = (packing, tuple(divisors), forms)
-    return forms
 
 
 class _Form(NamedTuple):

@@ -35,8 +35,9 @@ The loop ends with an unreduced Groebner basis containing the input
 generators; which other members it holds depends on this algorithm.
 ``reduce_basis`` then drops members whose leading terms are divisible
 by another member's, interreduces the survivors, and scales them monic,
-yielding the unique reduced basis for the ideal and order; the kernel
-interreduces the survivors' integer forms (``division.interreduce``).
+yielding the unique reduced basis for the ideal and order. The kernel
+does all three on the members' integer forms (``division.interreduce``),
+testing divisibility on their packed leading monomials.
 Neither sorts its result: a ``GroebnerBasis`` sorts its generators by
 leading monomial when it is built.
 """
@@ -57,8 +58,9 @@ MAX_BASIS_SIZE = 10_000
 class GroebnerBasis:
     """A generating set tagged with its order and reduced/unreduced status.
 
-    Generators must be nonzero; construction sorts them by leading
-    monomial, smallest first, so equal bases compare equal structurally.
+    There must be at least one generator, and each must be nonzero;
+    construction sorts them by leading monomial, smallest first, so
+    equal bases compare equal structurally.
     """
 
     generators: tuple[Polynomial, ...]
@@ -66,6 +68,8 @@ class GroebnerBasis:
     reduced: bool
 
     def __post_init__(self):
+        if not self.generators:
+            raise ValueError("empty generating set")
         # leading_monomial raises ValueError on a zero generator.
         key = self.order.key_function()
         ordered = sorted(self.generators, key=lambda g: key(leading_monomial(g, self.order)))
@@ -88,11 +92,11 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomi
     The leading terms cancel by construction, exposing the next
     monomials underneath.
     """
+    if p.context != q.context:
+        raise RingMismatchError("ring mismatch")
     lt_p = leading_term(p, order)
     lt_q = leading_term(q, order)
     lcm = lt_p.monomial.lcm(lt_q.monomial)
-    if p.context != q.context:
-        raise RingMismatchError("ring mismatch")
     u, a = lcm / lt_p.monomial, 1 / lt_p.coefficient
     v, b = lcm / lt_q.monomial, -1 / lt_q.coefficient
     left = {m * u: c * a for m, c in p.terms.items()}
@@ -204,29 +208,11 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
 
     Drop any member whose leading term another surviving member's
     leading term divides, replace each survivor by its remainder modulo
-    the others, and scale everything monic. Idempotent. The kernel reads
-    the leading monomials off the members' integer forms and
-    interreduces those forms (``division.interreduce``), so no lead or
-    tail is built as a ``Polynomial``.
+    the others, and scale everything monic. Idempotent. The kernel does
+    all three on the members' integer forms (``division.interreduce``),
+    so no lead or tail is built as a ``Polynomial``.
     """
-    order = basis.order
-    generators = list(basis.generators)
-    lms = leading_monomials(generators, order)
-    # A leading monomial that divides another is never larger, so in
-    # the basis's ascending order every dominating member comes first;
-    # of two equal leading monomials the first is kept.
-    survivors: list[int] = []
-    for i, lm in enumerate(lms):
-        if not any(lms[k].divides(lm) for k in survivors):
-            survivors.append(i)
-
-    # One pass suffices: leading terms are now pairwise indivisible, so
-    # interreduction only rewrites trailing terms and never disturbs the
-    # leading ones the divisibility checks depend on. Every tail term is
-    # below its own lead, which therefore never divides it, so each tail
-    # is reduced by one list of all survivors; that list is a Groebner
-    # basis, so the remainder is the unique normal form either way.
-    return GroebnerBasis(interreduce(generators, survivors, order), order, reduced=True)
+    return GroebnerBasis(interreduce(list(basis.generators), basis.order), basis.order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:

@@ -104,7 +104,7 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     A point is an integer numerator over 2^s, with s = -e at the start
     and one more at each halving, so no Fraction is built per point. A
     root landing on one is returned exactly. Roots closer than tol merge,
-    reporting the midpoint.
+    reporting the midpoint. A root past the float range is a ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -158,11 +158,14 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
 
     clusters: list[list[Fraction]] = []
     for root in sorted(found):
-        if clusters and float(root - clusters[-1][0]) <= tol:
+        if clusters and _float(root - clusters[-1][0]) <= tol:
             clusters[-1].append(root)
         else:
             clusters.append([root])
-    return [float((c[0] + c[-1]) / 2) for c in clusters]
+    roots = [_float((c[0] + c[-1]) / 2) for c in clusters]
+    if math.inf in map(abs, roots):
+        raise ValueError("a root is beyond the float range")
+    return roots
 
 
 # Integer coefficient lists, lowest degree first, read at dyadic points
@@ -177,6 +180,14 @@ def _integral(f: Polynomial, var: int) -> list[int]:
     for m, c in f.terms.items():
         coeffs[m[var]] = c.numerator * (scale // c.denominator)
     return coeffs
+
+
+def _float(x: Fraction) -> float:
+    """float(x), or the infinity of x's sign when x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _primitive(f: list[int]) -> list[int]:

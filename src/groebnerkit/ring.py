@@ -324,15 +324,6 @@ class Polynomial:
                 result = result * base
         return result
 
-    def _derivative(self, index: int) -> "Polynomial":
-        """Partial derivative in the variable at position index."""
-        out = {}
-        for m, c in self.terms.items():
-            e = m[index]
-            if e:
-                out[_valid_monomial(m[:index] + (e - 1,) + m[index + 1 :])] = e * c
-        return self._wrap(out)
-
     def _wrap(self, terms: dict) -> "Polynomial":
         # Internal fast path: terms are already canonical (no zeros, no dups).
         p = object.__new__(Polynomial)

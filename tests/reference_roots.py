@@ -21,7 +21,7 @@ def reference_roots(p: Polynomial, tol: float) -> list[float]:
     var = active.pop()
 
     # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p').
-    chain = [p, p._derivative(var)]
+    chain = [p, _derivative(p, var)]
     while True:
         rem = divide(chain[-2], [chain[-1]], LEX).remainder
         if rem.is_zero():
@@ -59,6 +59,12 @@ def reference_roots(p: Polynomial, tol: float) -> list[float]:
         else:
             clusters.append([root])
     return [float((c[0] + c[-1]) / 2) for c in clusters]
+
+
+def _derivative(p: Polynomial, var: int) -> Polynomial:
+    """The partial derivative of p in the variable at position var."""
+    terms = {m[:var] + (m[var] - 1,) + m[var + 1 :]: m[var] * c for m, c in p.terms.items() if m[var]}
+    return Polynomial(p.context, terms)
 
 
 def _integral(f: Polynomial, var: int) -> list[int]:

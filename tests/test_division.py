@@ -374,7 +374,8 @@ class TestCompletionEntries:
 
 
 class TestDivisorMemo:
-    """Divisor forms are reused by object identity, never by value."""
+    """Divisor forms are reused by object identity, in any order, never
+    by value."""
 
     def test_every_reuse_pattern_matches_the_reference(self, monkeypatch):
         converted = []
@@ -398,10 +399,12 @@ class TestDivisorMemo:
         check(f, [g1, g2], GREVLEX, 0)  # the same list again
         check(_xy("3*x^2*y^3 + y"), [g1, g2], GREVLEX, 0)  # another dividend
         check(f, [g1, g2, g3], GREVLEX, 1)  # the list grown at its end
-        check(f, [g3, g1, g2], GREVLEX, 3)  # the same polynomials reordered
+        check(f, [g3, g1, g2], GREVLEX, 0)  # the same polynomials reordered
+        g4 = _xy("y^3 - x*y")
+        check(f, [g2, g4, g3, g1], GREVLEX, 1)  # reordered, with one new member
         equal = _xy("2*x*y - 3/5")
         assert equal == g1 and equal is not g1
-        check(f, [g3, equal, g2], GREVLEX, 2)  # a member replaced by an equal value
+        check(f, [g3, equal, g2], GREVLEX, 1)  # a member replaced by an equal value
         check(f, [g3, equal, g2], LEX, 3)  # a different order
         # x^3 by x - y^k leaves y^(3k): past the first width, so the division
         # starts again, twice as wide, and converts the list again.

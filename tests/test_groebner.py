@@ -95,6 +95,14 @@ class TestSPolynomial:
         with pytest.raises(RingMismatchError):
             s_polynomial(_xy("x*y"), other, LEX)
 
+    def test_arity_mismatch_is_a_ring_mismatch(self):
+        # The contexts are checked before the lcm, which would fail on arity.
+        p, other = _xy("x*y"), parse_polynomial("x*y*z", CTX_XYZ)
+        with pytest.raises(RingMismatchError, match="^ring mismatch$"):
+            s_polynomial(p, other, LEX)
+        with pytest.raises(RingMismatchError, match="^ring mismatch$"):
+            divide(p, [other], LEX)
+
 
 class TestNormalForm:
     G = None  # filled in setup
@@ -226,6 +234,12 @@ class TestGroebnerBasisType:
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             GroebnerBasis((_xy("x"), Polynomial.zero(CTX_XY)), GRLEX, reduced=False)
+
+    def test_empty_generating_set_rejected(self):
+        # Without a generator a basis has no context to reduce or query in.
+        for reduced in (False, True):
+            with pytest.raises(ValueError, match="^empty generating set$"):
+                GroebnerBasis((), GRLEX, reduced=reduced)
 
 
 class TestReduceBasis:

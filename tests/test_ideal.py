@@ -172,6 +172,16 @@ class TestUnivariateRealRoots:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 univariate_real_roots(parse_polynomial("t^2 - 2", CTX_T), tol)
 
+    def test_roots_past_the_float_range_rejected(self):
+        for text in ("t - 10^400", "t^2 - 10^800"):
+            with pytest.raises(ValueError, match="^a root is beyond the float range$"):
+                univariate_real_roots(parse_polynomial(text, CTX_T), 1e-9)
+
+    def test_roots_inside_the_float_range_a_gap_past_it_apart(self):
+        # The roots are floats, but their distance 2e308 is not.
+        roots = univariate_real_roots(parse_polynomial("t^2 - 10^616", CTX_T), 1e-9)
+        assert roots == [-1e308, 1e308]
+
     def test_nonzero_constant_has_no_roots(self):
         p = parse_polynomial("5", CTX_T)
         assert univariate_real_roots(p, 1e-9) == []
