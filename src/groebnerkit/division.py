@@ -59,10 +59,11 @@ whose first record is the lead; they build the monic ``Polynomial`` from it with
 per term, and keep the form itself for the memo.
 
 Converting a divisor to its form costs as much as a few steps, and
-callers divide by the same polynomials again and again: completion by
-its growing basis, reduction by the same members sorted, membership
-tests by one basis. So the forms of the last list converted are kept in
-one module-level memo, and each divisor's form is looked up there by
+callers use the same polynomials again and again: completion divides by
+its growing basis, a ``GroebnerBasis`` reads its members' leads off their
+forms (``leading_monomials``), reduction and membership tests divide by
+one basis. So the forms of the last list converted are kept in one
+module-level memo, and each divisor's form is looked up there by
 object identity, in any order. A call converts only the divisors the
 memo does not hold, and then its list replaces the memo; a call that
 converts none leaves the memo as it is. When it finds a form there, it
@@ -70,8 +71,8 @@ divides in the memo's fields if they are wider than it needs; when its
 degrees outgrow them, the fields double, as after an overflow, and
 every divisor is converted again. A new member from ``reduce_s_pair``
 enters the memo as the member after its list, and the members from
-``interreduce`` replace the memo, so completion, the reduction of its
-basis and the queries after it never convert what the kernel made.
+``interreduce`` replace the memo, so completion, the bases built from
+its members and the queries on them never convert what the kernel made.
 Polynomials are values, never mutated, so the same object always has the
 same form; the memo holds its polynomials, so their ids are not reused
 while it lives. An entry is replaced whole and never mutated, so a
@@ -263,8 +264,13 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 
 def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
-    """The leading monomials of nonzero polynomials, read off their forms,
-    which the memo then holds."""
+    """The leading monomials of nonzero polynomials of one ring (else a
+    ValueError or RingMismatchError), read off the forms the memo then
+    holds, so a ``GroebnerBasis`` of the kernel's members converts none."""
+    if any(g.context != polynomials[0].context for g in polynomials):
+        raise RingMismatchError("ring mismatch")
+    if not all(polynomials):
+        raise ValueError("leading term of zero polynomial")
     packing, _, forms = next(_packings(polynomials, order, 0))
     return [packing.unpack(form.lead) for form in forms]
 

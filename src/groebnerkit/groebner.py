@@ -38,8 +38,8 @@ by another member's, interreduces the survivors, and scales them monic,
 yielding the unique reduced basis for the ideal and order. The kernel
 does all three on the members' integer forms (``division.interreduce``),
 testing divisibility on their packed leading monomials.
-Neither sorts its result: a ``GroebnerBasis`` sorts its generators by
-leading monomial when it is built.
+Neither sorts its result: a ``GroebnerBasis`` holds members of one ring,
+sorted by the leading monomials the kernel reads off their forms.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import divide, interreduce, leading_monomials, reduce_s_pair
-from .order import MonomialOrder, leading_monomial, leading_term
+from .order import MonomialOrder, leading_term
 from .ring import Monomial, Polynomial, RingMismatchError, _merge
 
 # Most members completion may hold before it gives up with a ValueError.
@@ -58,9 +58,10 @@ MAX_BASIS_SIZE = 10_000
 class GroebnerBasis:
     """A generating set tagged with its order and reduced/unreduced status.
 
-    There must be at least one generator, and each must be nonzero;
-    construction sorts them by leading monomial, smallest first, so
-    equal bases compare equal structurally.
+    There must be at least one generator, each nonzero and all of one
+    ring; construction sorts them stably by leading monomial, smallest
+    first, so equal bases compare equal structurally. The leads are read
+    off the division kernel's forms (``division.leading_monomials``).
     """
 
     generators: tuple[Polynomial, ...]
@@ -70,9 +71,8 @@ class GroebnerBasis:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("empty generating set")
-        # leading_monomial raises ValueError on a zero generator.
-        key = self.order.key_function()
-        ordered = sorted(self.generators, key=lambda g: key(leading_monomial(g, self.order)))
+        keys = map(self.order.key_function(), leading_monomials(list(self.generators), self.order))
+        ordered = [g for _, g in sorted(zip(keys, self.generators), key=lambda pair: pair[0])]
         object.__setattr__(self, "generators", tuple(ordered))
 
     @property
@@ -119,14 +119,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Complete a generating set to a Groebner basis.
 
-    Zero generators are stripped first; an empty or all-zero input is an
-    error. The inputs, then each nonzero monic normal form, enter the
-    basis through the Gebauer-Moeller update, and pairs are reduced in
-    sugar order (see the module docstring). The result holds the inputs
-    as given; its other members depend on this algorithm, so the raw
-    basis is not unique and only ``reduce_basis`` of it is. A basis of
-    more than ``MAX_BASIS_SIZE`` members raises a ValueError, so a runaway
-    computation fails cleanly instead of looping without bound.
+    Zero generators are stripped first; an empty, all-zero or mixed-ring
+    input is an error. The inputs, then each nonzero monic normal form,
+    enter the basis through the Gebauer-Moeller update, and pairs are
+    reduced in sugar order (see the module docstring). The result holds
+    the inputs as given; its other members depend on this algorithm, so
+    the raw basis is not unique and only ``reduce_basis`` of it is. A
+    basis of more than ``MAX_BASIS_SIZE`` members raises a ValueError, so
+    a runaway computation fails cleanly instead of looping without bound.
 
     Given a dict as stats, completion adds its work to it, once per pair
     and per member: ``pairs_formed`` (each entering member with each
@@ -139,10 +139,6 @@ def buchberger(
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("empty generating set")
-    ctx = inputs[0].context
-    for g in inputs:
-        if g.context != ctx:
-            raise RingMismatchError("ring mismatch")
 
     key = order.key_function()
     G: list[Polynomial] = []

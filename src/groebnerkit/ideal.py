@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .division import pseudo_divide
+from .division import leading_monomials, pseudo_divide
 from .groebner import GroebnerBasis, normal_form
-from .order import MonomialOrder, leading_monomial
+from .order import MonomialOrder
 from .ring import Polynomial
 
 
@@ -76,7 +76,7 @@ def staircase(basis: GroebnerBasis) -> StaircaseDiagram:
     """Staircase of the leading-term ideal of a 2-variable basis."""
     if len(basis.context) != 2:
         raise ValueError("staircase supports 2 variables")
-    points = {tuple(leading_monomial(g, basis.order)) for g in basis.generators}
+    points = set(map(tuple, leading_monomials(list(basis.generators), basis.order)))
     minimal = [
         p
         for p in points

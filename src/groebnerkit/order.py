@@ -155,10 +155,6 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> Term:
     return Term(p.terms[m], m)
 
 
-def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
-    return leading_term(p, order).monomial
-
-
 def sorted_terms(p: Polynomial, order: MonomialOrder) -> list[Term]:
     """Terms of p sorted under the order, largest first."""
     monomials = sorted(p.terms, key=order.key_function(), reverse=True)

@@ -341,6 +341,8 @@ class Polynomial:
         return self.context == other.context and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if not any(map(any, self.terms)):  # zero or constant: equal to a scalar
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.context, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:

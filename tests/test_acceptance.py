@@ -21,7 +21,7 @@ from groebnerkit.groebner import (
 )
 from groebnerkit.ideal import eliminate, staircase, univariate_real_roots
 from groebnerkit.kinematics import ArmSpec, Target, forward_kinematics, ik_solve
-from groebnerkit.order import GREVLEX, GRLEX, LEX, MonomialOrder, leading_monomial
+from groebnerkit.order import GREVLEX, GRLEX, LEX, MonomialOrder, leading_term
 from groebnerkit.oscillator import OscillatorParams, evaluate, sample, solve_ivp
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, VariableContext
@@ -77,7 +77,7 @@ def test_criterion_1_division_identity():
         if total != f:
             failures += 1
             continue
-        leads = [leading_monomial(g, order) for g in divisors]
+        leads = [leading_term(g, order).monomial for g in divisors]
         if any(lm.divides(m) for m in result.remainder.terms for lm in leads):
             failures += 1
     report(1, "division identity on 500 randomized instances", failures == 0,

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from groebnerkit import division
 from groebnerkit.division import DivisionResult, divide, pseudo_divide, reduce_s_pair
 from groebnerkit.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_polynomial
-from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_monomial
+from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import Polynomial, RingMismatchError
 
@@ -210,7 +210,7 @@ class TestDivisionProperties:
     def test_identity_and_reducedness(self, f, divisors, order):
         result = divide(f, divisors, order)
         assert reconstruct(result, divisors) == f
-        lead_monomials = [leading_monomial(g, order) for g in divisors]
+        lead_monomials = [leading_term(g, order).monomial for g in divisors]
         for m in result.remainder.terms:
             assert not any(lm.divides(m) for lm in lead_monomials)
 
@@ -223,12 +223,12 @@ class TestDivisionProperties:
     def test_quotient_terms_bounded_by_dividend(self, f, divisors, order):
         result = divide(f, divisors, order)
         key = order.key_function()
-        bound = key(leading_monomial(f, order))
+        bound = key(leading_term(f, order).monomial)
         for q, g in zip(result.quotients, divisors):
             if q.is_zero():
                 continue
             product = q * g
-            assert key(leading_monomial(product, order)) <= bound
+            assert key(leading_term(product, order).monomial) <= bound
 
 
 def ring_lists(max_size):
@@ -244,14 +244,14 @@ def as_items(p: Polynomial) -> list:
 
 
 def monic_items(p: Polynomial, order) -> list:
-    return as_items(p / p.terms[leading_monomial(p, order)])
+    return as_items(p / p.terms[leading_term(p, order).monomial])
 
 
 def reference_reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """reduce_basis as lead plus the remainder of the tail, over lc."""
     order, survivors, lms = basis.order, [], []
     for g in basis.generators:
-        lm = leading_monomial(g, order)
+        lm = leading_term(g, order).monomial
         if not any(m.divides(lm) for m in lms):
             survivors.append(g)
             lms.append(lm)
@@ -279,7 +279,7 @@ class TestCompletionEntries:
             assert result is None
         else:
             member, lead = result
-            assert lead == leading_monomial(expected, order)
+            assert lead == leading_term(expected, order).monomial
             assert as_items(member) == monic_items(expected, order)
 
     @settings(max_examples=60, deadline=None)

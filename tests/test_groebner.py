@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groebnerkit.groebner import (
     GroebnerBasis,
@@ -14,7 +15,7 @@ from groebnerkit.groebner import (
     s_polynomial,
 )
 from groebnerkit.division import divide
-from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_monomial, leading_term
+from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
@@ -72,10 +73,10 @@ class TestSPolynomial:
     )
     def test_leading_terms_cancel(self, p, q, order):
         s = s_polynomial(p, q, order)
-        lcm = leading_monomial(p, order).lcm(leading_monomial(q, order))
+        lcm = leading_term(p, order).monomial.lcm(leading_term(q, order).monomial)
         key = order.key_function()
         if not s.is_zero():
-            assert key(leading_monomial(s, order)) < key(lcm)
+            assert key(leading_term(s, order).monomial) < key(lcm)
 
     @settings(max_examples=60, deadline=None)
     @given(nonzero_polynomials(max_terms=5), nonzero_polynomials(max_terms=5), orders())
@@ -149,6 +150,15 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="empty generating set"):
             buchberger([Polynomial.zero(CTX_XY)], GRLEX)
 
+    def test_mixed_rings_rejected(self):
+        # Completion reads its inputs' leads through the division kernel's
+        # gate, which refuses a second ring, of another arity or not.
+        for other in (parse_polynomial("x*z - 1", CTX_XYZ),
+                      parse_polynomial("u*v - 1", VariableContext(["u", "v"]))):
+            for complete in (buchberger, groebner_basis):
+                with pytest.raises(RingMismatchError, match="^ring mismatch$"):
+                    complete([_xy("x^2 - y"), other], GRLEX)
+
     def test_zero_generators_stripped(self):
         basis = buchberger([Polynomial.zero(CTX_XY), _xy("x")], GRLEX)
         assert canonical(basis) == ["x"]
@@ -187,7 +197,7 @@ class TestBuchberger:
         inputs = [parse_polynomial(g, ctx) for g in gens]
         stats = {}
         basis = buchberger(inputs, order, stats)
-        lms = [leading_monomial(g, order) for g in basis.generators]
+        lms = [leading_term(g, order).monomial for g in basis.generators]
         pairs = list(itertools.combinations(lms, 2))
         assert any(p.is_coprime_with(q) for p, q in pairs)
         assert stats["s_pairs_reduced"] < sum(not p.is_coprime_with(q) for p, q in pairs)
@@ -234,6 +244,39 @@ class TestGroebnerBasisType:
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             GroebnerBasis((_xy("x"), Polynomial.zero(CTX_XY)), GRLEX, reduced=False)
+
+    def test_mixed_rings_rejected(self):
+        # Reducing such a basis would move x^2 - y into the ring of x, y, z.
+        xyz = parse_polynomial("x*z - 1", CTX_XYZ)
+        uv = parse_polynomial("u*v - 1", VariableContext(["u", "v"]))
+        for other in (xyz, uv):
+            with pytest.raises(RingMismatchError, match="^ring mismatch$"):
+                GroebnerBasis((_xy("x^2 - y"), other), GRLEX, reduced=False)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(nonzero_polynomials(max_terms=3, max_exponent=3, max_magnitude=9, max_denominator=4),
+                 min_size=1, max_size=3),
+        orders(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_sorted_stably_by_leading_term(self, gens, order, after_lex, data):
+        # The leads come from the division kernel; the order they give must
+        # be a stable sort by the order's key of each leading_term.
+        if after_lex:
+            # The memo then holds these members' forms from a lex
+            # completion, often in fields wider than their degrees need.
+            gens = list(buchberger(gens, LEX).generators)
+        g = gens[0]
+        lead = leading_term(g, order)
+        # Equal leads: a multiple, the lead term alone, the same object again.
+        gens = gens + [g * 2, Polynomial(g.context, {lead.monomial: lead.coefficient}), g]
+        gens = data.draw(st.permutations(gens))
+        key = order.key_function()
+        expected = sorted(gens, key=lambda p: key(leading_term(p, order).monomial))
+        basis = GroebnerBasis(tuple(gens), order, reduced=False)
+        assert list(map(id, basis.generators)) == list(map(id, expected))
 
     def test_empty_generating_set_rejected(self):
         # Without a generator a basis has no context to reduce or query in.
@@ -346,7 +389,7 @@ class TestRandomizedProperties:
             if not gens:
                 continue
             basis = reduce_basis(buchberger(gens, GREVLEX))
-            lead = [leading_monomial(g, GREVLEX) for g in basis.generators]
+            lead = [leading_term(g, GREVLEX).monomial for g in basis.generators]
             for i, g in enumerate(basis.generators):
                 assert leading_term(g, GREVLEX).coefficient == 1
                 for m in g.terms:

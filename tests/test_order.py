@@ -10,7 +10,6 @@ from groebnerkit.order import (
     GRLEX,
     LEX,
     MonomialOrder,
-    leading_monomial,
     leading_term,
     sorted_terms,
 )
@@ -52,15 +51,15 @@ class TestLeadingTerm:
 
     def test_lex_picks_x(self):
         p = self._p([((1, 0), 1), ((0, 2), 1)])  # x + y^2
-        assert leading_monomial(p, LEX) == Monomial((1, 0))
+        assert leading_term(p, LEX).monomial == Monomial((1, 0))
 
     def test_grlex_picks_y_squared(self):
         p = self._p([((1, 0), 1), ((0, 2), 1)])
-        assert leading_monomial(p, GRLEX) == Monomial((0, 2))
+        assert leading_term(p, GRLEX).monomial == Monomial((0, 2))
 
     def test_lex_three_terms(self):
         p = self._p([((2, 1), 1), ((1, 2), 1), ((0, 2), 1)])
-        assert leading_monomial(p, LEX) == Monomial((2, 1))
+        assert leading_term(p, LEX).monomial == Monomial((2, 1))
 
     def test_coefficient_exposed(self):
         p = self._p([((2, 0), Fraction(-3, 2)), ((0, 0), 5)])

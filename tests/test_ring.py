@@ -153,6 +153,14 @@ class TestPolynomialBasics:
         with pytest.raises(RingMismatchError, match="ring mismatch"):
             p * q
 
+    def test_scalars_hash_as_the_scalars_they_equal(self):
+        for value in (0, 3, Fraction(-5, 7)):
+            p = Polynomial.constant(CTX_XY, value)
+            assert p == value and hash(p) == hash(value)
+            assert value in {p} and p in {value}
+        assert hash(Polynomial.zero(CTX_XY)) == hash(0)
+        assert Polynomial.variable(CTX_XY, "x") not in {1}
+
     def test_scalar_division(self):
         x = Polynomial.variable(CTX_XY, "x")
         assert (2 * x) / 2 == x

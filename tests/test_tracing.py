@@ -38,6 +38,9 @@ def touch_every_layer():
     assert gk.is_member(gk.parse_polynomial("x^3*y - x^2", CTX), grevlex)
     rest = gk.normal_form(gk.parse_polynomial("x^3 + y", CTX), list(grevlex), gk.GREVLEX)
     gk.format_polynomial(rest, gk.LEX)
+    # Nothing above reaches leading_term: the leads of a basis come from
+    # the division kernel.
+    gk.leading_term(rest, gk.GREVLEX)
     gk.ik_solve(gk.ArmSpec(1, 1), gk.Target(1, 1))
 
 
