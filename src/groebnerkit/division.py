@@ -39,12 +39,12 @@ There is one reduction loop, ``_reduce``, and four entries to it:
 
 - ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
   and records its steps for the quotients;
-- ``reduce_s_pair`` starts from two members' forms, as
+- completion's S-pair step starts from two members' forms, as
   ``(l_j / g) * u * G_i - (l_i / g) * v * G_j`` with ``g = gcd(l_i, l_j)``
   and u, v the shifts to the lcm of their leading monomials, which
   cancels the leads in integers; up to a scalar that is the
   S-polynomial, so its normal form made monic is the completion's new
-  member;
+  member; ``reduce_s_pair`` is that step for one pair of a list;
 - ``interreduce`` keeps each member whose lead no kept member's lead
   divides, and reduces each kept member's tail by all of them;
 - ``pseudo_divide`` divides one integer coefficient list by another,
@@ -53,33 +53,46 @@ There is one reduction loop, ``_reduce``, and four entries to it:
   A times the quotient and remainder over Q, all in integers. The Sturm
   chain of ``ideal.univariate_real_roots`` is built with it.
 
-``reduce_s_pair`` and ``interreduce`` read the records as one
-primitive integer form, ``c * (A_last / A)`` divided by the content,
-whose first record is the lead; they build the monic ``Polynomial`` from it with one ``Fraction``
-per term, and keep the form itself for the memo.
+The S-pair step and ``interreduce`` read the records as one primitive
+integer form, ``c * (A_last / A)`` divided by the content, whose first
+record is the lead: the form of the monic member, ``t`` its lead
+coefficient.
+
+``groebner.buchberger`` drives one completion state (``_Completion``):
+the packing, the members' forms, their packed leads, the largest degree
+of their terms, their sugars and the pending pairs keyed by packed lcm.
+The Gebauer-Moeller update reads the leads and lcms as ints
+(``Packing.lcm``, ``coprime`` and ``divides``), each S-pair is reduced
+from the state's forms, and a new member stays a form: under a graded
+order its degree is its lead's degree field. When a step could overflow
+the fields, or a member's degree outgrows them, the fields double and
+every form, lead and pair lcm is repacked integer to integer
+(``Packing.repack``), so no member is converted from ``Fraction``
+coefficients. A ``Polynomial`` is built once for each member completion
+returns.
 
 Converting a divisor to its form costs as much as a few steps, and
-callers use the same polynomials again and again: completion divides by
-its growing basis, a ``GroebnerBasis`` reads its members' leads off their
-forms (``leading_monomials``), reduction and membership tests divide by
-one basis. So the forms of the last list converted are kept in one
-module-level memo, and each divisor's form is looked up there by
-object identity, in any order. A call converts only the divisors the
-memo does not hold, and then its list replaces the memo; a call that
-converts none leaves the memo as it is. When it finds a form there, it
-divides in the memo's fields if they are wider than it needs; when its
-degrees outgrow them, the fields double, as after an overflow, and
-every divisor is converted again. A new member from ``reduce_s_pair``
-enters the memo as the member after its list, and the members from
-``interreduce`` replace the memo, so completion, the bases built from
-its members and the queries on them never convert what the kernel made.
-Polynomials are values, never mutated, so the same object always has the
-same form; the memo holds its polynomials, so their ids are not reused
-while it lives. An entry is replaced whole and never mutated, so a
-thread that reads it sees one consistent entry. The memo changes no
-result, only how much is converted. ``pseudo_divide`` builds its one
-form itself and neither reads nor replaces the memo, so root isolation
-between two queries on a basis leaves that basis's forms in place.
+callers use the same polynomials again and again: a ``GroebnerBasis``
+sorts its members on their forms' order keys (``leading_keys``),
+reduction and membership tests divide by one basis. So the forms of the
+last list converted are kept in one module-level memo, and each
+divisor's form is looked up there by object identity, in any order. A
+call converts only the divisors the memo does not hold, and then its
+list replaces the memo; a call that converts none leaves the memo as it
+is. When it finds a form there, it divides in the memo's fields if they
+are wider than it needs; when its degrees outgrow them, the fields
+double, as after an overflow, and every divisor is converted again.
+Completion and ``interreduce`` replace the memo once, when they return,
+with their members and forms, so the bases built from those members and
+the queries on them never convert what the kernel made. Polynomials are
+values, never mutated, so the same object always has the same form; the
+memo holds its polynomials, so their ids are not reused while it lives.
+An entry is replaced whole and never mutated, so a thread that reads it
+sees one consistent entry; a completion's state is its own. The memo
+changes no result, only how much is converted. ``pseudo_divide`` builds
+its one form itself and neither reads nor replaces the memo, so root
+isolation between two queries on a basis leaves that basis's forms in
+place.
 
 Quotients are not built during the division. Each step is recorded as
 (divisor index, shift, b, A), and ``DivisionResult.quotients`` turns
@@ -174,27 +187,13 @@ def reduce_s_pair(
 
     This is ``normal_form(s_polynomial(basis[i], basis[j]), basis)``
     scaled monic, term order included, for a list of nonzero polynomials
-    in one ring. Its form enters the memo as the member after basis.
+    in one ring. It takes completion's own step, and the new member's form
+    enters the memo as the member after basis.
     """
-    global _memo
-    for packing, degree, forms in _packings(basis, order, 0):
-        f_i, f_j = forms[i], forms[j]
-        # Each field of the lcm is at most the larger lead's, so no field
-        # of a shifted tail exceeds twice the degree, which fits.
-        unpack, key = packing.unpack, packing.key
-        k_lcm = key(packing.pack(unpack(f_i.lead).lcm(unpack(f_j.lead))))
-        k_u, k_v = k_lcm - f_i.key, k_lcm - f_j.key
-        common = gcd(f_i.lc, f_j.lc)
-        a, b = f_j.lc // common, f_i.lc // common
-        p = _merge({k + k_u: a * c for k, c in f_i.tail}, [(k + k_v, -b * c) for k, c in f_j.tail])
-        records = _reduce(p, forms, degree, packing, None)
-        if records is None:
-            continue
-        if not records:
-            return None
-        member, form = _monic(records, basis[0]._wrap, packing)
-        _memo = (packing, (*basis, member), (*forms, form))
-        return member, unpack(form.lead)
+    state = _Completion(basis, order)
+    if not state.reduce(i, j):
+        return None
+    return state.members(basis)[-1], state.packing.unpack(state.leads[-1])
 
 
 def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -225,10 +224,11 @@ def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomi
             records = _reduce(dict(g.tail), kept, degree, packing, None)
             if records is None:
                 break
-            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], basis[0]._wrap, packing))
+            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
         else:
-            members, member_forms = zip(*reduced)
-            _memo = (packing, members, member_forms)
+            wrap = basis[0]._wrap
+            members = tuple(_polynomial(form, packing, wrap) for form in reduced)
+            _memo = (packing, members, tuple(reduced))
             return members
 
 
@@ -266,13 +266,24 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
     """The leading monomials of nonzero polynomials of one ring (else a
     ValueError or RingMismatchError), read off the forms the memo then
-    holds, so a ``GroebnerBasis`` of the kernel's members converts none."""
+    holds, so the kernel's members convert none."""
+    packing, forms = _gate(polynomials, order)
+    return [packing.unpack(form.lead) for form in forms]
+
+
+def leading_keys(polynomials: list[Polynomial], order: MonomialOrder) -> list[int]:
+    """The order keys of the leading monomials, ints that compare as the
+    order does, from the same gate as ``leading_monomials``."""
+    return [form.key for form in _gate(polynomials, order)[1]]
+
+
+def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing, tuple[_Form, ...]]:
     if any(g.context != polynomials[0].context for g in polynomials):
         raise RingMismatchError("ring mismatch")
     if not all(polynomials):
         raise ValueError("leading term of zero polynomial")
     packing, _, forms = next(_packings(polynomials, order, 0))
-    return [packing.unpack(form.lead) for form in forms]
+    return packing, forms
 
 
 # (packing, divisors, their forms) of the last conversion; see the module
@@ -355,11 +366,9 @@ def _form(g: Polynomial, packing: Packing) -> _Form:
     return _Form(packing.unkey(k_lead), k_lead, lc, tail, s, t, max(map(sum, g.terms)))
 
 
-def _monic(
-    records: list[tuple[int, int, int, int]], wrap: Callable[[dict], Polynomial], packing: Packing
-) -> tuple[Polynomial, _Form]:
-    """The monic polynomial whose terms the remainder records hold, the
-    first record its lead, and its form."""
+def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
+    """The form of the monic polynomial whose terms the remainder records
+    hold, the first record its lead: s is 1 and t the lead coefficient."""
     top = records[-1][3]  # scales only grow, so every scale divides it
     coefficients = [c * (top // scale) for _, _, c, scale in records]
     content = gcd(*coefficients)
@@ -368,11 +377,107 @@ def _monic(
     if content != 1:
         coefficients = [c // content for c in coefficients]
     lc = coefficients[0]
-    monomials = [packing.unpack(lm) for _, lm, _, _ in records]
-    member = wrap(dict(zip(monomials, [Fraction(c, lc) for c in coefficients])))
     k_lead, lead = records[0][:2]
     tail = [(k, c) for (k, _, _, _), c in zip(records[1:], coefficients[1:])]
-    return member, _Form(lead, k_lead, lc, tail, 1, lc, max(map(sum, monomials)))
+    # Under a graded order no term is of higher degree than the lead.
+    degree = packing.degree(lead) if packing.graded else max(packing.degree(lm) for _, lm, _, _ in records)
+    return _Form(lead, k_lead, lc, tail, 1, lc, degree)
+
+
+def _polynomial(form: _Form, packing: Packing, wrap: Callable[[dict], Polynomial]) -> Polynomial:
+    """The monic polynomial of a form from ``_monic``, lead first."""
+    unpack, unkey, lc = packing.unpack, packing.unkey, form.lc
+    terms = {unpack(form.lead): Fraction(1)}
+    for k, c in form.tail:
+        terms[unpack(unkey(k))] = Fraction(c, lc)
+    return wrap(terms)
+
+
+class _Completion:
+    """Buchberger completion's state, in one packing: the members' forms
+    and packed leads, the largest total degree of their terms, and the
+    members' sugars and pending pairs, (i, j) -> (sugar, key of the
+    packed lcm, packed lcm), which ``groebner.buchberger`` keeps.
+
+    Fields wide enough for twice the degree hold every S-polynomial. When
+    a step could overflow them, or a new member's degree outgrows them,
+    they double: every form, lead and pair lcm is repacked integer to
+    integer, in place, and ``widenings`` counts it. The state starts in
+    the fields its inputs' degree asks for, whatever the memo holds, so
+    its widenings depend on the inputs alone.
+    """
+
+    __slots__ = ("order", "nvars", "packing", "forms", "leads", "degree", "sugars", "pairs", "widenings")
+
+    def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
+        self.packing, forms = _gate(polynomials, order)
+        self.order, self.nvars = order, len(polynomials[0].context)
+        self.forms, self.leads = list(forms), [form.lead for form in forms]
+        self.degree = max(form.degree for form in forms)
+        self.sugars: list[int] = []
+        self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.widenings = 0
+        self._repack(order.packing(self.nvars, self.degree.bit_length() + 2))
+
+    def reduce(self, i: int, j: int) -> bool:
+        """Reduce the S-polynomial of members i and j by every member, and
+        add the remainder made monic as the last member unless it is zero.
+        Whether it added one."""
+        while True:
+            packing, forms = self.packing, self.forms
+            f_i, f_j = forms[i], forms[j]
+            # Each field of the lcm is at most the larger lead's, so no field
+            # of a shifted tail exceeds twice the degree, which fits.
+            k_lcm = packing.key(packing.lcm(f_i.lead, f_j.lead))
+            k_u, k_v = k_lcm - f_i.key, k_lcm - f_j.key
+            common = gcd(f_i.lc, f_j.lc)
+            a, b = f_j.lc // common, f_i.lc // common
+            p = _merge({k + k_u: a * c for k, c in f_i.tail}, [(k + k_v, -b * c) for k, c in f_j.tail])
+            records = _reduce(p, forms, self.degree, packing, None)
+            if records is not None:
+                break
+            self._widen()
+        if not records:
+            return False
+        form = _monic(records, packing)
+        forms.append(form)
+        self.leads.append(form.lead)
+        self.degree = max(self.degree, form.degree)
+        while self.degree.bit_length() + 2 > self.packing.width:
+            self._widen()
+        return True
+
+    def members(self, polynomials: list[Polynomial]) -> tuple[Polynomial, ...]:
+        """The members: polynomials, the state's first members, as given,
+        then one monic Polynomial built for each later member. They and
+        their forms replace the memo."""
+        global _memo
+        packing, wrap = self.packing, polynomials[0]._wrap
+        built = [_polynomial(form, packing, wrap) for form in self.forms[len(polynomials) :]]
+        members = (*polynomials, *built)
+        _memo = (packing, members, tuple(self.forms))
+        return members
+
+    def _widen(self) -> None:
+        self._repack(self.order.packing(self.nvars, 2 * self.packing.width))
+        self.widenings += 1
+
+    def _repack(self, packing: Packing) -> None:
+        old = self.packing
+        if packing is old:
+            return
+        repack, key, unkey = old.repack, packing.key, old.unkey
+
+        def move(k: int) -> int:
+            return key(repack(unkey(k), packing))
+
+        self.forms[:] = [
+            _Form(repack(f.lead, packing), move(f.key), f.lc, [(move(k), c) for k, c in f.tail], f.s, f.t, f.degree)
+            for f in self.forms
+        ]
+        self.leads[:] = [f.lead for f in self.forms]
+        self.pairs.update({pair: (sugar, move(k), repack(m, packing)) for pair, (sugar, k, m) in self.pairs.items()})
+        self.packing = packing
 
 
 def _reduce(

@@ -11,14 +11,17 @@ cancellation, so under lex as under a graded order low-degree work is
 done first.
 
 Each pair's S-polynomial is reduced to normal form against the current
-basis; a nonzero normal form is made monic and enters the basis. The
-division kernel does both in its integer forms (``division.reduce_s_pair``):
-completion hands it the pair's indices, and it hands back the new monic
-member with its leading monomial, so no S-polynomial is built as a
-``Polynomial`` and no leading term is searched for. Every
-member, the inputs first, enters through the Gebauer-Moeller update
-(Gebauer and Moeller, "On an installation of Buchberger's algorithm",
-1988), which drops the pairs that the pairs it keeps make redundant:
+basis; a nonzero normal form is made monic and enters the basis.
+Completion runs in the division kernel's state (``division._Completion``):
+the members are integer forms with packed leading monomials, the kernel
+reduces each pair's S-polynomial from them and keeps the new member as a
+form, and a ``Polynomial`` is built only for each member of the result.
+Every member, the inputs first, enters through the Gebauer-Moeller
+update (Gebauer and Moeller, "On an installation of Buchberger's
+algorithm", 1988), on the packed leads: each lcm, divisibility and
+coprimality test is a few ``int`` operations (``Packing.lcm``,
+``divides`` and ``coprime``), and a pair is keyed by its packed lcm. The
+update drops the pairs that the pairs it keeps make redundant:
 
 - of the new pairs, one whose lcm is a multiple of another new pair's
   lcm (equal lcms keep one of them);
@@ -39,16 +42,16 @@ yielding the unique reduced basis for the ideal and order. The kernel
 does all three on the members' integer forms (``division.interreduce``),
 testing divisibility on their packed leading monomials.
 Neither sorts its result: a ``GroebnerBasis`` holds members of one ring,
-sorted by the leading monomials the kernel reads off their forms.
+sorted on the order keys of their forms' packed leading monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .division import divide, interreduce, leading_monomials, reduce_s_pair
+from .division import _Completion, divide, interreduce, leading_keys
 from .order import MonomialOrder, leading_term
-from .ring import Monomial, Polynomial, RingMismatchError, _merge
+from .ring import Polynomial, RingMismatchError, _merge
 
 # Most members completion may hold before it gives up with a ValueError.
 MAX_BASIS_SIZE = 10_000
@@ -60,8 +63,9 @@ class GroebnerBasis:
 
     There must be at least one generator, each nonzero and all of one
     ring; construction sorts them stably by leading monomial, smallest
-    first, so equal bases compare equal structurally. The leads are read
-    off the division kernel's forms (``division.leading_monomials``).
+    first, so equal bases compare equal structurally. The sort keys are
+    the order keys of the division kernel's packed leads
+    (``division.leading_keys``).
     """
 
     generators: tuple[Polynomial, ...]
@@ -71,9 +75,9 @@ class GroebnerBasis:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("empty generating set")
-        keys = map(self.order.key_function(), leading_monomials(list(self.generators), self.order))
-        ordered = [g for _, g in sorted(zip(keys, self.generators), key=lambda pair: pair[0])]
-        object.__setattr__(self, "generators", tuple(ordered))
+        keys = leading_keys(list(self.generators), self.order)
+        ordered = sorted(range(len(keys)), key=keys.__getitem__)
+        object.__setattr__(self, "generators", tuple(self.generators[k] for k in ordered))
 
     @property
     def context(self):
@@ -135,63 +139,66 @@ def buchberger(
     (``pruned_product``), older pairs pruned by the chain criterion
     (``pruned_chain``), ``s_pairs_reduced``, the ``new_members`` they gave,
     and ``basis_high_water``, the most members held, kept as a maximum.
+    At the end it adds ``widenings``, the number of times the packed
+    fields doubled because a product or a new member's degree outgrew
+    them; it depends on the inputs alone.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("empty generating set")
 
-    key = order.key_function()
-    G: list[Polynomial] = []
-    lms: list[Monomial] = []
-    sugars: list[int] = []
-    active: list[int] = []  # members that later members are paired with
+    state = _Completion(inputs, order)
+    leads, sugars = state.leads, state.sugars
     # (i, j) -> (sugar, key(lcm), lcm); min() returns the first of equal
     # values in insertion order, so ties go to the older pair.
-    pairs: dict[tuple[int, int], tuple] = {}
+    pairs = state.pairs
+    active: list[int] = []  # members that later members are paired with
 
-    def enter(h: Polynomial, t: Monomial, sugar: int) -> None:
-        with_t = [lm.lcm(t) for lm in lms]
-        new = len(G)
+    def enter(new: int, sugar: int) -> None:
+        packing = state.packing
+        lcm, divides, degree = packing.lcm, packing.divides, packing.degree
+        t = leads[new]
+        with_t = [lcm(lead, t) for lead in leads[:new]]
         # A coprime pair stays as a witness until the product criterion.
-        formed = [(k, with_t[k], lms[k].is_coprime_with(t)) for k in active]
+        formed = [(k, with_t[k], packing.coprime(leads[k], t)) for k in active]
         kept = []
         for n, (k, m, coprime) in enumerate(formed):
-            if coprime or not any(w.divides(m) for _, w, _ in formed[n + 1 :] + kept):
+            if coprime or not any(divides(w, m) for _, w, _ in formed[n + 1 :] + kept):
                 kept.append((k, m, coprime))
-        chained = [(i, j) for (i, j), (_, _, m) in pairs.items() if t.divides(m) and with_t[i] != m != with_t[j]]
+        chained = [(i, j) for (i, j), (_, _, m) in pairs.items() if divides(t, m) and with_t[i] != m != with_t[j]]
         for pair in chained:
             del pairs[pair]
         for k, m, coprime in kept:
             if not coprime:
-                d = m.degree
-                pair_sugar = max(sugars[k] + d - lms[k].degree, sugar + d - t.degree)
-                pairs[k, new] = (pair_sugar, key(m), m)
-        active[:] = [k for k in active if not t.divides(lms[k])] + [new]
-        G.append(h)
-        lms.append(t)
+                d = degree(m)
+                pair_sugar = max(sugars[k] + d - degree(leads[k]), sugar + d - degree(t))
+                pairs[k, new] = (pair_sugar, packing.key(m), m)
+        active[:] = [k for k in active if not divides(t, leads[k])] + [new]
         sugars.append(sugar)
         if stats is not None:
             coprime = sum(c for _, _, c in kept)
             _add(stats, pairs_formed=len(formed), pruned_lcm=len(formed) - len(kept),
                  pruned_product=coprime, pruned_chain=len(chained))
-            stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(G))
+            stats["basis_high_water"] = max(stats.get("basis_high_water", 0), new + 1)
 
-    for g, lm in zip(inputs, leading_monomials(inputs, order)):
-        enter(g, lm, max(m.degree for m in g.terms))
+    for new in range(len(inputs)):
+        enter(new, state.forms[new].degree)
 
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar = pairs.pop((i, j))[0]
-        reduced = reduce_s_pair(G, i, j, order)
+        grew = state.reduce(i, j)
         if stats is not None:
-            _add(stats, s_pairs_reduced=1, new_members=reduced is not None)
-        if reduced is None:
+            _add(stats, s_pairs_reduced=1, new_members=grew)
+        if not grew:
             continue
-        enter(*reduced, sugar)
-        if len(G) > MAX_BASIS_SIZE:
+        enter(len(leads) - 1, sugar)
+        if len(leads) > MAX_BASIS_SIZE:
             raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
 
-    return GroebnerBasis(tuple(G), order, reduced=False)
+    if stats is not None:
+        _add(stats, widenings=state.widenings)
+    return GroebnerBasis(state.members(inputs), order, reduced=False)
 
 
 def _add(stats: dict, **counts: int) -> None:

@@ -33,9 +33,13 @@ monomial is an ``int`` that compares as the order does: the packed
 value itself for lex and grlex, and ``2*(P & degree_bits) - P``, the
 degree less the reversed exponents, for grevlex, where a larger exponent
 of a later variable makes the monomial smaller. The key is additive too.
-All of this holds while no field reaches its guard bit; a caller picks
-the width from its inputs' degrees and checks the guard bits of what it
-builds.
+The lcm takes each exponent field's larger value by the same guard
+trick, and under a graded order recomputes the degree field: it is
+``a + b - gcd``, the gcd's degree summed across its fields by one
+multiplication. All of this holds while no field reaches its guard bit;
+a caller picks the width from its inputs' degrees and checks the guard
+bits of what it builds. ``repack`` moves a packed monomial into fields
+of another width, integer to integer.
 """
 
 from __future__ import annotations
@@ -88,10 +92,11 @@ class Packing:
 
     See the module docstring for the layout. ``guards`` is the mask of
     the guard bits; a packed value that has any of them set is not a
-    monomial of this packing.
+    monomial of this packing. ``graded`` says whether the top field holds
+    the total degree.
     """
 
-    __slots__ = ("width", "guards", "_weights", "_shifts", "_top", "_degree_bits")
+    __slots__ = ("width", "guards", "graded", "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         if width < 2:
@@ -100,7 +105,7 @@ class Packing:
         top = nvars * width  # the degree field's shift, when there is one
         # The field of variable i counts from the low end of the int.
         fields = range(nvars) if order is MonomialOrder.GREVLEX else range(nvars - 1, -1, -1)
-        self.width = width
+        self.width, self.graded = width, graded
         self._top = top
         self._shifts = tuple(width * f for f in fields)
         # Each exponent adds itself to its own field and, under a graded
@@ -108,6 +113,9 @@ class Packing:
         self._weights = tuple((1 << s) + (graded << top) for s in self._shifts)
         self.guards = sum(1 << (width * f + width - 1) for f in range(nvars + graded))
         self._degree_bits = ((1 << width) - 1) << top if order is MonomialOrder.GREVLEX else 0
+        # The lowest bit of each exponent field, and the exponent fields.
+        self._ones = sum(1 << s for s in self._shifts)
+        self._exponents = (1 << top) - 1
 
     def pack(self, m: Monomial) -> int:
         return sum(map(mul, m, self._weights))
@@ -135,6 +143,40 @@ class Packing:
     def divides(self, a: int, b: int) -> bool:
         guards = self.guards
         return ((b | guards) - a) & guards == guards
+
+    def coprime(self, a: int, b: int) -> bool:
+        """Whether a and b share no variable."""
+        # A field's guard survives taking one away just when it is not 0.
+        guards, ones = self.guards, self._ones
+        return not ((a | guards) - ones) & ((b | guards) - ones) & guards & self._exponents
+
+    def lcm(self, a: int, b: int) -> int:
+        """The least common multiple, when it fits the fields."""
+        width = self.width
+        larger = ((a | self.guards) - b) & self.guards  # the guards of the fields where a >= b
+        # The gcd's exponents: b's fields where a's are larger, a's elsewhere.
+        gcd = (a ^ ((a ^ b) & (larger - (larger >> (width - 1))))) & self._exponents
+        if self.graded:
+            top = self._top
+            # The degree is the top exponent field of gcd * ones. Every
+            # partial sum of the gcd's exponents is at most its degree,
+            # which fits a field, so no field carries into another.
+            gcd += (((gcd * self._ones) >> (top - width)) & ((1 << width) - 1)) << top
+        return a + b - gcd
+
+    def degree(self, packed: int) -> int:
+        """The total degree."""
+        if self.graded:
+            return packed >> self._top
+        mask = (1 << self.width) - 1
+        return sum((packed >> s) & mask for s in self._shifts)
+
+    def repack(self, packed: int, other: "Packing") -> int:
+        """The monomial packed in other, an order's packing of the same
+        arity in fields wide enough for it."""
+        mask = (1 << self.width) - 1
+        moved = sum(((packed >> s) & mask) << t for s, t in zip(self._shifts, other._shifts))
+        return moved + ((packed >> self._top) << other._top if self.graded else 0)
 
 
 _KEYS = {

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
-from groebnerkit import groebner
+from groebnerkit import division, groebner
 from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders
 
 
@@ -218,6 +219,41 @@ class TestBuchberger:
         assert twice == {name: 2 * n for name, n in once.items()} | {"basis_high_water": 9}
         assert once["basis_high_water"] == 5
 
+    def test_widenings_repeat_and_only_the_inputs_convert(self, monkeypatch):
+        # S(x - y^3, x^2 - z) reduces to z^18 - z, past the fields of width
+        # 4 that degree 3 asks for: the fields double once, and the forms
+        # are repacked, not converted from the polynomials again.
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+        gens = parse_system(["x - y^3", "y - z^3", "x^2 - z"], CTX_XYZ)
+        runs = []
+        for _ in range(3):
+            # The later runs find the inputs' forms in the memo, in the
+            # doubled fields the last run left them in.
+            stats = {}
+            basis = buchberger(gens, LEX, stats)
+            runs.append((stats, canonical(basis)))
+        assert converted == gens
+        assert runs[0][0]["widenings"] == 1
+        assert runs[1:] == runs[:-1]
+        assert "z^18 - z" in runs[0][1]
+
+    def test_pending_pairs_survive_a_widening(self):
+        # y^4 - 4*y^2 + 1 outgrows the fields of width 4 while a pair still
+        # waits; its lcm is repacked with the forms, so the pair is reduced
+        # and pruned as before.
+        stats = {}
+        basis = buchberger(parse_system(["x^2 + y^2 - 4", "x*y - 1"], CTX_XY), LEX, stats)
+        assert canonical(basis) == ["y^4 - 4*y^2 + 1", "x + y^3 - 4*y", "x*y - 1", "x^2 + y^2 - 4"]
+        assert stats == {"pairs_formed": 4, "pruned_lcm": 0, "pruned_product": 1, "pruned_chain": 0,
+                         "basis_high_water": 4, "s_pairs_reduced": 3, "new_members": 2, "widenings": 1}
+
     def test_cyclic4_work_is_independent_of_input_order(self):
         ctx = VariableContext(["a", "b", "c", "d"])
         cyclic4 = parse_system(
@@ -396,3 +432,42 @@ class TestRandomizedProperties:
                     assert not any(
                         lead[j].divides(m) for j in range(len(lead)) if j != i
                     )
+
+
+# Standard systems whose raw bases pin completion: cyclic-4 in a..d and
+# katsura-n in u0..un, as perfbench/systems.py writes them.
+PINNED_SYSTEMS = {
+    "cyclic-4": ("a b c d", ["a + b + c + d", "a*b + a*d + b*c + c*d",
+                             "a*b*c + a*b*d + a*c*d + b*c*d", "a*b*c*d - 1"]),
+    "katsura-3": ("u0 u1 u2 u3", ["u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+                                  "u0^2 - u0 + 2*u1^2 + 2*u2^2 + 2*u3^2",
+                                  "2*u0*u1 + 2*u1*u2 - u1 + 2*u2*u3",
+                                  "2*u0*u2 + u1^2 + 2*u1*u3 - u2"]),
+    "katsura-4": ("u0 u1 u2 u3 u4", ["u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1",
+                                     "u0^2 - u0 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2",
+                                     "2*u0*u1 + 2*u1*u2 - u1 + 2*u2*u3 + 2*u3*u4",
+                                     "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2",
+                                     "2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3"]),
+}
+
+# The stats counters this digest covers; a counter added later does not
+# change it.
+PINNED_STATS = ("pairs_formed", "pruned_lcm", "pruned_product", "pruned_chain",
+                "s_pairs_reduced", "new_members", "basis_high_water")
+
+# SHA-256 of every raw basis below, each member's terms in their stored
+# order, and of its stats, as completion gave them when this was recorded.
+PINNED_DIGEST = "b60da8f2dd2d323466f1f279bc571efbf1a273c7206caa48f16ccaf8d9b5d5ac"
+
+
+def test_raw_bases_and_stats_are_pinned():
+    record = []
+    runs = [(name, order) for name in ("cyclic-4", "katsura-3") for order in (LEX, GRLEX, GREVLEX)]
+    runs += [("katsura-4", GREVLEX), ("katsura-4", GRLEX)]
+    for name, order in runs:
+        names, texts = PINNED_SYSTEMS[name]
+        stats = {}
+        basis = buchberger(parse_system(texts, VariableContext(names.split())), order, stats)
+        members = [[(tuple(m), c.numerator, c.denominator) for m, c in g.terms.items()] for g in basis]
+        record.append((name, order.value, members, [(k, stats[k]) for k in PINNED_STATS]))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == PINNED_DIGEST

@@ -117,6 +117,25 @@ def packed_cases():
     return st.integers(1, 4).flatmap(for_arity).map(with_packing)
 
 
+def lcm_cases():
+    """An order, two monomials of 1 to 5 variables, each exponent 0 half
+    the time so that coprime pairs are common, and a packing of that arity
+    from the narrowest one their lcm fits, degree field included, to three
+    bits wider."""
+
+    def for_arity(n):
+        exponents = st.tuples(*[st.just(0) | st.integers(1, 20)] * n).map(Monomial)
+        return st.tuples(orders(), exponents, exponents, st.integers(0, 3))
+
+    def with_packing(case):
+        order, a, b, spare = case
+        lcm = a.lcm(b)
+        largest = max(lcm) if order is LEX else lcm.degree
+        return order, a, b, order.packing(len(a), max(2, largest.bit_length() + 1) + spare)
+
+    return st.integers(1, 5).flatmap(for_arity).map(with_packing)
+
+
 class TestPacking:
     @given(packed_cases())
     def test_keys_compare_as_the_order(self, case):
@@ -145,3 +164,26 @@ class TestPacking:
         assert packed & packing.guards == 0
         assert packing.unkey(packing.key(packed)) == packed
         assert packing.unpack(packed) == a
+
+    @given(lcm_cases())
+    def test_lcm_coprime_and_divides_are_the_monomials(self, case):
+        _, a, b, packing = case
+        pa, pb = packing.pack(a), packing.pack(b)
+        lcm = packing.lcm(pa, pb)
+        # Equal packed values: a graded packing's degree field is the lcm's
+        # degree, recomputed, not the larger of the two degrees.
+        assert lcm == packing.pack(a.lcm(b))
+        assert lcm & packing.guards == 0
+        assert packing.degree(lcm) == a.lcm(b).degree
+        assert packing.lcm(pb, pa) == lcm
+        assert packing.coprime(pa, pb) == a.is_coprime_with(b)
+        assert packing.divides(pa, pb) == a.divides(b)
+        assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
+
+    @given(lcm_cases(), st.integers(1, 3))
+    def test_repack_moves_a_monomial_between_widths(self, case, doublings):
+        order, a, _, packing = case
+        wider = order.packing(len(a), packing.width << doublings)
+        packed = packing.pack(a)
+        assert packing.repack(packed, wider) == wider.pack(a)
+        assert wider.repack(wider.pack(a), packing) == packed
