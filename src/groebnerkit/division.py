@@ -35,7 +35,7 @@ step that moved it, and the step's quotient term is (n / d) * b / A /
 (s / t). The loop makes ``int`` products and one ``gcd`` per step, and
 strips no content from P, whose coefficients grow with A.
 
-There is one reduction loop, ``_reduce``, and four entries to it:
+There is one reduction loop, ``_reduce``, and five entries to it:
 
 - ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
   and records its steps for the quotients;
@@ -47,6 +47,8 @@ There is one reduction loop, ``_reduce``, and four entries to it:
   member; ``reduce_s_pair`` is that step for one pair of a list;
 - ``interreduce`` keeps each member whose lead no kept member's lead
   divides, and reduces each kept member's tail by all of them;
+  ``_interreduce_forms`` does the same on the forms a kernel-built basis
+  holds;
 - ``pseudo_divide`` divides one integer coefficient list by another,
   lowest degree first, in a one-variable lex packing where x^k packs to
   k. It reads the records and steps at the last scale A, so it returns
@@ -67,24 +69,32 @@ from the state's forms, and a new member stays a form: under a graded
 order its degree is its lead's degree field. When a step could overflow
 the fields, or a member's degree outgrows them, the fields double and
 every form, lead and pair lcm is repacked integer to integer
-(``Packing.repack``), so no member is converted from ``Fraction``
-coefficients. A ``Polynomial`` is built once for each member completion
-returns.
+(``Packing.repack``, each distinct key once per widening), so no member
+is converted from ``Fraction`` coefficients. Completion builds no
+``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
+packing and forms, and builds its new members when they are first read.
+``_interreduce_forms`` interreduces those forms directly, through the
+same loop as ``interreduce`` (``_interreduce``), and widens by repacking
+them, so under ``groebner.groebner_basis`` a ``Polynomial`` is built
+only for each member of the reduced basis. Each build unpacks every
+distinct packed monomial once, so its members share ``Monomial`` objects
+(``_members``).
 
 Converting a divisor to its form costs as much as a few steps, and
 callers use the same polynomials again and again: a ``GroebnerBasis``
-sorts its members on their forms' order keys (``leading_keys``),
-reduction and membership tests divide by one basis. So the forms of the
-last list converted are kept in one module-level memo, and each
-divisor's form is looked up there by object identity, in any order. A
-call converts only the divisors the memo does not hold, and then its
-list replaces the memo; a call that converts none leaves the memo as it
-is. When it finds a form there, it divides in the memo's fields if they
-are wider than it needs; when its degrees outgrow them, the fields
-double, as after an overflow, and every divisor is converted again.
-Completion and ``interreduce`` replace the memo once, when they return,
-with their members and forms, so the bases built from those members and
-the queries on them never convert what the kernel made. Polynomials are
+built from polynomials sorts them on their forms' order keys
+(``leading_keys``), and reduction and membership tests divide by one
+basis. So the forms of the last list converted are kept in one
+module-level memo, and each divisor's form is looked up there by object
+identity, in any order. A call converts only the divisors the memo does
+not hold, and then its list replaces the memo; a call that converts none
+leaves the memo as it is. When it finds a form there, it divides in the
+memo's fields if they are wider than it needs; when its degrees outgrow
+them, the fields double, as after an overflow, and every divisor is
+converted again. Each build of kernel members (``_members``: a raw
+basis's first read, ``interreduce``, ``_interreduce_forms``' caller and
+``reduce_s_pair``) replaces the memo with those members and their forms,
+so the queries on them never convert what the kernel made. Polynomials are
 values, never mutated, so the same object always has the same form; the
 memo holds its polynomials, so their ids are not reused while it lives.
 An entry is replaced whole and never mutated, so a thread that reads it
@@ -193,7 +203,8 @@ def reduce_s_pair(
     state = _Completion(basis, order)
     if not state.reduce(i, j):
         return None
-    return state.members(basis)[-1], state.packing.unpack(state.leads[-1])
+    members = _members(state.packing, state.forms, [*basis, None], basis[0]._wrap)
+    return members[-1], state.packing.unpack(state.leads[-1])
 
 
 def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -205,31 +216,52 @@ def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomi
     ``(lead + divide(tail, survivors).remainder) / lc``, term order
     included. The survivors' forms replace the memo.
     """
-    global _memo
     for packing, degree, forms in _packings(basis, order, 0):
-        # A lead that divides another is never larger, so in ascending
-        # order every dominating member comes before what it dominates.
-        kept: list[_Form] = []
-        for form in forms:
-            if not any(packing.divides(g.lead, form.lead) for g in kept):
-                kept.append(form)
-        # One pass suffices: the kept leads are pairwise indivisible, so
-        # interreduction only rewrites trailing terms and never disturbs
-        # the leads the divisibility checks depend on. Every tail term is
-        # below its own lead, which therefore never divides it, so each
-        # tail is reduced by one list of all survivors; that list is a
-        # Groebner basis, so the remainder is the unique normal form.
-        reduced = []
-        for g in kept:
-            records = _reduce(dict(g.tail), kept, degree, packing, None)
-            if records is None:
-                break
-            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
-        else:
-            wrap = basis[0]._wrap
-            members = tuple(_polynomial(form, packing, wrap) for form in reduced)
-            _memo = (packing, members, tuple(reduced))
-            return members
+        reduced = _interreduce(forms, degree, packing)
+        if reduced is not None:
+            return _members(packing, reduced, [None] * len(reduced), basis[0]._wrap)
+
+
+def _interreduce(forms: Sequence[_Form], degree: int, packing: Packing) -> list[_Form] | None:
+    """The forms of ``interreduce``'s survivors, monic, from the forms of a
+    Groebner basis in ascending order of leads; or None if a product could
+    overflow the fields, which the caller then widens. No term of a form
+    has a total degree above degree."""
+    # A lead that divides another is never larger, so in ascending order
+    # every dominating member comes before what it dominates.
+    kept: list[_Form] = []
+    for form in forms:
+        if not any(packing.divides(g.lead, form.lead) for g in kept):
+            kept.append(form)
+    # One pass suffices: the kept leads are pairwise indivisible, so
+    # interreduction only rewrites trailing terms and never disturbs the
+    # leads the divisibility checks depend on. Every tail term is below its
+    # own lead, which therefore never divides it, so each tail is reduced
+    # by one list of all survivors; that list is a Groebner basis, so the
+    # remainder is the unique normal form.
+    reduced = []
+    for g in kept:
+        records = _reduce(dict(g.tail), kept, degree, packing, None)
+        if records is None:
+            return None
+        reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
+    return reduced
+
+
+def _interreduce_forms(
+    forms: Sequence[_Form], packing: Packing, order: MonomialOrder
+) -> tuple[Packing, list[_Form]]:
+    """``interreduce`` on the forms of a basis the kernel built, in
+    ascending order of leads: the survivors' packing and monic forms. When
+    a product could overflow the fields, they double and the forms are
+    repacked; neither the forms given nor the memo is touched."""
+    degree = max(form.degree for form in forms)
+    while True:
+        reduced = _interreduce(forms, degree, packing)
+        if reduced is not None:
+            return packing, reduced
+        wider = order.packing(packing.nvars, 2 * packing.width)
+        forms, packing = _repacked(forms, wider, _mover(packing, wider)), wider
 
 
 def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -384,13 +416,60 @@ def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
     return _Form(lead, k_lead, lc, tail, 1, lc, degree)
 
 
-def _polynomial(form: _Form, packing: Packing, wrap: Callable[[dict], Polynomial]) -> Polynomial:
-    """The monic polynomial of a form from ``_monic``, lead first."""
-    unpack, unkey, lc = packing.unpack, packing.unkey, form.lc
-    terms = {unpack(form.lead): Fraction(1)}
+def _members(
+    packing: Packing, forms: Sequence[_Form], given: Sequence[Polynomial | None], wrap: Callable[[dict], Polynomial]
+) -> tuple[Polynomial, ...]:
+    """The polynomials of forms from ``_monic``: given[i] where it is one,
+    else the monic Polynomial of forms[i]. Each distinct packed monomial is
+    unpacked once, so the members built share their Monomials. They and
+    their forms replace the memo."""
+    global _memo
+    unpack, unkey = packing.unpack, packing.unkey
+    monomials: dict[int, Monomial] = {}
+
+    def monomial(k: int) -> Monomial:
+        m = monomials.get(k)
+        if m is None:
+            m = monomials[k] = unpack(unkey(k))
+        return m
+
+    members = tuple(_polynomial(form, monomial, wrap) if g is None else g for form, g in zip(forms, given))
+    _memo = (packing, members, tuple(forms))
+    return members
+
+
+def _polynomial(form: _Form, monomial: Callable[[int], Monomial], wrap: Callable[[dict], Polynomial]) -> Polynomial:
+    """The monic polynomial of a form from ``_monic``, lead first, each
+    monomial read from its order key."""
+    lc = form.lc
+    terms = {monomial(form.key): Fraction(1)}
     for k, c in form.tail:
-        terms[unpack(unkey(k))] = Fraction(c, lc)
+        terms[monomial(k)] = Fraction(c, lc)
     return wrap(terms)
+
+
+def _mover(old: Packing, new: Packing) -> Callable[[int], int]:
+    """The order key in new of an order key in old, each distinct key
+    moved once, for a new packing of the same order and arity."""
+    repack, unkey, key = old.repack, old.unkey, new.key
+    moved: dict[int, int] = {}
+
+    def move(k: int) -> int:
+        m = moved.get(k)
+        if m is None:
+            m = moved[k] = key(repack(unkey(k), new))
+        return m
+
+    return move
+
+
+def _repacked(forms: Iterable[_Form], new: Packing, move: Callable[[int], int]) -> list[_Form]:
+    """The forms in the packing new, integer to integer, through move."""
+    unkey = new.unkey
+    return [
+        _Form(unkey(move(f.key)), move(f.key), f.lc, [(move(k), c) for k, c in f.tail], f.s, f.t, f.degree)
+        for f in forms
+    ]
 
 
 class _Completion:
@@ -407,17 +486,17 @@ class _Completion:
     its widenings depend on the inputs alone.
     """
 
-    __slots__ = ("order", "nvars", "packing", "forms", "leads", "degree", "sugars", "pairs", "widenings")
+    __slots__ = ("order", "packing", "forms", "leads", "degree", "sugars", "pairs", "widenings")
 
     def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
         self.packing, forms = _gate(polynomials, order)
-        self.order, self.nvars = order, len(polynomials[0].context)
+        self.order = order
         self.forms, self.leads = list(forms), [form.lead for form in forms]
         self.degree = max(form.degree for form in forms)
         self.sugars: list[int] = []
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.widenings = 0
-        self._repack(order.packing(self.nvars, self.degree.bit_length() + 2))
+        self._repack(order.packing(self.packing.nvars, self.degree.bit_length() + 2))
 
     def reduce(self, i: int, j: int) -> bool:
         """Reduce the S-polynomial of members i and j by every member, and
@@ -447,36 +526,21 @@ class _Completion:
             self._widen()
         return True
 
-    def members(self, polynomials: list[Polynomial]) -> tuple[Polynomial, ...]:
-        """The members: polynomials, the state's first members, as given,
-        then one monic Polynomial built for each later member. They and
-        their forms replace the memo."""
-        global _memo
-        packing, wrap = self.packing, polynomials[0]._wrap
-        built = [_polynomial(form, packing, wrap) for form in self.forms[len(polynomials) :]]
-        members = (*polynomials, *built)
-        _memo = (packing, members, tuple(self.forms))
-        return members
-
     def _widen(self) -> None:
-        self._repack(self.order.packing(self.nvars, 2 * self.packing.width))
+        self._repack(self.order.packing(self.packing.nvars, 2 * self.packing.width))
         self.widenings += 1
 
     def _repack(self, packing: Packing) -> None:
-        old = self.packing
-        if packing is old:
+        if packing is self.packing:
             return
-        repack, key, unkey = old.repack, packing.key, old.unkey
-
-        def move(k: int) -> int:
-            return key(repack(unkey(k), packing))
-
-        self.forms[:] = [
-            _Form(repack(f.lead, packing), move(f.key), f.lc, [(move(k), c) for k, c in f.tail], f.s, f.t, f.degree)
-            for f in self.forms
-        ]
+        # One key map for the forms, leads and pair lcms: each distinct key
+        # is moved once per widening.
+        move, unkey = _mover(self.packing, packing), packing.unkey
+        self.forms[:] = _repacked(self.forms, packing, move)
         self.leads[:] = [f.lead for f in self.forms]
-        self.pairs.update({pair: (sugar, move(k), repack(m, packing)) for pair, (sugar, k, m) in self.pairs.items()})
+        for pair, (sugar, k, _) in self.pairs.items():
+            k = move(k)
+            self.pairs[pair] = (sugar, k, unkey(k))
         self.packing = packing
 
 

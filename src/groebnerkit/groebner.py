@@ -15,7 +15,8 @@ basis; a nonzero normal form is made monic and enters the basis.
 Completion runs in the division kernel's state (``division._Completion``):
 the members are integer forms with packed leading monomials, the kernel
 reduces each pair's S-polynomial from them and keeps the new member as a
-form, and a ``Polynomial`` is built only for each member of the result.
+form, and no ``Polynomial`` is built: the raw basis builds its new
+members when they are first read.
 Every member, the inputs first, enters through the Gebauer-Moeller
 update (Gebauer and Moeller, "On an installation of Buchberger's
 algorithm", 1988), on the packed leads: each lcm, divisibility and
@@ -39,17 +40,21 @@ generators; which other members it holds depends on this algorithm.
 ``reduce_basis`` then drops members whose leading terms are divisible
 by another member's, interreduces the survivors, and scales them monic,
 yielding the unique reduced basis for the ideal and order. The kernel
-does all three on the members' integer forms (``division.interreduce``),
-testing divisibility on their packed leading monomials.
-Neither sorts its result: a ``GroebnerBasis`` holds members of one ring,
-sorted on the order keys of their forms' packed leading monomials.
+does all three on the forms the raw basis holds
+(``division._interreduce_forms``), testing divisibility on their packed
+leading monomials, so ``groebner_basis`` builds a ``Polynomial`` only for
+each member of the reduced basis. Neither sorts its result: a
+``GroebnerBasis`` holds members of one ring, sorted on the order keys of
+their forms' packed leading monomials; one the kernel builds sorts the
+forms it holds, and converts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .division import _Completion, divide, interreduce, leading_keys
+from .division import _Completion, _interreduce_forms, _members, divide, interreduce, leading_keys
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -57,7 +62,7 @@ from .ring import Polynomial, RingMismatchError, _merge
 MAX_BASIS_SIZE = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroebnerBasis:
     """A generating set tagged with its order and reduced/unreduced status.
 
@@ -66,18 +71,55 @@ class GroebnerBasis:
     first, so equal bases compare equal structurally. The sort keys are
     the order keys of the division kernel's packed leads
     (``division.leading_keys``).
+
+    A frozen dataclass of its three fields, compared, hashed, printed and
+    pickled by value, with its own constructor and slots. A basis that
+    ``buchberger`` or ``reduce_basis`` builds also holds the kernel's
+    packing and its members' forms, sorted on the forms' order keys, and
+    ``reduce_basis`` interreduces those forms. ``buchberger``'s raw basis
+    builds its new members' Polynomials when ``generators`` is first read;
+    they and their forms then replace the division memo. Two threads may
+    both build them; they build equal tuples.
     """
+
+    __slots__ = ("generators", "order", "reduced", "_kernel")
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder, reduced: bool):
+        generators = tuple(generators)
+        if not generators:
             raise ValueError("empty generating set")
-        keys = leading_keys(list(self.generators), self.order)
+        keys = leading_keys(list(generators), order)
         ordered = sorted(range(len(keys)), key=keys.__getitem__)
-        object.__setattr__(self, "generators", tuple(self.generators[k] for k in ordered))
+        _set(self, generators=tuple(generators[k] for k in ordered), order=order, reduced=reduced, _kernel=None)
+
+    @classmethod
+    def _of_forms(cls, packing, forms, given, wrap, order: MonomialOrder, reduced: bool) -> GroebnerBasis:
+        """The basis of the kernel's forms in one packing, given[i] the
+        Polynomial of forms[i] or None, sorted stably on the forms' order
+        keys. The missing Polynomials are built by wrap when first read."""
+        ordered = sorted(range(len(forms)), key=lambda k: forms[k].key)
+        forms, given = tuple(forms[k] for k in ordered), tuple(given[k] for k in ordered)
+        basis = object.__new__(cls)
+        _set(basis, order=order, reduced=reduced, _kernel=(packing, forms, given, wrap))
+        if all(g is not None for g in given):
+            _set(basis, generators=given)
+        return basis
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot not set: a raw basis's generators before
+        # their first read.
+        if name != "generators":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        generators = _members(*self._kernel)
+        _set(self, generators=generators)
+        return generators
+
+    def __reduce__(self):
+        return GroebnerBasis, (self.generators, self.order, self.reduced)
 
     @property
     def context(self):
@@ -88,6 +130,11 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.generators)
+
+
+def _set(obj: object, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -142,6 +189,11 @@ def buchberger(
     At the end it adds ``widenings``, the number of times the packed
     fields doubled because a product or a new member's degree outgrew
     them; it depends on the inputs alone.
+
+    The raw basis holds the completion's packing and forms. The inputs
+    are its members as given; the others are built as monic Polynomials
+    when ``generators`` is first read, and ``reduce_basis`` never reads
+    them. Two threads may both build them; they build equal tuples.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
@@ -198,7 +250,8 @@ def buchberger(
 
     if stats is not None:
         _add(stats, widenings=state.widenings)
-    return GroebnerBasis(state.members(inputs), order, reduced=False)
+    given = inputs + [None] * (len(state.forms) - len(inputs))
+    return GroebnerBasis._of_forms(state.packing, tuple(state.forms), given, inputs[0]._wrap, order, reduced=False)
 
 
 def _add(stats: dict, **counts: int) -> None:
@@ -212,10 +265,22 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     Drop any member whose leading term another surviving member's
     leading term divides, replace each survivor by its remainder modulo
     the others, and scale everything monic. Idempotent. The kernel does
-    all three on the members' integer forms (``division.interreduce``),
-    so no lead or tail is built as a ``Polynomial``.
+    all three on integer forms, so no lead or tail is built as a
+    ``Polynomial``. A basis from ``buchberger`` or ``reduce_basis`` hands
+    over the forms it holds (``division._interreduce_forms``), so a raw
+    basis's generators are neither read nor built; any other basis's
+    generators are converted (``division.interreduce``). The survivors'
+    Polynomials are built before it returns, and they and their forms
+    replace the division memo. Another thread may read a raw basis's
+    generators meanwhile; each build of them gives an equal tuple.
     """
-    return GroebnerBasis(interreduce(list(basis.generators), basis.order), basis.order, reduced=True)
+    order = basis.order
+    if basis._kernel is None:
+        return GroebnerBasis(interreduce(list(basis.generators), order), order, reduced=True)
+    packing, forms, _, wrap = basis._kernel
+    packing, survivors = _interreduce_forms(forms, packing, order)
+    members = _members(packing, survivors, [None] * len(survivors), wrap)
+    return GroebnerBasis._of_forms(packing, survivors, members, wrap, order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:

@@ -90,13 +90,16 @@ class MonomialOrder(enum.Enum):
 class Packing:
     """One order's packed form of the monomials of a fixed arity.
 
-    See the module docstring for the layout. ``guards`` is the mask of
+    See the module docstring for the layout. ``nvars`` is the arity and
+    ``width`` the field width, guard bit included. ``guards`` is the mask of
     the guard bits; a packed value that has any of them set is not a
     monomial of this packing. ``graded`` says whether the top field holds
     the total degree.
     """
 
-    __slots__ = ("width", "guards", "graded", "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents")
+    __slots__ = (
+        "nvars", "width", "guards", "graded", "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents"
+    )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         if width < 2:
@@ -105,7 +108,7 @@ class Packing:
         top = nvars * width  # the degree field's shift, when there is one
         # The field of variable i counts from the low end of the int.
         fields = range(nvars) if order is MonomialOrder.GREVLEX else range(nvars - 1, -1, -1)
-        self.width, self.graded = width, graded
+        self.nvars, self.width, self.graded = nvars, width, graded
         self._top = top
         self._shifts = tuple(width * f for f in fields)
         # Each exponent adds itself to its own field and, under a graded

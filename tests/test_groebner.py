@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -320,6 +322,101 @@ class TestGroebnerBasisType:
             with pytest.raises(ValueError, match="^empty generating set$"):
                 GroebnerBasis((), GRLEX, reduced=reduced)
 
+    def test_generators_may_be_any_iterable(self):
+        basis = GroebnerBasis(iter([_xy("x^2"), _xy("y")]), GRLEX, reduced=False)
+        assert basis.generators == (_xy("y"), _xy("x^2"))
+        assert GroebnerBasis((g for g in [_xy("x")]), LEX, reduced=True).generators == (_xy("x"),)
+
+    def test_dataclass_fields_and_replace(self):
+        basis = GroebnerBasis((_xy("x^2"), _xy("y")), GRLEX, reduced=False)
+        assert [f.name for f in dataclasses.fields(basis)] == ["generators", "order", "reduced"]
+        # replace goes through the constructor, so the result is sorted.
+        other = dataclasses.replace(basis, generators=(_xy("x"), _xy("y^2")))
+        assert other == GroebnerBasis((_xy("x"), _xy("y^2")), GRLEX, reduced=False)
+        assert other.generators == (_xy("x"), _xy("y^2"))
+
+
+# Cyclic-4: its raw basis under grevlex holds members beyond the inputs.
+CTX_ABCD = VariableContext(["a", "b", "c", "d"])
+CYCLIC4 = ["a + b + c + d", "a*b + a*d + b*c + c*d", "a*b*c + a*b*d + a*c*d + b*c*d", "a*b*c*d - 1"]
+
+
+class TestKernelBases:
+    def test_raw_basis_is_a_value(self):
+        gens = parse_system(CYCLIC4, CTX_ABCD)
+        same = GroebnerBasis(buchberger(gens, GREVLEX).generators, GREVLEX, reduced=False)
+        # Each check on a raw basis whose generators were not yet read.
+        assert buchberger(gens, GREVLEX) == same
+        assert same == buchberger(gens, GREVLEX)
+        assert hash(buchberger(gens, GREVLEX)) == hash(same)
+        assert repr(buchberger(gens, GREVLEX)) == repr(same)
+        assert repr(same).startswith("GroebnerBasis(generators=(Polynomial(")
+        assert pickle.loads(pickle.dumps(buchberger(gens, GREVLEX))) == same
+        assert buchberger(gens, GREVLEX) != GroebnerBasis(same.generators, GREVLEX, reduced=True)
+        assert buchberger(gens, GREVLEX) != GroebnerBasis(same.generators, GRLEX, reduced=False)
+        assert buchberger(gens, GREVLEX).__eq__(same.generators) is NotImplemented
+
+    def test_bases_are_immutable(self):
+        gens = parse_system(CYCLIC4, CTX_ABCD)
+        raw = buchberger(gens, GREVLEX)
+        for basis in (raw, reduce_basis(raw), GroebnerBasis(gens, GREVLEX, reduced=False)):
+            for name in ("generators", "order", "reduced", "_kernel", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(basis, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(basis, name)
+
+    def test_generators_are_built_once(self):
+        raw = buchberger(parse_system(CYCLIC4, CTX_ABCD), GREVLEX)
+        assert raw.generators is raw.generators
+
+    def test_only_the_returned_members_are_built(self, monkeypatch):
+        built = []
+        polynomial = division._polynomial
+
+        def spy(form, monomial, wrap):
+            built.append(form)
+            return polynomial(form, monomial, wrap)
+
+        monkeypatch.setattr(division, "_polynomial", spy)
+        gens = parse_system(CYCLIC4, CTX_ABCD)
+        result = groebner_basis(gens, GREVLEX)
+        assert len(built) == len(result) == 7
+        built.clear()
+        raw = buchberger(gens, GREVLEX)
+        assert built == []
+        # The inputs are members as given; only the new members are built.
+        assert len(raw.generators) - len(gens) == len(built) > 0
+        assert all(any(g is p for p in raw) for g in gens)
+
+    def test_reduction_leaves_the_raw_forms_and_widens_its_own(self):
+        # The leads z and x are coprime, so the raw basis is the input.
+        # Interreduction turns z - x^3 into z - y^9, past the fields of
+        # width 4 that degree 3 asks for: they double, and the raw basis's
+        # forms stay as they were.
+        raw = buchberger(parse_system(["z - x^3", "x - y^3"], VariableContext(["z", "x", "y"])), LEX)
+        packing, forms = raw._kernel[:2]
+        before = repr(forms)
+        reduced = reduce_basis(raw)
+        assert canonical(reduced) == ["x - y^3", "z - y^9"]
+        assert (packing.width, reduced._kernel[0].width) == (4, 8)
+        assert raw._kernel[:2] == (packing, forms) and repr(forms) == before
+        assert reduce_basis(reduced) == reduced
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(nonzero_polynomials(max_terms=3, max_exponent=3, max_magnitude=9, max_denominator=4),
+                 min_size=1, max_size=3),
+        orders(),
+    )
+    def test_forms_and_polynomials_reduce_alike(self, gens, order):
+        raw = buchberger(gens, order)
+        from_forms = reduce_basis(raw)
+        from_polynomials = reduce_basis(GroebnerBasis(raw.generators, order, reduced=False))
+        assert from_forms == from_polynomials
+        # Term order included.
+        assert [list(g.terms.items()) for g in from_forms] == [list(g.terms.items()) for g in from_polynomials]
+
 
 class TestReduceBasis:
     def test_drops_dominated_member(self):
@@ -460,14 +557,32 @@ PINNED_STATS = ("pairs_formed", "pruned_lcm", "pruned_product", "pruned_chain",
 PINNED_DIGEST = "b60da8f2dd2d323466f1f279bc571efbf1a273c7206caa48f16ccaf8d9b5d5ac"
 
 
+# SHA-256 of the reduced basis groebner_basis gives for each of the same
+# systems and orders, with its order and reduced flag, each member's terms
+# in their stored order, as recorded when reduction still read the raw
+# basis's Polynomials.
+PINNED_REDUCED_DIGEST = "9b3d50347bc9efdf2b2a3ccefe203cb299b7a09dcd1130a547c683f64583b247"
+
+PINNED_RUNS = [(name, order) for name in ("cyclic-4", "katsura-3") for order in (LEX, GRLEX, GREVLEX)]
+PINNED_RUNS += [("katsura-4", GREVLEX), ("katsura-4", GRLEX)]
+
+
 def test_raw_bases_and_stats_are_pinned():
     record = []
-    runs = [(name, order) for name in ("cyclic-4", "katsura-3") for order in (LEX, GRLEX, GREVLEX)]
-    runs += [("katsura-4", GREVLEX), ("katsura-4", GRLEX)]
-    for name, order in runs:
+    for name, order in PINNED_RUNS:
         names, texts = PINNED_SYSTEMS[name]
         stats = {}
         basis = buchberger(parse_system(texts, VariableContext(names.split())), order, stats)
         members = [[(tuple(m), c.numerator, c.denominator) for m, c in g.terms.items()] for g in basis]
         record.append((name, order.value, members, [(k, stats[k]) for k in PINNED_STATS]))
     assert hashlib.sha256(repr(record).encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_reduced_bases_are_pinned():
+    record = []
+    for name, order in PINNED_RUNS:
+        names, texts = PINNED_SYSTEMS[name]
+        basis = groebner_basis(parse_system(texts, VariableContext(names.split())), order)
+        members = [[(tuple(m), c.numerator, c.denominator) for m, c in g.terms.items()] for g in basis]
+        record.append((name, basis.order.value, basis.reduced, members))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == PINNED_REDUCED_DIGEST
