@@ -45,17 +45,16 @@ There is one reduction loop, ``_reduce``, and five entries to it:
   cancels the leads in integers; up to a scalar that is the
   S-polynomial, so its normal form made monic is the completion's new
   member; ``reduce_s_pair`` is that step for one pair of a list;
-- ``interreduce`` keeps each member whose lead no kept member's lead
-  divides, and reduces each kept member's tail by all of them;
-  ``_interreduce_forms`` does the same on the forms a kernel-built basis
-  holds;
+- ``_interreduce_forms`` keeps each member of a Groebner basis whose
+  lead no kept member's lead divides, and reduces each kept member's tail
+  by all of them;
 - ``pseudo_divide`` divides one integer coefficient list by another,
   lowest degree first, in a one-variable lex packing where x^k packs to
   k. It reads the records and steps at the last scale A, so it returns
   A times the quotient and remainder over Q, all in integers. The Sturm
   chain of ``ideal.univariate_real_roots`` is built with it.
 
-The S-pair step and ``interreduce`` read the records as one primitive
+The S-pair step and interreduction read the records as one primitive
 integer form, ``c * (A_last / A)`` divided by the content, whose first
 record is the lead: the form of the monic member, ``t`` its lead
 coefficient.
@@ -73,36 +72,38 @@ every form, lead and pair lcm is repacked integer to integer
 is converted from ``Fraction`` coefficients. Completion builds no
 ``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
 packing and forms, and builds its new members when they are first read.
-``_interreduce_forms`` interreduces those forms directly, through the
-same loop as ``interreduce`` (``_interreduce``), and widens by repacking
-them, so under ``groebner.groebner_basis`` a ``Polynomial`` is built
-only for each member of the reduced basis. Each build unpacks every
-distinct packed monomial once, so its members share ``Monomial`` objects
-(``_members``).
+``groebner.reduce_basis`` interreduces those forms directly
+(``_interreduce_forms``), and widens by repacking them, so under
+``groebner.groebner_basis`` a ``Polynomial`` is built only for each
+member of the reduced basis. Each build unpacks every distinct packed
+monomial once, so its members share ``Monomial`` objects (``_members``).
 
 Converting a divisor to its form costs as much as a few steps, and
 callers use the same polynomials again and again: a ``GroebnerBasis``
 built from polynomials sorts them on their forms' order keys
 (``leading_keys``), and reduction and membership tests divide by one
-basis. So the forms of the last list converted are kept in one
-module-level memo, and each divisor's form is looked up there by object
-identity, in any order. A call converts only the divisors the memo does
-not hold, and then its list replaces the memo; a call that converts none
-leaves the memo as it is. When it finds a form there, it divides in the
-memo's fields if they are wider than it needs; when its degrees outgrow
-them, the fields double, as after an overflow, and every divisor is
-converted again. Each build of kernel members (``_members``: a raw
-basis's first read, ``interreduce``, ``_interreduce_forms``' caller and
-``reduce_s_pair``) replaces the memo with those members and their forms,
-so the queries on them never convert what the kernel made. Polynomials are
-values, never mutated, so the same object always has the same form; the
-memo holds its polynomials, so their ids are not reused while it lives.
-An entry is replaced whole and never mutated, so a thread that reads it
-sees one consistent entry; a completion's state is its own. The memo
-changes no result, only how much is converted. ``pseudo_divide`` builds
-its one form itself and neither reads nor replaces the memo, so root
-isolation between two queries on a basis leaves that basis's forms in
-place.
+basis. So each polynomial keeps its form, with the packing it is in, in
+its ``_form`` slot (``ring.Polynomial``). A call reads each divisor's
+slot once and divides in the widest packing of this order that a divisor
+holds, when that is wide enough; when the degrees outgrow it, the fields
+double, as after an overflow, so a growing basis seldom converts again.
+It converts only the divisors that hold no form in that packing, and
+stores each result on its divisor. Each build of kernel members
+(``_members``: a raw basis's first read, ``groebner.reduce_basis`` and
+``reduce_s_pair``) stores each member's form on it, so the queries on
+them never convert what the kernel made. A held packing is of this order
+and arity when ``order.packing`` returns that very object for its width.
+The packings come from an ``lru_cache``, so a packing of another order
+or arity is never the one returned, and one evicted from the cache is
+replaced by a new object: a form held in it only costs a conversion.
+Polynomials are values, never mutated, so the form a polynomial holds
+is its form in that packing. The slot is replaced whole, by one
+assignment of a pair that is never mutated, so a thread reads one
+consistent pair, and threads that convert the same divisor store equal
+forms; a completion's state is its own. The slot changes no result, only
+how much is converted. ``pseudo_divide`` builds its one form itself and
+stores it on nothing, so root isolation between two queries on a basis
+converts none of that basis's members.
 
 Quotients are not built during the division. Each step is recorded as
 (divisor index, shift, b, A), and ``DivisionResult.quotients`` turns
@@ -197,8 +198,8 @@ def reduce_s_pair(
 
     This is ``normal_form(s_polynomial(basis[i], basis[j]), basis)``
     scaled monic, term order included, for a list of nonzero polynomials
-    in one ring. It takes completion's own step, and the new member's form
-    enters the memo as the member after basis.
+    in one ring. It takes completion's own step, and each member, the
+    new one included, holds its form.
     """
     state = _Completion(basis, order)
     if not state.reduce(i, j):
@@ -207,61 +208,40 @@ def reduce_s_pair(
     return members[-1], state.packing.unpack(state.leads[-1])
 
 
-def interreduce(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of a Groebner basis listed in ascending
-    order of leading monomials, as a ``GroebnerBasis`` holds it.
-
-    A member whose lead another kept member's lead divides is dropped, and
-    of two equal leads the first is kept. Each survivor becomes
-    ``(lead + divide(tail, survivors).remainder) / lc``, term order
-    included. The survivors' forms replace the memo.
-    """
-    for packing, degree, forms in _packings(basis, order, 0):
-        reduced = _interreduce(forms, degree, packing)
-        if reduced is not None:
-            return _members(packing, reduced, [None] * len(reduced), basis[0]._wrap)
-
-
-def _interreduce(forms: Sequence[_Form], degree: int, packing: Packing) -> list[_Form] | None:
-    """The forms of ``interreduce``'s survivors, monic, from the forms of a
-    Groebner basis in ascending order of leads; or None if a product could
-    overflow the fields, which the caller then widens. No term of a form
-    has a total degree above degree."""
+def _interreduce_forms(
+    forms: Sequence[_Form], packing: Packing, order: MonomialOrder
+) -> tuple[Packing, list[_Form]]:
+    """The reduced basis of a Groebner basis, from its forms in ascending
+    order of leads: the survivors' packing and monic forms. A member whose
+    lead a kept member's lead divides is dropped, and of two equal leads
+    the first is kept. Each survivor becomes (lead + the remainder of its
+    tail by the survivors) / lc, term order included. When a product could
+    overflow the fields, they double and the survivors are repacked; the
+    forms given are not touched."""
     # A lead that divides another is never larger, so in ascending order
     # every dominating member comes before what it dominates.
     kept: list[_Form] = []
     for form in forms:
         if not any(packing.divides(g.lead, form.lead) for g in kept):
             kept.append(form)
+    degree = max(form.degree for form in forms)
     # One pass suffices: the kept leads are pairwise indivisible, so
     # interreduction only rewrites trailing terms and never disturbs the
     # leads the divisibility checks depend on. Every tail term is below its
     # own lead, which therefore never divides it, so each tail is reduced
     # by one list of all survivors; that list is a Groebner basis, so the
     # remainder is the unique normal form.
-    reduced = []
-    for g in kept:
-        records = _reduce(dict(g.tail), kept, degree, packing, None)
-        if records is None:
-            return None
-        reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
-    return reduced
-
-
-def _interreduce_forms(
-    forms: Sequence[_Form], packing: Packing, order: MonomialOrder
-) -> tuple[Packing, list[_Form]]:
-    """``interreduce`` on the forms of a basis the kernel built, in
-    ascending order of leads: the survivors' packing and monic forms. When
-    a product could overflow the fields, they double and the forms are
-    repacked; neither the forms given nor the memo is touched."""
-    degree = max(form.degree for form in forms)
     while True:
-        reduced = _interreduce(forms, degree, packing)
-        if reduced is not None:
+        reduced = []
+        for g in kept:
+            records = _reduce(dict(g.tail), kept, degree, packing, None)
+            if records is None:
+                break
+            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
+        else:
             return packing, reduced
         wider = order.packing(packing.nvars, 2 * packing.width)
-        forms, packing = _repacked(forms, wider, _mover(packing, wider)), wider
+        kept, packing = _repacked(kept, wider, _mover(packing, wider)), wider
 
 
 def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -271,7 +251,7 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     leading zeros ([] when it is zero).
 
     q and r are A times ``divide``'s quotient and remainder of the same
-    polynomials. The memo is neither read nor replaced.
+    polynomials. No polynomial's form is read or stored.
     """
     degree = len(g) - 1
     # g = sign * G with G's lead positive, so q takes the sign; x^k packs
@@ -297,8 +277,8 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
     """The leading monomials of nonzero polynomials of one ring (else a
-    ValueError or RingMismatchError), read off the forms the memo then
-    holds, so the kernel's members convert none."""
+    ValueError or RingMismatchError), read off the forms they then hold,
+    so the kernel's members convert none."""
     packing, forms = _gate(polynomials, order)
     return [packing.unpack(form.lead) for form in forms]
 
@@ -318,42 +298,32 @@ def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing,
     return packing, forms
 
 
-# (packing, divisors, their forms) of the last conversion; see the module
-# docstring. Replaced whole, never mutated.
-_memo: tuple = (None, (), ())
-
-
 def _packings(
     divisors: list[Polynomial], order: MonomialOrder, degree: int
 ) -> Iterator[tuple[Packing, int, tuple[_Form, ...]]]:
     """Packings to divide in, each twice as wide as the last, with the
     largest total degree of the divisors and of degree, and the divisors'
-    forms in each: the memo's where it holds them in that packing, the
-    others converted. When any is converted, this list replaces the memo."""
-    global _memo
+    forms in each: the form a divisor holds where it is in that packing,
+    else converted and stored on the divisor."""
     nvars = len(divisors[0].context)
-    memo_packing, known, forms = _memo
-    # The memo's polynomials are alive, so no other object has their ids.
-    by_id = dict(zip(map(id, known), forms))
-    recalled = [by_id.get(id(g)) for g in divisors]
-    degree = max(
-        degree,
-        *(max(map(sum, g.terms)) if form is None else form.degree for g, form in zip(divisors, recalled)),
-    )
+    held = [g._form for g in divisors]  # each slot read once
+    degree = max(degree, *(h[1].degree if h else max(map(sum, g.terms)) for g, h in zip(divisors, held)))
     # Room for twice the largest input degree, and the guard bit.
     width = degree.bit_length() + 2
-    if recalled.count(None) < len(divisors) and memo_packing is order.packing(nvars, memo_packing.width):
-        # Wider fields divide as well, and keep the memo's forms; fields
+    ours = [h[0].width for h in held if h and h[0] is order.packing(nvars, h[0].width)]
+    if ours:
+        # Wider fields divide as well, and keep the held forms; fields
         # that must grow double, so a growing basis seldom converts again.
-        width = memo_packing.width if width <= memo_packing.width else max(width, 2 * memo_packing.width)
+        widest = max(ours)
+        width = widest if width <= widest else max(width, 2 * widest)
     while True:
         packing = order.packing(nvars, width)
-        if packing is not memo_packing:
-            recalled = [None] * len(divisors)
-        forms = tuple(_form(g, packing) if form is None else form for g, form in zip(divisors, recalled))
-        if None in recalled:
-            _memo = (packing, tuple(divisors), forms)
-        yield packing, degree, forms
+        forms = []
+        for g, h in zip(divisors, held):
+            if h is None or h[0] is not packing:
+                h = g._form = (packing, _form(g, packing))
+            forms.append(h[1])
+        yield packing, degree, tuple(forms)
         width *= 2
 
 
@@ -421,9 +391,8 @@ def _members(
 ) -> tuple[Polynomial, ...]:
     """The polynomials of forms from ``_monic``: given[i] where it is one,
     else the monic Polynomial of forms[i]. Each distinct packed monomial is
-    unpacked once, so the members built share their Monomials. They and
-    their forms replace the memo."""
-    global _memo
+    unpacked once, so the members built share their Monomials. Each
+    member holds its form."""
     unpack, unkey = packing.unpack, packing.unkey
     monomials: dict[int, Monomial] = {}
 
@@ -434,7 +403,8 @@ def _members(
         return m
 
     members = tuple(_polynomial(form, monomial, wrap) if g is None else g for form, g in zip(forms, given))
-    _memo = (packing, members, tuple(forms))
+    for member, form in zip(members, forms):
+        member._form = (packing, form)
     return members
 
 
@@ -482,7 +452,7 @@ class _Completion:
     a step could overflow them, or a new member's degree outgrows them,
     they double: every form, lead and pair lcm is repacked integer to
     integer, in place, and ``widenings`` counts it. The state starts in
-    the fields its inputs' degree asks for, whatever the memo holds, so
+    the fields its inputs' degree asks for, whatever forms they hold, so
     its widenings depend on the inputs alone.
     """
 

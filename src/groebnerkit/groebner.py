@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .division import _Completion, _interreduce_forms, _members, divide, interreduce, leading_keys
+from .division import _Completion, _gate, _interreduce_forms, _members, divide, leading_keys
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -77,9 +77,9 @@ class GroebnerBasis:
     ``buchberger`` or ``reduce_basis`` builds also holds the kernel's
     packing and its members' forms, sorted on the forms' order keys, and
     ``reduce_basis`` interreduces those forms. ``buchberger``'s raw basis
-    builds its new members' Polynomials when ``generators`` is first read;
-    they and their forms then replace the division memo. Two threads may
-    both build them; they build equal tuples.
+    builds its new members' Polynomials when ``generators`` is first read,
+    and each member then holds its form. Two threads may both build them;
+    they build equal tuples.
     """
 
     __slots__ = ("generators", "order", "reduced", "_kernel")
@@ -265,19 +265,22 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     Drop any member whose leading term another surviving member's
     leading term divides, replace each survivor by its remainder modulo
     the others, and scale everything monic. Idempotent. The kernel does
-    all three on integer forms, so no lead or tail is built as a
-    ``Polynomial``. A basis from ``buchberger`` or ``reduce_basis`` hands
-    over the forms it holds (``division._interreduce_forms``), so a raw
-    basis's generators are neither read nor built; any other basis's
-    generators are converted (``division.interreduce``). The survivors'
-    Polynomials are built before it returns, and they and their forms
-    replace the division memo. Another thread may read a raw basis's
-    generators meanwhile; each build of them gives an equal tuple.
+    all three on integer forms (``division._interreduce_forms``), so no
+    lead or tail is built as a ``Polynomial``. A basis from ``buchberger``
+    or ``reduce_basis`` hands over the forms it holds, so a raw basis's
+    generators are neither read nor built; any other basis's generators
+    hold the forms its constructor read their leads off. The survivors'
+    Polynomials are built before it returns, and each holds its form.
+    Another thread may read a raw basis's generators meanwhile; each build
+    of them gives an equal tuple.
     """
     order = basis.order
     if basis._kernel is None:
-        return GroebnerBasis(interreduce(list(basis.generators), order), order, reduced=True)
-    packing, forms, _, wrap = basis._kernel
+        generators = list(basis.generators)
+        packing, forms = _gate(generators, order)
+        wrap = generators[0]._wrap
+    else:
+        packing, forms, _, wrap = basis._kernel
     packing, survivors = _interreduce_forms(forms, packing, order)
     members = _members(packing, survivors, [None] * len(survivors), wrap)
     return GroebnerBasis._of_forms(packing, survivors, members, wrap, order, reduced=True)

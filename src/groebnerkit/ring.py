@@ -212,9 +212,14 @@ class Polynomial:
     coefficients; construction drops zero coefficients and combines
     duplicate monomials, so the stored map is always canonical. Treat
     instances as values: no method mutates ``terms``.
+
+    ``_form`` holds ``(packing, form)``, the division kernel's integer
+    form of the polynomial from its last conversion, or from the kernel
+    build that made it, else None (see ``division``). Equality, hashing,
+    printing, pickling and copying never read it.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_form")
 
     def __init__(
         self,
@@ -237,6 +242,7 @@ class Polynomial:
 
         self.context = context
         self.terms = _merge({}, checked())
+        self._form = None
 
     # ---- constructors -------------------------------------------------
 
@@ -329,9 +335,13 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p.context = self.context
         p.terms = terms
+        p._form = None
         return p
 
     # ---- value semantics -----------------------------------------------
+
+    def __reduce__(self):
+        return Polynomial, (self.context, self.terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

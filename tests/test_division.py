@@ -1,3 +1,4 @@
+import copy
 import pickle
 import sys
 import threading
@@ -10,9 +11,16 @@ import hypothesis.strategies as st
 
 from groebnerkit import division
 from groebnerkit.division import DivisionResult, divide, pseudo_divide, reduce_s_pair
-from groebnerkit.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_polynomial
+from groebnerkit.groebner import (
+    GroebnerBasis,
+    buchberger,
+    groebner_basis,
+    normal_form,
+    reduce_basis,
+    s_polynomial,
+)
 from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
-from groebnerkit.parse import parse_polynomial
+from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Polynomial, RingMismatchError
 
 from reference_division import reference_divide
@@ -307,10 +315,11 @@ class TestCompletionEntries:
         basis = [_xy("x^2 - y + 3"), _xy("x*y + 1")]
         member, _ = reduce_s_pair(basis, 0, 1, GREVLEX)
         assert as_items(member) == [((0, 2), 1), ((1, 0), 1), ((0, 1), -3)]
-        # The kernel keeps the form that converting the member would give.
-        packing, held, forms = division._memo
-        assert held == (*basis, member) and held[-1] is member
-        assert forms[-1] == division._form(member, packing)
+        # The member holds the form that converting it would give, in the
+        # packing its divisors' forms are in.
+        packing, form = member._form
+        assert all(g._form[0] is packing for g in basis)
+        assert form == division._form(member, packing)
         converted = []
         form = division._form
 
@@ -416,7 +425,7 @@ class TestDivisorMemo:
 
     def test_threads_sharing_the_memo_get_their_own_results(self):
         # Each thread divides by its own lists, which share members, so
-        # every call replaces the memo another thread may be reading.
+        # every call may replace a form another thread is reading.
         shared = [_xy("3*x*y - 2"), _xy("5/7*y^2 + x")]
         lists = [shared, shared + [_xy("x^2 - y")], [_xy("-4*x + 9/2*y")] + shared]
         jobs = [(_xy(f"x^3*y^2 + {k}*x*y - 1/{k + 2}"), divisors, order)
@@ -445,6 +454,70 @@ class TestDivisorMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(done) == [0, 1, 2, 3]
         assert wrong == []
+
+
+class TestHeldForms:
+    """Each polynomial holds its form from its last conversion or from the
+    kernel build that made it; the form is no part of its value."""
+
+    @pytest.fixture
+    def converted(self, monkeypatch):
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+        return converted
+
+    def test_queries_rotating_over_bases_convert_only_on_the_first_pass(self, converted):
+        systems = [
+            ["x^2 + y^2 - 4", "x*y - 1"],
+            ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"],
+            ["x^2 - 3/2*y + 1", "y^2 - x*y - 5"],
+        ]
+        bases = [groebner_basis(parse_system(system, CTX_XY), GREVLEX) for system in systems]
+        # The last query is of higher degree than any member, so the first
+        # pass widens the fields of each basis once.
+        queries = [_xy("x^2*y - 3*x + 1/2"), _xy("x*y^2 + y - 7"), _xy("x^9*y^8 - x")]
+        counts = []
+        for _ in range(3):
+            converted.clear()
+            for basis in bases:
+                for q in queries:
+                    expected = reference_divide(q, list(basis.generators), GREVLEX).remainder
+                    assert normal_form(q, list(basis.generators), GREVLEX) == expected
+            counts.append(len(converted))
+        assert counts[0] > 0 and counts[1:] == [0, 0]
+
+    def test_reducing_a_constructed_basis_converts_only_in_the_constructor(self, converted):
+        # x - y^3's tail reduces to z^9, past the fields of width 4 that
+        # degree 3 asks for: interreduction widens them by repacking the
+        # forms the constructor made, not by converting the members again.
+        generators = parse_system(["x - y^3", "y - z^3"], CTX_XYZ)
+        basis = GroebnerBasis(generators, LEX, reduced=False)
+        assert len(converted) == 2
+        reduced = reduce_basis(basis)
+        assert len(converted) == 2
+        assert list(reduced) == parse_system(["y - z^3", "x - z^9"], CTX_XYZ)
+
+    def test_a_polynomial_holding_a_form_is_the_same_value(self):
+        g, fresh = _xy("2*x*y - 3/5"), _xy("2*x*y - 3/5")
+        divide(_xy("x^2*y + 1"), [g], GREVLEX)
+        assert g._form is not None and fresh._form is None
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        copies = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*copies, copy.copy(g), copy.deepcopy(g)]:
+            assert twin == g and hash(twin) == hash(g) and twin._form is None
+
+    def test_bases_and_results_of_held_forms_pickle_by_value(self):
+        basis = groebner_basis(parse_system(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], CTX_XY), GRLEX)
+        result = divide(_xy("x^3*y^2 - 4/9*x*y + 11"), list(basis.generators), GRLEX)
+        assert all(g._form is not None for g in basis)
+        assert pickle.loads(pickle.dumps(basis)) == basis
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 def _in_t(coefficients: list) -> Polynomial:
@@ -483,9 +556,7 @@ class TestPseudoDivide:
     @example(f=[5, 0, 7, 0], g=[-4])  # a leading zero, and a constant divisor
     @example(f=[], g=[1, 1])
     def test_a_positive_multiple_of_the_division(self, f, g):
-        memo = division._memo
         q, r = pseudo_divide(f, g)
-        assert division._memo is memo
         assert len(r) < len(g) and (not r or r[-1])
         expected = divide(_in_t(f), [_in_t(g)], LEX)
         quotient, remainder = _coefficients(expected.quotients[0]), _coefficients(expected.remainder)

@@ -236,7 +236,7 @@ class TestBuchberger:
         gens = parse_system(["x - y^3", "y - z^3", "x^2 - z"], CTX_XYZ)
         runs = []
         for _ in range(3):
-            # The later runs find the inputs' forms in the memo, in the
+            # The later runs find the forms the inputs hold, in the
             # doubled fields the last run left them in.
             stats = {}
             basis = buchberger(gens, LEX, stats)
@@ -303,7 +303,7 @@ class TestGroebnerBasisType:
         # The leads come from the division kernel; the order they give must
         # be a stable sort by the order's key of each leading_term.
         if after_lex:
-            # The memo then holds these members' forms from a lex
+            # These members then hold their forms from a lex
             # completion, often in fields wider than their degrees need.
             gens = list(buchberger(gens, LEX).generators)
         g = gens[0]

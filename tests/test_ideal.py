@@ -304,15 +304,23 @@ class TestDyadicPoints:
             p = p * (t - root) ** multiplicity
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
 
-    def test_leaves_the_division_memo_as_it_found_it(self):
-        # The chain divides integer lists outside the memo, so the next
-        # query on the basis converts none of its members again.
+    def test_leaves_the_division_memo_as_it_found_it(self, monkeypatch):
+        # The chain divides integer lists and stores no polynomial's form,
+        # so the next query on the basis converts none of its members again.
         basis = groebner_basis([_xy("x - y^2"), _xy("y^3 - 2*y^2 + y")], LEX)
         assert is_member(_xy("x^2 - y^4"), basis)
-        memo = division._memo
         (eliminant,) = eliminate(basis, 1)
         assert univariate_real_roots(eliminant, 1e-9) == [0.0, 1.0]
-        assert division._memo is memo
+        converted = []
+        form = division._form
+
+        def spy(g, packing):
+            converted.append(g)
+            return form(g, packing)
+
+        monkeypatch.setattr(division, "_form", spy)
+        assert is_member(_xy("x^2 - y^4"), basis)
+        assert converted == []
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.25, 1.0])
     def test_small_cauchy_bound(self, tol):
