@@ -61,7 +61,7 @@ coefficient.
 
 ``groebner.buchberger`` drives one completion state (``_Completion``):
 the packing, the members' forms, their packed leads, the largest degree
-of their terms, their sugars and the pending pairs keyed by packed lcm.
+of their terms and the pending pairs keyed by packed lcm.
 The Gebauer-Moeller update reads the leads and lcms as ints
 (``Packing.lcm``, ``coprime`` and ``divides``), each S-pair is reduced
 from the state's forms, and a new member stays a form: under a graded
@@ -72,6 +72,7 @@ every form, lead and pair lcm is repacked integer to integer
 is converted from ``Fraction`` coefficients. Completion builds no
 ``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
 packing and forms, and builds its new members when they are first read.
+Every ``GroebnerBasis`` holds its packing and forms, and
 ``groebner.reduce_basis`` interreduces those forms directly
 (``_interreduce_forms``), and widens by repacking them, so under
 ``groebner.groebner_basis`` a ``Polynomial`` is built only for each
@@ -79,14 +80,13 @@ member of the reduced basis. Each build unpacks every distinct packed
 monomial once, so its members share ``Monomial`` objects (``_members``).
 
 Converting a divisor to its form costs as much as a few steps, and
-callers use the same polynomials again and again: a ``GroebnerBasis``
-built from polynomials sorts them on their forms' order keys
-(``leading_keys``), and reduction and membership tests divide by one
-basis. So each polynomial keeps its form, with the packing it is in, in
-its ``_form`` slot (``ring.Polynomial``). A call reads each divisor's
-slot once and divides in the widest packing of this order that a divisor
-holds, when that is wide enough; when the degrees outgrow it, the fields
-double, as after an overflow, so a growing basis seldom converts again.
+callers use the same polynomials again and again: reduction and
+membership tests divide by one basis. So each polynomial keeps its form,
+with the packing it is in, in its ``_form`` slot (``ring.Polynomial``).
+A call reads each divisor's slot once and divides in the widest packing
+of this order that a divisor holds, when that is wide enough; when the
+degrees outgrow it, the fields double, as after an overflow, so a
+growing basis seldom converts again.
 It converts only the divisors that hold no form in that packing, and
 stores each result on its divisor. Each build of kernel members
 (``_members``: a raw basis's first read, ``groebner.reduce_basis`` and
@@ -275,20 +275,6 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def leading_monomials(polynomials: list[Polynomial], order: MonomialOrder) -> list[Monomial]:
-    """The leading monomials of nonzero polynomials of one ring (else a
-    ValueError or RingMismatchError), read off the forms they then hold,
-    so the kernel's members convert none."""
-    packing, forms = _gate(polynomials, order)
-    return [packing.unpack(form.lead) for form in forms]
-
-
-def leading_keys(polynomials: list[Polynomial], order: MonomialOrder) -> list[int]:
-    """The order keys of the leading monomials, ints that compare as the
-    order does, from the same gate as ``leading_monomials``."""
-    return [form.key for form in _gate(polynomials, order)[1]]
-
-
 def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing, tuple[_Form, ...]]:
     if any(g.context != polynomials[0].context for g in polynomials):
         raise RingMismatchError("ring mismatch")
@@ -445,8 +431,8 @@ def _repacked(forms: Iterable[_Form], new: Packing, move: Callable[[int], int]) 
 class _Completion:
     """Buchberger completion's state, in one packing: the members' forms
     and packed leads, the largest total degree of their terms, and the
-    members' sugars and pending pairs, (i, j) -> (sugar, key of the
-    packed lcm, packed lcm), which ``groebner.buchberger`` keeps.
+    pending pairs, (i, j) -> (sugar, key of the packed lcm, packed lcm),
+    which ``groebner.buchberger`` keeps.
 
     Fields wide enough for twice the degree hold every S-polynomial. When
     a step could overflow them, or a new member's degree outgrows them,
@@ -456,14 +442,13 @@ class _Completion:
     its widenings depend on the inputs alone.
     """
 
-    __slots__ = ("order", "packing", "forms", "leads", "degree", "sugars", "pairs", "widenings")
+    __slots__ = ("order", "packing", "forms", "leads", "degree", "pairs", "widenings")
 
     def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
         self.packing, forms = _gate(polynomials, order)
         self.order = order
         self.forms, self.leads = list(forms), [form.lead for form in forms]
         self.degree = max(form.degree for form in forms)
-        self.sugars: list[int] = []
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.widenings = 0
         self._repack(order.packing(self.packing.nvars, self.degree.bit_length() + 2))

@@ -43,10 +43,11 @@ yielding the unique reduced basis for the ideal and order. The kernel
 does all three on the forms the raw basis holds
 (``division._interreduce_forms``), testing divisibility on their packed
 leading monomials, so ``groebner_basis`` builds a ``Polynomial`` only for
-each member of the reduced basis. Neither sorts its result: a
-``GroebnerBasis`` holds members of one ring, sorted on the order keys of
-their forms' packed leading monomials; one the kernel builds sorts the
-forms it holds, and converts nothing.
+each member of the reduced basis. Neither sorts its result: every
+``GroebnerBasis`` holds the packing and forms of its members, of one
+ring, and sorts them on the forms' order keys. One the kernel builds
+converts nothing; one built from polynomials holds the forms it read
+their leads off.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .division import _Completion, _gate, _interreduce_forms, _members, divide, leading_keys
+from .division import _Completion, _gate, _interreduce_forms, _members, divide
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -69,17 +70,18 @@ class GroebnerBasis:
     There must be at least one generator, each nonzero and all of one
     ring; construction sorts them stably by leading monomial, smallest
     first, so equal bases compare equal structurally. The sort keys are
-    the order keys of the division kernel's packed leads
-    (``division.leading_keys``).
+    the order keys of the division kernel's packed leads.
 
     A frozen dataclass of its three fields, compared, hashed, printed and
-    pickled by value, with its own constructor and slots. A basis that
-    ``buchberger`` or ``reduce_basis`` builds also holds the kernel's
-    packing and its members' forms, sorted on the forms' order keys, and
-    ``reduce_basis`` interreduces those forms. ``buchberger``'s raw basis
-    builds its new members' Polynomials when ``generators`` is first read,
-    and each member then holds its form. Two threads may both build them;
-    they build equal tuples.
+    pickled by value, with its own constructor and slots. Every basis
+    also holds the kernel's packing and its members' forms, sorted on the
+    forms' order keys, in ``_kernel``: the constructor keeps the forms it
+    sorts on, and ``buchberger`` and ``reduce_basis`` the forms they
+    made. ``reduce_basis`` interreduces those forms, and ``staircase``
+    reads the leads off them. ``buchberger``'s raw basis builds its new
+    members' Polynomials when ``generators`` is first read, and each
+    member then holds its form. Two threads may both build them; they
+    build equal tuples.
     """
 
     __slots__ = ("generators", "order", "reduced", "_kernel")
@@ -92,22 +94,24 @@ class GroebnerBasis:
         generators = tuple(generators)
         if not generators:
             raise ValueError("empty generating set")
-        keys = leading_keys(list(generators), order)
-        ordered = sorted(range(len(keys)), key=keys.__getitem__)
-        _set(self, generators=tuple(generators[k] for k in ordered), order=order, reduced=reduced, _kernel=None)
+        packing, forms = _gate(list(generators), order)
+        self._hold(packing, forms, generators, generators[0]._wrap, order, reduced)
 
     @classmethod
     def _of_forms(cls, packing, forms, given, wrap, order: MonomialOrder, reduced: bool) -> GroebnerBasis:
-        """The basis of the kernel's forms in one packing, given[i] the
-        Polynomial of forms[i] or None, sorted stably on the forms' order
-        keys. The missing Polynomials are built by wrap when first read."""
+        basis = object.__new__(cls)
+        basis._hold(packing, forms, given, wrap, order, reduced)
+        return basis
+
+    def _hold(self, packing, forms, given, wrap, order: MonomialOrder, reduced: bool) -> None:
+        """Hold the kernel's forms in one packing, given[i] the Polynomial
+        of forms[i] or None, sorted stably on the forms' order keys. The
+        missing Polynomials are built by wrap when first read."""
         ordered = sorted(range(len(forms)), key=lambda k: forms[k].key)
         forms, given = tuple(forms[k] for k in ordered), tuple(given[k] for k in ordered)
-        basis = object.__new__(cls)
-        _set(basis, order=order, reduced=reduced, _kernel=(packing, forms, given, wrap))
+        _set(self, order=order, reduced=reduced, _kernel=(packing, forms, given, wrap))
         if all(g is not None for g in given):
-            _set(basis, generators=given)
-        return basis
+            _set(self, generators=given)
 
     def __getattr__(self, name: str):
         # Reached only for a slot not set: a raw basis's generators before
@@ -200,7 +204,8 @@ def buchberger(
         raise ValueError("empty generating set")
 
     state = _Completion(inputs, order)
-    leads, sugars = state.leads, state.sugars
+    leads = state.leads
+    sugars: list[int] = []  # each member's sugar
     # (i, j) -> (sugar, key(lcm), lcm); min() returns the first of equal
     # values in insertion order, so ties go to the older pair.
     pairs = state.pairs
@@ -266,21 +271,15 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     leading term divides, replace each survivor by its remainder modulo
     the others, and scale everything monic. Idempotent. The kernel does
     all three on integer forms (``division._interreduce_forms``), so no
-    lead or tail is built as a ``Polynomial``. A basis from ``buchberger``
-    or ``reduce_basis`` hands over the forms it holds, so a raw basis's
-    generators are neither read nor built; any other basis's generators
-    hold the forms its constructor read their leads off. The survivors'
-    Polynomials are built before it returns, and each holds its form.
+    lead or tail is built as a ``Polynomial``. Every basis hands over the
+    forms it holds, so a raw basis's generators are neither read nor
+    built. The survivors' Polynomials are built before it returns, and
+    each holds its form.
     Another thread may read a raw basis's generators meanwhile; each build
     of them gives an equal tuple.
     """
     order = basis.order
-    if basis._kernel is None:
-        generators = list(basis.generators)
-        packing, forms = _gate(generators, order)
-        wrap = generators[0]._wrap
-    else:
-        packing, forms, _, wrap = basis._kernel
+    packing, forms, _, wrap = basis._kernel
     packing, survivors = _interreduce_forms(forms, packing, order)
     members = _members(packing, survivors, [None] * len(survivors), wrap)
     return GroebnerBasis._of_forms(packing, survivors, members, wrap, order, reduced=True)

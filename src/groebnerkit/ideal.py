@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .division import leading_monomials, pseudo_divide
+from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
 from .order import MonomialOrder
 from .ring import Polynomial
@@ -74,9 +74,10 @@ class StaircaseDiagram:
 
 def staircase(basis: GroebnerBasis) -> StaircaseDiagram:
     """Staircase of the leading-term ideal of a 2-variable basis."""
-    if len(basis.context) != 2:
+    packing, forms = basis._kernel[:2]
+    if packing.nvars != 2:
         raise ValueError("staircase supports 2 variables")
-    points = set(map(tuple, leading_monomials(list(basis.generators), basis.order)))
+    points = {tuple(packing.unpack(form.lead)) for form in forms}
     minimal = [
         p
         for p in points

@@ -255,8 +255,9 @@ class _Parser:
         """value in fields of width bits, if they are wider than its own."""
         if width <= value.width:
             return value
-        unpack, pack = LEX.packing(len(self.ctx), value.width).unpack, LEX.packing(len(self.ctx), width).pack
-        return _Packed({pack(unpack(m)): c for m, c in value.terms.items()}, value.den, value.degree, width)
+        n = len(self.ctx)
+        repack, wider = LEX.packing(n, value.width).repack, LEX.packing(n, width)
+        return _Packed({repack(m, wider): c for m, c in value.terms.items()}, value.den, value.degree, width)
 
     def add(self, summands: list[tuple[_Packed, bool]]) -> _Packed:
         """The sum of (value, negated) pairs, over the least common

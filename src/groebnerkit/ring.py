@@ -62,6 +62,9 @@ class VariableContext:
             raise ValueError(f"duplicate variable names: {names!r}")
         self.names = names
 
+    def __reduce__(self):
+        return VariableContext, (self.names,)
+
     def __len__(self) -> int:
         return len(self.names)
 

@@ -508,7 +508,7 @@ class TestHeldForms:
         divide(_xy("x^2*y + 1"), [g], GREVLEX)
         assert g._form is not None and fresh._form is None
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-        copies = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        copies = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in [*copies, copy.copy(g), copy.deepcopy(g)]:
             assert twin == g and hash(twin) == hash(g) and twin._form is None
 

@@ -412,10 +412,13 @@ class TestKernelBases:
     def test_forms_and_polynomials_reduce_alike(self, gens, order):
         raw = buchberger(gens, order)
         from_forms = reduce_basis(raw)
-        from_polynomials = reduce_basis(GroebnerBasis(raw.generators, order, reduced=False))
-        assert from_forms == from_polynomials
-        # Term order included.
-        assert [list(g.terms.items()) for g in from_forms] == [list(g.terms.items()) for g in from_polynomials]
+        # Two bases the constructor builds: from the raw members, which
+        # hold their forms, and from unpickled copies, which hold none.
+        for basis in (GroebnerBasis(raw.generators, order, reduced=False), pickle.loads(pickle.dumps(raw))):
+            from_polynomials = reduce_basis(basis)
+            assert from_forms == from_polynomials
+            # Term order included.
+            assert [list(g.terms.items()) for g in from_forms] == [list(g.terms.items()) for g in from_polynomials]
 
 
 class TestReduceBasis:

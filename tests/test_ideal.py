@@ -116,6 +116,21 @@ class TestStaircase:
         diagram = staircase(basis)
         assert diagram.minimal_generators == ((2, 0),)
 
+    def test_reads_the_leads_off_a_raw_basis_without_building_it(self, monkeypatch):
+        built = []
+        polynomial = division._polynomial
+
+        def spy(form, monomial, wrap):
+            built.append(form)
+            return polynomial(form, monomial, wrap)
+
+        monkeypatch.setattr(division, "_polynomial", spy)
+        raw = buchberger([_xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")], GREVLEX)
+        diagram = staircase(raw)
+        assert built == []
+        assert diagram == staircase(GroebnerBasis(raw.generators, GREVLEX, False))
+        assert built  # reading raw.generators builds the new members
+
     def test_two_variables_required(self):
         basis = groebner_basis([parse_polynomial("x", CTX_XYZ)], GRLEX)
         with pytest.raises(ValueError, match="staircase supports 2 variables"):
