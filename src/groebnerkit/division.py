@@ -60,42 +60,44 @@ record is the lead: the form of the monic member, ``t`` its lead
 coefficient.
 
 ``groebner.buchberger`` drives one completion state (``_Completion``):
-the packing, the members' forms, their packed leads, the largest degree
-of their terms and the pending pairs keyed by packed lcm.
+the packing, the members' forms, their packed leads and the largest
+degree of their terms; ``buchberger`` keeps the pending pairs itself.
 The Gebauer-Moeller update reads the leads and lcms as ints
 (``Packing.lcm``, ``coprime`` and ``divides``), each S-pair is reduced
 from the state's forms, and a new member stays a form: under a graded
-order its degree is its lead's degree field. When a step could overflow
-the fields, or a member's degree outgrows them, the fields double and
-every form, lead and pair lcm is repacked integer to integer
-(``Packing.repack``, each distinct key once per widening), so no member
-is converted from ``Fraction`` coefficients. Completion builds no
+order its degree is its lead's degree field. Completion builds no
 ``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
 packing and forms, and builds its new members when they are first read.
 Every ``GroebnerBasis`` holds its packing and forms, and
 ``groebner.reduce_basis`` interreduces those forms directly
-(``_interreduce_forms``), and widens by repacking them, so under
-``groebner.groebner_basis`` a ``Polynomial`` is built only for each
-member of the reduced basis. Each build unpacks every distinct packed
-monomial once, so its members share ``Monomial`` objects (``_members``).
+(``_interreduce_forms``), so under ``groebner.groebner_basis`` a
+``Polynomial`` is built only for each member of the reduced basis. Each
+build unpacks every distinct packed monomial once, so its members share
+``Monomial`` objects (``_members``).
+
+The fields grow one way. When a step could overflow them, or a new
+member's degree outgrows them, ``_widened`` doubles the width and
+repacks the forms integer to integer (``Packing.repack``, each distinct
+key once), so no form is converted from ``Fraction`` coefficients again:
+``divide`` retries on its divisors' widened forms and stores them on the
+divisors, ``_interreduce_forms`` retries on its survivors' and
+completion on its members', and ``buchberger`` keys its pending pairs
+again from the repacked leads.
 
 Converting a divisor to its form costs as much as a few steps, and
 callers use the same polynomials again and again: reduction and
 membership tests divide by one basis. So each polynomial keeps its form,
 with the packing it is in, in its ``_form`` slot (``ring.Polynomial``).
 A call reads each divisor's slot once and divides in the widest packing
-of this order that a divisor holds, when that is wide enough; when the
-degrees outgrow it, the fields double, as after an overflow, so a
-growing basis seldom converts again.
-It converts only the divisors that hold no form in that packing, and
-stores each result on its divisor. Each build of kernel members
-(``_members``: a raw basis's first read, ``groebner.reduce_basis`` and
-``reduce_s_pair``) stores each member's form on it, so the queries on
-them never convert what the kernel made. A held packing is of this order
-and arity when ``order.packing`` returns that very object for its width.
-The packings come from an ``lru_cache``, so a packing of another order
-or arity is never the one returned, and one evicted from the cache is
-replaced by a new object: a form held in it only costs a conversion.
+of this order that a divisor holds, when that is wide enough, else in
+the fields the degrees ask for. It converts only the divisors that hold
+no form in that width, and stores each result on its divisor. Each build
+of kernel members (``_members``: a raw basis's first read,
+``groebner.reduce_basis`` and ``reduce_s_pair``) stores each member's
+form on it, so the queries on them never convert what the kernel made.
+A held form is of this order when its packing's ``order`` is, and of
+this arity because a polynomial's ring fixes it; two packings of one
+order, arity and width lay a monomial out alike.
 Polynomials are values, never mutated, so the form a polynomial holds
 is its form in that packing. The slot is replaced whole, by one
 assignment of a pair that is never mutated, so a thread reads one
@@ -116,7 +118,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
 from .ring import Monomial, Polynomial, RingMismatchError, _merge
@@ -184,10 +186,12 @@ def divide(
         if g.is_zero():
             raise ValueError("zero divisor")
 
-    for packing, degree, forms in _packings(divisors, order, max(map(sum, f.terms), default=0)):
-        result = _divide_packed(f, forms, degree, packing)
-        if result is not None:
-            return result
+    packing, degree, forms = _held(divisors, order, max(map(sum, f.terms), default=0))
+    while (result := _divide_packed(f, forms, degree, packing)) is None:
+        packing, forms = _widened(packing, forms)
+        for g, form in zip(divisors, forms):
+            g._form = (packing, form)
+    return result
 
 
 def reduce_s_pair(
@@ -208,16 +212,14 @@ def reduce_s_pair(
     return members[-1], state.packing.unpack(state.leads[-1])
 
 
-def _interreduce_forms(
-    forms: Sequence[_Form], packing: Packing, order: MonomialOrder
-) -> tuple[Packing, list[_Form]]:
+def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packing, list[_Form]]:
     """The reduced basis of a Groebner basis, from its forms in ascending
     order of leads: the survivors' packing and monic forms. A member whose
     lead a kept member's lead divides is dropped, and of two equal leads
     the first is kept. Each survivor becomes (lead + the remainder of its
     tail by the survivors) / lc, term order included. When a product could
-    overflow the fields, they double and the survivors are repacked; the
-    forms given are not touched."""
+    overflow the fields, they double and the survivors are repacked
+    (``_widened``); the forms given are not touched."""
     # A lead that divides another is never larger, so in ascending order
     # every dominating member comes before what it dominates.
     kept: list[_Form] = []
@@ -240,8 +242,7 @@ def _interreduce_forms(
             reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
         else:
             return packing, reduced
-        wider = order.packing(packing.nvars, 2 * packing.width)
-        kept, packing = _repacked(kept, wider, _mover(packing, wider)), wider
+        packing, kept = _widened(packing, kept)
 
 
 def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -280,37 +281,27 @@ def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing,
         raise RingMismatchError("ring mismatch")
     if not all(polynomials):
         raise ValueError("leading term of zero polynomial")
-    packing, _, forms = next(_packings(polynomials, order, 0))
+    packing, _, forms = _held(polynomials, order, 0)
     return packing, forms
 
 
-def _packings(
-    divisors: list[Polynomial], order: MonomialOrder, degree: int
-) -> Iterator[tuple[Packing, int, tuple[_Form, ...]]]:
-    """Packings to divide in, each twice as wide as the last, with the
-    largest total degree of the divisors and of degree, and the divisors'
-    forms in each: the form a divisor holds where it is in that packing,
-    else converted and stored on the divisor."""
-    nvars = len(divisors[0].context)
+def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tuple[Packing, int, tuple[_Form, ...]]:
+    """A packing to divide in, the largest total degree of the divisors
+    and of degree, and the divisors' forms in it: the form a divisor holds
+    where it is in that packing, else converted and stored on the
+    divisor."""
     held = [g._form for g in divisors]  # each slot read once
     degree = max(degree, *(h[1].degree if h else max(map(sum, g.terms)) for g, h in zip(divisors, held)))
-    # Room for twice the largest input degree, and the guard bit.
-    width = degree.bit_length() + 2
-    ours = [h[0].width for h in held if h and h[0] is order.packing(nvars, h[0].width)]
-    if ours:
-        # Wider fields divide as well, and keep the held forms; fields
-        # that must grow double, so a growing basis seldom converts again.
-        widest = max(ours)
-        width = widest if width <= widest else max(width, 2 * widest)
-    while True:
-        packing = order.packing(nvars, width)
-        forms = []
-        for g, h in zip(divisors, held):
-            if h is None or h[0] is not packing:
-                h = g._form = (packing, _form(g, packing))
-            forms.append(h[1])
-        yield packing, degree, tuple(forms)
-        width *= 2
+    # Room for twice the largest input degree, and the guard bit; wider
+    # fields of this order, which a divisor holds, divide as well.
+    width = max([degree.bit_length() + 2, *(h[0].width for h in held if h and h[0].order is order)])
+    packing = order.packing(len(divisors[0].context), width)
+    forms = []
+    for g, h in zip(divisors, held):
+        if h is None or h[0].order is not order or h[0].width != width:
+            h = g._form = (packing, _form(g, packing))
+        forms.append(h[1])
+    return packing, degree, tuple(forms)
 
 
 class _Form(NamedTuple):
@@ -404,54 +395,45 @@ def _polynomial(form: _Form, monomial: Callable[[int], Monomial], wrap: Callable
     return wrap(terms)
 
 
-def _mover(old: Packing, new: Packing) -> Callable[[int], int]:
-    """The order key in new of an order key in old, each distinct key
-    moved once, for a new packing of the same order and arity."""
-    repack, unkey, key = old.repack, old.unkey, new.key
-    moved: dict[int, int] = {}
-
-    def move(k: int) -> int:
-        m = moved.get(k)
-        if m is None:
-            m = moved[k] = key(repack(unkey(k), new))
-        return m
-
-    return move
-
-
-def _repacked(forms: Iterable[_Form], new: Packing, move: Callable[[int], int]) -> list[_Form]:
-    """The forms in the packing new, integer to integer, through move."""
+def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[Packing, list[_Form]]:
+    """The packing of twice the width, or of width when given, of the same
+    order and arity, and the forms in it, repacked integer to integer
+    (``Packing.repack``), each distinct key once. The fields must hold
+    every form."""
+    new = packing.order.packing(packing.nvars, width or 2 * packing.width)
+    keys = {k for f in forms for k, _ in f.tail} | {f.key for f in forms}
+    unkey, repack, key = packing.unkey, packing.repack, new.key
+    moved = {k: key(repack(unkey(k), new)) for k in keys}
     unkey = new.unkey
-    return [
-        _Form(unkey(move(f.key)), move(f.key), f.lc, [(move(k), c) for k, c in f.tail], f.s, f.t, f.degree)
+    return new, [
+        _Form(unkey(moved[f.key]), moved[f.key], f.lc, [(moved[k], c) for k, c in f.tail], f.s, f.t, f.degree)
         for f in forms
     ]
 
 
 class _Completion:
     """Buchberger completion's state, in one packing: the members' forms
-    and packed leads, the largest total degree of their terms, and the
-    pending pairs, (i, j) -> (sugar, key of the packed lcm, packed lcm),
-    which ``groebner.buchberger`` keeps.
+    and packed leads, and the largest total degree of their terms.
 
     Fields wide enough for twice the degree hold every S-polynomial. When
     a step could overflow them, or a new member's degree outgrows them,
-    they double: every form, lead and pair lcm is repacked integer to
-    integer, in place, and ``widenings`` counts it. The state starts in
-    the fields its inputs' degree asks for, whatever forms they hold, so
-    its widenings depend on the inputs alone.
+    they double (``_widened``): ``packing``, ``forms`` and ``leads`` are
+    replaced by their repacked values, and ``widenings`` counts it, so a
+    caller that keeps packed lcms reads them again from the leads. The
+    state starts in the fields its inputs' degree asks for, whatever
+    forms they hold, so its widenings depend on the inputs alone.
     """
 
-    __slots__ = ("order", "packing", "forms", "leads", "degree", "pairs", "widenings")
+    __slots__ = ("packing", "forms", "leads", "degree", "widenings")
 
     def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
-        self.packing, forms = _gate(polynomials, order)
-        self.order = order
-        self.forms, self.leads = list(forms), [form.lead for form in forms]
+        packing, forms = _gate(polynomials, order)
         self.degree = max(form.degree for form in forms)
-        self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+        width = self.degree.bit_length() + 2
+        if packing.width != width:
+            packing, forms = _widened(packing, forms, width)
+        self.packing, self.forms, self.leads = packing, list(forms), [form.lead for form in forms]
         self.widenings = 0
-        self._repack(order.packing(self.packing.nvars, self.degree.bit_length() + 2))
 
     def reduce(self, i: int, j: int) -> bool:
         """Reduce the S-polynomial of members i and j by every member, and
@@ -474,7 +456,7 @@ class _Completion:
         if not records:
             return False
         form = _monic(records, packing)
-        forms.append(form)
+        self.forms.append(form)
         self.leads.append(form.lead)
         self.degree = max(self.degree, form.degree)
         while self.degree.bit_length() + 2 > self.packing.width:
@@ -482,21 +464,9 @@ class _Completion:
         return True
 
     def _widen(self) -> None:
-        self._repack(self.order.packing(self.packing.nvars, 2 * self.packing.width))
+        self.packing, self.forms = _widened(self.packing, self.forms)
+        self.leads = [form.lead for form in self.forms]
         self.widenings += 1
-
-    def _repack(self, packing: Packing) -> None:
-        if packing is self.packing:
-            return
-        # One key map for the forms, leads and pair lcms: each distinct key
-        # is moved once per widening.
-        move, unkey = _mover(self.packing, packing), packing.unkey
-        self.forms[:] = _repacked(self.forms, packing, move)
-        self.leads[:] = [f.lead for f in self.forms]
-        for pair, (sugar, k, _) in self.pairs.items():
-            k = move(k)
-            self.pairs[pair] = (sugar, k, unkey(k))
-        self.packing = packing
 
 
 def _reduce(
@@ -574,9 +544,7 @@ def _reduce(
     return records
 
 
-def _divide_packed(
-    f: Polynomial, forms: tuple[_Form, ...], degree: int, packing: Packing
-) -> DivisionResult | None:
+def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: Packing) -> DivisionResult | None:
     """The division by the forms in their packing, or None if a product
     could overflow its fields. No input term has a total degree above
     degree."""

@@ -21,8 +21,10 @@ Every member, the inputs first, enters through the Gebauer-Moeller
 update (Gebauer and Moeller, "On an installation of Buchberger's
 algorithm", 1988), on the packed leads: each lcm, divisibility and
 coprimality test is a few ``int`` operations (``Packing.lcm``,
-``divides`` and ``coprime``), and a pair is keyed by its packed lcm. The
-update drops the pairs that the pairs it keeps make redundant:
+``divides`` and ``coprime``), and a pair is keyed by its packed lcm.
+``buchberger``, not the kernel's state, keeps the pending pairs, and keys
+them again from the repacked leads when a reduction doubles the fields.
+The update drops the pairs that the pairs it keeps make redundant:
 
 - of the new pairs, one whose lcm is a multiple of another new pair's
   lcm (equal lcms keep one of them);
@@ -194,6 +196,11 @@ def buchberger(
     fields doubled because a product or a new member's degree outgrew
     them; it depends on the inputs alone.
 
+    The pending pairs are this function's own, keyed by (sugar, order key
+    of the packed lcm, packed lcm) in the completion state's packing;
+    after a reduction that doubles the fields, each pending pair's lcm is
+    taken again from the repacked leads.
+
     The raw basis holds the completion's packing and forms. The inputs
     are its members as given; the others are built as monic Polynomials
     when ``generators`` is first read, and ``reduce_basis`` never reads
@@ -204,15 +211,15 @@ def buchberger(
         raise ValueError("empty generating set")
 
     state = _Completion(inputs, order)
-    leads = state.leads
     sugars: list[int] = []  # each member's sugar
-    # (i, j) -> (sugar, key(lcm), lcm); min() returns the first of equal
-    # values in insertion order, so ties go to the older pair.
-    pairs = state.pairs
+    # (i, j) -> (sugar, key(lcm), lcm) in the state's packing; min() returns
+    # the first of equal values in insertion order, so ties go to the older
+    # pair.
+    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
     active: list[int] = []  # members that later members are paired with
 
     def enter(new: int, sugar: int) -> None:
-        packing = state.packing
+        packing, leads = state.packing, state.leads
         lcm, divides, degree = packing.lcm, packing.divides, packing.degree
         t = leads[new]
         with_t = [lcm(lead, t) for lead in leads[:new]]
@@ -244,13 +251,20 @@ def buchberger(
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar = pairs.pop((i, j))[0]
+        widenings = state.widenings
         grew = state.reduce(i, j)
+        if state.widenings != widenings:
+            # The fields doubled, and the stored lcms are of the old packing.
+            lcm, key, leads = state.packing.lcm, state.packing.key, state.leads
+            for (a, b), (pair_sugar, _, _) in pairs.items():
+                m = lcm(leads[a], leads[b])
+                pairs[a, b] = (pair_sugar, key(m), m)
         if stats is not None:
             _add(stats, s_pairs_reduced=1, new_members=grew)
         if not grew:
             continue
-        enter(len(leads) - 1, sugar)
-        if len(leads) > MAX_BASIS_SIZE:
+        enter(len(state.leads) - 1, sugar)
+        if len(state.leads) > MAX_BASIS_SIZE:
             raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
 
     if stats is not None:
@@ -280,7 +294,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """
     order = basis.order
     packing, forms, _, wrap = basis._kernel
-    packing, survivors = _interreduce_forms(forms, packing, order)
+    packing, survivors = _interreduce_forms(forms, packing)
     members = _members(packing, survivors, [None] * len(survivors), wrap)
     return GroebnerBasis._of_forms(packing, survivors, members, wrap, order, reduced=True)
 

@@ -90,15 +90,16 @@ class MonomialOrder(enum.Enum):
 class Packing:
     """One order's packed form of the monomials of a fixed arity.
 
-    See the module docstring for the layout. ``nvars`` is the arity and
-    ``width`` the field width, guard bit included. ``guards`` is the mask of
-    the guard bits; a packed value that has any of them set is not a
-    monomial of this packing. ``graded`` says whether the top field holds
-    the total degree.
+    See the module docstring for the layout. ``order`` is the order,
+    ``nvars`` the arity and ``width`` the field width, guard bit included.
+    ``guards`` is the mask of the guard bits; a packed value that has any
+    of them set is not a monomial of this packing. ``graded`` says whether
+    the top field holds the total degree.
     """
 
     __slots__ = (
-        "nvars", "width", "guards", "graded", "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents"
+        "order", "nvars", "width", "guards", "graded",
+        "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -108,7 +109,7 @@ class Packing:
         top = nvars * width  # the degree field's shift, when there is one
         # The field of variable i counts from the low end of the int.
         fields = range(nvars) if order is MonomialOrder.GREVLEX else range(nvars - 1, -1, -1)
-        self.nvars, self.width, self.graded = nvars, width, graded
+        self.order, self.nvars, self.width, self.graded = order, nvars, width, graded
         self._top = top
         self._shifts = tuple(width * f for f in fields)
         # Each exponent adds itself to its own field and, under a graded

@@ -77,8 +77,11 @@ def _is_exact(value: Real) -> bool:
 def classify(m: Real, k: Real, b: Real) -> str:
     """Damping regime: "underdamped", "critical", or "overdamped".
 
-    Rational inputs are compared exactly; floats within a relative
-    epsilon of the critical line count as critical.
+    The discriminant 4mk - b^2 is computed exactly in ``Fraction``s, a
+    float being a binary rational, so no magnitude overflows or
+    underflows it. With a float among the inputs, a discriminant within a
+    relative epsilon of the larger of 4mk and b^2 counts as critical;
+    with rational inputs only zero does.
     """
     if not all_finite(m, k, b):
         raise ValueError("mass, spring constant and damping must be finite")
@@ -86,15 +89,10 @@ def classify(m: Real, k: Real, b: Real) -> str:
         raise ValueError("mass and spring constant must be positive")
     if b < 0:
         raise ValueError("damping coefficient must be nonnegative")
-    if _is_exact(m) and _is_exact(k) and _is_exact(b):
-        discriminant = 4 * Fraction(m) * Fraction(k) - Fraction(b) ** 2
-        if discriminant > 0:
-            return "underdamped"
-        return "critical" if discriminant == 0 else "overdamped"
-    fm, fk, fb = float(m), float(k), float(b)
-    discriminant = 4 * fm * fk - fb * fb
-    scale = max(4 * fm * fk, fb * fb)
-    if abs(discriminant) <= RELATIVE_EPSILON * scale:
+    four_mk, b_squared = 4 * Fraction(m) * Fraction(k), Fraction(b) ** 2
+    discriminant = four_mk - b_squared
+    exact = _is_exact(m) and _is_exact(k) and _is_exact(b)
+    if abs(discriminant) <= (0 if exact else Fraction(RELATIVE_EPSILON) * max(four_mk, b_squared)):
         return "critical"
     return "underdamped" if discriminant > 0 else "overdamped"
 
@@ -109,7 +107,13 @@ def solve_ivp(params: OscillatorParams) -> OscillatorSolution:
     y0 = float(params.y0)
     y1 = float(params.y1)
 
-    omega = math.sqrt(4 * m * k - b * b) / (2 * m)
+    # sqrt(4mk - b^2) / (2m) = sqrt(k/m) * sqrt(1 - r^2) with r = b / (2 sqrt(mk)),
+    # never forming 4mk or b^2, which leave the float range at extreme magnitudes.
+    root = math.sqrt(m) * math.sqrt(k)
+    r = b / (2 * root)
+    omega = root / m * math.sqrt((1 - r) * (1 + r))
+    if not 0 < omega < math.inf:
+        raise ValueError(f"angular frequency {omega} is not a positive finite float")
     beta = -b / (2 * m)
     c1 = y0
     c2 = (y1 - beta * y0) / omega

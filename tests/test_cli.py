@@ -422,6 +422,11 @@ class TestOscillatorCommand:
         assert run(["oscillator", "--m", "1", "--k", "1", "--b", "5"]) == 1
         assert "underdamped regime required" in capsys.readouterr().err
 
+    def test_extreme_magnitudes_sample(self, capsys):
+        # 4mk overflows a float; the regime is decided exactly.
+        assert run(["oscillator", "--m", "1e200", "--k", "1e200", "--n", "2"]) == 0
+        assert capsys.readouterr().out.startswith("t,y,env_hi,env_lo\n0,1,1,-1\n")
+
     def test_csv_to_file(self, tmp_path, capsys):
         path = tmp_path / "wave.csv"
         assert run(self.ARGS + ["--t-end", "1", "--n", "3", "--output", str(path)]) == 0

@@ -3,6 +3,7 @@ import pickle
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Polynomial, RingMismatchError
 
 from reference_division import reference_divide
-from strategies import CTX_T, CTX_XY, CTX_XYZ, nonzero_polynomials, orders, polynomials
+from strategies import CTX_T, CTX_XY, CTX_XYZ, nonzero_polynomials, nonzero_rationals, orders, polynomials
 
 # Coefficients far past one machine word, either sign, so leading
 # coefficients are negative about half the time.
@@ -416,11 +417,12 @@ class TestDivisorMemo:
         check(f, [g3, equal, g2], GREVLEX, 1)  # a member replaced by an equal value
         check(f, [g3, equal, g2], LEX, 3)  # a different order
         # x^3 by x - y^k leaves y^(3k): past the first width, so the division
-        # starts again, twice as wide, and converts the list again.
+        # starts again, twice as wide, on the list's forms repacked, not
+        # converted again.
         k = 2**10 - 1
         wide = [_xy(f"x - y^{k}"), g1]
         check(_xy("y^2"), wide, LEX, 2)
-        check(_xy("x^3"), wide, LEX, 2)
+        check(_xy("x^3"), wide, LEX, 0)
         check(_xy("x^2*y + 1"), wide, LEX, 0)  # the wider fields are kept
 
     def test_threads_sharing_the_memo_get_their_own_results(self):
@@ -518,6 +520,74 @@ class TestHeldForms:
         assert all(g._form is not None for g in basis)
         assert pickle.loads(pickle.dumps(basis)) == basis
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+def _terms(*max_exponents: int):
+    """Polynomials in x, y, z of at most two terms, with each exponent at
+    most its max_exponents entry."""
+    monomial = st.tuples(*(st.integers(0, e) for e in max_exponents))
+    return st.dictionaries(monomial, nonzero_rationals(9, 4), max_size=2).map(lambda terms: Polynomial(CTX_XYZ, terms))
+
+
+def chain_systems():
+    """Lex systems x - y^a + t1, y - z^b + t2, x^2 + t3 over x > y > z,
+    a and b in 4..7 and small tails t1 in y and z, t2 and t3 in z, with a
+    dividend x^2 + q, q of degree at most 1 in x. Their degree asks for
+    fields that hold exponents up to 15, but x^2 reduces to z^(2ab) and
+    y^a to z^(ab), at least z^16, so dividing x^2 + q, interreducing the
+    first two and reducing S(x - y^a + t1, x^2 + t3) each outgrow the
+    fields and widen them."""
+    x, y, z = (parse_polynomial(v, CTX_XYZ) for v in "xyz")
+    return st.tuples(
+        st.integers(4, 7), st.integers(4, 7), _terms(0, 2, 2), _terms(0, 0, 3), _terms(0, 0, 3), _terms(1, 2, 2)
+    ).map(lambda d: ([x - y ** d[0] + d[2], y - z ** d[1] + d[3], x * x + d[4]], x * x + d[5]))
+
+
+class TestWidening:
+    """One step, ``_widened``, doubles the fields and repacks the forms."""
+
+    @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX])
+    def test_widened_forms_are_the_forms_converted_in_the_wider_fields(self, order):
+        polys = parse_system(["3*x^2*y - 1/2*z^3 + y", "-5/7*z^4 + x*y*z - 2", "y^3 - x^2 + 4*z"], CTX_XYZ)
+        packing = order.packing(3, 5)
+        forms = [division._form(g, packing) for g in polys]
+        wider, widened = division._widened(packing, forms)
+        assert (wider.order, wider.nvars, wider.width) == (order, 3, 10)
+        # Tail order included: a _Form compares its tail as a list.
+        assert widened == [division._form(g, wider) for g in polys]
+        # In fields of a given width, narrower ones included.
+        assert division._widened(wider, widened, 5) == (packing, forms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_systems())
+    def test_every_entry_widens_and_matches_the_reference(self, system):
+        basis, f = system
+        overflows = []
+        reduce = division._reduce
+
+        def spy(p, forms, degree, packing, steps):
+            records = reduce(p, forms, degree, packing, steps)
+            overflows[-1] += records is None
+            return records
+
+        def run(entry, *args):
+            overflows.append(0)
+            with mock.patch.object(division, "_reduce", spy):
+                return entry(*args)
+
+        # Copies hold no form, so no entry starts in fields another widened.
+        def fresh():
+            return [copy.copy(g) for g in basis]
+
+        result = run(divide, f, fresh(), LEX)
+        reduced = run(reduce_basis, GroebnerBasis(fresh()[:2], LEX, reduced=False))
+        pair = run(reduce_s_pair, fresh(), 0, 2, LEX)
+        assert all(overflows), overflows
+        assert result == reference_divide(f, basis, LEX)
+        expected = reference_reduce_basis(GroebnerBasis(basis[:2], LEX, reduced=False))
+        assert [as_items(g) for g in reduced] == [as_items(g) for g in expected]
+        remainder = normal_form(s_polynomial(basis[0], basis[2], LEX), basis, LEX)
+        assert as_items(pair[0]) == monic_items(remainder, LEX)
 
 
 def _in_t(coefficients: list) -> Polynomial:

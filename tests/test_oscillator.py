@@ -41,6 +41,19 @@ class TestClassify:
     def test_float_epsilon_boundary(self):
         assert classify(0.25, 1.0, 1.0 + 1e-14) == "critical"
 
+    @pytest.mark.parametrize(
+        "m, k, b, regime",
+        [
+            (1e200, 1e200, 0.0, "underdamped"),  # 4mk overflows a float
+            (1e-200, 1e-200, 0.0, "underdamped"),  # 4mk underflows to 0
+            (1e155, 1e155, 1e155, "underdamped"),  # 4mk and b^2 both overflow
+            (1e200, 1e200, 2e200, "critical"),
+            (1e-200, 1e-200, 3e-200, "overdamped"),
+        ],
+    )
+    def test_extreme_float_magnitudes(self, m, k, b, regime):
+        assert classify(m, k, b) == regime
+
     @pytest.mark.parametrize("args", [(math.nan, 1, 0), (1, math.inf, 0), (1, 1, -math.inf)])
     def test_non_finite_rejected(self, args):
         with pytest.raises(ValueError, match="must be finite"):
@@ -79,6 +92,28 @@ class TestSolveIvp:
         sol = solve_ivp(OscillatorParams(m=1, k=1, b=1, y0=0, y1=0))
         assert sol.amplitude == 0.0
         assert sol.phase == 0.0
+
+    def test_exact_extreme_magnitudes_sample(self):
+        # 4mk = 4 * 10^400 is past the float range, but omega = sqrt(k/m) = 1.
+        sol = solve_ivp(OscillatorParams(10**200, 10**200, 0, 1, 0))
+        assert sol.omega == pytest.approx(1.0, rel=1e-15)
+        rows = sample(sol, math.pi, 3)
+        assert [r.y for r in rows] == pytest.approx([1.0, 0.0, -1.0], abs=1e-15)
+
+    def test_float_extreme_magnitudes(self):
+        sol = solve_ivp(OscillatorParams(1e200, 1e200, 0.0, 1.0, 0.0))
+        assert sol.omega == pytest.approx(1.0, rel=1e-15)
+        sol = solve_ivp(OscillatorParams(1e-200, 4e-200, 1e-200, 1.0, 0.0))
+        # sqrt(4mk - b^2) / (2m) = sqrt(15) / 2, with 4mk below the float range.
+        assert sol.omega == pytest.approx(math.sqrt(15) / 2, rel=1e-14)
+        assert sol.beta == pytest.approx(-0.5, rel=1e-15)
+
+    def test_omega_outside_the_float_range_is_refused(self):
+        # Underdamped in exact arithmetic, but r rounds to 1 and omega to 0.
+        with pytest.raises(ValueError, match="angular frequency 0.0"):
+            solve_ivp(OscillatorParams(Fraction(1, 4), 1, 1 - Fraction(1, 10**30), 1, 0))
+        with pytest.raises(ValueError, match="angular frequency inf"):
+            solve_ivp(OscillatorParams(5e-324, 1e308, 0.0, 1.0, 0.0))
 
     def test_rejects_non_underdamped(self):
         for b in (2, 3):
