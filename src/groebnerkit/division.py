@@ -35,16 +35,19 @@ step that moved it, and the step's quotient term is (n / d) * b / A /
 (s / t). The loop makes ``int`` products and one ``gcd`` per step, and
 strips no content from P, whose coefficients grow with A.
 
-There is one reduction loop, ``_reduce``, and five entries to it:
+There is one reduction loop, ``_reduce``, and four entries to it:
 
 - ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
   and records its steps for the quotients;
-- completion's S-pair step starts from two members' forms, as
+- completion (``groebner.buchberger``) reduces each input by the inputs
+  before it, and each S-pair from two members' forms, as
   ``(l_j / g) * u * G_i - (l_i / g) * v * G_j`` with ``g = gcd(l_i, l_j)``
   and u, v the shifts to the lcm of their leading monomials, which
   cancels the leads in integers; up to a scalar that is the
-  S-polynomial, so its normal form made monic is the completion's new
-  member; ``reduce_s_pair`` is that step for one pair of a list;
+  S-polynomial. An S-pair is reduced only by multiples of lower
+  signature: given ``below``, ``_reduce`` lets the i-th form reduce a
+  term only when the term's order key is below ``below[i]``, one
+  comparison per step;
 - ``_interreduce_forms`` keeps each member of a Groebner basis whose
   lead no kept member's lead divides, and reduces each kept member's tail
   by all of them;
@@ -54,18 +57,18 @@ There is one reduction loop, ``_reduce``, and five entries to it:
   A times the quotient and remainder over Q, all in integers. The Sturm
   chain of ``ideal.univariate_real_roots`` is built with it.
 
-The S-pair step and interreduction read the records as one primitive
+Completion and interreduction read the records as one primitive
 integer form, ``c * (A_last / A)`` divided by the content, whose first
 record is the lead: the form of the monic member, ``t`` its lead
 coefficient.
 
 ``groebner.buchberger`` drives one completion state (``_Completion``):
-the packing, the members' forms, their packed leads and the largest
-degree of their terms; ``buchberger`` keeps the pending pairs itself.
-The Gebauer-Moeller update reads the leads and lcms as ints
-(``Packing.lcm``, ``coprime`` and ``divides``), each S-pair is reduced
-from the state's forms, and a new member stays a form: under a graded
-order its degree is its lead's degree field. Completion builds no
+the packing, the raw basis's forms and a bound on every field of their
+terms; ``buchberger`` keeps the signatures, syzygies and J-pairs itself,
+as packed monomials and order keys in the state's packing. A new member
+stays a form: under a graded order its bound is its lead's degree
+field, and under lex the largest field of the OR of its monomials, with
+no field summed. Completion builds no
 ``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
 packing and forms, and builds its new members when they are first read.
 Every ``GroebnerBasis`` holds its packing and forms, and
@@ -81,8 +84,8 @@ repacks the forms integer to integer (``Packing.repack``, each distinct
 key once), so no form is converted from ``Fraction`` coefficients again:
 ``divide`` retries on its divisors' widened forms and stores them on the
 divisors, ``_interreduce_forms`` retries on its survivors' and
-completion on its members', and ``buchberger`` keys its pending pairs
-again from the repacked leads.
+completion on its members', and ``buchberger`` repacks its signature
+and syzygy monomials with them and keys its J-pairs again.
 
 Converting a divisor to its form costs as much as a few steps, and
 callers use the same polynomials again and again: reduction and
@@ -92,8 +95,8 @@ A call reads each divisor's slot once and divides in the widest packing
 of this order that a divisor holds, when that is wide enough, else in
 the fields the degrees ask for. It converts only the divisors that hold
 no form in that width, and stores each result on its divisor. Each build
-of kernel members (``_members``: a raw basis's first read,
-``groebner.reduce_basis`` and ``reduce_s_pair``) stores each member's
+of kernel members (``_members``: a raw basis's first read and
+``groebner.reduce_basis``) stores each member's
 form on it, so the queries on them never convert what the kernel made.
 A held form is of this order when its packing's ``order`` is, and of
 this arity because a polynomial's ring fixes it; two packings of one
@@ -116,12 +119,13 @@ only the remainder never pay for them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
-from .ring import Monomial, Polynomial, RingMismatchError, _merge
+from .ring import Monomial, Polynomial, RingMismatchError
 
 
 class DivisionResult:
@@ -192,24 +196,6 @@ def divide(
         for g, form in zip(divisors, forms):
             g._form = (packing, form)
     return result
-
-
-def reduce_s_pair(
-    basis: list[Polynomial], i: int, j: int, order: MonomialOrder
-) -> tuple[Polynomial, Monomial] | None:
-    """The S-polynomial of basis[i] and basis[j] reduced modulo basis and
-    made monic, with its leading monomial, or None when it reduces to zero.
-
-    This is ``normal_form(s_polynomial(basis[i], basis[j]), basis)``
-    scaled monic, term order included, for a list of nonzero polynomials
-    in one ring. It takes completion's own step, and each member, the
-    new one included, holds its form.
-    """
-    state = _Completion(basis, order)
-    if not state.reduce(i, j):
-        return None
-    members = _members(state.packing, state.forms, [*basis, None], basis[0]._wrap)
-    return members[-1], state.packing.unpack(state.leads[-1])
 
 
 def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packing, list[_Form]]:
@@ -286,10 +272,10 @@ def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing,
 
 
 def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tuple[Packing, int, tuple[_Form, ...]]:
-    """A packing to divide in, the largest total degree of the divisors
-    and of degree, and the divisors' forms in it: the form a divisor holds
-    where it is in that packing, else converted and stored on the
-    divisor."""
+    """A packing to divide in, a bound on every field of the divisors'
+    terms and on degree (a held form's bound, else a total degree), and
+    the divisors' forms in it: the form a divisor holds where it is in
+    that packing, else converted and stored on the divisor."""
     held = [g._form for g in divisors]  # each slot read once
     degree = max(degree, *(h[1].degree if h else max(map(sum, g.terms)) for g, h in zip(divisors, held)))
     # Room for twice the largest input degree, and the guard bit; wider
@@ -314,7 +300,7 @@ class _Form(NamedTuple):
     tail: list[tuple[int, int]]  # G's other terms as (order key, coefficient)
     s: int
     t: int
-    degree: int  # g's total degree
+    degree: int  # no field of g's packed terms exceeds it (``_bound``)
 
 
 def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int]:
@@ -342,7 +328,9 @@ def _form(g: Polynomial, packing: Packing) -> _Form:
         tail = [(k, -c) for k, c in integral.items()]
     else:
         tail = list(integral.items())
-    return _Form(packing.unkey(k_lead), k_lead, lc, tail, s, t, max(map(sum, g.terms)))
+    lead = packing.unkey(k_lead)
+    # Under lex a key is its packed monomial.
+    return _Form(lead, k_lead, lc, tail, s, t, _bound(packing, lead, integral))
 
 
 def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
@@ -358,9 +346,18 @@ def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
     lc = coefficients[0]
     k_lead, lead = records[0][:2]
     tail = [(k, c) for (k, _, _, _), c in zip(records[1:], coefficients[1:])]
-    # Under a graded order no term is of higher degree than the lead.
-    degree = packing.degree(lead) if packing.graded else max(packing.degree(lm) for _, lm, _, _ in records)
-    return _Form(lead, k_lead, lc, tail, 1, lc, degree)
+    return _Form(lead, k_lead, lc, tail, 1, lc, _bound(packing, lead, (lm for _, lm, _, _ in records)))
+
+
+def _bound(packing: Packing, lead: int, monomials: Iterable[int]) -> int:
+    """No field of a form's packed monomials exceeds it: under a graded
+    order the degree of its lead, which no term exceeds; under lex the
+    largest field of the monomials' OR, each field of which is at least
+    that field of every one."""
+    if not packing.graded:
+        for m in monomials:
+            lead |= m
+    return packing.largest(lead)
 
 
 def _members(
@@ -412,19 +409,18 @@ def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[
 
 
 class _Completion:
-    """Buchberger completion's state, in one packing: the members' forms
-    and packed leads, and the largest total degree of their terms.
+    """Completion's raw basis in one packing: its forms, and a bound on
+    every field of their terms.
 
-    Fields wide enough for twice the degree hold every S-polynomial. When
-    a step could overflow them, or a new member's degree outgrows them,
-    they double (``_widened``): ``packing``, ``forms`` and ``leads`` are
-    replaced by their repacked values, and ``widenings`` counts it, so a
-    caller that keeps packed lcms reads them again from the leads. The
-    state starts in the fields its inputs' degree asks for, whatever
-    forms they hold, so its widenings depend on the inputs alone.
+    Fields wide enough for twice the bound hold every S-polynomial. When
+    a step could overflow them, or a new member outgrows them, ``widen``
+    doubles them (``_widened``): ``packing`` and ``forms`` are replaced by
+    their repacked values, and ``widenings`` counts it. The state starts
+    in the fields its inputs' bound asks for, whatever forms they hold,
+    so its widenings depend on the inputs alone.
     """
 
-    __slots__ = ("packing", "forms", "leads", "degree", "widenings")
+    __slots__ = ("packing", "forms", "degree", "widenings")
 
     def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
         packing, forms = _gate(polynomials, order)
@@ -432,45 +428,25 @@ class _Completion:
         width = self.degree.bit_length() + 2
         if packing.width != width:
             packing, forms = _widened(packing, forms, width)
-        self.packing, self.forms, self.leads = packing, list(forms), [form.lead for form in forms]
+        self.packing, self.forms = packing, list(forms)
         self.widenings = 0
 
-    def reduce(self, i: int, j: int) -> bool:
-        """Reduce the S-polynomial of members i and j by every member, and
-        add the remainder made monic as the last member unless it is zero.
-        Whether it added one."""
-        while True:
-            packing, forms = self.packing, self.forms
-            f_i, f_j = forms[i], forms[j]
-            # Each field of the lcm is at most the larger lead's, so no field
-            # of a shifted tail exceeds twice the degree, which fits.
-            k_lcm = packing.key(packing.lcm(f_i.lead, f_j.lead))
-            k_u, k_v = k_lcm - f_i.key, k_lcm - f_j.key
-            common = gcd(f_i.lc, f_j.lc)
-            a, b = f_j.lc // common, f_i.lc // common
-            p = _merge({k + k_u: a * c for k, c in f_i.tail}, [(k + k_v, -b * c) for k, c in f_j.tail])
-            records = _reduce(p, forms, self.degree, packing, None)
-            if records is not None:
-                break
-            self._widen()
-        if not records:
-            return False
-        form = _monic(records, packing)
-        self.forms.append(form)
-        self.leads.append(form.lead)
-        self.degree = max(self.degree, form.degree)
-        while self.degree.bit_length() + 2 > self.packing.width:
-            self._widen()
-        return True
-
-    def _widen(self) -> None:
-        self.packing, self.forms = _widened(self.packing, self.forms)
-        self.leads = [form.lead for form in self.forms]
+    def widen(self) -> Callable[[int], int]:
+        """Double the fields and repack the forms; the map of a packed
+        monomial of the old fields into the new."""
+        old = self.packing
+        self.packing, self.forms = _widened(old, self.forms)
         self.widenings += 1
+        return partial(old.repack, other=self.packing)
 
 
 def _reduce(
-    p: dict[int, int], forms: Sequence[_Form], degree: int, packing: Packing, steps: list | None
+    p: dict[int, int],
+    forms: Sequence[_Form],
+    degree: int,
+    packing: Packing,
+    steps: list | None,
+    below: Sequence[int] | None = None,
 ) -> list[tuple[int, int, int, int]] | None:
     """Reduce p, a dict from order key to integer coefficient, by the
     forms in one packing, consuming p; or None if a product could
@@ -480,7 +456,9 @@ def _reduce(
     The remainder comes back as records (order key, packed monomial, c,
     A), largest first: the term c * monomial / A of p's remainder, A the
     scale when it moved. Each step is appended to steps, when given, as
-    (form index, shift, b, A).
+    (form index, shift, b, A). When below is given, forms[i] reduces
+    only terms whose order key is below below[i]: completion's bound on
+    the signature of a step (see ``groebner``).
     """
     unkey, guards = packing.unkey, packing.guards
     # Every field of reach holds degree, so no field of a divisor term
@@ -510,6 +488,8 @@ def _reduce(
         above = lm_p | guards
         for i, lm_g in enumerate(leads):
             if (above - lm_g) & guards == guards:
+                if below is not None and k_p >= below[i]:
+                    continue
                 shift = lm_p - lm_g
                 if (reach + shift) & guards:
                     return None

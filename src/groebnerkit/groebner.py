@@ -1,41 +1,55 @@
-"""Groebner bases: S-polynomials, Buchberger completion, reduction.
+"""Groebner bases: S-polynomials, signature completion, reduction.
 
-Completion keeps the pending pairs of basis members and always reduces
-the pair of smallest sugar, ties going to the smaller lcm under the
-order and then to the older pair (Giovini, Mora, Niesi, Robbiano and
-Traverso, "One sugar cube, please", 1991). An input's sugar is its total
-degree; a pair's is the larger of sugar(g) + deg lcm - deg LM(g) over
-its two members, and a new member takes the sugar of the pair it came
-from. Sugar tracks the degree the computation would have without
-cancellation, so under lex as under a graded order low-degree work is
-done first.
+Completion is signature-based (Gao, Volny and Wang, "A new framework for
+computing Groebner bases", Math. Comp. 2016; Roune and Stillman,
+"Practical Groebner basis computation", ISSAC 2012). Each member g is a
+combination of the inputs whose largest term is its signature t * e_i.
+Signatures are ordered as in the Schreyer order: by the order key of
+t * LM(e_i's member), then by i. Keys add under multiplication, so the
+key of a signature is one ``int`` sum, and a signature is held as the
+packed monomial t * LM(e_i's member) with its index.
 
-Each pair's S-polynomial is reduced to normal form against the current
-basis; a nonzero normal form is made monic and enters the basis.
+The inputs come first, in increasing order of leads. Each is reduced by
+the ones before it as they were reduced, and each nonzero result is the
+member of signature e_i, so the order weighs e_i by a reduced lead. An
+input this changes stays in the raw basis as given, and its result
+joins it; an input it leaves alone is its own member. A member, when it
+enters, forms with each earlier member
+
+- a principal syzygy g * U_h - h * U_g, U the combinations, of
+  signature the larger of LM(g) * sig(h) and LM(h) * sig(g);
+- a J-pair: of the multiples of g and h whose leads are
+  lcm(LM(g), LM(h)), the one of larger signature. Two equal signatures
+  form neither.
+
+J-pairs come off one heap in increasing signature, and of one
+signature the pair of the smallest lcm first. A J-pair is dropped when
+
+- the signature of a known syzygy divides its own. The known syzygies
+  are the principal ones and the pairs that reduced to zero, kept
+  minimal per index. A pair of coprime leads has its principal
+  syzygy's signature: Buchberger's product criterion;
+- a member of its index covers it: that member's multiple of the pair's
+  signature has a smaller lead. After a pair is reduced, this drops the
+  other pairs of its signature.
+
+The S-polynomial of a pair that is kept is reduced only by multiples of
+lower signature, its lead and its tail alike, in the division kernel's
+one loop. A zero result is a syzygy of the pair's signature. A nonzero
+result made monic is dropped when some member's multiple of its
+signature has its lead (it is singular), and otherwise enters as a new
+member of that signature. Taken in increasing signature, the pairs
+leave a Groebner basis when the heap is empty.
+
 Completion runs in the division kernel's state (``division._Completion``):
 the members are integer forms with packed leading monomials, the kernel
-reduces each pair's S-polynomial from them and keeps the new member as a
-form, and no ``Polynomial`` is built: the raw basis builds its new
-members when they are first read.
-Every member, the inputs first, enters through the Gebauer-Moeller
-update (Gebauer and Moeller, "On an installation of Buchberger's
-algorithm", 1988), on the packed leads: each lcm, divisibility and
-coprimality test is a few ``int`` operations (``Packing.lcm``,
-``divides`` and ``coprime``), and a pair is keyed by its packed lcm.
-``buchberger``, not the kernel's state, keeps the pending pairs, and keys
-them again from the repacked leads when a reduction doubles the fields.
-The update drops the pairs that the pairs it keeps make redundant:
-
-- of the new pairs, one whose lcm is a multiple of another new pair's
-  lcm (equal lcms keep one of them);
-- a new pair whose leading monomials share no variable (Buchberger's
-  product criterion);
-- an old pair (i, j) whose lcm the new leading monomial t divides, when
-  neither lcm(LM(i), t) nor lcm(LM(j), t) equals it (the chain
-  criterion).
-
-An older member whose leading monomial the new t divides stays in the
-basis for reduction but is paired with no later member.
+reduces each S-polynomial from them and keeps the new member as a form,
+and no ``Polynomial`` is built: the raw basis builds its new members
+when they are first read. ``buchberger`` keeps the signatures, the
+syzygies and the heap, as packed monomials and order keys in the
+state's packing, and every test on them is a few ``int`` operations.
+When the fields double it repacks them with the forms; the repacking
+keeps the order, so the heap stays a heap.
 
 The loop ends with an unreduced Groebner basis containing the input
 generators; which other members it holds depends on this algorithm.
@@ -55,9 +69,11 @@ their leads off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import gcd
 from typing import Iterable
 
-from .division import _Completion, _gate, _interreduce_forms, _members, divide
+from .division import _Completion, _gate, _interreduce_forms, _members, _monic, _reduce, divide
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -177,29 +193,29 @@ def buchberger(
     """Complete a generating set to a Groebner basis.
 
     Zero generators are stripped first; an empty, all-zero or mixed-ring
-    input is an error. The inputs, then each nonzero monic normal form,
-    enter the basis through the Gebauer-Moeller update, and pairs are
-    reduced in sugar order (see the module docstring). The result holds
-    the inputs as given; its other members depend on this algorithm, so
-    the raw basis is not unique and only ``reduce_basis`` of it is. A
-    basis of more than ``MAX_BASIS_SIZE`` members raises a ValueError, so
-    a runaway computation fails cleanly instead of looping without bound.
+    input is an error. Completion is signature-based (see the module
+    docstring). The result holds the inputs as given; its other members
+    depend on this algorithm, so the raw basis is not unique and only
+    ``reduce_basis`` of it is. A basis of more than ``MAX_BASIS_SIZE``
+    members raises a ValueError, so a runaway computation fails cleanly
+    instead of looping without bound.
 
-    Given a dict as stats, completion adds its work to it, once per pair
-    and per member: ``pairs_formed`` (each entering member with each
-    member it is paired with), the pairs of those pruned by the lcm
-    criterion (``pruned_lcm``) and by the product criterion
-    (``pruned_product``), older pairs pruned by the chain criterion
-    (``pruned_chain``), ``s_pairs_reduced``, the ``new_members`` they gave,
-    and ``basis_high_water``, the most members held, kept as a maximum.
-    At the end it adds ``widenings``, the number of times the packed
-    fields doubled because a product or a new member's degree outgrew
-    them; it depends on the inputs alone.
+    Given a dict as stats, completion adds its work to it:
 
-    The pending pairs are this function's own, keyed by (sugar, order key
-    of the packed lcm, packed lcm) in the completion state's packing;
-    after a reduction that doubles the fields, each pending pair's lcm is
-    taken again from the repacked leads.
+    - ``pairs_formed``, the J-pairs formed. Each is either pruned, by a
+      syzygy (``pruned_syzygy``) or by a member that covers it
+      (``pruned_cover``), or reduced (``s_pairs_reduced``);
+    - ``inputs_reduced``, the inputs that the inputs before them reduced;
+    - ``new_members``, ``zero_reductions`` and ``discarded_singular``:
+      each reduced pair or input gives one of these three;
+    - ``widenings``, the number of times the packed fields doubled
+      because a product or a new member outgrew them; it depends on the
+      inputs alone;
+    - ``basis_high_water``, the most members held, kept as a maximum.
+
+    So ``pairs_formed = pruned_syzygy + pruned_cover + s_pairs_reduced``
+    and ``s_pairs_reduced + inputs_reduced = new_members +
+    zero_reductions + discarded_singular``.
 
     The raw basis holds the completion's packing and forms. The inputs
     are its members as given; the others are built as monic Polynomials
@@ -211,71 +227,178 @@ def buchberger(
         raise ValueError("empty generating set")
 
     state = _Completion(inputs, order)
-    sugars: list[int] = []  # each member's sugar
-    # (i, j) -> (sugar, key(lcm), lcm) in the state's packing; min() returns
-    # the first of equal values in insertion order, so ties go to the older
-    # pair.
-    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
-    active: list[int] = []  # members that later members are paired with
-
-    def enter(new: int, sugar: int) -> None:
-        packing, leads = state.packing, state.leads
-        lcm, divides, degree = packing.lcm, packing.divides, packing.degree
-        t = leads[new]
-        with_t = [lcm(lead, t) for lead in leads[:new]]
-        # A coprime pair stays as a witness until the product criterion.
-        formed = [(k, with_t[k], packing.coprime(leads[k], t)) for k in active]
-        kept = []
-        for n, (k, m, coprime) in enumerate(formed):
-            if coprime or not any(divides(w, m) for _, w, _ in formed[n + 1 :] + kept):
-                kept.append((k, m, coprime))
-        chained = [(i, j) for (i, j), (_, _, m) in pairs.items() if divides(t, m) and with_t[i] != m != with_t[j]]
-        for pair in chained:
-            del pairs[pair]
-        for k, m, coprime in kept:
-            if not coprime:
-                d = degree(m)
-                pair_sugar = max(sugars[k] + d - degree(leads[k]), sugar + d - degree(t))
-                pairs[k, new] = (pair_sugar, packing.key(m), m)
-        active[:] = [k for k in active if not divides(t, leads[k])] + [new]
-        sugars.append(sugar)
-        if stats is not None:
-            coprime = sum(c for _, _, c in kept)
-            _add(stats, pairs_formed=len(formed), pruned_lcm=len(formed) - len(kept),
-                 pruned_product=coprime, pruned_chain=len(chained))
-            stats["basis_high_water"] = max(stats.get("basis_high_water", 0), new + 1)
-
-    for new in range(len(inputs)):
-        enter(new, state.forms[new].degree)
-
-    while pairs:
-        i, j = min(pairs, key=pairs.__getitem__)
-        sugar = pairs.pop((i, j))[0]
-        widenings = state.widenings
-        grew = state.reduce(i, j)
-        if state.widenings != widenings:
-            # The fields doubled, and the stored lcms are of the old packing.
-            lcm, key, leads = state.packing.lcm, state.packing.key, state.leads
-            for (a, b), (pair_sugar, _, _) in pairs.items():
-                m = lcm(leads[a], leads[b])
-                pairs[a, b] = (pair_sugar, key(m), m)
-        if stats is not None:
-            _add(stats, s_pairs_reduced=1, new_members=grew)
-        if not grew:
+    counts = dict.fromkeys(_STATS, 0)
+    # The inputs in increasing order of leads, each reduced by the ones
+    # before it as they were reduced: each nonzero result is the member of
+    # signature e_i, and the module order weighs e_i by its lead. Weighed
+    # by the leads as given, katsura-3 under lex kept 26 members, not 18.
+    starts: list[int] = []  # the place in state.forms of each nonzero one
+    for k in sorted(range(len(inputs)), key=lambda k: state.forms[k].key):
+        while True:
+            f, steps = state.forms[k], []
+            divisors = [state.forms[x] for x in starts]
+            records = _reduce(dict([(f.key, f.lc), *f.tail]), divisors, state.degree, state.packing, steps)
+            if records is not None:
+                break
+            state.widen()
+        if not steps:
+            starts.append(k)
             continue
-        enter(len(state.leads) - 1, sugar)
-        if len(state.leads) > MAX_BASIS_SIZE:
+        counts["inputs_reduced"] += 1
+        if not records:
+            counts["zero_reductions"] += 1
+            continue
+        form = _monic(records, state.packing)
+        state.forms.append(form)
+        state.degree = max(state.degree, form.degree)
+        starts.append(len(state.forms) - 1)
+        counts["new_members"] += 1
+
+    # Member n is the form members[n] = state.forms[place[n]], of signature
+    # t * e_i with i = index[n]: sigs[n] is t * LM(e_i's member) packed, and
+    # excess[n] its order key less the key of the member's own lead.
+    place: list[int] = []
+    members: list = []
+    sigs: list[int] = []
+    excess: list[int] = []
+    index: list[int] = []
+    by_index: list[list[int]] = [[] for _ in starts]  # the members of each index
+    syzygies: list[list[int]] = [[] for _ in starts]  # each index's known syzygies, minimal
+    # (signature key, index, key of the lcm, a, b): the J-pair of members a
+    # and b, of a's signature times lcm / LM(a).
+    queue: list[tuple[int, int, int, int, int]] = []
+    bound = 0  # no field of a member's signature exceeds it
+
+    def widen() -> None:
+        move = state.widen()
+        lcm, key = state.packing.lcm, state.packing.key
+        members[:] = [state.forms[k] for k in place]
+        sigs[:] = map(move, sigs)
+        excess[:] = [key(sig) - form.key for sig, form in zip(sigs, members)]
+        for known in syzygies:
+            known[:] = map(move, known)
+        # Repacking keeps the order, so the queue stays a heap.
+        for n, (_, i, _, a, b) in enumerate(queue):
+            k_lcm = key(lcm(members[a].lead, members[b].lead))
+            queue[n] = (excess[a] + k_lcm, i, k_lcm, a, b)
+
+    def add(k: int, sig: int, e: int, i: int) -> None:
+        """Make state.forms[k] a member, of signature sig of index i and
+        excess e, with a principal syzygy and a J-pair for each earlier
+        member."""
+        nonlocal bound
+        new = len(members)
+        place.append(k)
+        members.append(state.forms[k])
+        sigs.append(sig)
+        excess.append(e)
+        index.append(i)
+        by_index[i].append(new)
+        bound = max(bound, state.packing.largest(sig))
+        while max(state.degree, bound).bit_length() + 2 > state.packing.width:
+            widen()
+        lcm, key, guards = state.packing.lcm, state.packing.key, state.packing.guards
+        sig, e, t = sigs[new], excess[new], members[new].lead
+        for n in range(new):
+            if excess[n] == e and index[n] == i:
+                continue  # equal signatures: a singular pair
+            u = members[n].lead
+            m = lcm(t, u)
+            k_m = key(m)
+            # Of the syzygy g * U_new - new * U_g, g = members[n], and of the
+            # J-pair, the side of the larger signature is the one of larger
+            # (excess, index).
+            if (e, i) > (excess[n], index[n]):
+                side, z, j_sig, pair = i, sig + u, sig + m - t, (e + k_m, i, k_m, new, n)
+            else:
+                side, z, j_sig, pair = index[n], sigs[n] + t, sigs[n] + m - u, (excess[n] + k_m, index[n], k_m, n, new)
+            _insert(syzygies[side], z, guards)
+            counts["pairs_formed"] += 1
+            # Coprime leads: the syzygy's signature is the pair's.
+            if m == t + u or _divisible(j_sig, syzygies[side], guards):
+                counts["pruned_syzygy"] += 1
+            else:
+                heappush(queue, pair)
+
+    for i, k in enumerate(starts):
+        add(k, state.forms[k].lead, 0, i)
+
+    while queue:
+        k_sig, i, k_lcm, a, b = heappop(queue)
+        packing = state.packing
+        guards = packing.guards
+        sig = sigs[a] + packing.lcm(members[a].lead, members[b].lead) - members[a].lead
+        if _divisible(sig, syzygies[i], guards):
+            counts["pruned_syzygy"] += 1
+            continue
+        # A member of this index covers the pair: its multiple of this
+        # signature has a smaller lead.
+        above = sig | guards
+        if any((above - sigs[n]) & guards == guards and k_sig - excess[n] < k_lcm for n in by_index[i]):
+            counts["pruned_cover"] += 1
+            continue
+        counts["s_pairs_reduced"] += 1
+        while True:
+            packing = state.packing
+            f_a, f_b = members[a], members[b]
+            m = packing.lcm(f_a.lead, f_b.lead)
+            k_lcm = packing.key(m)
+            sig, k_sig = sigs[a] + m - f_a.lead, excess[a] + k_lcm
+            k_u, k_v = k_lcm - f_a.key, k_lcm - f_b.key
+            common = gcd(f_a.lc, f_b.lc)
+            u, v = f_b.lc // common, f_a.lc // common
+            p = _merge({k + k_u: u * c for k, c in f_a.tail}, [(k + k_v, -v * c) for k, c in f_b.tail])
+            # Member n reduces a term only by a multiple of lower signature.
+            below = [k_sig - e + (j < i) for e, j in zip(excess, index)]
+            records = _reduce(p, members, state.degree, packing, None, below)
+            if records is not None:
+                break
+            widen()
+        guards = packing.guards
+        if not records:
+            counts["zero_reductions"] += 1
+            _insert(syzygies[i], sig, guards)
+            continue
+        form = _monic(records, packing)
+        # Singular: a member's multiple of this signature has this lead.
+        above = sig | guards
+        if any((above - sigs[n]) & guards == guards and k_sig - excess[n] == form.key for n in by_index[i]):
+            counts["discarded_singular"] += 1
+            continue
+        state.forms.append(form)
+        if len(state.forms) > MAX_BASIS_SIZE:
             raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
+        state.degree = max(state.degree, form.degree)
+        counts["new_members"] += 1
+        add(len(state.forms) - 1, sig, k_sig - form.key, i)
 
     if stats is not None:
-        _add(stats, widenings=state.widenings)
+        for name, n in [*counts.items(), ("widenings", state.widenings)]:
+            stats[name] = stats.get(name, 0) + n
+        stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(state.forms))
     given = inputs + [None] * (len(state.forms) - len(inputs))
     return GroebnerBasis._of_forms(state.packing, tuple(state.forms), given, inputs[0]._wrap, order, reduced=False)
 
 
-def _add(stats: dict, **counts: int) -> None:
-    for name, n in counts.items():
-        stats[name] = stats.get(name, 0) + n
+# The counters buchberger adds to a stats record, with widenings.
+_STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
+          "new_members", "zero_reductions", "discarded_singular")
+
+
+def _divisible(sig: int, known: list[int], guards: int) -> bool:
+    """Whether a packed monomial of known divides sig."""
+    above = sig | guards
+    for z in known:
+        if (above - z) & guards == guards:
+            return True
+    return False
+
+
+def _insert(known: list[int], sig: int, guards: int) -> None:
+    """Add sig to a minimal list of packed signature monomials."""
+    if not _divisible(sig, known, guards):
+        known[:] = [z for z in known if ((z | guards) - sig) & guards != guards]
+        known.append(sig)
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:

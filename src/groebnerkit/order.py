@@ -148,12 +148,6 @@ class Packing:
         guards = self.guards
         return ((b | guards) - a) & guards == guards
 
-    def coprime(self, a: int, b: int) -> bool:
-        """Whether a and b share no variable."""
-        # A field's guard survives taking one away just when it is not 0.
-        guards, ones = self.guards, self._ones
-        return not ((a | guards) - ones) & ((b | guards) - ones) & guards & self._exponents
-
     def lcm(self, a: int, b: int) -> int:
         """The least common multiple, when it fits the fields."""
         width = self.width
@@ -168,12 +162,13 @@ class Packing:
             gcd += (((gcd * self._ones) >> (top - width)) & ((1 << width) - 1)) << top
         return a + b - gcd
 
-    def degree(self, packed: int) -> int:
-        """The total degree."""
+    def largest(self, packed: int) -> int:
+        """The largest field: the total degree under a graded order, else
+        the largest exponent."""
         if self.graded:
             return packed >> self._top
         mask = (1 << self.width) - 1
-        return sum((packed >> s) & mask for s in self._shifts)
+        return max((packed >> s) & mask for s in self._shifts)
 
     def repack(self, packed: int, other: "Packing") -> int:
         """The monomial packed in other, an order's packing of the same

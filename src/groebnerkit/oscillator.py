@@ -101,27 +101,41 @@ def solve_ivp(params: OscillatorParams) -> OscillatorSolution:
     """Amplitude-phase solution matching y(0) = y0 and y'(0) = y1."""
     if classify(params.m, params.k, params.b) != "underdamped":
         raise ValueError("underdamped regime required (4mk - b^2 <= 0)")
-    m = float(params.m)
-    k = float(params.k)
-    b = float(params.b)
-    y0 = float(params.y0)
-    y1 = float(params.y1)
-
-    # sqrt(4mk - b^2) / (2m) = sqrt(k/m) * sqrt(1 - r^2) with r = b / (2 sqrt(mk)),
-    # never forming 4mk or b^2, which leave the float range at extreme magnitudes.
-    root = math.sqrt(m) * math.sqrt(k)
-    r = b / (2 * root)
-    omega = root / m * math.sqrt((1 - r) * (1 + r))
+    m, k, b = Fraction(params.m), Fraction(params.k), Fraction(params.b)
+    y0, y1 = _float(params.y0, "initial displacement"), _float(params.y1, "initial velocity")
+    # omega^2 = (4mk - b^2) / (4m^2) = k/m - (b/(2m))^2 and beta = -b/(2m),
+    # exact ratios whatever the magnitudes of m, k and b.
+    omega = _sqrt(k / m - (b / (2 * m)) ** 2)
     if not 0 < omega < math.inf:
         raise ValueError(f"angular frequency {omega} is not a positive finite float")
-    beta = -b / (2 * m)
+    beta = _float(-b / (2 * m), "decay rate")
     c1 = y0
     c2 = (y1 - beta * y0) / omega
     amplitude = math.hypot(c1, c2)
+    if amplitude == math.inf:
+        raise ValueError("amplitude is past the float range")
     phase = math.atan2(c1, c2) if amplitude > 0 else 0.0
     return OscillatorSolution(
         omega=omega, beta=beta, amplitude=amplitude, phase=phase, c1=c1, c2=c2
     )
+
+
+def _float(value: Real, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
+
+
+def _sqrt(q: Fraction) -> float:
+    """The square root of a positive rational as a float: inf past the
+    float range, 0.0 below it."""
+    # q / 4^e lies in (1/2, 4), and its square root times 2^e is q's.
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(q / Fraction(4) ** e), e)
+    except OverflowError:
+        return math.inf
 
 
 def evaluate(sol: OscillatorSolution, t: float) -> Evaluation:

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from groebnerkit import division
-from groebnerkit.division import DivisionResult, divide, pseudo_divide, reduce_s_pair
+from groebnerkit import groebner
+from groebnerkit.division import DivisionResult, divide, pseudo_divide
 from groebnerkit.groebner import (
     GroebnerBasis,
     buchberger,
@@ -247,13 +248,16 @@ def ring_lists(max_size):
     )
 
 
+def completion_lists():
+    """Inputs small enough that every completion of them ends quickly."""
+    return st.sampled_from([CTX_XY, CTX_XYZ]).flatmap(
+        lambda ctx: st.lists(nonzero_polynomials(ctx, max_terms=3, max_exponent=2), min_size=1, max_size=3)
+    )
+
+
 def as_items(p: Polynomial) -> list:
     """p's terms in their stored order, which printing and pickling keep."""
     return list(p.terms.items())
-
-
-def monic_items(p: Polynomial, order) -> list:
-    return as_items(p / p.terms[leading_term(p, order).monomial])
 
 
 def reference_reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -274,50 +278,67 @@ def reference_reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(tuple(monic), order, reduced=True)
 
 
+def added_members(raw: GroebnerBasis, inputs: list) -> list:
+    """The members of a raw basis that completion added to its inputs."""
+    return [g for g in raw if not any(g is f for f in inputs)]
+
+
+def s_pairs_vanish(basis: list, order) -> bool:
+    """Buchberger's criterion, each S-polynomial divided by the reference."""
+    return all(
+        reference_divide(s_polynomial(p, q, order), basis, order).remainder.is_zero()
+        for i, p in enumerate(basis)
+        for q in basis[i + 1:]
+    )
+
+
 class TestCompletionEntries:
-    """The kernel's S-pair and interreduction entries give what the
-    Polynomial routes give, term order included."""
+    """Completion's and interreduction's entries to the kernel give what
+    the Polynomial routes give, term order included."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ring_lists(4), orders(), st.data())
-    def test_s_pair_entry_is_the_monic_normal_form(self, basis, order, data):
-        i, j = (data.draw(st.integers(0, len(basis) - 1)) for _ in range(2))
-        expected = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        result = reduce_s_pair(basis, i, j, order)
-        if expected.is_zero():
-            assert result is None
-        else:
-            member, lead = result
-            assert lead == leading_term(expected, order).monomial
-            assert as_items(member) == monic_items(expected, order)
+    @given(completion_lists(), orders())
+    def test_completion_members_are_monic_and_in_the_ideal(self, basis, order):
+        raw = buchberger(basis, order)
+        packing = raw._kernel[0]
+        reduced = list(reduce_basis(raw))
+        for member in added_members(raw, basis):
+            assert member.terms[leading_term(member, order).monomial] == 1
+            assert normal_form(member, reduced, order).is_zero()
+            assert member._form == (packing, division._form(member, packing))
+        assert all(normal_form(g, reduced, order).is_zero() for g in basis)
 
     @settings(max_examples=60, deadline=None)
-    @given(ring_lists(4), orders())
-    def test_s_pair_entry_on_wide_coefficients(self, basis, order):
-        basis = [g * Fraction(10**30 + k, 10**17 + 3 * k) for k, g in enumerate(basis, 1)]
-        expected = normal_form(s_polynomial(basis[0], basis[-1], order), basis, order)
-        result = reduce_s_pair(basis, 0, len(basis) - 1, order)
-        assert (result is None) == expected.is_zero()
-        if result is not None:
-            assert as_items(result[0]) == monic_items(expected, order)
+    @given(completion_lists(), orders())
+    def test_completion_on_wide_coefficients(self, basis, order):
+        # Completion works on the inputs' primitive integer forms, so
+        # scaling an input by a wide rational changes no member it adds.
+        wide = [g * Fraction(10**30 + k, 10**17 + 3 * k) for k, g in enumerate(basis, 1)]
+        expected = [as_items(g) for g in added_members(buchberger(basis, order), basis)]
+        assert [as_items(g) for g in added_members(buchberger(wide, order), wide)] == expected
 
     def test_zero_s_polynomial_and_zero_normal_form_give_no_member(self):
         g = _xy("x^2*y - 3*y + 1/2")
         assert s_polynomial(g, 3 * g, GRLEX).is_zero()
-        assert reduce_s_pair([g, 3 * g], 0, 1, GRLEX) is None
+        stats = {}
+        assert buchberger([g, 3 * g], GRLEX, stats).generators == (g, 3 * g)
+        assert (stats["new_members"], stats["zero_reductions"]) == (0, 1)
         # A reduced basis: S(x*y, y^2 - 1/2*x) is 1/2*x^2, which x^2 reduces.
         basis = [_xy("x^2"), _xy("x*y"), _xy("y^2 - 1/2*x")]
         assert not s_polynomial(basis[1], basis[2], GRLEX).is_zero()
-        assert reduce_s_pair(basis, 1, 2, GRLEX) is None
+        stats = {}
+        assert len(buchberger(basis, GRLEX, stats)) == 3
+        assert stats["new_members"] == 0
 
     def test_new_member_enters_the_memo(self, monkeypatch):
         # The S-polynomial is -y^2 - x + 3*y: a negative lead and two
         # tail terms, which the member's form keeps in order.
         basis = [_xy("x^2 - y + 3"), _xy("x*y + 1")]
-        member, _ = reduce_s_pair(basis, 0, 1, GREVLEX)
+        raw = buchberger(basis, GREVLEX)
+        [member] = [g for g in added_members(raw, basis) if leading_term(g, GREVLEX).monomial == (0, 2)]
         assert as_items(member) == [((0, 2), 1), ((1, 0), 1), ((0, 1), -3)]
-        # The member holds the form that converting it would give, in the
-        # packing its divisors' forms are in.
+        # Each member holds the form that converting it would give, in the
+        # completion's packing, the inputs included.
         packing, form = member._form
         assert all(g._form[0] is packing for g in basis)
         assert form == division._form(member, packing)
@@ -354,25 +375,25 @@ class TestCompletionEntries:
         assert converted == gens
 
     def test_lex_s_pair_past_the_memo_width_repacks(self, monkeypatch):
-        # S(x - y^3, x^2 - z) = -x*y^3 + z, which y - z^3 turns into
-        # z^18: past the fields of width 4 that degree 3 asks for.
+        # y - z^3 turns x - y^3 into x - z^9, and that turns x^2 - z into
+        # z^18 - z: past the fields of width 4 that degree 3 asks for.
         basis = [parse_polynomial(t, CTX_XYZ) for t in ("x - y^3", "y - z^3", "x^2 - z")]
         tried = []
         reduce = division._reduce
 
-        def spy(p, forms, degree, packing, steps):
-            records = reduce(p, forms, degree, packing, steps)
+        def spy(p, forms, degree, packing, steps, below=None):
+            records = reduce(p, forms, degree, packing, steps, below)
             tried.append((packing.width, records is None))
             return records
 
-        monkeypatch.setattr(division, "_reduce", spy)
-        member, lead = reduce_s_pair(basis, 0, 2, LEX)
-        assert tried == [(4, True), (8, False)]
+        monkeypatch.setattr(groebner, "_reduce", spy)
+        raw = buchberger(basis, LEX)
+        overflow = tried.index((4, True))
+        assert tried[overflow + 1] == (8, False)
         monkeypatch.undo()
-        expected = normal_form(s_polynomial(basis[0], basis[2], LEX), basis, LEX)
-        assert as_items(member) == monic_items(expected, LEX)
-        assert as_items(member) == [((0, 0, 18), 1), ((0, 0, 1), -1)]
-        assert lead == (0, 0, 18)
+        members = [as_items(g) for g in added_members(raw, basis)]
+        assert [((0, 0, 18), 1), ((0, 0, 1), -1)] in members
+        assert s_pairs_vanish(list(raw), LEX)
 
     @settings(max_examples=150, deadline=None)
     @given(ring_lists(5), orders())
@@ -535,8 +556,8 @@ def chain_systems():
     dividend x^2 + q, q of degree at most 1 in x. Their degree asks for
     fields that hold exponents up to 15, but x^2 reduces to z^(2ab) and
     y^a to z^(ab), at least z^16, so dividing x^2 + q, interreducing the
-    first two and reducing S(x - y^a + t1, x^2 + t3) each outgrow the
-    fields and widen them."""
+    first two and completing the three each outgrow the fields and widen
+    them."""
     x, y, z = (parse_polynomial(v, CTX_XYZ) for v in "xyz")
     return st.tuples(
         st.integers(4, 7), st.integers(4, 7), _terms(0, 2, 2), _terms(0, 0, 3), _terms(0, 0, 3), _terms(1, 2, 2)
@@ -565,14 +586,14 @@ class TestWidening:
         overflows = []
         reduce = division._reduce
 
-        def spy(p, forms, degree, packing, steps):
-            records = reduce(p, forms, degree, packing, steps)
+        def spy(p, forms, degree, packing, steps, below=None):
+            records = reduce(p, forms, degree, packing, steps, below)
             overflows[-1] += records is None
             return records
 
         def run(entry, *args):
             overflows.append(0)
-            with mock.patch.object(division, "_reduce", spy):
+            with mock.patch.object(division, "_reduce", spy), mock.patch.object(groebner, "_reduce", spy):
                 return entry(*args)
 
         # Copies hold no form, so no entry starts in fields another widened.
@@ -581,13 +602,12 @@ class TestWidening:
 
         result = run(divide, f, fresh(), LEX)
         reduced = run(reduce_basis, GroebnerBasis(fresh()[:2], LEX, reduced=False))
-        pair = run(reduce_s_pair, fresh(), 0, 2, LEX)
+        raw = run(buchberger, fresh(), LEX)
         assert all(overflows), overflows
         assert result == reference_divide(f, basis, LEX)
         expected = reference_reduce_basis(GroebnerBasis(basis[:2], LEX, reduced=False))
         assert [as_items(g) for g in reduced] == [as_items(g) for g in expected]
-        remainder = normal_form(s_polynomial(basis[0], basis[2], LEX), basis, LEX)
-        assert as_items(pair[0]) == monic_items(remainder, LEX)
+        assert s_pairs_vanish(list(raw), LEX)
 
 
 def _in_t(coefficients: list) -> Polynomial:

@@ -34,6 +34,17 @@ def canonical(basis):
     return [format_polynomial(g, basis.order) for g in basis.generators]
 
 
+def assert_stats_add_up(stats, inputs, basis):
+    """Every J-pair formed is pruned once or reduced once, and every
+    reduction, of a J-pair or of an input, gives a new member, a zero
+    reduction or a singular discard."""
+    assert stats["pairs_formed"] == stats["pruned_syzygy"] + stats["pruned_cover"] + stats["s_pairs_reduced"]
+    assert stats["s_pairs_reduced"] + stats["inputs_reduced"] == (
+        stats["new_members"] + stats["zero_reductions"] + stats["discarded_singular"])
+    assert stats["new_members"] == len(basis) - len(inputs)
+    assert stats["basis_high_water"] == len(basis)
+
+
 def assert_buchberger_criterion(basis):
     gens = list(basis.generators)
     for p, q in itertools.combinations(gens, 2):
@@ -182,20 +193,23 @@ class TestBuchberger:
             assert normal_form(g, list(basis.generators), GREVLEX).is_zero()
 
     @pytest.mark.parametrize(
-        "gens, order",
+        "gens, order, criterion",
         [
-            # The product criterion drops six pairs here, the chain criterion one.
-            (["x^2 + y", "y^3 - x", "x*y - 2"], GRLEX),
-            # When y + z enters, its leading y divides lcm(x*y, y*z) and
-            # the chain criterion drops the pair of the first two inputs.
-            (["x*y + z^2", "y*z + x", "y + z"], GREVLEX),
+            # Of the 21 J-pairs, 17 are pruned by syzygies: each pair of
+            # coprime leads by its own principal syzygy (the product
+            # criterion), the others by a syzygy dividing their signature.
+            (["x^2 + y", "y^3 - x", "x*y - 2"], GRLEX, "pruned_syzygy"),
+            # A member of the index of one J-pair has a smaller lead at its
+            # signature, so the cover criterion drops it; another J-pair
+            # reduces to zero.
+            (["z - 2*x*y", "3/4*y*z", "-x*z"], LEX, "pruned_cover"),
         ],
-        ids=["product", "chain"],
+        ids=["syzygy", "cover"],
     )
-    def test_pair_criteria_are_only_an_optimization(self, gens, order):
-        # Completion reduces neither coprime pairs (product criterion) nor
-        # pairs the Gebauer-Moeller update drops; every S-pair of its
-        # result, the pruned ones included, must still reduce to zero.
+    def test_pair_criteria_are_only_an_optimization(self, gens, order, criterion):
+        # Completion reduces no J-pair that a syzygy or a covering member
+        # prunes; every S-pair of its result, the pruned ones included,
+        # must still reduce to zero.
         ctx = CTX_XYZ if "z" in "".join(gens) else CTX_XY
         inputs = [parse_polynomial(g, ctx) for g in gens]
         stats = {}
@@ -204,12 +218,8 @@ class TestBuchberger:
         pairs = list(itertools.combinations(lms, 2))
         assert any(p.is_coprime_with(q) for p, q in pairs)
         assert stats["s_pairs_reduced"] < sum(not p.is_coprime_with(q) for p, q in pairs)
-        assert stats["pruned_product"] > 0 and stats["pruned_chain"] > 0
-        # Every pair formed is pruned once or reduced once.
-        pruned = stats["pruned_lcm"] + stats["pruned_product"] + stats["pruned_chain"]
-        assert stats["pairs_formed"] - pruned == stats["s_pairs_reduced"]
-        assert stats["new_members"] == len(basis) - len(inputs)
-        assert stats["basis_high_water"] == len(basis)
+        assert stats[criterion] > 0
+        assert_stats_add_up(stats, inputs, basis)
         assert_buchberger_criterion(basis)
 
     def test_stats_add_to_the_callers_record(self):
@@ -246,15 +256,28 @@ class TestBuchberger:
         assert runs[1:] == runs[:-1]
         assert "z^18 - z" in runs[0][1]
 
-    def test_pending_pairs_survive_a_widening(self):
-        # y^4 - 4*y^2 + 1 outgrows the fields of width 4 while a pair still
-        # waits; its lcm is repacked with the forms, so the pair is reduced
-        # and pruned as before.
+    def test_pending_pairs_survive_a_widening(self, monkeypatch):
+        # Under lex, x^2*y + x - 2*y^2 outgrows the fields of width 4 while
+        # two J-pairs wait. The signatures, syzygies and waiting pairs are
+        # repacked with the forms, so the run reduces and prunes what it
+        # does in fields wide enough from the start.
+        gens = [_xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")]
         stats = {}
-        basis = buchberger(parse_system(["x^2 + y^2 - 4", "x*y - 1"], CTX_XY), LEX, stats)
-        assert canonical(basis) == ["y^4 - 4*y^2 + 1", "x + y^3 - 4*y", "x*y - 1", "x^2 + y^2 - 4"]
-        assert stats == {"pairs_formed": 4, "pruned_lcm": 0, "pruned_product": 1, "pruned_chain": 0,
-                         "basis_high_water": 4, "s_pairs_reduced": 3, "new_members": 2, "widenings": 1}
+        basis = buchberger(gens, LEX, stats)
+        assert canonical(basis) == ["y^3", "x - 2*y^2", "x^2", "x^2*y + x - 2*y^2", "x^3 - 2*x*y"]
+        assert stats == {"pairs_formed": 10, "pruned_syzygy": 5, "pruned_cover": 2, "s_pairs_reduced": 3,
+                         "inputs_reduced": 0, "new_members": 3, "zero_reductions": 0, "discarded_singular": 0,
+                         "widenings": 1, "basis_high_water": 5}
+        init = division._Completion.__init__
+
+        def start_wide(self, polynomials, order):
+            init(self, polynomials, order)
+            self.packing, self.forms = division._widened(self.packing, self.forms, 16)
+
+        monkeypatch.setattr(division._Completion, "__init__", start_wide)
+        wide = {}
+        assert canonical(buchberger(gens, LEX, wide)) == canonical(basis)
+        assert wide == stats | {"widenings": 0}
 
     def test_cyclic4_work_is_independent_of_input_order(self):
         ctx = VariableContext(["a", "b", "c", "d"])
@@ -263,15 +286,37 @@ class TestBuchberger:
              "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"],
             ctx,
         )
-        results = []
+        results, work = [], []
         for perm in itertools.permutations(cyclic4):
             stats = {}
             basis = buchberger(list(perm), GREVLEX, stats)
-            # Each order reduces 11 S-pairs; a FIFO pair queue without the
-            # Gebauer-Moeller criteria took 35 to 114 normal forms.
-            assert stats["s_pairs_reduced"] <= 15
             results.append(canonical(reduce_basis(basis)))
+            work.append(stats)
         assert all(r == results[0] for r in results)
+        # The inputs enter in increasing order of leads, so every order
+        # does the same work: 4 S-pairs reduced, one of them to zero.
+        assert all(stats == work[0] for stats in work)
+        assert (work[0]["s_pairs_reduced"], work[0]["zero_reductions"]) == (4, 1)
+
+    @pytest.mark.parametrize("name, zeros", [("katsura-3", 0), ("katsura-4", 2)])
+    def test_signatures_spare_zero_reductions(self, name, zeros):
+        # Katsura systems are regular sequences, whose syzygies the
+        # principal ones account for, so under grevlex almost no S-pair
+        # is reduced to zero.
+        names, texts = PINNED_SYSTEMS[name]
+        inputs = parse_system(texts, VariableContext(names.split()))
+        stats = {}
+        basis = buchberger(inputs, GREVLEX, stats)
+        assert stats["zero_reductions"] <= zeros
+        assert_stats_add_up(stats, inputs, basis)
+        assert_buchberger_criterion(basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(nonzero_polynomials(max_terms=3, max_exponent=3), min_size=1, max_size=4), orders())
+    def test_stats_add_up(self, gens, order):
+        stats = {}
+        basis = buchberger(gens, order, stats)
+        assert_stats_add_up(stats, gens, basis)
 
 
 class TestGroebnerBasisType:
@@ -390,11 +435,11 @@ class TestKernelBases:
         assert all(any(g is p for p in raw) for g in gens)
 
     def test_reduction_leaves_the_raw_forms_and_widens_its_own(self):
-        # The leads z and x are coprime, so the raw basis is the input.
+        # The leads z and x are coprime, so the input is a Groebner basis.
         # Interreduction turns z - x^3 into z - y^9, past the fields of
-        # width 4 that degree 3 asks for: they double, and the raw basis's
-        # forms stay as they were.
-        raw = buchberger(parse_system(["z - x^3", "x - y^3"], VariableContext(["z", "x", "y"])), LEX)
+        # width 4 that degree 3 asks for: they double, and the unreduced
+        # basis's forms stay as they were.
+        raw = GroebnerBasis(parse_system(["z - x^3", "x - y^3"], VariableContext(["z", "x", "y"])), LEX, False)
         packing, forms = raw._kernel[:2]
         before = repr(forms)
         reduced = reduce_basis(raw)
@@ -552,12 +597,12 @@ PINNED_SYSTEMS = {
 
 # The stats counters this digest covers; a counter added later does not
 # change it.
-PINNED_STATS = ("pairs_formed", "pruned_lcm", "pruned_product", "pruned_chain",
-                "s_pairs_reduced", "new_members", "basis_high_water")
+PINNED_STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
+                "new_members", "zero_reductions", "discarded_singular", "basis_high_water")
 
 # SHA-256 of every raw basis below, each member's terms in their stored
 # order, and of its stats, as completion gave them when this was recorded.
-PINNED_DIGEST = "b60da8f2dd2d323466f1f279bc571efbf1a273c7206caa48f16ccaf8d9b5d5ac"
+PINNED_DIGEST = "6bbfb2ee489e99f8b75b2319e80d2ad4b5a0349b3de39ea0ba5b5f3413fcc600"
 
 
 # SHA-256 of the reduced basis groebner_basis gives for each of the same

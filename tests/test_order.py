@@ -167,16 +167,17 @@ class TestPacking:
 
     @given(lcm_cases())
     def test_lcm_coprime_and_divides_are_the_monomials(self, case):
-        _, a, b, packing = case
+        order, a, b, packing = case
         pa, pb = packing.pack(a), packing.pack(b)
         lcm = packing.lcm(pa, pb)
         # Equal packed values: a graded packing's degree field is the lcm's
         # degree, recomputed, not the larger of the two degrees.
         assert lcm == packing.pack(a.lcm(b))
         assert lcm & packing.guards == 0
-        assert packing.degree(lcm) == a.lcm(b).degree
+        assert packing.largest(lcm) == (max(a.lcm(b)) if order is LEX else a.lcm(b).degree)
         assert packing.lcm(pb, pa) == lcm
-        assert packing.coprime(pa, pb) == a.is_coprime_with(b)
+        # Completion's coprimality test: the lcm is the product.
+        assert (lcm == pa + pb) == a.is_coprime_with(b)
         assert packing.divides(pa, pb) == a.divides(b)
         assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
 

@@ -109,11 +109,29 @@ class TestSolveIvp:
         assert sol.beta == pytest.approx(-0.5, rel=1e-15)
 
     def test_omega_outside_the_float_range_is_refused(self):
-        # Underdamped in exact arithmetic, but r rounds to 1 and omega to 0.
+        # omega = sqrt(k/m) = 10^-350 is below the float range.
         with pytest.raises(ValueError, match="angular frequency 0.0"):
-            solve_ivp(OscillatorParams(Fraction(1, 4), 1, 1 - Fraction(1, 10**30), 1, 0))
+            solve_ivp(OscillatorParams(1, Fraction(1, 10**700), 0, 1, 0))
         with pytest.raises(ValueError, match="angular frequency inf"):
             solve_ivp(OscillatorParams(5e-324, 1e308, 0.0, 1.0, 0.0))
+
+    def test_exact_ratios_past_the_float_range(self):
+        # m, k and b leave the float range, but omega and beta do not.
+        sol = solve_ivp(OscillatorParams(10**400, 10**400, 0, 1, 0))
+        assert (sol.omega, sol.beta, sol.amplitude) == (1.0, 0.0, 1.0)
+        sol = solve_ivp(OscillatorParams(Fraction(1, 10**400), 1, 0, 1, 0))
+        assert sol.omega == pytest.approx(1e200, rel=1e-15)
+        # 1 - b^2/(4mk) = 2e-30 - 1e-60 is exact; in floats the ratio
+        # rounds to 1 and omega to 0.
+        sol = solve_ivp(OscillatorParams(Fraction(1, 4), 1, 1 - Fraction(1, 10**30), 1, 0))
+        assert sol.omega == pytest.approx(2 * math.sqrt(2) * 1e-15, rel=1e-14)
+        assert sol.beta == pytest.approx(-2.0, rel=1e-15)
+
+    def test_initial_state_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="initial displacement is past the float range"):
+            solve_ivp(OscillatorParams(1, 1, 0, 10**400, 0))
+        with pytest.raises(ValueError, match="initial velocity is past the float range"):
+            solve_ivp(OscillatorParams(1, 1, 0, 0, -(10**400)))
 
     def test_rejects_non_underdamped(self):
         for b in (2, 3):
