@@ -273,11 +273,14 @@ def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing,
 
 def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tuple[Packing, int, tuple[_Form, ...]]:
     """A packing to divide in, a bound on every field of the divisors'
-    terms and on degree (a held form's bound, else a total degree), and
-    the divisors' forms in it: the form a divisor holds where it is in
-    that packing, else converted and stored on the divisor."""
+    terms and on degree (a held form's bound, else the bound ``_bound``
+    would give the form), and the divisors' forms in it: the form a
+    divisor holds where it is in that packing, else converted and stored
+    on the divisor."""
     held = [g._form for g in divisors]  # each slot read once
-    degree = max(degree, *(h[1].degree if h else max(map(sum, g.terms)) for g, h in zip(divisors, held)))
+    # A graded field is a total degree; a lex field one exponent.
+    largest = max if order is LEX else sum
+    degree = max(degree, *(h[1].degree if h else max(map(largest, g.terms)) for g, h in zip(divisors, held)))
     # Room for twice the largest input degree, and the guard bit; wider
     # fields of this order, which a divisor holds, divide as well.
     width = max([degree.bit_length() + 2, *(h[0].width for h in held if h and h[0].order is order)])
@@ -450,8 +453,8 @@ def _reduce(
 ) -> list[tuple[int, int, int, int]] | None:
     """Reduce p, a dict from order key to integer coefficient, by the
     forms in one packing, consuming p; or None if a product could
-    overflow its fields. Every term of p fits the fields, and no term of
-    a form has a total degree above degree.
+    overflow its fields. Every term of p fits the fields, and no field of
+    a form's terms exceeds degree.
 
     The remainder comes back as records (order key, packed monomial, c,
     A), largest first: the term c * monomial / A of p's remainder, A the

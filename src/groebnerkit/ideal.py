@@ -9,17 +9,17 @@ the square-free part. The chain is built on integer coefficient lists
 with the division kernel's ``pseudo_divide``, each member primitive and
 a positive multiple of the member over Q (the primitive remainder
 sequence of Collins, "Subresultants and reduced polynomial remainder
-sequences", 1967), so no Fraction polynomial is built. Bisection reads
-it at dyadic points, each an integer numerator over a power of two, so
-the signs are integer Horner sums and only a returned root is a
-Fraction.
+sequences", 1967), so no Fraction polynomial is built. Sturm counts
+and quadratic interval refinement read it at dyadic points, each an
+integer numerator over a power of two, so every value is an integer
+Horner sum, and no Fraction is built at all: a returned root is one
+correctly rounded int division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
@@ -101,11 +101,13 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     by the gcd comes from ``division.pseudo_divide`` and is made
     primitive. The Cauchy bound is read off p's integer list. Sturm counts
     bisect (-2^e, 2^e], a power of two past the Cauchy bound, until each
-    interval holds one root, and sign bisection refines it to width tol.
-    A point is an integer numerator over 2^s, with s = -e at the start
-    and one more at each halving, so no Fraction is built per point. A
-    root landing on one is returned exactly. Roots closer than tol merge,
-    reporting the midpoint. A root past the float range is a ValueError.
+    interval holds one root, and quadratic interval refinement narrows it
+    to a cell narrower than tol (``_refine``), returning the very point
+    that halving to that width would. A point is an integer numerator
+    over 2^s, with s = -e at the start and one more at each halving, so
+    no Fraction is built. A root landing on one is returned exactly.
+    Roots closer than tol merge, reporting the midpoint. A root past the
+    float range is a ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -139,12 +141,11 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     # An interval (a, b] at level s has b - a = 2, so it is 2^(1 - s) wide;
     # it is split while that is at least tol, that is below level stop.
     # Halving doubles both ends and puts the midpoint a + b at level s + 1.
-    width = Fraction(tol)
-    # At this first guess the intervals are still at least tol wide.
-    stop = width.denominator.bit_length() - width.numerator.bit_length()
-    while Fraction(2) ** (1 - stop) >= width:
-        stop += 1
-    found: list[Fraction] = []
+    # With tol = m * 2^e, 1/2 <= m < 1, 2^(1 - s) < tol from s = 2 - e on,
+    # or from s = 3 - e when tol is the power of two 2^(e - 1).
+    mantissa, exponent = math.frexp(tol)
+    stop = 2 - exponent + (mantissa == 0.5)
+    found: list[tuple[int, int]] = []
     stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
     while stack:
         a, va, b, vb, s = stack.pop()
@@ -155,15 +156,17 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
         elif va - vb == 1:
             found.append(_refine(chain[0], a, b, s, stop))
         elif va > vb:
-            found.append(_dyadic(a + b, s + 1))  # several roots closer than tol
+            found.append((a + b, s + 1))  # several roots closer than tol
 
-    clusters: list[list[Fraction]] = []
-    for root in sorted(found):
-        if clusters and _float(root - clusters[-1][0]) <= tol:
-            clusters[-1].append(root)
+    # Every point as a numerator over the one power of two 2^top.
+    top = max((t for _, t in found), default=0)
+    clusters: list[list[int]] = []
+    for num in sorted(num << (top - t) for num, t in found):
+        if clusters and _float(num - clusters[-1][0], top) <= tol:
+            clusters[-1][1] = num
         else:
-            clusters.append([root])
-    roots = [_float((c[0] + c[-1]) / 2) for c in clusters]
+            clusters.append([num, num])
+    roots = [_float(first + last, top + 1) for first, last in clusters]
     if math.inf in map(abs, roots):
         raise ValueError("a root is beyond the float range")
     return roots
@@ -183,12 +186,13 @@ def _integral(f: Polynomial, var: int) -> list[int]:
     return coeffs
 
 
-def _float(x: Fraction) -> float:
-    """float(x), or the infinity of x's sign when x is past the float range."""
+def _float(num: int, s: int) -> float:
+    """num / 2^s correctly rounded, as float(Fraction) rounds it, or the
+    infinity of num's sign when it is past the float range."""
     try:
-        return float(x)
+        return num / (1 << s) if s >= 0 else float(num << -s)
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -197,43 +201,104 @@ def _primitive(f: list[int]) -> list[int]:
     return f if content == 1 else [c // content for c in f]
 
 
-def _dyadic(num: int, s: int) -> Fraction:
-    """The point num / 2^s as a Fraction."""
-    return Fraction(num, 1 << s) if s > 0 else Fraction(num << -s)
-
-
-def _sign_at(f: list[int], num: int, s: int) -> int:
-    """Sign of f(num / 2^s) by integer Horner: the sum is 2^(s*deg)
-    f(num / 2^s), each coefficient shifted by s more bits than the one
-    above it. A point at s < 0 is the integer num * 2^-s, read at s = 0."""
+def _value_at(f: list[int], num: int, s: int) -> int:
+    """f(num / 2^s) times 2^(d*max(s, 0)), d = len(f) - 1, by integer
+    Horner: each coefficient is shifted by s more bits than the one above
+    it. A point at s < 0 is the integer num * 2^-s, read at s = 0."""
     if s < 0:
         num, s = num << -s, 0
     acc = shift = 0
     for c in reversed(f):
         acc = acc * num + (c << shift)
         shift += s
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _variations_at(chain: list[list[int]], num: int, s: int) -> int:
     """Sign changes along the Sturm chain at num / 2^s; zeros are skipped."""
-    signs = [t for t in (_sign_at(f, num, s) for f in chain) if t]
+    signs = [v > 0 for v in (_value_at(f, num, s) for f in chain) if v]
     return sum(t != u for t, u in zip(signs, signs[1:]))
 
 
-def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> Fraction:
-    """The one root of square-free f in (a, b] at level s, halved until
-    level stop; f may vanish at a."""
-    end = _sign_at(f, b, s)
+def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> tuple[int, int]:
+    """The one root of square-free f in (a, b] at level s, as a point
+    (num, level), the point that halving to level stop returns: b where
+    f vanishes; at s >= stop the centre of (a, b]; else the root itself
+    if it lies on the grid of level stop - 1, and otherwise the centre of
+    the cell of that grid that holds it. f may vanish at a.
+
+    Quadratic interval refinement (Abbott, "Quadratic Interval Refinement
+    for Real Roots", 2006) finds that cell. A cell of level t is cut into
+    2^n parts; the secant through its ends picks the nearest part point,
+    and the sign there and at most one next to it confirm a part as the
+    next cell, of level t + n, and n doubles. Where they do not, the cell
+    is halved and n halves. n starts at 1, and is capped so that no cell
+    is finer than level stop - 1, so every point read lies on that grid.
+    """
+    end = _value_at(f, b, s)
     if end == 0:
-        return _dyadic(b, s)
-    while s < stop:
-        mid, s = a + b, s + 1
-        sign = _sign_at(f, mid, s)
-        if sign == 0:
-            return _dyadic(mid, s)
-        if sign == end:
-            a, b = 2 * a, mid
+        return b, s
+    if s >= stop:
+        return a + b, s + 1
+    up = end > 0  # f's sign between the root and b; before the root, the other
+    d, top = len(f) - 1, stop - 1
+    if a % 2:  # the first interval (-1, 1] is the two cells (-1, 0] and (0, 1]
+        mid = _value_at(f, a + 1, s)
+        if mid == 0:
+            return a + 1, s
+        if (mid > 0) == up:
+            lo, vlo, vhi = a, _value_at(f, a, s), mid
         else:
-            a, b = mid, 2 * b
-    return _dyadic(a + b, s + 1)
+            lo, vlo, vhi = a + 1, mid, end
+        t = s
+    else:
+        lo, t = a // 2, s - 1
+        vlo, vhi = _value_at(f, lo, t), end >> d if s > 0 else end
+    # The cell is (lo, lo + 1] at level t; vlo and vhi are the magnitudes
+    # of f's values at its ends, scaled as _value_at scales them there.
+    vlo, vhi = abs(vlo), abs(vhi)
+    n = 1
+    while t < top:
+        # Where f vanishes at the left end, the secant says nothing: halve.
+        m = (n if n < top - t else top - t) if vlo else 1
+        parts, base = 1 << m, lo << m
+        shift = d * (m if t >= 0 else t + m if t + m > 0 else 0)
+        vlo, vhi, t = vlo << shift, vhi << shift, t + m
+        # The secant through the ends meets the axis nearest part point k.
+        total = vlo + vhi
+        k = ((vlo << (m + 1)) + total) // (2 * total)
+        k = 1 if k < 1 else parts - 1 if k >= parts else k
+        v = _value_at(f, base + k, t)
+        if v == 0:
+            return base + k, t
+        hit = True  # the root is in the part (left, right]
+        if (v > 0) == up:  # the root lies before k
+            left, vl, right, vr = k - 1, vlo, k, abs(v)
+            if left:
+                v = _value_at(f, base + left, t)
+                if v == 0:
+                    return base + left, t
+                hit, vl = (v > 0) != up, abs(v)
+        else:
+            left, vl, right, vr = k, abs(v), k + 1, vhi
+            if right < parts:
+                v = _value_at(f, base + right, t)
+                if v == 0:
+                    return base + right, t
+                hit, vr = (v > 0) == up, abs(v)
+        if hit:
+            lo, vlo, vhi, n = base + left, vl, vr, 2 * n
+            continue
+        # The root is not in that part: halve the cell instead.
+        n = n // 2 or 1
+        t -= m - 1
+        shift = d * (m - 1 if t > 0 else t + m - 1 if t + m > 1 else 0)
+        vlo, vhi = vlo >> shift, vhi >> shift
+        v = _value_at(f, 2 * lo + 1, t)
+        if v == 0:
+            return 2 * lo + 1, t
+        if (v > 0) == up:
+            lo, vhi = 2 * lo, abs(v)
+        else:
+            lo, vlo = 2 * lo + 1, abs(v)
+    return 2 * lo + 1, stop

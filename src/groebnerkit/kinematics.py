@@ -19,7 +19,12 @@ criterion), each is monic and every tail is a constant or linear in
 s2: the basis is reduced and in shape position. At the origin,
 reachable only when l1 == l2, the folded arm points anywhere. The
 real roots of the first member are isolated exactly over Q and the
-others evaluated at each.
+others evaluated exactly at each, on integers: scaled by one common
+denominator, the arm and target are integers, and the members'
+coefficients are integer numerators over one denominator; at a root
+the lifts are numerators over that denominator times the root's. Each
+joint angle reads its direction with one correctly rounded int / int
+per component.
 
 Ints and Fractions are read as themselves, and a float as the shortest
 decimal that reads back as the same float (its repr). The workspace
@@ -116,32 +121,54 @@ def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyno
     return [l1 * _C1 + l2 * _COS12 - x, l1 * _S1 + l2 * _SIN12 - y, *_CIRCLES]
 
 
-def _closed_form(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
-    """The basis's cos2, A*y/r^2, l2*x/r^2, A*x/r^2 and l2*y/r^2; not at the origin."""
+def _cleared(*values: Fraction) -> tuple[list[int], int]:
+    """The values' integer numerators over their positive common
+    denominator, and that denominator."""
+    q = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
+def _closed_form(l1: int, l2: int, x: int, y: int) -> tuple[int, ...]:
+    """The basis's cos2, A*y/r^2, l2*x/r^2, A*x/r^2 and l2*y/r^2 as
+    numerators over one positive denominator, returned last; not at the
+    origin. Each is unitless, so an arm and target scaled to integers
+    give the same values."""
     r2 = x * x + y * y
-    cos2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
-    a = l1 + l2 * cos2
-    return cos2, a * y / r2, l2 * x / r2, a * x / r2, l2 * y / r2
+    p = r2 - l1 * l1 - l2 * l2  # 2*l1*l2*cos2
+    k = p + 2 * l1 * l1  # 2*l1*A
+    m = 2 * l1 * l2
+    return p * r2, k * y * l2, m * l2 * x, k * x * l2, m * l2 * y, m * r2
 
 
-def _eliminant(form: tuple[Fraction, ...]) -> Polynomial:
+def _eliminant(form: tuple[int, ...]) -> Polynomial:
     """s2^2 + cos2^2 - 1, the basis member in s2 alone."""
-    return _S2_SQUARED + (form[0] * form[0] - 1)
+    cos2 = Fraction(form[0], form[-1])
+    return _S2_SQUARED + (cos2 * cos2 - 1)
 
 
-def _lifts(form: tuple[Fraction, ...], s2):
-    """c2, s1 and c1 as the other members give them: polynomials at _S2,
-    exact Fractions at a root (near the origin a coefficient can pass the
-    float range while its product with the small root does not)."""
-    cos2, ay, l2x, ax, l2y = form
-    return cos2, ay - l2x * s2, ax + l2y * s2
+def _lifts(form: tuple[int, ...], s2, d=1):
+    """c2, s1 and c1 at s2 / d, times d and the form's denominator, as the
+    other members give them: polynomials at _S2, integers at a root."""
+    cos2, ay, l2x, ax, l2y, _ = form
+    return cos2 * d, ay * d - l2x * s2, ax * d + l2y * s2
+
+
+def _lift(form: tuple[int, ...], root: float) -> tuple[int, ...]:
+    """c1, s1, c2 and s2 at the root s2, exactly, as integers over one
+    positive denominator, returned last: the form's times the root's.
+    (Near the origin a lift's coefficient can pass the float range while
+    its product with the small root does not.)"""
+    num, d = root.as_integer_ratio()
+    c2, s1, c1 = _lifts(form, num, d)
+    return c1, s1, c2, num * form[-1], form[-1] * d
 
 
 def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
     """The reduced lex basis at the given rationals, sorted s2 < c2 < s1 < c1."""
-    form = _closed_form(l1, l2, x, y)
+    form = _closed_form(*_cleared(l1, l2, x, y)[0])
     c2, s1, c1 = _lifts(form, _S2)
-    return [_eliminant(form), _C2 - c2, _S1 - s1, _C1 - c1]
+    unit = Fraction(1, form[-1])
+    return [_eliminant(form), _C2 - c2 * unit, _S1 - s1 * unit, _C1 - c1 * unit]
 
 
 def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[float, float]:
@@ -171,11 +198,12 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    l1, l2 = _exact(arm.l1), _exact(arm.l2)
-    x, y = _exact(target.x), _exact(target.y)
+    # Scaled by their common denominator q, the inputs are integers; every
+    # comparison below and every closed-form value is unchanged by it.
+    (l1, l2, x, y), q = _cleared(*map(_exact, (arm.l1, arm.l2, target.x, target.y)))
     # The pose check sees float errors of a few ulps of the reach.
     try:
-        scale = max(1.0, float(l1 + l2))
+        scale = max(1.0, (l1 + l2) / q)
     except OverflowError:
         raise ValueError("the reach l1 + l2 is beyond the float range") from None
     floor = 2**-52 * scale
@@ -192,14 +220,14 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         raise ValueError("solution set not finite")
 
     form = _closed_form(l1, l2, x, y)
+    fx, fy = x / q, y / q
     solutions = []
     # s2 is unitless; an error in it moves the end effector by up to the reach.
     for root in univariate_real_roots(_eliminant(form), tol * 1e-2 / scale):
-        s2 = Fraction(root)
-        c2, s1, c1 = _lifts(form, s2)
+        c1, s1, c2, s2, _ = _lift(form, root)
         theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
-        fx, fy = forward_kinematics(arm, theta1, theta2)
-        residual = abs(fx - float(x)) + abs(fy - float(y))
+        ex, ey = forward_kinematics(arm, theta1, theta2)
+        residual = abs(ex - fx) + abs(ey - fy)
         if residual <= 10 * tol:
             solutions.append(JointSolution(theta1, theta2, residual))
 
@@ -209,10 +237,13 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     return IKResult(solutions=tuple(solutions), diagnostic=None)
 
 
-def _angle(cosine: Fraction, sine: Fraction) -> float:
-    # atan2 reads only the direction; scaled to at most 1, both fit a float.
+def _angle(cosine: int, sine: int) -> float:
+    """The angle of the direction (cosine, sine), in (-pi, pi]; ints
+    scaled by any one positive factor give the same angle."""
+    # atan2 reads only the direction; over the larger magnitude both are
+    # at most 1, and int / int rounds correctly, as float(Fraction) does.
     scale = max(abs(cosine), abs(sine)) or 1
-    theta = math.atan2(float(sine / scale), float(cosine / scale))
+    theta = math.atan2(sine / scale, cosine / scale)
     if theta <= -math.pi:
         theta += 2 * math.pi
     return theta + 0.0  # fold -0.0 into 0.0

@@ -23,7 +23,7 @@ from groebnerkit.groebner import (
 )
 from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
 from groebnerkit.parse import parse_polynomial, parse_system
-from groebnerkit.ring import Polynomial, RingMismatchError
+from groebnerkit.ring import Polynomial, RingMismatchError, VariableContext
 
 from reference_division import reference_divide
 from strategies import CTX_T, CTX_XY, CTX_XYZ, nonzero_polynomials, nonzero_rationals, orders, polynomials
@@ -525,6 +525,21 @@ class TestHeldForms:
         reduced = reduce_basis(basis)
         assert len(converted) == 2
         assert list(reduced) == parse_system(["y - z^3", "x - z^9"], CTX_XYZ)
+
+    def test_a_fresh_and_a_held_divisor_divide_in_one_packing(self, monkeypatch):
+        # Under lex a field holds one exponent, so u*v*w*x*y*z - 1 needs
+        # fields that hold 1, converted or not; its total degree 6 would
+        # ask for wider ones.
+        context = VariableContext(["u", "v", "w", "x", "y", "z"])
+        fresh, held = (parse_system(["u*v*w*x*y*z - 1", "u - 2"], context) for _ in range(2))
+        packing = LEX.packing(6, 3)
+        held[0]._form = (packing, division._form(held[0], packing))
+        f = parse_polynomial("u + v", context)
+        widths = widths_tried(monkeypatch)
+        results = [divide(f, divisors, LEX) for divisors in (fresh, held)]
+        assert widths == [3, 3]
+        assert results[0] == results[1] == reference_divide(f, fresh, LEX)
+        assert fresh[0]._form[0] is held[0]._form[0] is packing
 
     def test_a_polynomial_holding_a_form_is_the_same_value(self):
         g, fresh = _xy("2*x*y - 3/5"), _xy("2*x*y - 3/5")

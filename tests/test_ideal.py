@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groebnerkit import division
@@ -298,9 +298,9 @@ FIXED_POINTS = [
 
 
 class TestDyadicPoints:
-    """univariate_real_roots bisects on integer numerators over 2^s; the
-    reference bisects on Fractions at the same points, so the two return
-    the same list exactly."""
+    """univariate_real_roots isolates and refines on integer numerators
+    over 2^s, and returns the points bisection returns; the reference
+    bisects on Fractions, so the two return the same list exactly."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -309,6 +309,16 @@ class TestDyadicPoints:
         st.floats(1e-15, 1),
         st.sampled_from([(CTX_T, "t"), *((CTX_XYZ, name) for name in CTX_XYZ.names)]),
     )
+    # Refinement edge cases: roots on the level-stop grid, on the grid
+    # below it and on a coarser dyadic point; f vanishing at the left end
+    # of an isolating interval (the root 0 ends the cell left of 1/3);
+    # roots closer than tol, and exactly tol apart; tol of 1.0 and of 1e-15.
+    @example({Fraction(3, 2**31): 1, Fraction(5, 2**30): 1, Fraction(5, 8): 1}, False, 1e-9, (CTX_T, "t"))
+    @example({Fraction(0): 1, Fraction(1, 3): 1}, False, 1e-9, (CTX_T, "t"))
+    @example({Fraction(1, 3): 1, Fraction(1, 3) + Fraction(1, 10**12): 1, Fraction(-2): 1}, False, 1e-9, (CTX_T, "t"))
+    @example({Fraction(0): 1, Fraction(1, 2**20): 1}, False, 2.0**-20, (CTX_T, "t"))
+    @example({Fraction(1, 3): 1, Fraction(-7, 2): 2, Fraction(5): 1}, True, 1.0, (CTX_T, "t"))
+    @example({Fraction(2, 3): 1, Fraction(5, 7): 3, Fraction(-29, 11): 1}, True, 1e-15, (CTX_XYZ, "z"))
     def test_same_roots_as_the_reference(self, multiplicities, times_t2_plus_1, tol, variable):
         # Multiple roots make the chain end in a gcd that is not constant,
         # and a variable past the first is read at its own index.

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -477,17 +478,18 @@ class TestSpecialisedBasis:
 
     def test_ik_solve_lifts_zero_the_members(self, monkeypatch):
         # ik_solve isolates the roots of the first member and lifts each
-        # through the other three, all read off one closed form: at every
-        # pose it lifts, those three vanish exactly, and so does the first
-        # where the root is exact (theta2 a multiple of pi/2).
-        eliminants, angles = [], []
-        roots, angle = kinematics.univariate_real_roots, kinematics._angle
+        # through the other three, all read off one closed form, as
+        # integers over one denominator: at every pose it lifts, those
+        # three vanish exactly, and so does the first where the root is
+        # exact (theta2 a multiple of pi/2).
+        eliminants, poses = [], []
+        roots, lift = kinematics.univariate_real_roots, kinematics._lift
         monkeypatch.setattr(kinematics, "univariate_real_roots", lambda p, tol: eliminants.append(p) or roots(p, tol))
-        monkeypatch.setattr(kinematics, "_angle", lambda c, s: angles.append((c, s)) or angle(c, s))
+        monkeypatch.setattr(kinematics, "_lift", lambda form, root: poses.append(lift(form, root)) or poses[-1])
         lifted = exact = 0
         for target in sweep_targets(40):
             eliminants.clear()
-            angles.clear()
+            poses.clear()
             try:
                 ik_solve(ArmSpec(*target[:2]), Target(*target[2:]))
             except ValueError:
@@ -496,8 +498,9 @@ class TestSpecialisedBasis:
                 continue  # out of reach
             members = kinematics._members(*map(kinematics._exact, target))
             assert eliminants == members[:1]
-            for (c1, s1), (c2, s2) in zip(angles[::2], angles[1::2]):
-                values = [value_at(m, (c1, s1, c2, s2)) for m in members]
+            for *numerators, denominator in poses:
+                assert denominator > 0
+                values = [value_at(m, [Fraction(n, denominator) for n in numerators]) for m in members]
                 assert values[1:] == [0, 0, 0], target
                 exact += values[0] == 0
                 lifted += 1
@@ -795,3 +798,96 @@ class TestOnePoseCheck:
                 result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
                 assert result.solutions or result.diagnostic, (l1, l2, x, y)
         assert inside >= 190
+
+
+# ---- the angle of an integer direction -----------------------------------
+
+
+def fraction_angle(cosine: Fraction, sine: Fraction) -> float:
+    """The angle as ik_solve read it off exact Fraction lifts."""
+    scale = max(abs(cosine), abs(sine)) or 1
+    theta = math.atan2(float(sine / scale), float(cosine / scale))
+    if theta <= -math.pi:
+        theta += 2 * math.pi
+    return theta + 0.0
+
+
+# Zero, moderate rationals, and magnitudes from about 1e-300 to 1e300.
+components = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    st.builds(lambda n, e: n * Fraction(10) ** e, st.integers(-(10**6), 10**6), st.integers(-306, 300)),
+)
+
+
+class TestAngle:
+    @settings(max_examples=300)
+    @given(components, components, st.sampled_from([None, 1, -1]), st.integers(1, 10**40))
+    @example(Fraction(0), Fraction(0), None, 1)
+    @example(Fraction(-1), Fraction(0), None, 1)  # theta = pi
+    @example(Fraction(-1), Fraction(-1, 10**400), None, 7)  # atan2 gives -pi
+    @example(Fraction(1), Fraction(-1, 10**400), None, 1)  # atan2 gives -0.0
+    @example(Fraction(10**300), Fraction(0), -1, 1)  # |c| == |s|
+    @example(Fraction(1, 10**300), Fraction(0), 1, 3)
+    def test_integer_form_is_the_fraction_formula_bit_for_bit(self, cosine, sine, same_magnitude, factor):
+        # The lifts as integers over any positive denominator give the
+        # angle the exact Fractions gave.
+        if same_magnitude is not None:
+            sine = same_magnitude * cosine
+        (c, s), _ = kinematics._cleared(cosine, sine)
+        expected = fraction_angle(cosine, sine)
+        assert kinematics._angle(c * factor, s * factor).hex() == expected.hex()
+        assert -math.pi < expected <= math.pi
+
+
+# ---- pinned outputs ------------------------------------------------------
+
+
+def pinned_cases():
+    """Seeded (l1, l2, x, y, tol) on the three ik-sweep arms, float and
+    rational, inside the annulus and up to 5% of its width past either
+    edge, at four tols; then targets on both boundary circles, next to the
+    origin, and arms with a 1e-300 link."""
+    rng = random.Random(20261019)
+    for l1, l2 in IK_SWEEP_ARMS:
+        inner, outer = abs(l1 - l2), l1 + l2
+        for k in range(700):
+            radius = float(inner) + float(outer - inner) * rng.uniform(-0.05, 1.05)
+            phi = rng.uniform(-math.pi, math.pi)
+            x, y = radius * math.cos(phi), radius * math.sin(phi)
+            if k % 2:
+                limit = 97 if k % 4 == 1 else 10**6
+                x, y = Fraction(x).limit_denominator(limit), Fraction(y).limit_denominator(limit)
+            yield l1, l2, x, y, (1e-9, 1e-12, 1e-6, 1e-3)[k // 2 % 4]
+        for x, y in named_targets(l1, l2):
+            yield l1, l2, x, y, 1e-9
+        for exponent in range(-14, 0, 2):
+            radius, phi = 10.0**exponent, rng.uniform(-math.pi, math.pi)
+            yield l1, l2, radius * math.cos(phi), radius * math.sin(phi), 1e-9
+            yield l1, l2, Fraction(1, 10**-exponent), Fraction(0), 1e-12
+    for l1, l2, x, y in [
+        (1e-300, 1, 1, 0), (1e-300, 1, 0.6, -0.8), (1, 1e-300, -0.8, 0.6), (1e-300, 1, 0, 1),
+        (1e-300, 1e-300, 1e-300, 1e-300), (1e-300, 1e-300, 2e-300, 0), (1e-300, 1e-300, 0, 0),
+        (1, 1, 0, 0), (1e-300, 1, 0.5, 0),
+    ]:
+        for tol in (1e-9, 1e-15):
+            yield l1, l2, x, y, tol
+
+
+def pinned_outcome(l1, l2, x, y, tol):
+    try:
+        result = ik_solve(ArmSpec(l1, l2), Target(x, y), tol)
+    except ValueError as exc:
+        return repr(str(exc))
+    return repr(([(s.theta1, s.theta2, s.residual) for s in result.solutions], result.diagnostic))
+
+
+# The sha256 of every pinned outcome, one a line, as ik_solve gave them when
+# the lifts were exact Fractions and the roots were refined by bisection.
+PINNED_DIGEST = "6988878b8e17c5f310a1d4112fcff685d88c9417052c4e4a296bfdf1f9f8cba0"
+
+
+def test_ik_solve_outputs_are_pinned():
+    outcomes = [pinned_outcome(*case) for case in pinned_cases()]
+    assert len(outcomes) >= 2000
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == PINNED_DIGEST
