@@ -12,120 +12,59 @@ Inside, every monomial is one ``int`` in the order's packed form (see
 test, and a comparison under the order an ``int`` comparison. The
 running polynomial is a dict from order key to coefficient, and its
 leading term comes off a heap of negated keys (Monagan and Pearce,
-"Sparse polynomial division using a heap", 2011). A term that cancels
-leaves its heap entry behind, and that entry is skipped when it comes
-up, so no step rescans the polynomial. The field width starts from the
-inputs' largest total degree; when a step's products could reach a
-guard bit (under lex the later exponents can grow past every input's
-degree) the division starts again with fields twice as wide, so no
-input is refused. ``Monomial`` and ``Polynomial`` stay the boundary:
-they are packed on the way in and unpacked on the way out, and the
-quotients and remainder are those of the unpacked algorithm.
+"Sparse polynomial division using a heap", 2011); the entry of a term
+that cancelled is skipped when it comes up. The fields start from the
+inputs' largest degree; when a step's products could reach a guard bit
+(under lex the later exponents can grow past every input's degree),
+``_widened`` doubles them and repacks the forms integer to integer, each
+distinct key once, and the work starts again, so no input is refused.
 
-The arithmetic is fraction-free. Each divisor g enters as its primitive
-integer form: g = (s / t) * G with G's coefficients coprime integers and
-its leading coefficient positive. The dividend enters the same way, as
-f = (n / d) * P. A step on leading coefficient c of P against a divisor
-of leading coefficient l multiplies P by ``a = l / gcd(c, l)`` and
-subtracts ``b = c / gcd(c, l)`` times the shifted G, which cancels the
-lead in integers. With A the product of every ``a`` so far, the running
-polynomial is always (n / d) * P / A; a term c * m of P that moves to
-the remainder is kept as the integer record (key of m, m, c, A) of the
-step that moved it, and the step's quotient term is (n / d) * b / A /
-(s / t). The loop makes ``int`` products and one ``gcd`` per step, and
-strips no content from P, whose coefficients grow with A.
+The arithmetic is fraction-free. A polynomial's numerators over its
+denominator (``ring``) are (s / t) * G with G's coefficients coprime
+integers; ``_integral`` splits off the content s and reads G's keys: a
+polynomial's own keys under lex in its own fields, else each repacked.
+A divisor enters as its form, G with a positive leading coefficient. A
+step on leading coefficient c of P against a divisor of leading
+coefficient l multiplies P by ``a = l / gcd(c, l)`` and subtracts
+``b = c / gcd(c, l)`` times the shifted G, which cancels the lead in
+integers. With A the product of every ``a`` so far, the running
+polynomial is (n / d) * P / A for the dividend's n / d; a term c * m
+that moves to the remainder is kept as the record (key of m, m, c, A).
+Remainder, quotients and members are built as numerators over one
+denominator and keyed by lex-packed monomials (``_built``).
 
-There is one reduction loop, ``_reduce``, and four entries to it:
+``_reduce`` is the one reduction loop, with four entries: ``divide``;
+completion (``groebner.buchberger``, on the forms of ``_Completion``),
+which reduces an S-pair only by multiples of lower signature (``below``);
+``_interreduce_forms``; and ``pseudo_divide``, on integer coefficient
+lists. Completion and interreduction read the records as one primitive
+form whose first record is the lead (``_monic``): the monic member.
+A ``GroebnerBasis`` holds its packing and forms, and builds the
+``Polynomial`` of a member it made only when its generators are read.
 
-- ``divide`` reads each remainder record as ``Fraction(n * c, d * A)``
-  and records its steps for the quotients;
-- completion (``groebner.buchberger``) reduces each input by the inputs
-  before it, and each S-pair from two members' forms, as
-  ``(l_j / g) * u * G_i - (l_i / g) * v * G_j`` with ``g = gcd(l_i, l_j)``
-  and u, v the shifts to the lcm of their leading monomials, which
-  cancels the leads in integers; up to a scalar that is the
-  S-polynomial. An S-pair is reduced only by multiples of lower
-  signature: given ``below``, ``_reduce`` lets the i-th form reduce a
-  term only when the term's order key is below ``below[i]``, one
-  comparison per step;
-- ``_interreduce_forms`` keeps each member of a Groebner basis whose
-  lead no kept member's lead divides, and reduces each kept member's tail
-  by all of them;
-- ``pseudo_divide`` divides one integer coefficient list by another,
-  lowest degree first, in a one-variable lex packing where x^k packs to
-  k. It reads the records and steps at the last scale A, so it returns
-  A times the quotient and remainder over Q, all in integers. The Sturm
-  chain of ``ideal.univariate_real_roots`` is built with it.
-
-Completion and interreduction read the records as one primitive
-integer form, ``c * (A_last / A)`` divided by the content, whose first
-record is the lead: the form of the monic member, ``t`` its lead
-coefficient.
-
-``groebner.buchberger`` drives one completion state (``_Completion``):
-the packing, the raw basis's forms and a bound on every field of their
-terms; ``buchberger`` keeps the signatures, syzygies and J-pairs itself,
-as packed monomials and order keys in the state's packing. A new member
-stays a form: under a graded order its bound is its lead's degree
-field, and under lex the largest field of the OR of its monomials, with
-no field summed. Completion builds no
-``Polynomial``: the raw ``GroebnerBasis`` it returns holds the state's
-packing and forms, and builds its new members when they are first read.
-Every ``GroebnerBasis`` holds its packing and forms, and
-``groebner.reduce_basis`` interreduces those forms directly
-(``_interreduce_forms``), so under ``groebner.groebner_basis`` a
-``Polynomial`` is built only for each member of the reduced basis. Each
-build unpacks every distinct packed monomial once, so its members share
-``Monomial`` objects (``_members``).
-
-The fields grow one way. When a step could overflow them, or a new
-member's degree outgrows them, ``_widened`` doubles the width and
-repacks the forms integer to integer (``Packing.repack``, each distinct
-key once), so no form is converted from ``Fraction`` coefficients again:
-``divide`` retries on its divisors' widened forms and stores them on the
-divisors, ``_interreduce_forms`` retries on its survivors' and
-completion on its members', and ``buchberger`` repacks its signature
-and syzygy monomials with them and keys its J-pairs again.
-
-Converting a divisor to its form costs as much as a few steps, and
-callers use the same polynomials again and again: reduction and
-membership tests divide by one basis. So each polynomial keeps its form,
-with the packing it is in, in its ``_form`` slot (``ring.Polynomial``).
+Each polynomial keeps its form, with its packing, in its ``_form`` slot.
 A call reads each divisor's slot once and divides in the widest packing
 of this order that a divisor holds, when that is wide enough, else in
-the fields the degrees ask for. It converts only the divisors that hold
-no form in that width, and stores each result on its divisor. Each build
-of kernel members (``_members``: a raw basis's first read and
-``groebner.reduce_basis``) stores each member's
-form on it, so the queries on them never convert what the kernel made.
-A held form is of this order when its packing's ``order`` is, and of
-this arity because a polynomial's ring fixes it; two packings of one
-order, arity and width lay a monomial out alike.
-Polynomials are values, never mutated, so the form a polynomial holds
-is its form in that packing. The slot is replaced whole, by one
-assignment of a pair that is never mutated, so a thread reads one
-consistent pair, and threads that convert the same divisor store equal
-forms; a completion's state is its own. The slot changes no result, only
-how much is converted. ``pseudo_divide`` builds its one form itself and
-stores it on nothing, so root isolation between two queries on a basis
-converts none of that basis's members.
+the fields the degrees ask for; it converts only the divisors that hold
+no form in that width, and stores each result on its divisor. A member
+the kernel builds holds its form. The slot is replaced whole by one
+assignment, so a thread reads one consistent pair; it changes no result,
+only how much is converted.
 
-Quotients are not built during the division. Each step is recorded as
-(divisor index, shift, b, A), and ``DivisionResult.quotients`` turns
-those records into polynomials when it is first read; callers that want
-only the remainder never pay for them.
+Quotients are built from the recorded steps (divisor index, shift, b, A)
+when ``DivisionResult.quotients`` is first read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
-from .ring import Monomial, Polynomial, RingMismatchError
+from .ring import Polynomial, RingMismatchError, VariableContext, _lowest, _width
 
 
 class DivisionResult:
@@ -190,7 +129,7 @@ def divide(
         if g.is_zero():
             raise ValueError("zero divisor")
 
-    packing, degree, forms = _held(divisors, order, max(map(sum, f.terms), default=0))
+    packing, degree, forms = _held(divisors, order, _degree(f, True))
     while (result := _divide_packed(f, forms, degree, packing)) is None:
         packing, forms = _widened(packing, forms)
         for g, form in zip(divisors, forms):
@@ -279,8 +218,8 @@ def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tupl
     on the divisor."""
     held = [g._form for g in divisors]  # each slot read once
     # A graded field is a total degree; a lex field one exponent.
-    largest = max if order is LEX else sum
-    degree = max(degree, *(h[1].degree if h else max(map(largest, g.terms)) for g, h in zip(divisors, held)))
+    graded = order is not LEX
+    degree = max(degree, *(h[1].degree if h else _degree(g, graded) for g, h in zip(divisors, held)))
     # Room for twice the largest input degree, and the guard bit; wider
     # fields of this order, which a divisor holds, divide as well.
     width = max([degree.bit_length() + 2, *(h[0].width for h in held if h and h[0].order is order)])
@@ -306,20 +245,25 @@ class _Form(NamedTuple):
     degree: int  # no field of g's packed terms exceeds it (``_bound``)
 
 
+def _degree(g: Polynomial, graded: bool) -> int:
+    """The largest total degree of g's terms when graded, else their
+    largest exponent."""
+    packing = LEX.packing(len(g.context), g._width)
+    return max(map(packing.degree if graded else packing.largest, g._numerators), default=0)
+
+
 def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int]:
-    """g as (s / t) * G: G as a dict from order key to coprime integers,
-    then s and t."""
-    pack, key = packing.pack, packing.key
-    t = lcm(*[c.denominator for c in g.terms.values()])
-    integral = {key(pack(m)): c.numerator * (t // c.denominator) for m, c in g.terms.items()}
-    s = 0
-    for v in integral.values():
-        s = gcd(s, v)
-        if s == 1:
-            break
-    if s > 1:
-        integral = {k: v // s for k, v in integral.items()}
-    return integral, s or 1, t
+    """g as (s / t) * G: G as a new dict from order key to coprime
+    integers, then s and t. g's numerators over its denominator are
+    (s / t) * G already, and under lex in g's own fields so are its keys."""
+    numerators = g._numerators
+    s = gcd(*numerators.values()) or 1
+    if packing.order is LEX and packing.width == g._width:
+        integral = dict(numerators) if s == 1 else {m: c // s for m, c in numerators.items()}
+    else:
+        repack, key = LEX.packing(len(g.context), g._width).repack, packing.key
+        integral = {key(repack(m, packing)): c // s for m, c in numerators.items()}
+    return integral, s, g._den
 
 
 def _form(g: Polynomial, packing: Packing) -> _Form:
@@ -364,35 +308,40 @@ def _bound(packing: Packing, lead: int, monomials: Iterable[int]) -> int:
 
 
 def _members(
-    packing: Packing, forms: Sequence[_Form], given: Sequence[Polynomial | None], wrap: Callable[[dict], Polynomial]
+    packing: Packing, forms: Sequence[_Form], given: Sequence[Polynomial | None], context: VariableContext
 ) -> tuple[Polynomial, ...]:
     """The polynomials of forms from ``_monic``: given[i] where it is one,
-    else the monic Polynomial of forms[i]. Each distinct packed monomial is
-    unpacked once, so the members built share their Monomials. Each
-    member holds its form."""
-    unpack, unkey = packing.unpack, packing.unkey
-    monomials: dict[int, Monomial] = {}
-
-    def monomial(k: int) -> Monomial:
-        m = monomials.get(k)
-        if m is None:
-            m = monomials[k] = unpack(unkey(k))
-        return m
-
-    members = tuple(_polynomial(form, monomial, wrap) if g is None else g for form, g in zip(forms, given))
+    else the monic Polynomial of forms[i]. Each member holds its form."""
+    members = tuple(_polynomial(form, packing, context) if g is None else g for form, g in zip(forms, given))
     for member, form in zip(members, forms):
         member._form = (packing, form)
     return members
 
 
-def _polynomial(form: _Form, monomial: Callable[[int], Monomial], wrap: Callable[[dict], Polynomial]) -> Polynomial:
-    """The monic polynomial of a form from ``_monic``, lead first, each
-    monomial read from its order key."""
-    lc = form.lc
-    terms = {monomial(form.key): Fraction(1)}
+def _polynomial(form: _Form, packing: Packing, context: VariableContext) -> Polynomial:
+    """The monic polynomial of a form from ``_monic``, lead first: its
+    coefficients over its lead coefficient."""
+    unkey = packing.unkey
+    numerators = {form.lead: form.lc}
     for k, c in form.tail:
-        terms[monomial(k)] = Fraction(c, lc)
-    return wrap(terms)
+        numerators[unkey(k)] = c
+    return _built(context, packing, numerators, form.lc)
+
+
+def _built(context: VariableContext, packing: Packing, numerators: dict[int, int], den: int) -> Polynomial:
+    """The Polynomial numerators / den, its keys monomials packed in
+    packing: under lex they are its own keys when its fields hold their
+    total degree, else they are repacked."""
+    if packing.graded:
+        # The largest packed monomial has the largest degree field.
+        degree = packing.largest(max(numerators, default=0))
+    else:
+        degree = sum(packing.unpack(reduce(or_, numerators, 0)))
+    width = _width(packing.width, degree)
+    if packing.graded or width != packing.width:
+        repack, lex = packing.repack, LEX.packing(packing.nvars, width)
+        numerators = {repack(m, lex): c for m, c in numerators.items()}
+    return _lowest(context, numerators, den, degree, width)
 
 
 def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[Packing, list[_Form]]:
@@ -536,13 +485,19 @@ def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: 
     records = _reduce(p, forms, degree, packing, steps)
     if records is None:
         return None
-    unpack, wrap = packing.unpack, f._wrap
+    context = f.context
+
+    # The scales only grow, so every A divides the last one, top.
+    top = steps[-1][3] if steps else 1
 
     def quotients() -> tuple[Polynomial, ...]:
-        terms: list[dict] = [{} for _ in forms]
-        for i, shift, b, step_scale in steps:
+        # A step's quotient term (n / d) * b / A / (s / t), over d * |s| * top.
+        terms: list[dict[int, int]] = [{} for _ in forms]
+        for i, shift, b, scale in steps:
             form = forms[i]
-            terms[i][unpack(shift)] = Fraction(n * b * form.t, d * step_scale * form.s)
-        return tuple(wrap(q) for q in terms)
+            terms[i][shift] = (n if form.s > 0 else -n) * b * form.t * (top // scale)
+        return tuple(_built(context, packing, q, d * abs(form.s) * top) for q, form in zip(terms, forms))
 
-    return DivisionResult(quotients, wrap({unpack(lm): Fraction(n * c, d * scale) for _, lm, c, scale in records}))
+    # A remainder term (n / d) * c / A, over d * top.
+    remainder = _built(context, packing, {lm: n * c * (top // scale) for _, lm, c, scale in records}, d * top)
+    return DivisionResult(quotients, remainder)

@@ -113,21 +113,22 @@ class GroebnerBasis:
         if not generators:
             raise ValueError("empty generating set")
         packing, forms = _gate(list(generators), order)
-        self._hold(packing, forms, generators, generators[0]._wrap, order, reduced)
+        self._hold(packing, forms, generators, generators[0].context, order, reduced)
 
     @classmethod
-    def _of_forms(cls, packing, forms, given, wrap, order: MonomialOrder, reduced: bool) -> GroebnerBasis:
+    def _of_forms(cls, packing, forms, given, context, order: MonomialOrder, reduced: bool) -> GroebnerBasis:
         basis = object.__new__(cls)
-        basis._hold(packing, forms, given, wrap, order, reduced)
+        basis._hold(packing, forms, given, context, order, reduced)
         return basis
 
-    def _hold(self, packing, forms, given, wrap, order: MonomialOrder, reduced: bool) -> None:
+    def _hold(self, packing, forms, given, context, order: MonomialOrder, reduced: bool) -> None:
         """Hold the kernel's forms in one packing, given[i] the Polynomial
         of forms[i] or None, sorted stably on the forms' order keys. The
-        missing Polynomials are built by wrap when first read."""
+        missing Polynomials, of the ring context, are built when first
+        read."""
         ordered = sorted(range(len(forms)), key=lambda k: forms[k].key)
         forms, given = tuple(forms[k] for k in ordered), tuple(given[k] for k in ordered)
-        _set(self, order=order, reduced=reduced, _kernel=(packing, forms, given, wrap))
+        _set(self, order=order, reduced=reduced, _kernel=(packing, forms, given, context))
         if all(g is not None for g in given):
             _set(self, generators=given)
 
@@ -145,7 +146,7 @@ class GroebnerBasis:
 
     @property
     def context(self):
-        return self.generators[0].context
+        return self._kernel[3]
 
     def __iter__(self):
         return iter(self.generators)
@@ -170,10 +171,9 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomi
     lt_p = leading_term(p, order)
     lt_q = leading_term(q, order)
     lcm = lt_p.monomial.lcm(lt_q.monomial)
-    u, a = lcm / lt_p.monomial, 1 / lt_p.coefficient
-    v, b = lcm / lt_q.monomial, -1 / lt_q.coefficient
-    left = {m * u: c * a for m, c in p.terms.items()}
-    return p._wrap(_merge(left, [(m * v, c * b) for m, c in q.terms.items()]))
+    u = Polynomial(p.context, {lcm / lt_p.monomial: 1 / lt_p.coefficient})
+    v = Polynomial(p.context, {lcm / lt_q.monomial: 1 / lt_q.coefficient})
+    return u * p - v * q
 
 
 def normal_form(
@@ -377,7 +377,7 @@ def buchberger(
             stats[name] = stats.get(name, 0) + n
         stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(state.forms))
     given = inputs + [None] * (len(state.forms) - len(inputs))
-    return GroebnerBasis._of_forms(state.packing, tuple(state.forms), given, inputs[0]._wrap, order, reduced=False)
+    return GroebnerBasis._of_forms(state.packing, tuple(state.forms), given, inputs[0].context, order, reduced=False)
 
 
 # The counters buchberger adds to a stats record, with widenings.
@@ -416,10 +416,10 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     of them gives an equal tuple.
     """
     order = basis.order
-    packing, forms, _, wrap = basis._kernel
+    packing, forms, _, context = basis._kernel
     packing, survivors = _interreduce_forms(forms, packing)
-    members = _members(packing, survivors, [None] * len(survivors), wrap)
-    return GroebnerBasis._of_forms(packing, survivors, members, wrap, order, reduced=True)
+    members = _members(packing, survivors, [None] * len(survivors), context)
+    return GroebnerBasis._of_forms(packing, survivors, members, context, order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
-from .order import MonomialOrder
+from .order import LEX, MonomialOrder
 from .ring import Polynomial
 
 
@@ -47,12 +49,8 @@ def eliminate(basis: GroebnerBasis, keep_count: int) -> list[Polynomial]:
     nvars = len(basis.context)
     if not 1 <= keep_count <= nvars:
         raise ValueError(f"keep_count must be between 1 and {nvars}")
-    drop = nvars - keep_count
-    kept = []
-    for g in basis.generators:
-        if all(not any(m[:drop]) for m in g.terms):
-            kept.append(g)
-    return kept
+    # Packed under lex, the first variables take the top fields.
+    return [g for g in basis.generators if max(g._numerators) >> (g._width * keep_count) == 0]
 
 
 @dataclass(frozen=True)
@@ -107,13 +105,19 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     over 2^s, with s = -e at the start and one more at each halving, so
     no Fraction is built. A root landing on one is returned exactly.
     Roots closer than tol merge, reporting the midpoint. A root past the
-    float range is a ValueError.
+    float range is a ValueError, and so is a tol whose float is not
+    positive and finite: it is read as that float.
     """
+    try:
+        tol = float(tol)
+    except OverflowError:
+        tol = math.inf
     if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+        raise ValueError("tol must be positive and finite as a float")
     if p.is_zero():
         raise ValueError("identically zero")
-    active = {i for m in p.terms for i, e in enumerate(m) if e}
+    packing = LEX.packing(len(p.context), p._width)
+    active = [i for i, e in enumerate(packing.unpack(reduce(or_, p._numerators))) if e]
     if len(active) > 1:
         raise ValueError("not univariate")
     if not active:
@@ -122,7 +126,7 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
 
     # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p'),
     # each member a positive multiple of the one over Q.
-    f = _integral(p, var)
+    f = _integral(p, packing._shifts[var])
     chain = [f, [i * c for i, c in enumerate(f)][1:]]
     while True:
         _, rem = pseudo_divide(chain[-2], chain[-1])
@@ -176,13 +180,13 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
 # num / 2^s: an integer numerator num and a level s, which may be negative.
 
 
-def _integral(f: Polynomial, var: int) -> list[int]:
-    """f's coefficients in var scaled by the positive lcm of their
-    denominators: integers with the same signs."""
-    scale = math.lcm(*[c.denominator for c in f.terms.values()])
-    coeffs = [0] * (1 + max(m[var] for m in f.terms))
-    for m, c in f.terms.items():
-        coeffs[m[var]] = c.numerator * (scale // c.denominator)
+def _integral(f: Polynomial, shift: int) -> list[int]:
+    """The coefficients of f, a polynomial in the one variable whose packed
+    field starts at bit shift, times its positive denominator: its
+    numerators."""
+    coeffs = [0] * (1 + (max(f._numerators) >> shift))
+    for m, c in f._numerators.items():
+        coeffs[m >> shift] = c
     return coeffs
 
 

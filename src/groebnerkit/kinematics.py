@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -192,11 +193,11 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
     pose is kept when forward kinematics of the arm lands within 10*tol
     of the target, and that distance is its residual. Float arithmetic
     cannot meet a tol below the floor 2^-52 * max(1, l1 + l2), and such
-    a tol is an error, as is a reach l1 + l2 beyond the float range. A
-    float is read as the decimal it prints; pass Fraction(1, 3), not
-    1/3, for an exact third.
+    a tol is an error, as are a tol and a reach l1 + l2 beyond the float
+    range. A float is read as the decimal it prints; pass Fraction(1, 3),
+    not 1/3, for an exact third.
     """
-    if not 0 < tol < math.inf:
+    if not 0 < tol <= sys.float_info.max:
         raise ValueError("tol must be positive and finite")
     # Scaled by their common denominator q, the inputs are integers; every
     # comparison below and every closed-form value is unchanged by it.

@@ -38,8 +38,8 @@ trick, and under a graded order recomputes the degree field: it is
 ``a + b - gcd``, the gcd's degree summed across its fields by one
 multiplication. All of this holds while no field reaches its guard bit;
 a caller picks the width from its inputs' degrees and checks the guard
-bits of what it builds. ``repack`` moves a packed monomial into fields
-of another width, integer to integer.
+bits of what it builds. ``repack`` moves a packed monomial into the
+fields of another width or order, integer to integer.
 """
 
 from __future__ import annotations
@@ -170,12 +170,19 @@ class Packing:
         mask = (1 << self.width) - 1
         return max((packed >> s) & mask for s in self._shifts)
 
+    def degree(self, packed: int) -> int:
+        """The total degree: the top field under a graded order; under lex
+        the sum of the fields, read as the top field of packed times the
+        ones, which holds it when the sum fits a field."""
+        if self.graded:
+            return packed >> self._top
+        return ((packed * self._ones) >> (self._top - self.width)) & ((1 << self.width) - 1)
+
     def repack(self, packed: int, other: "Packing") -> int:
-        """The monomial packed in other, an order's packing of the same
-        arity in fields wide enough for it."""
+        """The monomial packed in other, a packing of the same arity, of
+        any order, in fields wide enough for it."""
         mask = (1 << self.width) - 1
-        moved = sum(((packed >> s) & mask) << t for s, t in zip(self._shifts, other._shifts))
-        return moved + ((packed >> self._top) << other._top if self.graded else 0)
+        return sum(map(mul, [(packed >> s) & mask for s in self._shifts], other._weights))
 
 
 _KEYS = {

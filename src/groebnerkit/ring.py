@@ -6,17 +6,38 @@ stored as 0/1. Polynomials are immutable sparse maps from exponent
 vectors to nonzero coefficients; the zero polynomial is the empty map.
 No term order is fixed here: values are order-agnostic, and any monomial
 order can be applied on demand without converting the value.
+
+A ``Polynomial`` holds one packed integer layout: a dict from each
+monomial, packed under lex (``order.Packing``) into one ``int``, to a
+nonzero integer numerator; one denominator, least (positive, and no
+prime divides it and every numerator), so the zero polynomial has
+denominator 1; a bound on the total degree of its terms; and the field
+width, guard bit included, whose fields hold that bound. ``terms`` is
+read off it when first asked for, in the dict's order.
+
+There is one arithmetic, on that layout; the operators and the parser
+both run it. A sum merges its summands over their least common
+denominator, term by term in order, and divides out one gcd. A product
+cancels each operand's content against the other's denominator, as
+``Fraction`` does, and is least again by Gauss's lemma; it lists the
+products of each left term in turn. A power squares and multiplies with
+no gcd. An operation whose degree bound outgrows its operands' fields
+repacks those operands into fields at least twice as wide.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+# The field width, guard bit included, of a variable or a constant.
+START_WIDTH = 8
 
 
 class RingMismatchError(ValueError):
@@ -77,9 +98,6 @@ class VariableContext:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def unit_monomial(self) -> "Monomial":
-        return Monomial((0,) * len(self.names))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VariableContext) and self.names == other.names
 
@@ -137,10 +155,6 @@ class Monomial(tuple):
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_arity(other)
         return _valid_monomial(max(a, b) for a, b in zip(self, other))
-
-    def is_coprime_with(self, other: "Monomial") -> bool:
-        self._check_arity(other)
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"Monomial({tuple(self)!r})"
@@ -213,8 +227,11 @@ class Polynomial:
 
     ``terms`` maps :class:`Monomial` to nonzero :class:`Rational`
     coefficients; construction drops zero coefficients and combines
-    duplicate monomials, so the stored map is always canonical. Treat
-    instances as values: no method mutates ``terms``.
+    duplicate monomials, so the map is always canonical. Treat
+    instances as values: no method mutates ``terms``. The value is the
+    packed layout of the module docstring, and ``terms`` is built from
+    it on its first read; two threads may both build it, and they build
+    equal maps.
 
     ``_form`` holds ``(packing, form)``, the division kernel's integer
     form of the polynomial from its last conversion, or from the kernel
@@ -222,7 +239,7 @@ class Polynomial:
     printing, pickling and copying never read it.
     """
 
-    __slots__ = ("context", "terms", "_form")
+    __slots__ = ("context", "_numerators", "_den", "_degree", "_width", "_terms", "_form")
 
     def __init__(
         self,
@@ -243,33 +260,47 @@ class Polynomial:
                     )
                 yield monomial, Fraction(coefficient)
 
+        merged = _merge({}, checked())
+        den = lcm(*[c.denominator for c in merged.values()])
+        degree = max(map(sum, merged), default=0)
+        width = _width(START_WIDTH, degree)
+        pack = _lex(nvars, width).pack
         self.context = context
-        self.terms = _merge({}, checked())
-        self._form = None
+        self._numerators = {pack(m): c.numerator * (den // c.denominator) for m, c in merged.items()}
+        self._den, self._degree, self._width = den, degree, width
+        self._terms, self._form = merged, None
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        if self._terms is None:
+            unpack, den = _lex(len(self.context), self._width).unpack, self._den
+            self._terms = {unpack(m): Fraction(c, den) for m, c in self._numerators.items()}
+        return self._terms
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, context: VariableContext) -> "Polynomial":
-        return cls(context)
+        return _new(context, {}, 1, 0, START_WIDTH)
 
     @classmethod
     def constant(cls, context: VariableContext, value: Scalar) -> "Polynomial":
-        return cls(context, {context.unit_monomial(): Fraction(value)})
+        c = Fraction(value)
+        return _new(context, {0: c.numerator} if c else {}, c.denominator, 0, START_WIDTH)
 
     @classmethod
     def variable(cls, context: VariableContext, name: str) -> "Polynomial":
         exponents = [0] * len(context)
         exponents[context.index(name)] = 1
-        return cls(context, {Monomial(exponents): Fraction(1)})
+        return _new(context, {_lex(len(context), START_WIDTH).pack(exponents): 1}, 1, 1, START_WIDTH)
 
     # ---- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._numerators
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._numerators)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -284,37 +315,23 @@ class Polynomial:
 
     def __add__(self, other: object) -> "Polynomial":
         q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        return self._wrap(_merge(dict(self.terms), q.terms.items()))
+        return q if q is NotImplemented else _add([(self, False), (q, False)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return self._wrap({m: -c for m, c in self.terms.items()})
+        return _new(self.context, {m: -c for m, c in self._numerators.items()}, self._den, self._degree, self._width)
 
     def __sub__(self, other: object) -> "Polynomial":
         q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        return self + (-q)
+        return q if q is NotImplemented else _add([(self, False), (q, True)])
 
     def __rsub__(self, other: object) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.context)
-            return self._wrap({m: v * c for m, v in self.terms.items()})
         q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        out, pairs = {}, q.terms.items()
-        for m1, c1 in self.terms.items():
-            _merge(out, [(m1 * m2, c1 * c2) for m2, c2 in pairs])
-        return self._wrap(out)
+        return q if q is NotImplemented else _multiply(self, q)
 
     __rmul__ = __mul__
 
@@ -325,21 +342,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result, base = Polynomial.constant(self.context, 1), self
-        for i, j in _square_and_multiply(exponent):
-            if i == j:
-                base = base * base
-            else:
-                result = result * base
-        return result
-
-    def _wrap(self, terms: dict) -> "Polynomial":
-        # Internal fast path: terms are already canonical (no zeros, no dups).
-        p = object.__new__(Polynomial)
-        p.context = self.context
-        p.terms = terms
-        p._form = None
-        return p
+        return _power(self, exponent)
 
     # ---- value semantics -----------------------------------------------
 
@@ -351,11 +354,14 @@ class Polynomial:
             other = Polynomial.constant(self.context, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        if self.context != other.context or self._den != other._den or len(self._numerators) != len(other._numerators):
+            return False
+        width = max(self._width, other._width)
+        return _widen(self, width)._numerators == _widen(other, width)._numerators
 
     def __hash__(self) -> int:
-        if not any(map(any, self.terms)):  # zero or constant: equal to a scalar
-            return hash(next(iter(self.terms.values()), 0))
+        if not any(self._numerators):  # zero or constant: equal to a scalar
+            return hash(Fraction(self._numerators.get(0, 0), self._den))
         return hash((self.context, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
@@ -363,3 +369,103 @@ class Polynomial:
             f"{tuple(m)!r}: {str(c)}" for m, c in sorted(self.terms.items())
         )
         return f"Polynomial({list(self.context.names)!r}, {{{body}}})"
+
+
+# ---- the arithmetic on the packed layout ----------------------------------
+
+
+def _new(context: VariableContext, numerators: dict, den: int, degree: int, width: int) -> Polynomial:
+    """The Polynomial of a packed layout that meets the invariants."""
+    p = object.__new__(Polynomial)
+    p.context, p._numerators, p._den, p._degree, p._width = context, numerators, den, degree, width
+    p._terms = p._form = None
+    return p
+
+
+def _lowest(context: VariableContext, numerators: dict, den: int, degree: int, width: int) -> Polynomial:
+    """numerators / den, divided by the gcd of den and every numerator."""
+    g = gcd(den, *numerators.values()) if den > 1 else 1
+    if g > 1:
+        numerators, den = {m: c // g for m, c in numerators.items()}, den // g
+    return _new(context, numerators, den, degree, width)
+
+
+def _lex(nvars: int, width: int):
+    """The layout's packing of monomials in nvars variables."""
+    return order.LEX.packing(nvars, width)
+
+
+def _width(width: int, degree: int) -> int:
+    """width, or twice it or more when its fields cannot hold degree."""
+    return width if degree.bit_length() < width else max(2 * width, degree.bit_length() + 1)
+
+
+def _widen(p: Polynomial, width: int) -> Polynomial:
+    """p in fields of width bits, if they are wider than its own."""
+    if width <= p._width:
+        return p
+    n = len(p.context)
+    repack, wider = _lex(n, p._width).repack, _lex(n, width)
+    return _new(p.context, {repack(m, wider): c for m, c in p._numerators.items()}, p._den, p._degree, width)
+
+
+def _add(summands: list[tuple[Polynomial, bool]]) -> Polynomial:
+    """The sum of (polynomial, negated) pairs, over the least common
+    denominator, then divided by its one gcd with every numerator."""
+    den = lcm(*[p._den for p, _ in summands])
+    width = max([p._width for p, _ in summands])
+    terms: dict = {}
+    for p, negated in summands:
+        scale = -(den // p._den) if negated else den // p._den
+        _merge(terms, [(m, c * scale) for m, c in _widen(p, width)._numerators.items()])
+    return _lowest(summands[0][0].context, terms, den, max([p._degree for p, _ in summands]), width)
+
+
+def _multiply(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, cross-cancelled as Fraction multiplies: with a and b least
+    the product is least (Gauss's lemma). A den of 1 takes no gcd."""
+    g1 = gcd(b._den, *a._numerators.values()) if b._den > 1 else 1
+    g2 = gcd(a._den, *b._numerators.values()) if a._den > 1 else 1
+    if g1 > 1 or g2 > 1:
+        a = _new(a.context, {m: c // g1 for m, c in a._numerators.items()}, a._den // g2, a._degree, a._width)
+        b = _new(b.context, {m: c // g2 for m, c in b._numerators.items()}, b._den // g1, b._degree, b._width)
+    return _times(a, b)
+
+
+def _power(base: Polynomial, e: int) -> Polynomial:
+    """base^e by square and multiply (``_square_and_multiply``); a power
+    of a least value is least, so no gcd is taken."""
+    base = _widen(base, _width(base._width, base._degree * e))
+    result = _new(base.context, {0: 1}, 1, 0, base._width)
+    for i, j in _square_and_multiply(e):
+        if i == j:
+            base = _times(base, base)
+        else:
+            result = _times(result, base)
+    return result
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, numerators and denominators multiplied with no gcd."""
+    degree = a._degree + b._degree
+    width = _width(max(a._width, b._width), degree)
+    a, b = _widen(a, width), _widen(b, width)
+    terms: dict = {}
+    pairs = b._numerators.items()
+    for m1, c1 in a._numerators.items():
+        for m2, c2 in pairs:
+            m = m1 + m2
+            acc = terms.get(m)
+            if acc is None:
+                terms[m] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    terms[m] = acc
+                else:
+                    del terms[m]
+    return _new(a.context, terms, a._den * b._den, degree, width)
+
+
+# order builds on this module's classes, so it is bound last.
+from . import order  # noqa: E402

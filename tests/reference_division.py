@@ -49,8 +49,7 @@ def reference_divide(
             remainder[lm_p] = c_p
             del p[lm_p]
 
-    wrap = f._wrap
     return DivisionResult(
-        quotients=tuple(wrap(q) for q in quotients),
-        remainder=wrap(remainder),
+        quotients=tuple(Polynomial(f.context, q) for q in quotients),
+        remainder=Polynomial(f.context, remainder),
     )

@@ -270,7 +270,7 @@ def reference_reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
             lms.append(lm)
     monic = []
     for g, lm in zip(survivors, lms):
-        lead = g._wrap({lm: g.terms[lm]})
+        lead = Polynomial(g.context, {lm: g.terms[lm]})
         tail = g - lead
         if tail:
             tail = divide(tail, survivors, order).remainder

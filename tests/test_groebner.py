@@ -216,8 +216,9 @@ class TestBuchberger:
         basis = buchberger(inputs, order, stats)
         lms = [leading_term(g, order).monomial for g in basis.generators]
         pairs = list(itertools.combinations(lms, 2))
-        assert any(p.is_coprime_with(q) for p, q in pairs)
-        assert stats["s_pairs_reduced"] < sum(not p.is_coprime_with(q) for p, q in pairs)
+        coprime = [all(a == 0 or b == 0 for a, b in zip(p, q)) for p, q in pairs]
+        assert any(coprime)
+        assert stats["s_pairs_reduced"] < coprime.count(False)
         assert stats[criterion] > 0
         assert_stats_add_up(stats, inputs, basis)
         assert_buchberger_criterion(basis)

@@ -187,6 +187,18 @@ class TestUnivariateRealRoots:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 univariate_real_roots(parse_polynomial("t^2 - 2", CTX_T), tol)
 
+    @pytest.mark.parametrize("text", ["1024*t - 3", "t^2 - 2"])
+    def test_tolerance_whose_float_is_zero_is_refused(self, text):
+        # It would stop bisection at cells 1/2 wide: [0.25], or [-1.25, 1.25].
+        assert univariate_real_roots(parse_polynomial(text, CTX_T), 5e-324)[-1] > 0.001
+        with pytest.raises(ValueError, match="^tol must be positive and finite as a float$"):
+            univariate_real_roots(parse_polynomial(text, CTX_T), Fraction(1, 10**400))
+
+    def test_tolerance_past_the_float_range_is_refused(self):
+        for tol in (Fraction(10**400), 10**400):
+            with pytest.raises(ValueError, match="^tol must be positive and finite as a float$"):
+                univariate_real_roots(parse_polynomial("t^2 - 2", CTX_T), tol)
+
     def test_roots_past_the_float_range_rejected(self):
         for text in ("t - 10^400", "t^2 - 10^800"):
             with pytest.raises(ValueError, match="^a root is beyond the float range$"):

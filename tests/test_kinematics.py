@@ -179,6 +179,11 @@ class TestSolve:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 ik_solve(ArmSpec(1, 1), Target(1, 1), tol)
 
+    def test_tolerance_past_the_float_range_is_refused(self):
+        for tol in (Fraction(10**400), 10**400):
+            with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+                ik_solve(ArmSpec(1, 1), Target(1, Fraction(1, 2)), tol)
+
     def test_float_target_on_outer_circle_unreachable(self):
         # its decimal has r^2 = 4 + 7.7e-17, where the exact algebra has no pose
         target = Target(2 * math.cos(2.0), 2 * math.sin(2.0))

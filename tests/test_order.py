@@ -164,6 +164,7 @@ class TestPacking:
         assert packed & packing.guards == 0
         assert packing.unkey(packing.key(packed)) == packed
         assert packing.unpack(packed) == a
+        assert packing.degree(packed) == a.degree
 
     @given(lcm_cases())
     def test_lcm_coprime_and_divides_are_the_monomials(self, case):
@@ -177,14 +178,15 @@ class TestPacking:
         assert packing.largest(lcm) == (max(a.lcm(b)) if order is LEX else a.lcm(b).degree)
         assert packing.lcm(pb, pa) == lcm
         # Completion's coprimality test: the lcm is the product.
-        assert (lcm == pa + pb) == a.is_coprime_with(b)
+        assert (lcm == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
         assert packing.divides(pa, pb) == a.divides(b)
         assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
 
-    @given(lcm_cases(), st.integers(1, 3))
-    def test_repack_moves_a_monomial_between_widths(self, case, doublings):
+    @given(lcm_cases(), st.integers(1, 3), orders())
+    def test_repack_moves_a_monomial_between_widths(self, case, doublings, other):
+        # into wider fields of any order, and back
         order, a, _, packing = case
-        wider = order.packing(len(a), packing.width << doublings)
+        wider = other.packing(len(a), packing.width << doublings)
         packed = packing.pack(a)
         assert packing.repack(packed, wider) == wider.pack(a)
         assert wider.repack(wider.pack(a), packing) == packed

@@ -9,21 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groebnerkit import parse
+from groebnerkit import parse, ring
 from groebnerkit.order import GRLEX, LEX
 from groebnerkit.parse import ParseError, format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import NAME, Monomial, Polynomial, VariableContext
 
+from reference_ring import ReferencePolynomial
 from strategies import CTX_XY, CTX_XYZ, orders, polynomials
 
 
 def _p(terms):
     return Polynomial(CTX_XY, {Monomial(m): Fraction(*c) if isinstance(c, tuple) else Fraction(c) for m, c in terms})
-
-
-def _packed(text, ctx=CTX_XY):
-    """The parser's packed value of text."""
-    return parse._Parser(parse._tokenize(text), ctx).expr()
 
 
 class TestParse:
@@ -111,19 +107,19 @@ class TestParse:
     def test_power_makes_the_products_it_is_priced_by(self, text, monkeypatch):
         # Every power of p has all C(k+t-1, t-1) terms, so the pairs that
         # _power_steps prices are those of the products the parser makes.
-        value, parser = _packed(text), parse._Parser([], CTX_XY)
+        value = parse_polynomial(text, CTX_XY)
         made = []
-        times = parse._Parser.times
+        times = ring._times
 
-        def counting(self, a, b):
-            made.append((len(a.terms) * len(b.terms), a.degree + b.degree))
-            return times(self, a, b)
+        def counting(a, b):
+            made.append((len(a._numerators) * len(b._numerators), a._degree + b._degree))
+            return times(a, b)
 
-        monkeypatch.setattr(parse._Parser, "times", counting)
+        monkeypatch.setattr(ring, "_times", counting)
         for e in range(41):
             made.clear()
-            parser.power(value, e)
-            assert made == list(parse._power_steps(len(value.terms), e))
+            ring._power(value, e)
+            assert made == list(parse._power_steps(len(value._numerators), e))
 
     def test_refused_over_bit_bound(self, monkeypatch):
         # (2^4096)^2 squares 4096 bits, then multiplies 1 by the square, both
@@ -173,19 +169,18 @@ class TestParse:
         # The bounds the parser charges, measured on its packed values,
         # bound every integer its products, powers and sums hold.
         def within(value, bits):
-            return value.den <= 2**bits and all(abs(c) <= 2**bits for c in value.terms.values())
+            return value._den <= 2**bits and all(abs(c) <= 2**bits for c in value._numerators.values())
 
-        parser = parse._Parser([], CTX_XY)
-        a, b, *rest = (_packed(format_polynomial(poly, LEX)) for poly in (p, q, *summands))
+        a, b, *rest = (p, q, *summands)
         (total_p, scale_p), (total_q, scale_q) = parse._measure(a), parse._measure(b)
-        assert within(parser.multiply(a, b), parse._bits(total_p * total_q, scale_p * scale_q))
+        assert within(ring._multiply(a, b), parse._bits(total_p * total_q, scale_p * scale_q))
         for e in range(4):
-            assert within(parser.power(a, e), e * parse._bits(total_p, scale_p))
+            assert within(ring._power(a, e), e * parse._bits(total_p, scale_p))
         # the running bound of a sum bounds every partial sum
         bound = parse._measure(a)
         for k, s in enumerate(rest, 1):
             bound = parse._sum_bound(bound, parse._measure(s))
-            assert within(parser.add([(v, False) for v in (a, *rest[:k])]), parse._bits(*bound))
+            assert within(ring._add([(v, False) for v in (a, *rest[:k])]), parse._bits(*bound))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match=r"position 4") as err:
@@ -304,13 +299,13 @@ def _enclosed(node, *kinds) -> str:
     return f"({_text(node)})" if node[0] in kinds else _text(node)
 
 
-def _evaluate(node, ctx) -> Polynomial:
-    """node by Polynomial arithmetic, operand by operand as the grammar reads it."""
+def _evaluate(node, ctx) -> ReferencePolynomial:
+    """node by the reference arithmetic, operand by operand as the grammar reads it."""
     kind = node[0]
     if kind == "num":
-        return Polynomial.constant(ctx, Fraction(node[1], node[2]))
+        return ReferencePolynomial.constant(ctx, Fraction(node[1], node[2]))
     if kind == "var":
-        return Polynomial.variable(ctx, node[1])
+        return ReferencePolynomial.variable(ctx, node[1])
     if kind == "pow":
         return _evaluate(node[1], ctx) ** node[2]
     if kind == "mul":
@@ -331,15 +326,13 @@ class TestPackedEvaluation:
         got = parse_polynomial(_text(tree), CTX_XYZ)
         assert list(got.terms.items()) == list(_evaluate(tree, CTX_XYZ).terms.items())
         # and the denominator it holds is least
-        value = _packed(_text(tree), CTX_XYZ)
-        assert math.gcd(value.den, *value.terms.values()) == 1
+        assert math.gcd(got._den, *got._numerators.values()) == 1
 
     @given(polynomials(max_terms=3), polynomials(max_terms=3))
     def test_products_powers_and_sums_keep_the_denominator_least(self, p, q):
-        parser = parse._Parser([], CTX_XY)
-        a, b = _packed(format_polynomial(p, LEX)), _packed(format_polynomial(q, LEX))
-        for value in (parser.multiply(a, b), parser.multiply(a, a), parser.power(a, 3), parser.add([(a, False), (b, True)])):
-            assert math.gcd(value.den, *value.terms.values()) == 1
+        a, b = parse_polynomial(format_polynomial(p, LEX), CTX_XY), parse_polynomial(format_polynomial(q, LEX), CTX_XY)
+        for value in (ring._multiply(a, b), ring._multiply(a, a), ring._power(a, 3), ring._add([(a, False), (b, True)])):
+            assert math.gcd(value._den, *value._numerators.values()) == 1
 
     def test_degree_past_the_field_widens(self):
         # x^65535 fills 16-bit fields; the product needs a 17th bit

@@ -1,8 +1,9 @@
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groebnerkit.order import GREVLEX
@@ -15,6 +16,7 @@ from groebnerkit.ring import (
     rat_normalize,
 )
 
+from reference_ring import ReferencePolynomial
 from strategies import CTX_XY, CTX_XYZ, nonzero_rationals, polynomials, rationals
 
 
@@ -92,7 +94,7 @@ class TestMonomial:
 
     def test_arity_mismatch(self):
         a, b = Monomial((1,)), Monomial((1, 2))
-        for op in (a.divides, a.__mul__, a.__truediv__, a.lcm, a.is_coprime_with):
+        for op in (a.divides, a.__mul__, a.__truediv__, a.lcm):
             with pytest.raises(ValueError, match="arity mismatch"):
                 op(b)
 
@@ -226,3 +228,51 @@ class TestRingAxioms:
         assert results[0] == results[1] == results[2]
         for result in results:
             assert all(c != 0 for c in result.terms.values())
+
+
+# Exponents at the edges of the packed fields: 127 fits the first width,
+# 128 and 255 need twice it, and 65535 more, so operands of different
+# widths meet, and so do results, whose widths come from degree bounds.
+_EDGES = st.sampled_from([0, 1, 2, 127, 128, 255, 65535])
+_WIDE = st.dictionaries(st.tuples(_EDGES, _EDGES).map(Monomial), rationals(), max_size=4)
+_SCALARS = st.one_of(st.integers(-6, 6), rationals())
+
+
+class TestReferenceArithmetic:
+    """Polynomial against the reference arithmetic of tests/reference_ring.py:
+    the same terms in the same order, equality, hash, repr and pickling."""
+
+    @staticmethod
+    def _same(got, want):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert repr(got) == repr(want) and hash(got) == hash(want)
+        fresh = Polynomial(got.context, want.terms)  # fields as narrow as its degree asks
+        assert got == fresh and fresh == got and hash(fresh) == hash(got)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(got, protocol))
+            assert back == got and list(back.terms.items()) == list(want.terms.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WIDE, _WIDE, _WIDE, _SCALARS, st.integers(0, 3))
+    def test_operations_give_the_reference_terms(self, a, b, c, k, e):
+        p, q, r = (Polynomial(CTX_XY, t) for t in (a, b, c))
+        rp, rq, rr = (ReferencePolynomial(CTX_XY, t) for t in (a, b, c))
+        cases = [
+            (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp), (p**e, rp**e),
+            (p + k, rp + k), (k + p, k + rp), (p - k, rp - k), (k - p, k - rp), (p * k, rp * k), (k * p, k * rp),
+            (p * q + r, rp * rq + rr), (r - (p * q) ** e, rr - (rp * rq) ** e), ((p + q) * (q - r), (rp + rq) * (rq - rr)),
+        ]
+        if k:
+            cases.append((p / k, rp / k))
+        for got, want in cases:
+            self._same(got, want)
+        assert (p == q) == (rp == rq) and (p * q == q * p) and ((p + q) - q == p)
+        assert (p == k) == (rp == k) and (k == p) == (k == rp)
+
+    @given(_WIDE)
+    def test_constants_and_zero_hash_as_their_scalars(self, a):
+        p = Polynomial(CTX_XY, a)
+        constant = p - p + Fraction(next(iter(a.values()), 0))
+        assert hash(constant) == hash(ReferencePolynomial(CTX_XY, constant.terms))
+        assert constant == next(iter(a.values()), 0)
