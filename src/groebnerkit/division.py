@@ -12,52 +12,36 @@ Inside, every monomial is one ``int`` in the order's packed form (see
 test, and a comparison under the order an ``int`` comparison. The
 running polynomial is a dict from order key to coefficient, and its
 leading term comes off a heap of negated keys (Monagan and Pearce,
-"Sparse polynomial division using a heap", 2011); the entry of a term
-that cancelled is skipped when it comes up. The fields start from the
-inputs' largest degree; when a step's products could reach a guard bit
-(under lex the later exponents can grow past every input's degree),
-``_widened`` doubles them and repacks the forms integer to integer, each
-distinct key once, and the work starts again, so no input is refused.
+"Sparse polynomial division using a heap", 2011). The fields start from
+the inputs' largest degree; when a step's products could reach a guard
+bit (under lex the later exponents can grow past every input's degree),
+``_widened`` doubles them and the work starts again, so no input is
+refused.
 
-The arithmetic is fraction-free. A polynomial's numerators over its
-denominator (``ring``) are (s / t) * G with G's coefficients coprime
-integers; ``_integral`` splits off the content s and reads G's keys: a
-polynomial's own keys under lex in its own fields, else each repacked.
-A divisor enters as its form, G with a positive leading coefficient. A
-step on leading coefficient c of P against a divisor of leading
-coefficient l multiplies P by ``a = l / gcd(c, l)`` and subtracts
-``b = c / gcd(c, l)`` times the shifted G, which cancels the lead in
-integers. With A the product of every ``a`` so far, the running
-polynomial is (n / d) * P / A for the dividend's n / d; a term c * m
-that moves to the remainder is kept as the record (key of m, m, c, A).
-Remainder, quotients and members are built as numerators over one
-denominator and keyed by lex-packed monomials (``_built``).
+The arithmetic is fraction-free. A polynomial is (s / t) * G with G's
+coefficients coprime integers (``_integral``), and a divisor enters as
+its form, G with a positive leading coefficient. A step on leading
+coefficient c of P against a divisor of leading coefficient l
+multiplies P by ``a = l / gcd(c, l)`` and subtracts ``b = c / gcd(c, l)``
+times the shifted G, which cancels the lead in integers.
 
-``_reduce`` is the one reduction loop, with four entries: ``divide``;
-completion (``groebner.buchberger``, on the forms of ``_Completion``),
-which reduces an S-pair only by multiples of lower signature (``below``);
-``_interreduce_forms``; and ``pseudo_divide``, on integer coefficient
-lists. Completion and interreduction read the records as one primitive
-form whose first record is the lead (``_monic``): the monic member.
-A ``GroebnerBasis`` holds its packing and forms, and builds the
-``Polynomial`` of a member it made only when its generators are read.
+``_reduce`` is the one reduction loop. Its entries are ``divide``;
+completion (``groebner.buchberger``), which reduces an S-pair only by
+multiples of lower signature; ``_interreduce_forms``; and
+``pseudo_divide``, on integer coefficient lists.
 
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
-A call reads each divisor's slot once and divides in the widest packing
-of this order that a divisor holds, when that is wide enough, else in
-the fields the degrees ask for; it converts only the divisors that hold
-no form in that width, and stores each result on its divisor. A member
-the kernel builds holds its form. The slot is replaced whole by one
+A call divides in the widest packing of this order that a divisor holds,
+when that is wide enough, else in the fields the degrees ask for; it
+converts only the divisors that hold no form in that width, and stores
+each result on its divisor. The slot is replaced whole by one
 assignment, so a thread reads one consistent pair; it changes no result,
 only how much is converted.
-
-Quotients are built from the recorded steps (divisor index, shift, b, A)
-when ``DivisionResult.quotients`` is first read.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import or_
@@ -75,12 +59,9 @@ class DivisionResult:
     leading term.
 
     Immutable, and compared, hashed, printed and pickled by value.
-    ``divide`` fills in the remainder as it goes, at the running scale of
-    its fraction-free loop, but only records its steps as (divisor index,
-    shift, b, A). It passes a function that builds the quotients from
-    those records, and the divisors' integer forms, in place of them; the
-    first read of ``quotients`` replaces the function by the tuple it
-    builds. Two threads may both build it; they build equal tuples.
+    ``divide`` passes, in place of the quotients, a function that builds
+    them from its recorded steps on the first read of ``quotients``; two
+    threads may both build them, and they build equal tuples.
     """
 
     __slots__ = ("remainder", "_quotients")
@@ -129,7 +110,7 @@ def divide(
         if g.is_zero():
             raise ValueError("zero divisor")
 
-    packing, degree, forms = _held(divisors, order, _degree(f, True))
+    packing, degree, forms = _held(divisors, order, _degree(f, order is not LEX))
     while (result := _divide_packed(f, forms, degree, packing)) is None:
         packing, forms = _widened(packing, forms)
         for g, form in zip(divisors, forms):
@@ -349,6 +330,8 @@ def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[
     order and arity, and the forms in it, repacked integer to integer
     (``Packing.repack``), each distinct key once. The fields must hold
     every form."""
+    if width == packing.width:
+        return packing, list(forms)
     new = packing.order.packing(packing.nvars, width or 2 * packing.width)
     keys = {k for f in forms for k, _ in f.tail} | {f.key for f in forms}
     unkey, repack, key = packing.unkey, packing.repack, new.key
@@ -358,38 +341,6 @@ def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[
         _Form(unkey(moved[f.key]), moved[f.key], f.lc, [(moved[k], c) for k, c in f.tail], f.s, f.t, f.degree)
         for f in forms
     ]
-
-
-class _Completion:
-    """Completion's raw basis in one packing: its forms, and a bound on
-    every field of their terms.
-
-    Fields wide enough for twice the bound hold every S-polynomial. When
-    a step could overflow them, or a new member outgrows them, ``widen``
-    doubles them (``_widened``): ``packing`` and ``forms`` are replaced by
-    their repacked values, and ``widenings`` counts it. The state starts
-    in the fields its inputs' bound asks for, whatever forms they hold,
-    so its widenings depend on the inputs alone.
-    """
-
-    __slots__ = ("packing", "forms", "degree", "widenings")
-
-    def __init__(self, polynomials: list[Polynomial], order: MonomialOrder):
-        packing, forms = _gate(polynomials, order)
-        self.degree = max(form.degree for form in forms)
-        width = self.degree.bit_length() + 2
-        if packing.width != width:
-            packing, forms = _widened(packing, forms, width)
-        self.packing, self.forms = packing, list(forms)
-        self.widenings = 0
-
-    def widen(self) -> Callable[[int], int]:
-        """Double the fields and repack the forms; the map of a packed
-        monomial of the old fields into the new."""
-        old = self.packing
-        self.packing, self.forms = _widened(old, self.forms)
-        self.widenings += 1
-        return partial(old.repack, other=self.packing)
 
 
 def _reduce(
@@ -478,8 +429,7 @@ def _reduce(
 
 def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: Packing) -> DivisionResult | None:
     """The division by the forms in their packing, or None if a product
-    could overflow its fields. No input term has a total degree above
-    degree."""
+    could overflow its fields. No field of an input term exceeds degree."""
     p, n, d = _integral(f, packing)
     steps: list[tuple[int, int, int, int]] = []  # (divisor, shift, b, A)
     records = _reduce(p, forms, degree, packing, steps)

@@ -5,16 +5,15 @@ computing Groebner bases", Math. Comp. 2016; Roune and Stillman,
 "Practical Groebner basis computation", ISSAC 2012). Each member g is a
 combination of the inputs whose largest term is its signature t * e_i.
 Signatures are ordered as in the Schreyer order: by the order key of
-t * LM(e_i's member), then by i. Keys add under multiplication, so the
-key of a signature is one ``int`` sum, and a signature is held as the
-packed monomial t * LM(e_i's member) with its index.
+t * LM(e_i's member), then by i. Keys add under multiplication, so a
+signature is held as the packed monomial t * LM(e_i's member) with its
+index, and its key is one ``int`` sum.
 
 The inputs come first, in increasing order of leads. Each is reduced by
 the ones before it as they were reduced, and each nonzero result is the
-member of signature e_i, so the order weighs e_i by a reduced lead. An
-input this changes stays in the raw basis as given, and its result
-joins it; an input it leaves alone is its own member. A member, when it
-enters, forms with each earlier member
+member of signature e_i. An input this changes stays in the raw basis
+as given, and its result joins it. A member, when it enters, forms with
+each earlier member
 
 - a principal syzygy g * U_h - h * U_g, U the combinations, of
   signature the larger of LM(g) * sig(h) and LM(h) * sig(g);
@@ -33,37 +32,12 @@ signature the pair of the smallest lcm first. A J-pair is dropped when
   signature has a smaller lead. After a pair is reduced, this drops the
   other pairs of its signature.
 
-The S-polynomial of a pair that is kept is reduced only by multiples of
-lower signature, its lead and its tail alike, in the division kernel's
-one loop. A zero result is a syzygy of the pair's signature. A nonzero
-result made monic is dropped when some member's multiple of its
-signature has its lead (it is singular), and otherwise enters as a new
-member of that signature. Taken in increasing signature, the pairs
-leave a Groebner basis when the heap is empty.
-
-Completion runs in the division kernel's state (``division._Completion``):
-the members are integer forms with packed leading monomials, the kernel
-reduces each S-polynomial from them and keeps the new member as a form,
-and no ``Polynomial`` is built: the raw basis builds its new members
-when they are first read. ``buchberger`` keeps the signatures, the
-syzygies and the heap, as packed monomials and order keys in the
-state's packing, and every test on them is a few ``int`` operations.
-When the fields double it repacks them with the forms; the repacking
-keeps the order, so the heap stays a heap.
-
-The loop ends with an unreduced Groebner basis containing the input
-generators; which other members it holds depends on this algorithm.
-``reduce_basis`` then drops members whose leading terms are divisible
-by another member's, interreduces the survivors, and scales them monic,
-yielding the unique reduced basis for the ideal and order. The kernel
-does all three on the forms the raw basis holds
-(``division._interreduce_forms``), testing divisibility on their packed
-leading monomials, so ``groebner_basis`` builds a ``Polynomial`` only for
-each member of the reduced basis. Neither sorts its result: every
-``GroebnerBasis`` holds the packing and forms of its members, of one
-ring, and sorts them on the forms' order keys. One the kernel builds
-converts nothing; one built from polynomials holds the forms it read
-their leads off.
+A kept pair's S-polynomial is reduced only by multiples of lower
+signature, its lead and its tail alike. A zero result is a syzygy of
+the pair's signature. A nonzero result made monic is dropped when some
+member's multiple of its signature has its lead (it is singular), and
+otherwise enters as a new member of that signature. Taken in increasing
+signature, the pairs leave a Groebner basis when the heap is empty.
 """
 
 from __future__ import annotations
@@ -73,7 +47,7 @@ from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
-from .division import _Completion, _gate, _interreduce_forms, _members, _monic, _reduce, divide
+from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _widened, divide
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -87,19 +61,13 @@ class GroebnerBasis:
 
     There must be at least one generator, each nonzero and all of one
     ring; construction sorts them stably by leading monomial, smallest
-    first, so equal bases compare equal structurally. The sort keys are
-    the order keys of the division kernel's packed leads.
+    first, so equal bases compare equal structurally.
 
     A frozen dataclass of its three fields, compared, hashed, printed and
-    pickled by value, with its own constructor and slots. Every basis
-    also holds the kernel's packing and its members' forms, sorted on the
-    forms' order keys, in ``_kernel``: the constructor keeps the forms it
-    sorts on, and ``buchberger`` and ``reduce_basis`` the forms they
-    made. ``reduce_basis`` interreduces those forms, and ``staircase``
-    reads the leads off them. ``buchberger``'s raw basis builds its new
-    members' Polynomials when ``generators`` is first read, and each
-    member then holds its form. Two threads may both build them; they
-    build equal tuples.
+    pickled by value. ``_kernel`` holds the kernel's packing and the
+    members' forms, sorted with them. ``buchberger``'s raw basis builds
+    its new members' Polynomials when ``generators`` is first read; two
+    threads may both build them, and they build equal tuples.
     """
 
     __slots__ = ("generators", "order", "reduced", "_kernel")
@@ -190,15 +158,15 @@ def normal_form(
 def buchberger(
     generators: list[Polynomial], order: MonomialOrder, stats: dict | None = None
 ) -> GroebnerBasis:
-    """Complete a generating set to a Groebner basis.
+    """Complete a generating set to a Groebner basis (see the module
+    docstring).
 
     Zero generators are stripped first; an empty, all-zero or mixed-ring
-    input is an error. Completion is signature-based (see the module
-    docstring). The result holds the inputs as given; its other members
-    depend on this algorithm, so the raw basis is not unique and only
-    ``reduce_basis`` of it is. A basis of more than ``MAX_BASIS_SIZE``
-    members raises a ValueError, so a runaway computation fails cleanly
-    instead of looping without bound.
+    input is an error. The result holds the inputs as given; its other
+    members depend on this algorithm, so only ``reduce_basis`` of it is
+    unique. A basis of more than ``MAX_BASIS_SIZE`` members raises a
+    ValueError, so a runaway computation fails cleanly instead of
+    looping without bound.
 
     Given a dict as stats, completion adds its work to it:
 
@@ -216,88 +184,72 @@ def buchberger(
     So ``pairs_formed = pruned_syzygy + pruned_cover + s_pairs_reduced``
     and ``s_pairs_reduced + inputs_reduced = new_members +
     zero_reductions + discarded_singular``.
-
-    The raw basis holds the completion's packing and forms. The inputs
-    are its members as given; the others are built as monic Polynomials
-    when ``generators`` is first read, and ``reduce_basis`` never reads
-    them. Two threads may both build them; they build equal tuples.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("empty generating set")
 
-    state = _Completion(inputs, order)
     counts = dict.fromkeys(_STATS, 0)
-    # The inputs in increasing order of leads, each reduced by the ones
-    # before it as they were reduced: each nonzero result is the member of
-    # signature e_i, and the module order weighs e_i by its lead. Weighed
-    # by the leads as given, katsura-3 under lex kept 26 members, not 18.
-    starts: list[int] = []  # the place in state.forms of each nonzero one
-    for k in sorted(range(len(inputs)), key=lambda k: state.forms[k].key):
-        while True:
-            f, steps = state.forms[k], []
-            divisors = [state.forms[x] for x in starts]
-            records = _reduce(dict([(f.key, f.lc), *f.tail]), divisors, state.degree, state.packing, steps)
-            if records is not None:
-                break
-            state.widen()
-        if not steps:
-            starts.append(k)
-            continue
-        counts["inputs_reduced"] += 1
-        if not records:
-            counts["zero_reductions"] += 1
-            continue
-        form = _monic(records, state.packing)
-        state.forms.append(form)
-        state.degree = max(state.degree, form.degree)
-        starts.append(len(state.forms) - 1)
-        counts["new_members"] += 1
-
-    # Member n is the form members[n] = state.forms[place[n]], of signature
+    # The raw basis's forms, and a bound on every field of their terms:
+    # fields wide enough for twice the bound hold every S-polynomial. They
+    # start as the inputs' bound asks, whatever forms the inputs hold, so
+    # the widenings depend on the inputs alone.
+    packing, forms = _gate(inputs, order)
+    degree = max(form.degree for form in forms)
+    packing, forms = _widened(packing, forms, degree.bit_length() + 2)
+    # Member n is the form members[n] = forms[place[n]], of signature
     # t * e_i with i = index[n]: sigs[n] is t * LM(e_i's member) packed, and
     # excess[n] its order key less the key of the member's own lead.
-    place: list[int] = []
-    members: list = []
-    sigs: list[int] = []
-    excess: list[int] = []
-    index: list[int] = []
-    by_index: list[list[int]] = [[] for _ in starts]  # the members of each index
-    syzygies: list[list[int]] = [[] for _ in starts]  # each index's known syzygies, minimal
+    place, members, sigs, excess, index = [], [], [], [], []
+    by_index: list[list[int]] = [[] for _ in inputs]  # the members of each index
+    syzygies: list[list[int]] = [[] for _ in inputs]  # each index's known syzygies, minimal
     # (signature key, index, key of the lcm, a, b): the J-pair of members a
     # and b, of a's signature times lcm / LM(a).
     queue: list[tuple[int, int, int, int, int]] = []
     bound = 0  # no field of a member's signature exceeds it
 
     def widen() -> None:
-        move = state.widen()
-        lcm, key = state.packing.lcm, state.packing.key
-        members[:] = [state.forms[k] for k in place]
-        sigs[:] = map(move, sigs)
+        """Double the fields and repack all that is packed in them. The
+        repacking keeps the order, so the queue stays a heap."""
+        nonlocal packing
+        old = packing
+        packing, forms[:] = _widened(old, forms)
+        counts["widenings"] += 1
+        lcm, key = packing.lcm, packing.key
+        members[:] = [forms[k] for k in place]
+        sigs[:] = [old.repack(sig, packing) for sig in sigs]
         excess[:] = [key(sig) - form.key for sig, form in zip(sigs, members)]
         for known in syzygies:
-            known[:] = map(move, known)
-        # Repacking keeps the order, so the queue stays a heap.
+            known[:] = [old.repack(z, packing) for z in known]
         for n, (_, i, _, a, b) in enumerate(queue):
             k_lcm = key(lcm(members[a].lead, members[b].lead))
             queue[n] = (excess[a] + k_lcm, i, k_lcm, a, b)
 
+    def enter(form) -> int:
+        """Append a new member's form to the raw basis; its place there."""
+        nonlocal degree
+        forms.append(form)
+        if len(forms) > MAX_BASIS_SIZE:
+            raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
+        degree = max(degree, form.degree)
+        counts["new_members"] += 1
+        return len(forms) - 1
+
     def add(k: int, sig: int, e: int, i: int) -> None:
-        """Make state.forms[k] a member, of signature sig of index i and
-        excess e, with a principal syzygy and a J-pair for each earlier
-        member."""
+        """Make forms[k] a member, of signature sig of index i and excess e,
+        with a principal syzygy and a J-pair for each earlier member."""
         nonlocal bound
         new = len(members)
         place.append(k)
-        members.append(state.forms[k])
+        members.append(forms[k])
         sigs.append(sig)
         excess.append(e)
         index.append(i)
         by_index[i].append(new)
-        bound = max(bound, state.packing.largest(sig))
-        while max(state.degree, bound).bit_length() + 2 > state.packing.width:
+        bound = max(bound, packing.largest(sig))
+        while max(degree, bound).bit_length() + 2 > packing.width:
             widen()
-        lcm, key, guards = state.packing.lcm, state.packing.key, state.packing.guards
+        lcm, key, guards = packing.lcm, packing.key, packing.guards
         sig, e, t = sigs[new], excess[new], members[new].lead
         for n in range(new):
             if excess[n] == e and index[n] == i:
@@ -320,14 +272,36 @@ def buchberger(
             else:
                 heappush(queue, pair)
 
+    # The inputs in increasing order of leads, each reduced by the ones
+    # before it as they were reduced: each nonzero result is the member of
+    # signature e_i, and the module order weighs e_i by its lead. Weighed
+    # by the leads as given, katsura-3 under lex kept 26 members, not 18.
+    starts: list[int] = []  # the place in forms of each nonzero one
+    for k in sorted(range(len(inputs)), key=lambda k: forms[k].key):
+        while True:
+            f, steps = forms[k], []
+            records = _reduce(dict([(f.key, f.lc), *f.tail]), [forms[x] for x in starts], degree, packing, steps)
+            if records is not None:
+                break
+            widen()
+        if not steps:
+            starts.append(k)
+            continue
+        counts["inputs_reduced"] += 1
+        if not records:
+            counts["zero_reductions"] += 1
+            continue
+        starts.append(enter(_monic(records, packing)))
+
     for i, k in enumerate(starts):
-        add(k, state.forms[k].lead, 0, i)
+        add(k, forms[k].lead, 0, i)
 
     while queue:
-        k_sig, i, k_lcm, a, b = heappop(queue)
-        packing = state.packing
+        pair = heappop(queue)
+        k_sig, i, k_lcm, a, b = pair
+        f_a, f_b = members[a], members[b]
         guards = packing.guards
-        sig = sigs[a] + packing.lcm(members[a].lead, members[b].lead) - members[a].lead
+        sig = sigs[a] + packing.lcm(f_a.lead, f_b.lead) - f_a.lead
         if _divisible(sig, syzygies[i], guards):
             counts["pruned_syzygy"] += 1
             continue
@@ -337,52 +311,42 @@ def buchberger(
         if any((above - sigs[n]) & guards == guards and k_sig - excess[n] < k_lcm for n in by_index[i]):
             counts["pruned_cover"] += 1
             continue
-        counts["s_pairs_reduced"] += 1
-        while True:
-            packing = state.packing
-            f_a, f_b = members[a], members[b]
-            m = packing.lcm(f_a.lead, f_b.lead)
-            k_lcm = packing.key(m)
-            sig, k_sig = sigs[a] + m - f_a.lead, excess[a] + k_lcm
-            k_u, k_v = k_lcm - f_a.key, k_lcm - f_b.key
-            common = gcd(f_a.lc, f_b.lc)
-            u, v = f_b.lc // common, f_a.lc // common
-            p = _merge({k + k_u: u * c for k, c in f_a.tail}, [(k + k_v, -v * c) for k, c in f_b.tail])
-            # Member n reduces a term only by a multiple of lower signature.
-            below = [k_sig - e + (j < i) for e, j in zip(excess, index)]
-            records = _reduce(p, members, state.degree, packing, None, below)
-            if records is not None:
-                break
+        k_u, k_v = k_lcm - f_a.key, k_lcm - f_b.key
+        common = gcd(f_a.lc, f_b.lc)
+        u, v = f_b.lc // common, f_a.lc // common
+        p = _merge({k + k_u: u * c for k, c in f_a.tail}, [(k + k_v, -v * c) for k, c in f_b.tail])
+        # Member n reduces a term only by a multiple of lower signature.
+        below = [k_sig - e + (j < i) for e, j in zip(excess, index)]
+        records = _reduce(p, members, degree, packing, None, below)
+        if records is None:
+            # A product outgrew the fields: once they are wider, this pair
+            # comes off the queue first again.
+            heappush(queue, pair)
             widen()
-        guards = packing.guards
+            continue
+        counts["s_pairs_reduced"] += 1
         if not records:
             counts["zero_reductions"] += 1
             _insert(syzygies[i], sig, guards)
             continue
         form = _monic(records, packing)
         # Singular: a member's multiple of this signature has this lead.
-        above = sig | guards
         if any((above - sigs[n]) & guards == guards and k_sig - excess[n] == form.key for n in by_index[i]):
             counts["discarded_singular"] += 1
             continue
-        state.forms.append(form)
-        if len(state.forms) > MAX_BASIS_SIZE:
-            raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
-        state.degree = max(state.degree, form.degree)
-        counts["new_members"] += 1
-        add(len(state.forms) - 1, sig, k_sig - form.key, i)
+        add(enter(form), sig, k_sig - form.key, i)
 
     if stats is not None:
-        for name, n in [*counts.items(), ("widenings", state.widenings)]:
+        for name, n in counts.items():
             stats[name] = stats.get(name, 0) + n
-        stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(state.forms))
-    given = inputs + [None] * (len(state.forms) - len(inputs))
-    return GroebnerBasis._of_forms(state.packing, tuple(state.forms), given, inputs[0].context, order, reduced=False)
+        stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(forms))
+    given = inputs + [None] * (len(forms) - len(inputs))
+    return GroebnerBasis._of_forms(packing, tuple(forms), given, inputs[0].context, order, reduced=False)
 
 
-# The counters buchberger adds to a stats record, with widenings.
+# The counters buchberger adds to a stats record.
 _STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
-          "new_members", "zero_reductions", "discarded_singular")
+          "new_members", "zero_reductions", "discarded_singular", "widenings")
 
 
 def _divisible(sig: int, known: list[int], guards: int) -> bool:
@@ -406,20 +370,14 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
 
     Drop any member whose leading term another surviving member's
     leading term divides, replace each survivor by its remainder modulo
-    the others, and scale everything monic. Idempotent. The kernel does
-    all three on integer forms (``division._interreduce_forms``), so no
-    lead or tail is built as a ``Polynomial``. Every basis hands over the
-    forms it holds, so a raw basis's generators are neither read nor
-    built. The survivors' Polynomials are built before it returns, and
-    each holds its form.
-    Another thread may read a raw basis's generators meanwhile; each build
-    of them gives an equal tuple.
+    the others, and scale everything monic. Idempotent. It works on the
+    forms the basis holds (``division._interreduce_forms``), so a raw
+    basis's generators are neither read nor built.
     """
-    order = basis.order
     packing, forms, _, context = basis._kernel
     packing, survivors = _interreduce_forms(forms, packing)
     members = _members(packing, survivors, [None] * len(survivors), context)
-    return GroebnerBasis._of_forms(packing, survivors, members, context, order, reduced=True)
+    return GroebnerBasis._of_forms(packing, survivors, members, context, basis.order, reduced=True)
 
 
 def groebner_basis(generators: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:

@@ -7,9 +7,9 @@ Three total, multiplicative well-orders on monomials of a fixed arity:
 - ``grevlex``: compare total degree, break ties by the last nonzero
   entry of the exponent difference (negative entry means larger).
 
-Each order is realized as a key function; ``compare`` and every sort
-on ``Monomial`` tuples go through the same key, so display order and
-algorithm order can never disagree. ``divide`` orders its terms by the
+Each order is realized as a key function; every sort on ``Monomial``
+tuples goes through it, so display order and algorithm order can never
+disagree. ``divide`` orders its terms by the
 packed key below instead, and ``tests/test_order.py::TestPacking``
 checks that the two keys compare alike.
 
@@ -71,14 +71,6 @@ class MonomialOrder(enum.Enum):
 
     def key_function(self) -> Callable[[Monomial], object]:
         return _KEYS[self]
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """Total-order comparison: -1, 0, or 1 for a <, =, > b."""
-        if len(a) != len(b):
-            raise ValueError("arity mismatch")
-        key = _KEYS[self]
-        ka, kb = key(a), key(b)
-        return (ka > kb) - (ka < kb)
 
     @functools.lru_cache(maxsize=64)
     def packing(self, nvars: int, width: int) -> "Packing":

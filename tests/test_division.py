@@ -144,6 +144,17 @@ class TestFieldWidth:
         assert result == reference_divide(f, divisors, LEX)
         assert result.remainder == _xy(f"y^{3 * k}")
 
+    def test_lex_bounds_the_dividend_by_its_largest_exponent(self, monkeypatch):
+        # A lex field holds one exponent, so x^3*y^3*z^3*w^3, of total
+        # degree 12, fits the fields of width 4 that exponent 3 asks for.
+        ctx = VariableContext(["x", "y", "z", "w"])
+        f, divisors = parse_polynomial("x*y*z*w + x^3*y^3*z^3*w^3", ctx), [parse_polynomial("x - 1", ctx)]
+        widths = widths_tried(monkeypatch)
+        result = divide(f, divisors, LEX)
+        assert widths == [4]
+        assert divisors[0]._form[0].width == 4
+        assert result == reference_divide(f, divisors, LEX)
+
     def test_grevlex_input_exponent_of_a_million(self):
         f = _xy("x^1000000*y + 3*x*y^2 - y")
         divisors = [_xy("x^999999 - y^2"), _xy("y^2 + x")]

@@ -45,6 +45,17 @@ def assert_stats_add_up(stats, inputs, basis):
     assert stats["basis_high_water"] == len(basis)
 
 
+def start_wide(monkeypatch):
+    """Make completion start in fields of width 16, whatever its inputs ask."""
+    widened = groebner._widened
+
+    def wide(packing, forms, width=0):
+        # Only the start names a width.
+        return widened(packing, forms, width and 16)
+
+    monkeypatch.setattr(groebner, "_widened", wide)
+
+
 def assert_buchberger_criterion(basis):
     gens = list(basis.generators)
     for p, q in itertools.combinations(gens, 2):
@@ -269,13 +280,37 @@ class TestBuchberger:
         assert stats == {"pairs_formed": 10, "pruned_syzygy": 5, "pruned_cover": 2, "s_pairs_reduced": 3,
                          "inputs_reduced": 0, "new_members": 3, "zero_reductions": 0, "discarded_singular": 0,
                          "widenings": 1, "basis_high_water": 5}
-        init = division._Completion.__init__
+        start_wide(monkeypatch)
+        wide = {}
+        assert canonical(buchberger(gens, LEX, wide)) == canonical(basis)
+        assert wide == stats | {"widenings": 0}
 
-        def start_wide(self, polynomials, order):
-            init(self, polynomials, order)
-            self.packing, self.forms = division._widened(self.packing, self.forms, 16)
+    def test_an_overflowed_pair_is_reduced_again_first(self, monkeypatch):
+        # Under lex, one J-pair's reduction outgrows the fields of width 4
+        # while two more pairs wait. It goes back on the queue, and once the
+        # fields are wider it comes off first again, so the run does what it
+        # does in fields wide enough from the start.
+        gens = parse_system(["y^3 - x*z - y^2", "z^3 - y*z", "y*z - x^2*z - y"], CTX_XYZ)
+        reduce, push = groebner._reduce, groebner.heappush
+        overflowed, waiting = [], []
 
-        monkeypatch.setattr(division._Completion, "__init__", start_wide)
+        def spy_reduce(p, forms, degree, packing, steps, below=None):
+            records = reduce(p, forms, degree, packing, steps, below)
+            overflowed.append(records is None and below is not None)
+            return records
+
+        def spy_push(queue, pair):
+            if overflowed and overflowed[-1]:
+                waiting.append(len(queue))
+            push(queue, pair)
+
+        monkeypatch.setattr(groebner, "_reduce", spy_reduce)
+        monkeypatch.setattr(groebner, "heappush", spy_push)
+        stats = {}
+        basis = buchberger(gens, LEX, stats)
+        assert overflowed.count(True) == 1 and waiting == [2]
+        assert stats["widenings"] == 1 and stats["zero_reductions"] == 1
+        start_wide(monkeypatch)
         wide = {}
         assert canonical(buchberger(gens, LEX, wide)) == canonical(basis)
         assert wide == stats | {"widenings": 0}
