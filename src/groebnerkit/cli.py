@@ -32,8 +32,8 @@ ORDER_NAMES = ("lex", "grlex", "grevlex")
 _PLOT_MARGIN = 50
 
 # Most oscillator samples, and most staircase cells drawn as SVG (a
-# 400 x 400 diagram). Each renders in under a second at its bound, and
-# the time and memory grow with the count.
+# 400 x 400 diagram). Each renders in about a second at its bound on a
+# 2-core VM, and the time and memory grow with the count.
 MAX_SAMPLES = 100_000
 MAX_SVG_CELLS = 400 * 400
 
@@ -413,6 +413,21 @@ def _ik_payload(results: list[tuple[Target, IKResult]]) -> dict:
 # ---- SVG rendering -------------------------------------------------------
 
 
+def _tag(name: str, text="", **attrs) -> str:
+    """One SVG element with attrs in the order given, an underscore in an
+    attribute name printed as a hyphen; with no text it closes itself."""
+    fields = "".join([f' {key.replace("_", "-")}="{value}"' for key, value in attrs.items()])
+    text = str(text)
+    return f"<{name}{fields}>{text}</{name}>" if text else f"<{name}{fields}/>"
+
+
+def _svg(width: int, height: int, parts: list[str]) -> str:
+    """An SVG document of width x height px: a white ground, then parts."""
+    body = "\n".join(["", _tag("rect", width=width, height=height, fill="white"), *parts, ""])
+    view = f"0 0 {width} {height}"
+    return _tag("svg", body, xmlns="http://www.w3.org/2000/svg", viewBox=view, width=width, height=height) + "\n"
+
+
 def _staircase_svg(diagram: StaircaseDiagram, names, cell: int) -> str:
     margin = 48
     w = diagram.width
@@ -423,58 +438,33 @@ def _staircase_svg(diagram: StaircaseDiagram, names, cell: int) -> str:
     def px(u: float, v: float) -> tuple[float, float]:
         return (margin + u * cell, height_px - margin - v * cell)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width_px} {height_px}" '
-        f'width="{width_px}" height="{height_px}">',
-        f'<rect width="{width_px}" height="{height_px}" fill="white"/>',
-    ]
+    parts = []
     for u in range(w):
         for v in range(h):
             if diagram.contains(u, v):
                 x, y = px(u, v + 1)
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                    f'fill="#cfe2f3" stroke="none"/>'
-                )
+                parts.append(_tag("rect", x=x, y=y, width=cell, height=cell, fill="#cfe2f3", stroke="none"))
+    grid = dict(stroke="#b0b0b0", stroke_width=1)
     for i in range(w + 1):
         x, _ = px(i, 0)
-        parts.append(
-            f'<line x1="{x}" y1="{margin}" x2="{x}" y2="{height_px - margin}" '
-            f'stroke="#b0b0b0" stroke-width="1"/>'
-        )
+        parts.append(_tag("line", x1=x, y1=margin, x2=x, y2=height_px - margin, **grid))
     for j in range(h + 1):
         _, y = px(0, j)
-        parts.append(
-            f'<line x1="{margin}" y1="{y}" x2="{width_px - margin}" y2="{y}" '
-            f'stroke="#b0b0b0" stroke-width="1"/>'
-        )
+        parts.append(_tag("line", x1=margin, y1=y, x2=width_px - margin, y2=y, **grid))
     for i in range(w + 1):
         x, y = px(i, 0)
-        parts.append(
-            f'<text x="{x}" y="{y + 18}" font-size="12" text-anchor="middle" '
-            f'fill="#333">{i}</text>'
-        )
+        parts.append(_tag("text", i, x=x, y=y + 18, font_size=12, text_anchor="middle", fill="#333"))
     for j in range(h + 1):
         x, y = px(0, j)
-        parts.append(
-            f'<text x="{x - 12}" y="{y + 4}" font-size="12" text-anchor="end" '
-            f'fill="#333">{j}</text>'
-        )
+        parts.append(_tag("text", j, x=x - 12, y=y + 4, font_size=12, text_anchor="end", fill="#333"))
     for a, b in diagram.minimal_generators:
         x, y = px(a, b)
-        parts.append(f'<circle cx="{x}" cy="{y}" r="5" fill="#1f4e8c"/>')
+        parts.append(_tag("circle", cx=x, cy=y, r=5, fill="#1f4e8c"))
     x_label, y_label = px(w, 0)
-    parts.append(
-        f'<text x="{x_label + 10}" y="{y_label + 4}" font-size="14" '
-        f'fill="#000">{names[0]}</text>'
-    )
+    parts.append(_tag("text", names[0], x=x_label + 10, y=y_label + 4, font_size=14, fill="#000"))
     x_top, y_top = px(0, h)
-    parts.append(
-        f'<text x="{x_top}" y="{y_top - 10}" font-size="14" text-anchor="middle" '
-        f'fill="#000">{names[1]}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_tag("text", names[1], x=x_top, y=y_top - 10, font_size=14, text_anchor="middle", fill="#000"))
+    return _svg(width_px, height_px, parts)
 
 
 def _oscillator_svg(rows: list[Sample], width: int, height: int) -> str:
@@ -487,41 +477,27 @@ def _oscillator_svg(rows: list[Sample], width: int, height: int) -> str:
         v = height / 2 - (y / y_max) * (height / 2 - margin)
         return (x, v)
 
-    def polyline(points: list[tuple[float, float]], style: str) -> str:
+    def polyline(points: list[tuple[float, float]], **style) -> str:
         body = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        return f'<polyline fill="none" {style} points="{body}"/>'
+        return _tag("polyline", fill="none", **style, points=body)
 
     axis_y0 = px(0, 0)[1]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{axis_y0:.2f}" x2="{width - margin}" '
-        f'y2="{axis_y0:.2f}" stroke="#444" stroke-width="1"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="#444" stroke-width="1"/>',
-        polyline(
-            [px(r.t, r.env_hi) for r in rows],
-            'stroke="#888" stroke-width="1" stroke-dasharray="6 4"',
-        ),
-        polyline(
-            [px(r.t, r.env_lo) for r in rows],
-            'stroke="#888" stroke-width="1" stroke-dasharray="6 4"',
-        ),
-        polyline([px(r.t, r.y) for r in rows], 'stroke="#1f4e8c" stroke-width="2"'),
-        f'<text x="{width - margin}" y="{axis_y0 + 18:.2f}" font-size="13" '
-        f'text-anchor="end" fill="#000">t</text>',
-        f'<text x="{margin - 8}" y="{margin - 8}" font-size="13" '
-        f'text-anchor="end" fill="#000">y</text>',
-        f'<text x="{margin}" y="{axis_y0 + 18:.2f}" font-size="11" '
-        f'fill="#333">0</text>',
-        f'<text x="{width - margin}" y="{axis_y0 - 6:.2f}" font-size="11" '
-        f'text-anchor="end" fill="#333">{t_end:.6g}</text>',
-        f'<text x="{margin + 6}" y="{px(0, y_max / 1.08)[1] + 4:.2f}" font-size="11" '
-        f'fill="#333">{y_max / 1.08:.6g}</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
+    axis = dict(stroke="#444", stroke_width=1)
+    envelope = dict(stroke="#888", stroke_width=1, stroke_dasharray="6 4")
+    return _svg(width, height, [
+        _tag("line", x1=margin, y1=f"{axis_y0:.2f}", x2=width - margin, y2=f"{axis_y0:.2f}", **axis),
+        _tag("line", x1=margin, y1=margin, x2=margin, y2=height - margin, **axis),
+        polyline([px(r.t, r.env_hi) for r in rows], **envelope),
+        polyline([px(r.t, r.env_lo) for r in rows], **envelope),
+        polyline([px(r.t, r.y) for r in rows], stroke="#1f4e8c", stroke_width=2),
+        _tag("text", "t", x=width - margin, y=f"{axis_y0 + 18:.2f}", font_size=13, text_anchor="end", fill="#000"),
+        _tag("text", "y", x=margin - 8, y=margin - 8, font_size=13, text_anchor="end", fill="#000"),
+        _tag("text", 0, x=margin, y=f"{axis_y0 + 18:.2f}", font_size=11, fill="#333"),
+        _tag("text", f"{t_end:.6g}", x=width - margin, y=f"{axis_y0 - 6:.2f}",
+             font_size=11, text_anchor="end", fill="#333"),
+        _tag("text", f"{y_max / 1.08:.6g}", x=margin + 6, y=f"{px(0, y_max / 1.08)[1] + 4:.2f}",
+             font_size=11, fill="#333"),
+    ])
 
 
 if __name__ == "__main__":

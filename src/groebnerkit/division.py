@@ -33,8 +33,9 @@ multiples of lower signature; ``_interreduce_forms``; and
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
 A call divides in the widest packing of this order that a divisor holds,
 when that is wide enough, else in the fields the degrees ask for; it
-converts only the divisors that hold no form in that width, and stores
-each result on its divisor. The slot is replaced whole by one
+converts only the divisors that hold no form in that packing, a form
+held under another order counting as none, and stores each result on
+its divisor. The slot is replaced whole by one
 assignment, so a thread reads one consistent pair; it changes no result,
 only how much is converted.
 """
@@ -196,18 +197,18 @@ def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tupl
     terms and on degree (a held form's bound, else the bound ``_bound``
     would give the form), and the divisors' forms in it: the form a
     divisor holds where it is in that packing, else converted and stored
-    on the divisor."""
-    held = [g._form for g in divisors]  # each slot read once
+    on the divisor. A form held under another order counts as absent."""
+    held = [h if h and h[0].order is order else None for h in [g._form for g in divisors]]  # each slot read once
     # A graded field is a total degree; a lex field one exponent.
     graded = order is not LEX
     degree = max(degree, *(h[1].degree if h else _degree(g, graded) for g, h in zip(divisors, held)))
     # Room for twice the largest input degree, and the guard bit; wider
     # fields of this order, which a divisor holds, divide as well.
-    width = max([degree.bit_length() + 2, *(h[0].width for h in held if h and h[0].order is order)])
+    width = max([degree.bit_length() + 2, *(h[0].width for h in held if h)])
     packing = order.packing(len(divisors[0].context), width)
     forms = []
     for g, h in zip(divisors, held):
-        if h is None or h[0].order is not order or h[0].width != width:
+        if h is None or h[0].width != width:
             h = g._form = (packing, _form(g, packing))
         forms.append(h[1])
     return packing, degree, tuple(forms)

@@ -1,19 +1,8 @@
-"""Consumers of Groebner bases.
-
-Ideal membership via normal forms, elimination ideals read off a lex
-basis, the two-variable staircase picture of a leading-term monomial
-ideal, and an exact real-root isolator for the univariate polynomials
-that elimination produces: one signed remainder sequence of p and p'
-ends in gcd(p, p'), and divided through by it gives the Sturm chain of
-the square-free part. The chain is built on integer coefficient lists
-with the division kernel's ``pseudo_divide``, each member primitive and
-a positive multiple of the member over Q (the primitive remainder
-sequence of Collins, "Subresultants and reduced polynomial remainder
-sequences", 1967), so no Fraction polynomial is built. Sturm counts
-and quadratic interval refinement read it at dyadic points, each an
-integer numerator over a power of two, so every value is an integer
-Horner sum, and no Fraction is built at all: a returned root is one
-correctly rounded int division.
+"""Consumers of Groebner bases: membership, elimination, the staircase
+of a two-variable leading-term ideal, and the exact real roots of a
+univariate polynomial, by a Sturm chain of primitive integer lists
+(Collins, "Subresultants and reduced polynomial remainder sequences",
+1967) read at dyadic points.
 """
 
 from __future__ import annotations

@@ -16,20 +16,7 @@ system polynomial as a combination of them, and each of them as one
 of the system, once over Q[l1, l2, x, y]. Their leading monomials
 s2^2, c2, s1 and c1 are pairwise coprime (Buchberger's product
 criterion), each is monic and every tail is a constant or linear in
-s2: the basis is reduced and in shape position. At the origin,
-reachable only when l1 == l2, the folded arm points anywhere. The
-real roots of the first member are isolated exactly over Q and the
-others evaluated exactly at each, on integers: scaled by one common
-denominator, the arm and target are integers, and the members'
-coefficients are integer numerators over one denominator; at a root
-the lifts are numerators over that denominator times the root's. Each
-joint angle reads its direction with one correctly rounded int / int
-per component.
-
-Ints and Fractions are read as themselves, and a float as the shortest
-decimal that reads back as the same float (its repr). The workspace
-test is exact on these rationals: a float target is on a boundary
-circle when its decimal is, and out of reach when outside by any margin.
+s2: the basis is reduced and in shape position.
 """
 
 from __future__ import annotations

@@ -1,23 +1,15 @@
-"""Monomial orders and leading-term projections.
+"""Monomial orders and their packed form.
 
-Three total, multiplicative well-orders on monomials of a fixed arity:
+``lex`` compares exponent vectors left to right, ``grlex`` total degree
+and then lex, and ``grevlex`` total degree and then the last nonzero
+entry of the exponent difference, a negative entry meaning larger. An
+order's key function orders ``Monomial`` tuples, and its packing's
+``key`` orders packed ints alike (``tests/test_order.py::TestPacking``).
 
-- ``lex``: compare exponent vectors left to right.
-- ``grlex``: compare total degree, break ties by lex.
-- ``grevlex``: compare total degree, break ties by the last nonzero
-  entry of the exponent difference (negative entry means larger).
-
-Each order is realized as a key function; every sort on ``Monomial``
-tuples goes through it, so display order and algorithm order can never
-disagree. ``divide`` orders its terms by the
-packed key below instead, and ``tests/test_order.py::TestPacking``
-checks that the two keys compare alike.
-
-Each order also has a packed form, which the division kernel works in
-(Bachmann and Schoenemann, "Monomial representations for Groebner bases
-computations", 1998). ``order.packing(nvars, width)`` lays a monomial
-out as one ``int`` of fixed-width fields, the top bit of each field a
-guard bit that a valid monomial leaves clear:
+A packing (Bachmann and Schoenemann, "Monomial representations for
+Groebner bases computations", 1998) lays a monomial out as one ``int`` of
+fixed-width fields, the top bit of each a guard bit that a valid monomial
+leaves clear:
 
 - ``lex``: the exponents, the first variable's in the top field.
 - ``grlex``: the total degree in the top field, then the exponents as
@@ -25,21 +17,10 @@ guard bit that a valid monomial leaves clear:
 - ``grevlex``: the total degree in the top field, then the exponents in
   reversed variable order, the last variable's just under the degree.
 
-Packing is additive, so a product is the sum ``a + b``. A divides b
-exactly when ``((b | G) - a) & G == G`` for the guard mask G: each
-field's guard survives the subtraction just when b's exponent there is
-at least a's, and no borrow crosses a field. The order key of a packed
-monomial is an ``int`` that compares as the order does: the packed
-value itself for lex and grlex, and ``2*(P & degree_bits) - P``, the
-degree less the reversed exponents, for grevlex, where a larger exponent
-of a later variable makes the monomial smaller. The key is additive too.
-The lcm takes each exponent field's larger value by the same guard
-trick, and under a graded order recomputes the degree field: it is
-``a + b - gcd``, the gcd's degree summed across its fields by one
-multiplication. All of this holds while no field reaches its guard bit;
-a caller picks the width from its inputs' degrees and checks the guard
-bits of what it builds. ``repack`` moves a packed monomial into the
-fields of another width or order, integer to integer.
+Packing and the order key are additive, so a product is the sum
+``a + b``. Products, ``divides``, ``lcm`` and ``key`` hold while no field
+reaches its guard bit; a caller picks the width from its inputs' degrees
+and checks the guard bits of what it builds.
 """
 
 from __future__ import annotations
@@ -121,7 +102,9 @@ class Packing:
         return _valid_monomial((packed >> s) & mask for s in self._shifts)
 
     def key(self, packed: int) -> int:
-        """The order key: a < b under the order iff key(a) < key(b)."""
+        """The order key: a < b under the order iff key(a) < key(b). Under
+        grevlex it is the degree less the reversed exponents, so a larger
+        exponent of a later variable makes the monomial smaller."""
         if not self._degree_bits:
             return packed
         return 2 * (packed & self._degree_bits) - packed
@@ -137,6 +120,9 @@ class Packing:
         return 2 * degree - key
 
     def divides(self, a: int, b: int) -> bool:
+        """Whether a divides b: a field's guard bit survives (b | guards) - a
+        just when b's exponent there is at least a's, and no borrow
+        crosses a field."""
         guards = self.guards
         return ((b | guards) - a) & guards == guards
 
@@ -193,9 +179,3 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> Term:
         raise ValueError("leading term of zero polynomial")
     m = max(p.terms, key=order.key_function())
     return Term(p.terms[m], m)
-
-
-def sorted_terms(p: Polynomial, order: MonomialOrder) -> list[Term]:
-    """Terms of p sorted under the order, largest first."""
-    monomials = sorted(p.terms, key=order.key_function(), reverse=True)
-    return [Term(p.terms[m], m) for m in monomials]

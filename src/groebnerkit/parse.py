@@ -9,11 +9,9 @@ Grammar (whitespace ignored, multiplication always explicit):
     integer  := decimal digits, exactly those int() reads
     variable := word characters, the first not a decimal digit
 
-Rational literals are integer/integer pairs such as ``3/2``; general
-division is not part of the language. ``^`` binds tighter than ``*``,
-which binds tighter than ``+``/``-``, and powers are expanded eagerly so
-the result is always a plain polynomial. Any other character is an
-error, and errors carry the 1-based position of the offending one.
+A literal ``integer/integer`` is the only division, and powers are
+expanded. An error carries the 1-based position of the offending
+character.
 
 One budget, ``MAX_WORK``, covers the whole expression. Each ``+``, ``-``,
 ``*`` and ``^`` adds its cost to a running total before it computes, priced
@@ -22,19 +20,8 @@ from the exact sizes of its operands, and past the budget raises a
 coefficients of up to b bits costs ``1 + (b >> 11)**2`` units: a product
 makes one per pair of terms, a power one per pair in each of its
 square-and-multiply steps, and a summand one per term, at the bits of the
-running sum. A literal longer than CPython reads is refused the same way.
-Parentheses nest at most ``MAX_DEPTH`` deep, so the recursive descent stays
-far inside the interpreter's recursion limit; a ``(`` past that depth is a
-syntax error at its position. Output is held to the same digit limit as
-input: ``format_polynomial`` refuses a coefficient or exponent that CPython
-would not print, naming its term. Reading is not priced, so a text longer
-than ``MAX_TEXT`` characters is refused with a ``ValueError`` before it is
-read.
-
-The parser evaluates each operation with the ring's own arithmetic on
-``Polynomial``'s packed layout (see ``ring``), so a parsed polynomial is
-the one that the operators would build from the same expression, term
-order included; the parser adds only the pricing.
+running sum. Reading is not priced; ``MAX_TEXT``, ``MAX_DEPTH`` and
+CPython's digit limit bound it.
 """
 
 from __future__ import annotations
@@ -44,7 +31,7 @@ import re
 import sys
 from typing import Iterator, NamedTuple, Optional
 
-from .order import MonomialOrder, sorted_terms
+from .order import MonomialOrder
 from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _lowest, _multiply, _power, _square_and_multiply
 
 # A unit is about one product of two small ints into a packed term dict,
@@ -273,14 +260,14 @@ def format_polynomial(p: Polynomial, order: MonomialOrder) -> str:
     """
     if p.is_zero():
         return "0"
-    names = p.context.names
+    names, terms = p.context.names, p.terms
     chunks: list[str] = []
-    for i, term in enumerate(sorted_terms(p, order), 1):
-        c = term.coefficient
+    for i, monomial in enumerate(sorted(terms, key=order.key_function(), reverse=True), 1):
+        c = terms[monomial]
         magnitude = -c if c < 0 else c
         factors = [
             name if e == 1 else f"{name}^{_digits(e, f'exponent of {name}', i)}"
-            for name, e in zip(names, term.monomial)
+            for name, e in zip(names, monomial)
             if e > 0
         ]
         if magnitude != 1 or not factors:

@@ -1,28 +1,13 @@
 """Exact rational scalars and sparse multivariate polynomials.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``),
-canonical by construction: positive denominator, fully reduced, zero
-stored as 0/1. Polynomials are immutable sparse maps from exponent
-vectors to nonzero coefficients; the zero polynomial is the empty map.
-No term order is fixed here: values are order-agnostic, and any monomial
-order can be applied on demand without converting the value.
-
-A ``Polynomial`` holds one packed integer layout: a dict from each
-monomial, packed under lex (``order.Packing``) into one ``int``, to a
-nonzero integer numerator; one denominator, least (positive, and no
-prime divides it and every numerator), so the zero polynomial has
-denominator 1; a bound on the total degree of its terms; and the field
-width, guard bit included, whose fields hold that bound. ``terms`` is
-read off it when first asked for, in the dict's order.
-
-There is one arithmetic, on that layout; the operators and the parser
-both run it. A sum merges its summands over their least common
-denominator, term by term in order, and divides out one gcd. A product
-cancels each operand's content against the other's denominator, as
-``Fraction`` does, and is least again by Gauss's lemma; it lists the
-products of each left term in turn. A power squares and multiplies with
-no gcd. An operation whose degree bound outgrows its operands' fields
-repacks those operands into fields at least twice as wide.
+A ``Polynomial`` fixes no term order. It holds one packed integer
+layout: a dict from each monomial, packed under lex (``order.Packing``)
+into one ``int``, to a nonzero integer numerator; one denominator, least
+(positive, and no prime divides it and every numerator), so the zero
+polynomial has denominator 1; a bound on the total degree of its terms;
+and the field width, guard bit included, whose fields hold that bound.
+The operators and the parser run one arithmetic on that layout
+(``_add``, ``_multiply``, ``_power``).
 """
 
 from __future__ import annotations

@@ -552,6 +552,28 @@ class TestHeldForms:
         assert results[0] == results[1] == reference_divide(f, fresh, LEX)
         assert fresh[0]._form[0] is held[0]._form[0] is packing
 
+    @pytest.mark.parametrize("call", [
+        lambda gs, order: divide(gs[1] + 2, gs, order),
+        lambda gs, order: normal_form(gs[1] + 2, gs, order),
+        lambda gs, order: list(GroebnerBasis(gs, order, reduced=False)),
+        lambda gs, order: list(buchberger(gs, order)),
+        lambda gs, order: list(groebner_basis(gs, order)),
+    ], ids=["divide", "normal_form", "GroebnerBasis", "buchberger", "groebner_basis"])
+    @pytest.mark.parametrize("second", [LEX, GRLEX, GREVLEX], ids=lambda order: order.value)
+    @pytest.mark.parametrize("first", [LEX, GRLEX, GREVLEX], ids=lambda order: order.value)
+    def test_a_form_held_under_another_order_is_converted_again(self, first, second, call):
+        # Under lex a field holds one exponent, so a*b*...*h - 1 holds a
+        # form in fields too narrow for its total degree 8, which a graded
+        # order needs.
+        context = VariableContext(list("abcdefgh"))
+
+        def system():
+            return parse_system(["a*b*c*d*e*f*g*h - 1", "a - 2"], context)
+
+        held = system()
+        divide(parse_polynomial("a", context), held, first)
+        assert call(held, second) == call(system(), second)
+
     def test_a_polynomial_holding_a_form_is_the_same_value(self):
         g, fresh = _xy("2*x*y - 3/5"), _xy("2*x*y - 3/5")
         divide(_xy("x^2*y + 1"), [g], GREVLEX)

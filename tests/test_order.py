@@ -11,7 +11,6 @@ from groebnerkit.order import (
     LEX,
     MonomialOrder,
     leading_term,
-    sorted_terms,
 )
 from groebnerkit.ring import Monomial, Polynomial
 
@@ -72,11 +71,6 @@ class TestLeadingTerm:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError, match="leading term of zero polynomial"):
             leading_term(Polynomial.zero(CTX_XY), LEX)
-
-    def test_sorted_terms_descending(self):
-        p = self._p([((0, 0), 1), ((2, 0), 1), ((1, 1), 1)])
-        ms = [t.monomial for t in sorted_terms(p, GRLEX)]
-        assert ms == [Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 0))]
 
 
 class TestOrderProperties:

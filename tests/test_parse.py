@@ -361,8 +361,12 @@ class TestPackedEvaluation:
 
 class TestFormat:
     def test_canonical_print(self):
-        p = _p([((2, 0), 1), ((1, 1), 2), ((0, 2), 1)])
-        assert format_polynomial(p, GRLEX) == "x^2 + 2*x*y + y^2"
+        # Largest term first under the order, whatever order the terms came in.
+        for terms, text in [
+            ([((2, 0), 1), ((1, 1), 2), ((0, 2), 1)], "x^2 + 2*x*y + y^2"),
+            ([((0, 0), 1), ((2, 0), 1), ((1, 1), 1)], "x^2 + x*y + 1"),
+        ]:
+            assert format_polynomial(_p(terms), GRLEX) == text
 
     def test_zero(self):
         assert format_polynomial(Polynomial.zero(CTX_XY), GRLEX) == "0"

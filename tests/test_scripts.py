@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import sys
 import xml.etree.ElementTree as ET
@@ -8,6 +9,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SHOWCASE = ROOT / "scripts" / "render_showcase.py"
 LINE_COUNT = ROOT / "scripts" / "line_count.py"
+
+# The artifacts' sha256: a change meant to leave the output alone must
+# leave these bytes.
+SHOWCASE_SHA256 = {
+    "staircase.svg": "a7b2d65d7c3ab1e7cd69dd67146a63bba39e65211403e012ed14e024baba0a85",
+    "oscillator.svg": "8f42cb96b72541e3d168f2c754d822fd673f096648b6ca8e05d6814e224ad088",
+    "oscillator.csv": "d0b60b4f3fefc5d046f86d399d70c2366df1d91dc4c7c441a63a6a83ba8dc4fb",
+    "ik_sweep.csv": "9883ae4a5755854804ed95f2bb2d553ad970ad50e90e6c831a9e63ef9dba8d86",
+}
 
 
 def test_render_showcase_writes_all_artifacts(tmp_path, monkeypatch, capsys):
@@ -22,6 +32,8 @@ def test_render_showcase_writes_all_artifacts(tmp_path, monkeypatch, capsys):
     assert sweep[0] == "x,y,theta1,theta2,residual"
     assert len(sweep) == 1 + 2 * 9  # two elbow poses per waypoint
     assert capsys.readouterr().out.count("wrote ") == 4
+    for name, digest in SHOWCASE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_line_count_reports_each_module_and_the_totals(monkeypatch, capsys):
