@@ -42,6 +42,7 @@ only how much is converted.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -52,6 +53,7 @@ from .order import LEX, MonomialOrder, Packing
 from .ring import Polynomial, RingMismatchError, VariableContext, _lowest, _width
 
 
+@dataclass(frozen=True, init=False)
 class DivisionResult:
     """Quotients aligned with the divisor list, plus the remainder.
 
@@ -59,45 +61,42 @@ class DivisionResult:
     exact arithmetic, with no remainder term divisible by any divisor's
     leading term.
 
-    Immutable, and compared, hashed, printed and pickled by value.
-    ``divide`` passes, in place of the quotients, a function that builds
-    them from its recorded steps on the first read of ``quotients``; two
-    threads may both build them, and they build equal tuples.
+    A frozen dataclass of its two fields, compared, hashed, printed and
+    pickled by value. ``divide``'s result builds its quotients from the
+    recorded steps when ``quotients`` is first read; two threads may both
+    build them, and they build equal tuples.
     """
 
-    __slots__ = ("remainder", "_quotients")
+    __slots__ = ("quotients", "remainder", "_build")
 
-    def __init__(self, quotients: Iterable[Polynomial] | Callable[[], tuple], remainder: Polynomial):
-        object.__setattr__(self, "remainder", remainder)
-        object.__setattr__(self, "_quotients", quotients if callable(quotients) else tuple(quotients))
+    quotients: tuple[Polynomial, ...]
+    remainder: Polynomial
 
-    @property
-    def quotients(self) -> tuple[Polynomial, ...]:
-        quotients = self._quotients
-        if callable(quotients):
-            quotients = quotients()
-            object.__setattr__(self, "_quotients", quotients)
+    def __init__(self, quotients: Iterable[Polynomial], remainder: Polynomial):
+        _set(self, quotients=tuple(quotients), remainder=remainder)
+
+    @classmethod
+    def _of_steps(cls, build: Callable[[], tuple[Polynomial, ...]], remainder: Polynomial) -> DivisionResult:
+        result = object.__new__(cls)
+        _set(result, remainder=remainder, _build=build)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot not set: divide's quotients before their
+        # first read.
+        if name != "quotients":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        quotients = self._build()
+        _set(self, quotients=quotients)
         return quotients
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return DivisionResult, (self.quotients, self.remainder)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DivisionResult):
-            return NotImplemented
-        return self.remainder == other.remainder and self.quotients == other.quotients
 
-    def __hash__(self) -> int:
-        return hash((self.quotients, self.remainder))
-
-    def __repr__(self) -> str:
-        return f"DivisionResult(quotients={self.quotients!r}, remainder={self.remainder!r})"
+def _set(obj: object, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def divide(
@@ -167,8 +166,7 @@ def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     sign = 1 if g[-1] > 0 else -1
     tail = [(k, sign * c) for k, c in enumerate(g[:-1]) if c]
     form = _Form(degree, degree, sign * g[-1], tail, sign, 1, degree)
-    # Room for twice the largest degree, and the guard bit: no overflow.
-    packing = LEX.packing(1, max(len(f) - 1, degree).bit_length() + 2)
+    packing = LEX.packing(1, _room(max(len(f) - 1, degree)))
     steps: list[tuple[int, int, int, int]] = []
     records = _reduce({k: c for k, c in enumerate(f) if c}, [form], degree, packing, steps)
     # In one variable a term moves to the remainder only once the lead is
@@ -202,9 +200,8 @@ def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tupl
     # A graded field is a total degree; a lex field one exponent.
     graded = order is not LEX
     degree = max(degree, *(h[1].degree if h else _degree(g, graded) for g, h in zip(divisors, held)))
-    # Room for twice the largest input degree, and the guard bit; wider
-    # fields of this order, which a divisor holds, divide as well.
-    width = max([degree.bit_length() + 2, *(h[0].width for h in held if h)])
+    # Wider fields of this order, which a divisor holds, divide as well.
+    width = max([_room(degree), *(h[0].width for h in held if h)])
     packing = order.packing(len(divisors[0].context), width)
     forms = []
     for g, h in zip(divisors, held):
@@ -232,6 +229,12 @@ def _degree(g: Polynomial, graded: bool) -> int:
     largest exponent."""
     packing = LEX.packing(len(g.context), g._width)
     return max(map(packing.degree if graded else packing.largest, g._numerators), default=0)
+
+
+def _room(degree: int) -> int:
+    """The field width with room for twice degree, and the guard bit: no
+    product of two terms whose fields are at most degree overflows it."""
+    return degree.bit_length() + 2
 
 
 def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int]:
@@ -451,4 +454,4 @@ def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: 
 
     # A remainder term (n / d) * c / A, over d * top.
     remainder = _built(context, packing, {lm: n * c * (top // scale) for _, lm, c, scale in records}, d * top)
-    return DivisionResult(quotients, remainder)
+    return DivisionResult._of_steps(quotients, remainder)

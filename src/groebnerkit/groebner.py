@@ -47,7 +47,7 @@ from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
-from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _widened, divide
+from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _room, _set, _widened, divide
 from .order import MonomialOrder, leading_term
 from .ring import Polynomial, RingMismatchError, _merge
 
@@ -123,11 +123,6 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _set(obj: object, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
 def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomial:
     """(L/LT(p))*p - (L/LT(q))*q with L = lcm(LM(p), LM(q)).
 
@@ -168,7 +163,8 @@ def buchberger(
     ValueError, so a runaway computation fails cleanly instead of
     looping without bound.
 
-    Given a dict as stats, completion adds its work to it:
+    Given a dict as stats, completion adds its work to it as it goes, so
+    when it raises the record holds the counts so far:
 
     - ``pairs_formed``, the J-pairs formed. Each is either pruned, by a
       syzygy (``pruned_syzygy``) or by a member that covers it
@@ -189,14 +185,17 @@ def buchberger(
     if not inputs:
         raise ValueError("empty generating set")
 
-    counts = dict.fromkeys(_STATS, 0)
     # The raw basis's forms, and a bound on every field of their terms:
     # fields wide enough for twice the bound hold every S-polynomial. They
     # start as the inputs' bound asks, whatever forms the inputs hold, so
     # the widenings depend on the inputs alone.
     packing, forms = _gate(inputs, order)
+    counts = {} if stats is None else stats
+    for name in _STATS:
+        counts.setdefault(name, 0)
+    counts["basis_high_water"] = max(counts["basis_high_water"], len(forms))
     degree = max(form.degree for form in forms)
-    packing, forms = _widened(packing, forms, degree.bit_length() + 2)
+    packing, forms = _widened(packing, forms, _room(degree))
     # Member n is the form members[n] = forms[place[n]], of signature
     # t * e_i with i = index[n]: sigs[n] is t * LM(e_i's member) packed, and
     # excess[n] its order key less the key of the member's own lead.
@@ -229,10 +228,11 @@ def buchberger(
         """Append a new member's form to the raw basis; its place there."""
         nonlocal degree
         forms.append(form)
+        counts["new_members"] += 1
+        counts["basis_high_water"] = max(counts["basis_high_water"], len(forms))
         if len(forms) > MAX_BASIS_SIZE:
             raise ValueError(f"basis size exceeded the cap of {MAX_BASIS_SIZE} elements")
         degree = max(degree, form.degree)
-        counts["new_members"] += 1
         return len(forms) - 1
 
     def add(k: int, sig: int, e: int, i: int) -> None:
@@ -247,7 +247,7 @@ def buchberger(
         index.append(i)
         by_index[i].append(new)
         bound = max(bound, packing.largest(sig))
-        while max(degree, bound).bit_length() + 2 > packing.width:
+        while _room(max(degree, bound)) > packing.width:
             widen()
         lcm, key, guards = packing.lcm, packing.key, packing.guards
         sig, e, t = sigs[new], excess[new], members[new].lead
@@ -336,17 +336,13 @@ def buchberger(
             continue
         add(enter(form), sig, k_sig - form.key, i)
 
-    if stats is not None:
-        for name, n in counts.items():
-            stats[name] = stats.get(name, 0) + n
-        stats["basis_high_water"] = max(stats.get("basis_high_water", 0), len(forms))
     given = inputs + [None] * (len(forms) - len(inputs))
     return GroebnerBasis._of_forms(packing, tuple(forms), given, inputs[0].context, order, reduced=False)
 
 
-# The counters buchberger adds to a stats record.
+# The counters buchberger keeps in a stats record.
 _STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
-          "new_members", "zero_reductions", "discarded_singular", "widenings")
+          "new_members", "zero_reductions", "discarded_singular", "widenings", "basis_high_water")
 
 
 def _divisible(sig: int, known: list[int], guards: int) -> bool:

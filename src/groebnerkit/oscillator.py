@@ -57,12 +57,6 @@ class OscillatorSolution:
     c2: float
 
 
-class Evaluation(NamedTuple):
-    y: float
-    env_hi: float
-    env_lo: float
-
-
 class Sample(NamedTuple):
     t: float
     y: float
@@ -138,11 +132,11 @@ def _sqrt(q: Fraction) -> float:
         return math.inf
 
 
-def evaluate(sol: OscillatorSolution, t: float) -> Evaluation:
-    """Displacement and both envelope values at time t."""
+def evaluate(sol: OscillatorSolution, t: float) -> Sample:
+    """Time t, with the displacement and both envelope values at it."""
     envelope = sol.amplitude * math.exp(sol.beta * t)
     y = envelope * math.sin(sol.omega * t + sol.phase)
-    return Evaluation(y=y, env_hi=envelope, env_lo=-envelope)
+    return Sample(t=t, y=y, env_hi=envelope, env_lo=-envelope)
 
 
 def sample(sol: OscillatorSolution, t_end: float, n: int) -> list[Sample]:
@@ -151,8 +145,4 @@ def sample(sol: OscillatorSolution, t_end: float, n: int) -> list[Sample]:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
-    rows = []
-    for j in range(n):
-        t = t_end * j / (n - 1)
-        rows.append(Sample(t, *evaluate(sol, t)))
-    return rows
+    return [evaluate(sol, t_end * j / (n - 1)) for j in range(n)]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -116,6 +117,20 @@ class TestDivisionResult:
     def test_quotients_are_built_once(self):
         result = self._divided()
         assert result.quotients is result.quotients
+
+    def test_dataclass_fields_and_replace(self):
+        result = self._divided()
+        assert dataclasses.is_dataclass(result)
+        assert [f.name for f in dataclasses.fields(result)] == ["quotients", "remainder"]
+        # divide builds the quotients on their first read; replace reads
+        # them and goes through the constructor.
+        with pytest.raises(AttributeError):
+            object.__getattribute__(result, "quotients")
+        other = dataclasses.replace(result, remainder=_xy("1"))
+        assert other == DivisionResult((_xy("x + y"), _xy("1")), _xy("1"))
+        assert object.__getattribute__(result, "quotients") == other.quotients
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.remainder = _xy("1")
 
 
 def widths_tried(monkeypatch) -> list[int]:

@@ -197,6 +197,21 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="exceeded the cap of 4 elements"):
             buchberger(gens, GRLEX)
 
+    @pytest.mark.parametrize("cap", [5, 8])
+    def test_stats_hold_the_counts_so_far_when_the_cap_is_passed(self, monkeypatch, cap):
+        # Cyclic-4 under grevlex: two of its 4 inputs reduce to new members,
+        # and S-pairs add more. The member that passes the cap is counted
+        # before completion raises.
+        monkeypatch.setattr(groebner, "MAX_BASIS_SIZE", cap)
+        stats = {}
+        with pytest.raises(ValueError, match=f"exceeded the cap of {cap} elements"):
+            buchberger(parse_system(CYCLIC4, CTX_ABCD), GREVLEX, stats)
+        assert list(stats) == list(groebner._STATS)
+        assert stats["basis_high_water"] == cap + 1 and stats["new_members"] == cap - 3
+        assert stats["pairs_formed"] >= stats["pruned_syzygy"] + stats["pruned_cover"] + stats["s_pairs_reduced"]
+        assert stats["s_pairs_reduced"] + stats["inputs_reduced"] == (
+            stats["new_members"] + stats["zero_reductions"] + stats["discarded_singular"])
+
     def test_inputs_contained_in_output(self):
         gens = [_xy("x^2 + y"), _xy("x*y - 1")]
         basis = buchberger(gens, GREVLEX)
