@@ -35,9 +35,18 @@ A call divides in the widest packing of this order that a divisor holds,
 when that is wide enough, else in the fields the degrees ask for; it
 converts only the divisors that hold no form in that packing, a form
 held under another order counting as none, and stores each result on
-its divisor. The slot is replaced whole by one
-assignment, so a thread reads one consistent pair; it changes no result,
-only how much is converted.
+its divisor. A dividend keeps its last division in its ``_division``
+slot: the tuple of the divisors' forms it divided by, after any
+widening, and the result. A call whose divisors' forms, as ``_held``
+returns them, are those very objects in that order returns the kept
+result and runs no kernel. A form is immutable and belongs to one order
+and one packing, so another order or list, a permuted or copied one, or
+a divisor converted or widened in between gives other objects; holding
+the forms, not their ids, keeps an id from being reused. The dividend
+keeps the result, its steps and those forms alive while it lives. Each
+slot is replaced whole by one assignment, so a thread reads one
+consistent pair; neither changes a result, only how much is converted
+and divided.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import or_
+from operator import is_, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
@@ -111,10 +120,14 @@ def divide(
             raise ValueError("zero divisor")
 
     packing, degree, forms = _held(divisors, order, _degree(f, order is not LEX))
+    last = f._division  # the slot read once
+    if last and len(last[0]) == len(forms) and all(map(is_, last[0], forms)):
+        return last[1]
     while (result := _divide_packed(f, forms, degree, packing)) is None:
         packing, forms = _widened(packing, forms)
         for g, form in zip(divisors, forms):
             g._form = (packing, form)
+    f._division = (tuple(forms), result)
     return result
 
 

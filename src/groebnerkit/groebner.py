@@ -146,6 +146,8 @@ def normal_form(
 
     No term of the result is divisible by any basis leading term; the
     result is zero exactly when f reduces to zero against the list.
+    Repeating a division of the same polynomial by the same list returns
+    the first result (``division``).
     """
     return divide(f, list(basis), order).remainder
 

@@ -22,7 +22,8 @@ def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:
     """Whether f lies in the ideal the basis generates.
 
     Sound and complete because the basis is a Groebner basis: membership
-    is exactly a zero normal form.
+    is exactly a zero normal form. Repeating a division of the same
+    polynomial by the same list returns the first result (``division``).
     """
     return normal_form(f, list(basis.generators), basis.order).is_zero()
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .order import MonomialOrder
 from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _lowest, _multiply, _power, _square_and_multiply
@@ -60,11 +60,9 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "name" | one of "+-*/^()" | "end"
-    text: str
-    position: int  # 1-based column of the first character
-
+# A token is (kind, text, position): kind "int", "name", one of "+-*/^()"
+# or "end", and position the 1-based column of its first character.
+_Token = tuple[str, str, int]
 
 # Whitespace matches no alternative, so finditer skips it.
 _TOKEN = re.compile(rf"(?P<int>\d+)|(?P<name>{NAME.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S)")
@@ -76,8 +74,8 @@ def _tokenize(text: str) -> list[_Token]:
         kind, lexeme, position = match.lastgroup, match.group(), match.start() + 1
         if kind == "bad":
             raise ParseError(f"unexpected character {lexeme!r}", position)
-        tokens.append(_Token(lexeme if kind == "op" else kind, lexeme, position))
-    tokens.append(_Token("end", "", len(text) + 1))
+        tokens.append((lexeme if kind == "op" else kind, lexeme, position))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
@@ -90,8 +88,8 @@ class _Parser:
         self.depth = 0
         self.variables: dict[str, Polynomial] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -99,38 +97,38 @@ class _Parser:
         return tok
 
     def fail(self, message: str) -> None:
-        tok = self.peek()
-        if tok.kind == "end":
-            raise ParseError(f"{message}, found end of input", tok.position)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.position)
+        kind, text, position = self.tokens[self.pos]
+        if kind == "end":
+            raise ParseError(f"{message}, found end of input", position)
+        raise ParseError(f"{message}, found {text!r}", position)
 
     def charge(self, count: int, bits: int, tok: _Token) -> None:
         """Add count coefficient operations at up to bits bits to the work."""
         self.work += count * (1 + (bits >> 11) ** 2)
         if self.work > MAX_WORK:
-            raise ValueError(f"expression would cost more than {MAX_WORK} units of work (position {tok.position})")
+            raise ValueError(f"expression would cost more than {MAX_WORK} units of work (position {tok[2]})")
 
     def expr(self) -> Polynomial:
-        negate = self.peek().kind == "-"
+        negate = self.kind() == "-"
         if negate:
-            self.advance()
+            self.pos += 1
         value, bound = self.term()
-        if self.peek().kind not in ("+", "-"):
+        if self.kind() not in ("+", "-"):
             return -value if negate else value
         bound = bound or _measure(value)
         summands = [(value, negate)]
-        while self.peek().kind in ("+", "-"):
+        while self.kind() in ("+", "-"):
             sign = self.advance()
             rhs, rhs_bound = self.term()
             bound = _sum_bound(bound, rhs_bound or _measure(rhs))
             self.charge(len(rhs._numerators), _bits(*bound), sign)
-            summands.append((rhs, sign.kind == "-"))
+            summands.append((rhs, sign[0] == "-"))
         return _add(summands)
 
     def term(self) -> tuple[Polynomial, Optional[tuple[int, int]]]:
         """A product, and the bound of its coefficients if it has two factors or more."""
         value, bound = self.factor(), None
-        while self.peek().kind == "*":
+        while self.kind() == "*":
             star = self.advance()
             rhs = self.factor()
             total, scale = bound or _measure(value)
@@ -138,20 +136,20 @@ class _Parser:
             bound = total * rhs_total, scale * rhs_scale
             self.charge(len(value._numerators) * len(rhs._numerators), _bits(*bound), star)
             value = _multiply(value, rhs)
-        if self.peek().kind == "/":
-            raise ParseError("division is only allowed between integer literals", self.peek().position)
+        if self.kind() == "/":
+            raise ParseError("division is only allowed between integer literals", self.tokens[self.pos][2])
         return value, bound
 
     def factor(self) -> Polynomial:
         base = self.base()
-        if self.peek().kind == "^":
+        if self.kind() == "^":
             caret = self.advance()
-            tok = self.peek()
-            if tok.kind == "-":
-                raise ParseError("negative exponent not allowed", tok.position)
-            if tok.kind != "int":
+            tok = self.tokens[self.pos]
+            if tok[0] == "-":
+                raise ParseError("negative exponent not allowed", tok[2])
+            if tok[0] != "int":
                 self.fail("expected a nonnegative integer exponent")
-            self.advance()
+            self.pos += 1
             e, bits = _integer(tok), _bits(*_measure(base))
             for pairs, k in _power_steps(max(len(base._numerators), 1), e):
                 self.charge(pairs, k * bits, caret)
@@ -159,37 +157,39 @@ class _Parser:
         return base
 
     def base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "int":
+            self.pos += 1
             numerator, denominator = _integer(tok), 1
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    raise ParseError("divisor must be an integer literal", den_tok.position)
-                self.advance()
+            if self.kind() == "/":
+                self.pos += 1
+                den_tok = self.tokens[self.pos]
+                if den_tok[0] != "int":
+                    raise ParseError("divisor must be an integer literal", den_tok[2])
+                self.pos += 1
                 denominator = _integer(den_tok)
                 if denominator == 0:
-                    raise ParseError("zero denominator", den_tok.position)
+                    raise ParseError("zero denominator", den_tok[2])
             return _lowest(self.ctx, {0: numerator} if numerator else {}, denominator, 0, START_WIDTH)
-        if tok.kind == "name":
-            self.advance()
-            value = self.variables.get(tok.text)
+        if kind == "name":
+            self.pos += 1
+            name = tok[1]
+            value = self.variables.get(name)
             if value is None:
-                if tok.text not in self.ctx.names:
-                    raise ParseError(f"unknown variable {tok.text!r}", tok.position)
-                value = self.variables[tok.text] = Polynomial.variable(self.ctx, tok.text)
+                if name not in self.ctx.names:
+                    raise ParseError(f"unknown variable {name!r}", tok[2])
+                value = self.variables[name] = Polynomial.variable(self.ctx, name)
             return value
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.pos += 1
             self.depth += 1
             if self.depth > MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok.position)
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok[2])
             value = self.expr()
-            if self.peek().kind != ")":
+            if self.kind() != ")":
                 self.fail("expected ')'")
-            self.advance()
+            self.pos += 1
             self.depth -= 1
             return value
         self.fail("expected a number, variable, or '('")
@@ -198,10 +198,10 @@ class _Parser:
 
 def _integer(tok: _Token) -> int:
     try:
-        return int(tok.text)
+        return int(tok[1])
     except ValueError:  # the token is all digits: only CPython's digit limit
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"integer literal longer than {limit} digits (position {tok.position})") from None
+        raise ValueError(f"integer literal longer than {limit} digits (position {tok[2]})") from None
 
 
 def _measure(value: Polynomial) -> tuple[int, int]:
@@ -241,7 +241,7 @@ def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
         raise ValueError(f"expression of {len(text)} characters is longer than the limit of {MAX_TEXT}")
     parser = _Parser(_tokenize(text), ctx)
     value = parser.expr()
-    if parser.peek().kind != "end":
+    if parser.kind() != "end":
         parser.fail("unexpected trailing input")
     return value
 

@@ -220,11 +220,15 @@ class Polynomial:
 
     ``_form`` holds ``(packing, form)``, the division kernel's integer
     form of the polynomial from its last conversion, or from the kernel
-    build that made it, else None (see ``division``). Equality, hashing,
-    printing, pickling and copying never read it.
+    build that made it, else None (see ``division``). ``_division``
+    holds ``(forms, result)``, its last division as a dividend, keyed on
+    the identity of the divisors' forms it was divided by, else None; it
+    keeps the result, its recorded steps and those forms alive while the
+    polynomial lives. Each slot is replaced whole by one assignment.
+    Equality, hashing, printing, pickling and copying never read either.
     """
 
-    __slots__ = ("context", "_numerators", "_den", "_degree", "_width", "_terms", "_form")
+    __slots__ = ("context", "_numerators", "_den", "_degree", "_width", "_terms", "_form", "_division")
 
     def __init__(
         self,
@@ -253,7 +257,7 @@ class Polynomial:
         self.context = context
         self._numerators = {pack(m): c.numerator * (den // c.denominator) for m, c in merged.items()}
         self._den, self._degree, self._width = den, degree, width
-        self._terms, self._form = merged, None
+        self._terms, self._form, self._division = merged, None, None
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -363,7 +367,7 @@ def _new(context: VariableContext, numerators: dict, den: int, degree: int, widt
     """The Polynomial of a packed layout that meets the invariants."""
     p = object.__new__(Polynomial)
     p.context, p._numerators, p._den, p._degree, p._width = context, numerators, den, degree, width
-    p._terms = p._form = None
+    p._terms = p._form = p._division = None
     return p
 
 

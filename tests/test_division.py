@@ -22,6 +22,7 @@ from groebnerkit.groebner import (
     reduce_basis,
     s_polynomial,
 )
+from groebnerkit.ideal import is_member
 from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
 from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Polynomial, RingMismatchError, VariableContext
@@ -590,13 +591,19 @@ class TestHeldForms:
         assert call(held, second) == call(system(), second)
 
     def test_a_polynomial_holding_a_form_is_the_same_value(self):
-        g, fresh = _xy("2*x*y - 3/5"), _xy("2*x*y - 3/5")
-        divide(_xy("x^2*y + 1"), [g], GREVLEX)
-        assert g._form is not None and fresh._form is None
-        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-        copies = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for twin in [*copies, copy.copy(g), copy.deepcopy(g)]:
-            assert twin == g and hash(twin) == hash(g) and twin._form is None
+        # g holds a form as a divisor, f a division as a dividend.
+        g, f = _xy("2*x*y - 3/5"), _xy("x^2*y + 1")
+        divide(f, [g], GREVLEX)
+        assert g._form is not None and f._division is not None
+        for held, fresh in [(g, _xy("2*x*y - 3/5")), (f, _xy("x^2*y + 1"))]:
+            assert fresh._form is None and fresh._division is None
+            assert held == fresh and hash(held) == hash(fresh) and repr(held) == repr(fresh)
+            copies = [pickle.loads(pickle.dumps(held, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            assert all(pickle.dumps(held, protocol) == pickle.dumps(fresh, protocol)
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+            for twin in [*copies, copy.copy(held), copy.deepcopy(held)]:
+                assert twin == held and hash(twin) == hash(held) and repr(twin) == repr(held)
+                assert twin._form is None and twin._division is None
 
     def test_bases_and_results_of_held_forms_pickle_by_value(self):
         basis = groebner_basis(parse_system(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], CTX_XY), GRLEX)
@@ -671,6 +678,81 @@ class TestWidening:
         expected = reference_reduce_basis(GroebnerBasis(basis[:2], LEX, reduced=False))
         assert [as_items(g) for g in reduced] == [as_items(g) for g in expected]
         assert s_pairs_vanish(list(raw), LEX)
+
+
+class TestDividendMemo:
+    """A dividend keeps its last division, keyed on the identity of the
+    divisors' forms: the same polynomial divided by the same list again
+    runs no kernel, and anything else runs it."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        packed = division._divide_packed
+
+        def spy(f, forms, degree, packing):
+            runs.append(f)
+            return packed(f, forms, degree, packing)
+
+        monkeypatch.setattr(division, "_divide_packed", spy)
+        return runs
+
+    def test_a_query_divides_once(self, runs):
+        basis = groebner_basis(parse_system(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], CTX_XY), GREVLEX)
+        divisors = list(basis.generators)
+        f = _xy("x^3*y^2 - 4/9*x*y + 11")
+        member = is_member(f, basis)
+        remainder = normal_form(f, divisors, basis.order)
+        result = divide(f, divisors, basis.order)
+        assert runs == [f]
+        expected = divide(copy.copy(f), divisors, basis.order)
+        assert len(runs) == 2
+        assert result == expected == reference_divide(f, divisors, GREVLEX)
+        assert remainder == expected.remainder and member == expected.remainder.is_zero()
+
+    def test_another_list_or_order_divides_again(self, runs):
+        g1, g2 = _xy("2*x*y - 3/5"), _xy("-7/3*y^2 + x")
+        f = _xy("x^3*y^2 - 4/9*x*y + 11")
+        calls = [
+            ([g1, g2], GREVLEX, 1),
+            ([g1, g2], GREVLEX, 0),  # the same list again
+            ([g2, g1], GREVLEX, 1),  # permuted
+            ([g1, g2], GREVLEX, 1),  # the first list, after the permuted one
+            ([g1, g2], LEX, 1),  # another order
+            ([g1, g2], GREVLEX, 1),  # back, with the forms converted again
+            ([copy.copy(g1), copy.copy(g2)], GREVLEX, 1),  # equal fresh copies
+            ([g1], GREVLEX, 1),  # a shorter list of the same forms
+        ]
+        for divisors, order, kernel_runs in calls:
+            runs.clear()
+            assert divide(f, divisors, order) == reference_divide(f, divisors, order)
+            assert len(runs) == kernel_runs, (divisors, order)
+
+    @settings(max_examples=10, deadline=None)
+    @given(chain_systems())
+    def test_a_widening_in_between_divides_again(self, system):
+        # Copies hold no form, so no example starts in fields another widened.
+        divisors, f = [copy.copy(g) for g in system[0]], system[1]
+        z = parse_polynomial("z", CTX_XYZ)  # no lead divides z, so it never widens
+        runs = []
+        packed = division._divide_packed
+
+        def spy(*args):
+            runs.append(args[0])
+            return packed(*args)
+
+        with mock.patch.object(division, "_divide_packed", spy):
+            divide(z, divisors, LEX)
+            assert runs == [z]
+            # f's division outgrows the fields and widens the list's forms,
+            # and keeps the widened ones.
+            result = divide(f, divisors, LEX)
+            assert len(runs) > 2 and runs[1:] == [f] * (len(runs) - 1)
+            del runs[:]
+            assert divide(f, divisors, LEX) is result and runs == []
+            assert divide(z, divisors, LEX) == reference_divide(z, divisors, LEX)
+            assert runs == [z]
+        assert result == reference_divide(f, divisors, LEX)
 
 
 def _in_t(coefficients: list) -> Polynomial:
