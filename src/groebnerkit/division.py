@@ -37,9 +37,10 @@ converts only the divisors that hold no form in that packing, a form
 held under another order counting as none, and stores each result on
 its divisor. A dividend keeps its last division in its ``_division``
 slot: the tuple of the divisors' forms it divided by, after any
-widening, and the result. A call whose divisors' forms, as ``_held``
-returns them, are those very objects in that order returns the kept
-result and runs no kernel. A form is immutable and belongs to one order
+widening, and the result. A call whose divisors hold, under its order,
+those very objects in that order returns the kept result first, before
+it reads the dividend's terms or runs the kernel: ``_held`` would return
+the forms the divisors hold. A form is immutable and belongs to one order
 and one packing, so another order or list, a permuted or copied one, or
 a divisor converted or widened in between gives other objects; holding
 the forms, not their ids, keeps an id from being reused. The dividend
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import is_, or_
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
@@ -119,10 +120,12 @@ def divide(
         if g.is_zero():
             raise ValueError("zero divisor")
 
-    packing, degree, forms = _held(divisors, order, _degree(f, order is not LEX))
     last = f._division  # the slot read once
-    if last and len(last[0]) == len(forms) and all(map(is_, last[0], forms)):
-        return last[1]
+    if last and len(last[0]) == len(divisors):
+        held = [g._form for g in divisors]
+        if all(h and h[0].order is order and h[1] is form for h, form in zip(held, last[0])):
+            return last[1]
+    packing, degree, forms = _held(divisors, order, _degree(f, order is not LEX))
     while (result := _divide_packed(f, forms, degree, packing)) is None:
         packing, forms = _widened(packing, forms)
         for g, form in zip(divisors, forms):

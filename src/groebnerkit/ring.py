@@ -371,9 +371,11 @@ def _new(context: VariableContext, numerators: dict, den: int, degree: int, widt
     return p
 
 
-def _lowest(context: VariableContext, numerators: dict, den: int, degree: int, width: int) -> Polynomial:
-    """numerators / den, divided by the gcd of den and every numerator."""
-    g = gcd(den, *numerators.values()) if den > 1 else 1
+def _lowest(context: VariableContext, numerators: dict, den: int, degree: int, width: int, met: int = 0) -> Polynomial:
+    """numerators / den, divided by the gcd of den and every numerator:
+    of met and every numerator, when met is given (``_common``)."""
+    met = met or den
+    g = gcd(met, *numerators.values()) if met > 1 else 1
     if g > 1:
         numerators, den = {m: c // g for m, c in numerators.items()}, den // g
     return _new(context, numerators, den, degree, width)
@@ -398,16 +400,34 @@ def _widen(p: Polynomial, width: int) -> Polynomial:
     return _new(p.context, {repack(m, wider): c for m, c in p._numerators.items()}, p._den, p._degree, width)
 
 
+def _common(dens: list[int]) -> tuple[int, int]:
+    """The lcm of dens, and the lcm of the gcds its running value met.
+
+    Over the lcm, a sum of least summands of these denominators has
+    numerators whose gcd with the lcm divides the second (Henrici): where
+    one denominator alone holds a prime's highest power, a numerator of its
+    summand leaves the sum prime to it, and a highest power two hold is a
+    gcd met. So pairwise coprime denominators take no numerator gcd."""
+    den = met = 1
+    for d in dens:
+        if d > 1:
+            g = gcd(den, d)
+            den = den // g * d
+            if g > 1:
+                met = lcm(met, g)
+    return den, met
+
+
 def _add(summands: list[tuple[Polynomial, bool]]) -> Polynomial:
     """The sum of (polynomial, negated) pairs, over the least common
-    denominator, then divided by its one gcd with every numerator."""
-    den = lcm(*[p._den for p, _ in summands])
+    denominator, then divided by its gcd with every numerator (``_common``)."""
+    den, met = _common([p._den for p, _ in summands])
     width = max([p._width for p, _ in summands])
     terms: dict = {}
     for p, negated in summands:
         scale = -(den // p._den) if negated else den // p._den
         _merge(terms, [(m, c * scale) for m, c in _widen(p, width)._numerators.items()])
-    return _lowest(summands[0][0].context, terms, den, max([p._degree for p, _ in summands]), width)
+    return _lowest(summands[0][0].context, terms, den, max([p._degree for p, _ in summands]), width, met)
 
 
 def _multiply(a: Polynomial, b: Polynomial) -> Polynomial:

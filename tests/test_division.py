@@ -710,6 +710,24 @@ class TestDividendMemo:
         assert result == expected == reference_divide(f, divisors, GREVLEX)
         assert remainder == expected.remainder and member == expected.remainder.is_zero()
 
+    def test_a_kept_division_reads_no_term(self, runs, monkeypatch):
+        basis = groebner_basis(parse_system(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], CTX_XY), GREVLEX)
+        f = _xy("x^3*y^2 - 4/9*x*y + 11")
+        scans = []
+        degree = division._degree
+
+        def spy(g, graded):
+            scans.append(g)
+            return degree(g, graded)
+
+        monkeypatch.setattr(division, "_degree", spy)
+        member = is_member(f, basis)
+        assert any(g is f for g in scans) and runs == [f]
+        del scans[:]
+        remainder = normal_form(f, list(basis.generators), basis.order)
+        assert scans == [] and runs == [f]
+        assert member == remainder.is_zero()
+
     def test_another_list_or_order_divides_again(self, runs):
         g1, g2 = _xy("2*x*y - 3/5"), _xy("-7/3*y^2 + x")
         f = _xy("x^3*y^2 - 4/9*x*y + 11")

@@ -4,9 +4,10 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groebnerkit import parse, ring
@@ -14,6 +15,7 @@ from groebnerkit.order import GRLEX, LEX
 from groebnerkit.parse import ParseError, format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import NAME, Monomial, Polynomial, VariableContext
 
+import reference_parse
 from reference_ring import ReferencePolynomial
 from strategies import CTX_XY, CTX_XYZ, orders, polynomials
 
@@ -357,6 +359,122 @@ class TestPackedEvaluation:
     def test_one_term_result_is_a_reduced_fraction(self):
         got = parse_polynomial("(6/4)^3*x + 0*y", CTX_XY).terms[(1, 0)]
         assert (got.numerator, got.denominator) == (27, 8) and type(got) is Fraction
+
+
+# Texts of the grammar, flat and nested, with operands that put the flat
+# loop on each side of its limits: zero literals, 0^0 and x^0, literals and
+# powers past 2048 bits, degrees past the fields of START_WIDTH bits, an
+# unknown name, a zero denominator, a literal past CPython's digit limit.
+_LONG = [str(2**2047), str(2**2048 + 1), str(3**2600), "7" * 4301]
+_OPERANDS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 4)),
+    st.sampled_from("xyz"),
+)
+_RARE_OPERANDS = st.sampled_from(["w", "0", "3/0", *_LONG])
+_EXPONENTS = st.one_of(st.none(), st.integers(0, 4))
+_RARE_EXPONENTS = st.sampled_from([127, 128, 255, 256, 1023, 1024, 2047, 2048, 2**16, "\u0663", "-2"])
+
+
+@st.composite
+def _grammar_texts(draw, depth):
+    """An expr whose factors are operands, or up to depth levels of
+    parenthesized exprs, each perhaps raised to a power; one operand or
+    exponent in eight or so is one of the rare ones."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and not draw(st.integers(0, 3)):
+                base, e = f"({draw(_grammar_texts(depth - 1))})", draw(st.none() | st.integers(0, 3))
+            else:
+                base = draw(_OPERANDS if draw(st.integers(0, 15)) else _RARE_OPERANDS)
+                e = draw(_EXPONENTS if draw(st.integers(0, 7)) else _RARE_EXPONENTS)
+            factors.append(base if e is None else f"{base}^{e}")
+        terms.append("*".join(factors))
+    signs = [draw(st.sampled_from("+-")) for _ in terms[1:]]
+    head = "-" if draw(st.booleans()) else ""
+    return head + terms[0] + "".join(f" {sign} {t}" for sign, t in zip(signs, terms[1:]))
+
+
+_GRAMMAR_TEXTS = _grammar_texts(0) | _grammar_texts(2)
+
+
+@st.composite
+def _corrupted(draw, texts):
+    """A text with a piece put in, a character taken out, or its tail cut."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            piece = draw(st.sampled_from(["(", ")", "$", "/0", "^-2", "/4", "w", "^\u0663", "^", "*", "+", " ", "x", "\u00b2"]))
+            text = text[:k] + piece + text[k:]
+        elif edit == "delete":
+            text = text[:k] + text[k + 1 :]
+        else:
+            text = text[:k]
+    return text
+
+
+def _outcome(read, text):
+    """read(text), or the class, message and position of what it raised."""
+    try:
+        return read(text)
+    except ValueError as err:  # ParseError is one
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def _layout(p):
+    return list(p._numerators.items()), p._den, p._degree, p._width
+
+
+class TestAgainstReference:
+    """The flat loop and the descent read every text as the parser before
+    the flat loop: the same packed value, or the same error, and under any
+    budget the same acceptance and the same refusal."""
+
+    @staticmethod
+    def _both(text, budget):
+        with mock.patch.object(parse, "MAX_WORK", budget), mock.patch.object(reference_parse, "MAX_WORK", budget):
+            want = _outcome(lambda t: reference_parse.parse_polynomial(t, CTX_XYZ), text)
+            got = _outcome(lambda t: parse_polynomial(t, CTX_XYZ), text)
+        if isinstance(want[0], Polynomial):
+            assert isinstance(got, Polynomial), (text, got)
+            assert _layout(got) == _layout(want[0]), text
+            return want[1]
+        assert got == want, text
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GRAMMAR_TEXTS | _corrupted(_GRAMMAR_TEXTS))
+    @example("x^\u0663 + 0^0 - x^0*0")
+    @example("2^3/4")
+    @example("3/0 + x")
+    @example(f"{2**4096}*x + y")
+    # each side of a unit: a product, a sum, a power past 2048 bits
+    @example(f"({2**2047}*2) - ({2**2047}*1*x)")
+    @example(f"{2**2047} + 1")
+    @example(f"1/{2**2046} - 1/3*y")
+    @example("3^1023 + 3^1024*x")
+    @example("2^2047*x - 2^2048")
+    # each side of the fields of START_WIDTH bits
+    @example("x^127*y + y^128 - x^255*z + z")
+    @example("x^128*y^128 + z^256")
+    def test_reads_as_the_reference(self, text):
+        work = self._both(text, parse.MAX_WORK)
+        if work is not None:
+            assert self._both(text, work) == work
+            self._both(text, work - 1)
+
+    def test_a_flat_span_makes_no_product(self, monkeypatch):
+        def times(a, b):
+            raise AssertionError("the flat loop multiplies no Polynomial")
+
+        monkeypatch.setattr(ring, "_times", times)
+        assert parse_polynomial("3/2*x^2*y - 5*z + 1", CTX_XYZ) == Polynomial(
+            CTX_XYZ, {(2, 1, 0): Fraction(3, 2), (0, 0, 1): -5, (0, 0, 0): 1}
+        )
 
 
 class TestFormat:

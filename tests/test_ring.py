@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groebnerkit import ring
 from groebnerkit.order import GREVLEX
 from groebnerkit.parse import format_polynomial, parse_polynomial
 from groebnerkit.ring import (
@@ -228,6 +230,63 @@ class TestRingAxioms:
         assert results[0] == results[1] == results[2]
         for result in results:
             assert all(c != 0 for c in result.terms.values())
+
+
+class TestSumDenominators:
+    """A sum takes its final gcd against the lcm of the gcds its running
+    denominator met (``ring._common``): none over the numerators when the
+    denominators are pairwise coprime, and still a least result."""
+
+    @pytest.fixture
+    def gcds(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(ring, "gcd", spy)
+        return calls
+
+    def test_coprime_denominators_take_no_numerator_gcd(self, gcds):
+        x, y, z = (Polynomial.variable(CTX_XYZ, name) for name in "xyz")
+        summands = [(Fraction(1, 3) ** 5 * x, False), (Fraction(1, 5) ** 5 * y, True), (Fraction(1, 7) ** 5 * z, False)]
+        gcds.clear()
+        total = ring._add(summands)
+        # one gcd per summand against the running denominator, none over numerators
+        assert gcds == [(1, 3**5), (3**5, 5**5), (15**5, 7**5)]
+        assert total == Polynomial(CTX_XYZ, {(1, 0, 0): Fraction(1, 3**5), (0, 1, 0): -Fraction(1, 5**5), (0, 0, 1): Fraction(1, 7**5)})
+        gcds.clear()
+        assert parse_polynomial("1/3*x + 1/5*y - 1/7*z", CTX_XYZ)._den == 105
+        assert all(len(args) == 2 and 105 not in args for args in gcds)
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("1/6*x + 1/10*y + 1/15*z", {(1, 0, 0): Fraction(1, 6), (0, 1, 0): Fraction(1, 10), (0, 0, 1): Fraction(1, 15)}),
+            ("1/2*x + 1/2*y - 1/2*x", {(0, 1, 0): Fraction(1, 2)}),
+            ("1/4*x + 1/4*x + 1/2*y", {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)}),
+            ("1/6*x + 1/10*x + 1/15*x", {(1, 0, 0): Fraction(1, 3)}),
+            ("1/6*x + 1/10*x + 1/15*x - 1/3*x", {}),
+        ],
+    )
+    def test_shared_primes_still_cancel(self, text, terms):
+        expected = Polynomial(CTX_XYZ, terms)
+        x, y, z = (Polynomial.variable(CTX_XYZ, name) for name in "xyz")
+        operators = eval(re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", text), {"Fraction": Fraction, "x": x, "y": y, "z": z})
+        for total in (parse_polynomial(text, CTX_XYZ), operators):
+            assert total == expected
+            assert math.gcd(total._den, *total._numerators.values()) == 1
+
+    @given(st.lists(st.tuples(polynomials(), st.booleans()), min_size=1, max_size=5))
+    def test_least_over_any_denominators(self, summands):
+        total = ring._add(summands)
+        assert math.gcd(total._den, *total._numerators.values()) == 1
+        expected = ReferencePolynomial(CTX_XY, {})
+        for p, negated in summands:
+            q = ReferencePolynomial(CTX_XY, p.terms)
+            expected = expected - q if negated else expected + q
+        assert total.terms == expected.terms
 
 
 # Exponents at the edges of the packed fields: 127 fits the first width,
