@@ -1,8 +1,9 @@
 """Consumers of Groebner bases: membership, elimination, the staircase
 of a two-variable leading-term ideal, and the exact real roots of a
-univariate polynomial, by a Sturm chain of primitive integer lists
-(Collins, "Subresultants and reduced polynomial remainder sequences",
-1967) read at dyadic points.
+univariate polynomial as dyadic points: up to degree 2 in closed form,
+by integer square roots, and above it by a Sturm chain of primitive
+integer lists (Collins, "Subresultants and reduced polynomial remainder
+sequences", 1967) read at those points. Both return the same points.
 """
 
 from __future__ import annotations
@@ -80,23 +81,28 @@ def staircase(basis: GroebnerBasis) -> StaircaseDiagram:
 def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     """All distinct real roots of a univariate polynomial, ascending.
 
-    Exact over Q up to the final float. One signed remainder sequence
-    p, p', -rem(p, p'), ... ends in gcd(p, p'); divided through by that
-    last member it is a Sturm chain of the square-free part p/gcd(p, p'),
-    which keeps every root once whatever its multiplicity. The chain is
-    integer coefficient lists, each a positive multiple of the member
-    over Q, so every sign is the same; each remainder and each quotient
-    by the gcd comes from ``division.pseudo_divide`` and is made
-    primitive. The Cauchy bound is read off p's integer list. Sturm counts
-    bisect (-2^e, 2^e], a power of two past the Cauchy bound, until each
+    Exact over Q up to the final float. Each root is found as a dyadic
+    point, an integer numerator over 2^s, so no Fraction is built; every
+    point is the one that bisection to cells narrower than tol returns:
+    the root itself where it lands on the grid of those cells, else the
+    centre of the cell that holds it. Roots closer than tol merge,
+    reporting the midpoint. A root past the float range is a ValueError,
+    and so is a tol whose float is not positive and finite: it is read as
+    that float.
+
+    Degree 1 and 2 take the closed form (``_quadratic``), which reads the
+    points off exact integer square roots, unless tol is so wide that
+    bisection would split nothing. Higher degrees take one
+    signed remainder sequence p, p', -rem(p, p'), ... ending in
+    gcd(p, p'); divided through by that last member it is a Sturm chain
+    of the square-free part p/gcd(p, p'), which keeps every root once
+    whatever its multiplicity. The chain is integer coefficient lists,
+    each a positive multiple of the member over Q, so every sign is the
+    same; each remainder and each quotient by the gcd comes from
+    ``division.pseudo_divide`` and is made primitive. Sturm counts bisect
+    (-2^e, 2^e], a power of two past the Cauchy bound, until each
     interval holds one root, and quadratic interval refinement narrows it
-    to a cell narrower than tol (``_refine``), returning the very point
-    that halving to that width would. A point is an integer numerator
-    over 2^s, with s = -e at the start and one more at each halving, so
-    no Fraction is built. A root landing on one is returned exactly.
-    Roots closer than tol merge, reporting the midpoint. A root past the
-    float range is a ValueError, and so is a tol whose float is not
-    positive and finite: it is read as that float.
+    (``_refine``), returning the very point that halving would.
     """
     try:
         tol = float(tol)
@@ -112,21 +118,7 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
         raise ValueError("not univariate")
     if not active:
         return []  # nonzero constant
-    var = active.pop()
-
-    # The signed remainder sequence p, p', -rem, ... ends in gcd(p, p'),
-    # each member a positive multiple of the one over Q.
-    f = _integral(p, packing._shifts[var])
-    chain = [f, [i * c for i, c in enumerate(f)][1:]]
-    while True:
-        _, rem = pseudo_divide(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    gcd = chain[-1]
-    # A constant gcd (p square-free) would only scale every member.
-    if len(gcd) > 1:
-        chain = [_primitive(pseudo_divide(h, gcd)[0]) for h in chain]
+    f = _integral(p, packing._shifts[active.pop()])
 
     # The Cauchy bound 1 + max |c_i / c_d| over i < d, rounded up, is
     # 1 + ceiling, read off p's integer list with the same ratios.
@@ -139,18 +131,9 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     # or from s = 3 - e when tol is the power of two 2^(e - 1).
     mantissa, exponent = math.frexp(tol)
     stop = 2 - exponent + (mantissa == 0.5)
-    found: list[tuple[int, int]] = []
-    stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
-    while stack:
-        a, va, b, vb, s = stack.pop()
-        if va - vb > 1 and s < stop:
-            mid = a + b
-            vm = _variations_at(chain, mid, s + 1)
-            stack += [(2 * a, va, mid, vm, s + 1), (mid, vm, 2 * b, vb, s + 1)]
-        elif va - vb == 1:
-            found.append(_refine(chain[0], a, b, s, stop))
-        elif va > vb:
-            found.append((a + b, s + 1))  # several roots closer than tol
+    # Below level stop the cells are those of the grid of level stop - 1;
+    # a start interval that is never split is left to the bisection.
+    found = _quadratic(f, stop - 1) if len(f) <= 3 and s < stop else _bisected(f, s, stop)
 
     # Every point as a numerator over the one power of two 2^top.
     top = max((t for _, t in found), default=0)
@@ -164,6 +147,74 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     if math.inf in map(abs, roots):
         raise ValueError("a root is beyond the float range")
     return roots
+
+
+def _quadratic(f: list[int], level: int) -> list[tuple[int, int]]:
+    """The points (num, level) of f's real roots, f of degree 1 or 2, as
+    bisection to cells of the grid of the given level returns them: a
+    root on that grid itself, else the centre of its cell (k, k + 1] /
+    2^level, and one centre for two roots in one cell.
+
+    Each root is (x +- sqrt(d)) / z with z > 0. Scaled by 2^level it has
+    the floor (x + isqrt(d)) // z, or (x - ceil(sqrt(d))) // z, exactly,
+    and lies on the grid when d is a square and that division is exact.
+    """
+    if f[-1] < 0:
+        f = [-c for c in f]
+    if len(f) == 2:
+        x, d, z = -f[0], 0, f[1]
+    else:
+        c, b, a = f
+        x, d, z = -b, b * b - 4 * a * c, 2 * a
+    if d < 0:
+        return []
+    if level >= 0:
+        x, d = x << level, d << 2 * level
+    else:
+        z <<= -level
+    root = math.isqrt(d)
+    square = root * root == d
+    found: dict[int, tuple[int, int]] = {}  # cell k -> point
+    # The smaller root comes second. In the larger one's cell it lies off
+    # the grid, and its point, the cell's centre, is the two roots' point.
+    for num in (x + root, x - root - (not square)):
+        k, rest = divmod(num, z)
+        if square and not rest:
+            found[k - 1] = (k, level)
+        else:
+            found[k] = (2 * k + 1, level + 1)
+    return list(found.values())
+
+
+def _bisected(f: list[int], s: int, stop: int) -> list[tuple[int, int]]:
+    """The points (num, level) of f's real roots by a Sturm chain,
+    bisecting (-1, 1] at level s and refining below level stop."""
+    # The signed remainder sequence f, f', -rem, ... ends in gcd(f, f'),
+    # each member a positive multiple of the one over Q.
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while True:
+        _, rem = pseudo_divide(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    gcd = chain[-1]
+    # A constant gcd (f square-free) would only scale every member.
+    if len(gcd) > 1:
+        chain = [_primitive(pseudo_divide(h, gcd)[0]) for h in chain]
+
+    found: list[tuple[int, int]] = []
+    stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
+    while stack:
+        a, va, b, vb, s = stack.pop()
+        if va - vb > 1 and s < stop:
+            mid = a + b
+            vm = _variations_at(chain, mid, s + 1)
+            stack += [(2 * a, va, mid, vm, s + 1), (mid, vm, 2 * b, vb, s + 1)]
+        elif va - vb == 1:
+            found.append(_refine(chain[0], a, b, s, stop))
+        elif va > vb:
+            found.append((a + b, s + 1))  # several roots closer than tol
+    return found
 
 
 # Integer coefficient lists, lowest degree first, read at dyadic points

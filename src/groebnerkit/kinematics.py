@@ -30,7 +30,7 @@ from typing import Optional
 
 from .ideal import univariate_real_roots
 from .reals import Real, all_finite
-from .ring import Polynomial, VariableContext
+from .ring import START_WIDTH, Polynomial, VariableContext, _new
 
 IK_VARIABLES = ("c1", "s1", "c2", "s2")
 
@@ -40,7 +40,7 @@ _CONTEXT = VariableContext(IK_VARIABLES)
 _C1, _S1, _C2, _S2 = (Polynomial.variable(_CONTEXT, n) for n in IK_VARIABLES)
 _COS12, _SIN12 = (_C1 * _C2 - _S1 * _S2, _S1 * _C2 + _C1 * _S2)
 _CIRCLES = (_C1 * _C1 + _S1 * _S1 - 1, _C2 * _C2 + _S2 * _S2 - 1)
-_S2_SQUARED = _S2 * _S2
+(_S2_SQUARED,) = (_S2 * _S2)._numerators  # the packed monomial
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,14 @@ def _closed_form(l1: int, l2: int, x: int, y: int) -> tuple[int, ...]:
 
 
 def _eliminant(form: tuple[int, ...]) -> Polynomial:
-    """s2^2 + cos2^2 - 1, the basis member in s2 alone."""
-    cos2 = Fraction(form[0], form[-1])
-    return _S2_SQUARED + (cos2 * cos2 - 1)
+    """s2^2 + cos2^2 - 1, the basis member in s2 alone. With cos2 = p / m
+    in lowest terms it is s2^2 + (p^2 - m^2) / m^2, and that is least
+    too: a prime of m that divided p^2 - m^2 would divide p."""
+    g = math.gcd(form[0], form[-1])
+    p, m = form[0] // g, form[-1] // g
+    den, constant = m * m, p * p - m * m
+    numerators = {_S2_SQUARED: den, 0: constant} if constant else {_S2_SQUARED: den}
+    return _new(_CONTEXT, numerators, den, 2, START_WIDTH)
 
 
 def _lifts(form: tuple[int, ...], s2, d=1):

@@ -3,7 +3,7 @@
 Every bisection point is a ``Fraction``, built and compared as one, and
 the refinement width is a ``Fraction`` too. Slow, but it states the
 bisection with nothing scaled, so ``univariate_real_roots`` must return
-exactly its root list.
+exactly its root list, and refuse a root past the float range as it does.
 """
 
 import math
@@ -54,11 +54,22 @@ def reference_roots(p: Polynomial, tol: float) -> list[float]:
 
     clusters: list[list[Fraction]] = []
     for root in sorted(found):
-        if clusters and float(root - clusters[-1][0]) <= tol:
+        if clusters and _float(root - clusters[-1][0]) <= tol:
             clusters[-1].append(root)
         else:
             clusters.append([root])
-    return [float((c[0] + c[-1]) / 2) for c in clusters]
+    roots = [_float((c[0] + c[-1]) / 2) for c in clusters]
+    if math.inf in map(abs, roots):
+        raise ValueError("a root is beyond the float range")
+    return roots
+
+
+def _float(x: Fraction) -> float:
+    """float(x), or the infinity of x's sign when it is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _derivative(p: Polynomial, var: int) -> Polynomial:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groebnerkit import division
+from groebnerkit import division, ideal
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
     StaircaseDiagram,
@@ -15,6 +15,7 @@ from groebnerkit.ideal import (
     staircase,
     univariate_real_roots,
 )
+from groebnerkit.kinematics import ArmSpec, Target, ik_solve
 from groebnerkit.order import GREVLEX, GRLEX, LEX
 from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError
@@ -309,10 +310,26 @@ FIXED_POINTS = [
 ]
 
 
+def _returned(roots, p, tol):
+    """The root list, or the message of the ValueError raised instead."""
+    try:
+        return roots(p, tol)
+    except ValueError as error:
+        return str(error)
+
+
+def _big_rationals():
+    """Ints and Fractions of either sign up to 10^400 in magnitude, zero included."""
+    big = st.integers(-(10**400), 10**400)
+    return st.one_of(st.integers(-9, 9), rationals(), big, st.builds(Fraction, big, st.integers(1, 10**400)))
+
+
 class TestDyadicPoints:
-    """univariate_real_roots isolates and refines on integer numerators
-    over 2^s, and returns the points bisection returns; the reference
-    bisects on Fractions, so the two return the same list exactly."""
+    """univariate_real_roots finds each root as an integer numerator over
+    2^s, in closed form up to degree 2 and by Sturm bisection and
+    refinement above it, and returns the points bisection returns; the
+    reference bisects on Fractions, so the two return the same list
+    exactly."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -340,6 +357,55 @@ class TestDyadicPoints:
         for root, multiplicity in multiplicities.items():
             p = p * (t - root) ** multiplicity
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["line", "free", "roots", "double", "complex"]),
+        _big_rationals().filter(bool),
+        _big_rationals(),
+        _big_rationals(),
+        st.one_of(st.floats(5e-324, 1e6), st.integers(-1074, 19).map(lambda e: 2.0**e)),
+        st.sampled_from(CTX_XYZ.names),
+    )
+    # Two roots in one cell of the finest grid, and two more with the
+    # cell's right end one of them; roots in adjacent cells, whose centres
+    # lie within tol; a root on that grid and one on a coarser dyadic
+    # point; irrational roots just past grid points, where the integer
+    # square root over z is exact; tol wider than the start interval
+    # (-2, 2]; roots at the edge of the float range, and past it.
+    @example("roots", 1, Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12), 1e-9, "x")
+    @example("roots", 1, Fraction(5, 2**30), Fraction(5, 2**30) - Fraction(1, 10**12), 1e-9, "x")
+    @example("free", 1, 0, -3, 1e-9, "z")
+    @example("roots", 1, Fraction(5, 2**30) - Fraction(1, 10**12), Fraction(5, 2**30) + Fraction(1, 10**12), 1e-9, "y")
+    @example("roots", -3, Fraction(3, 2**30), Fraction(5, 8), 1e-9, "z")
+    @example("roots", 4, Fraction(1, 2), Fraction(-1, 2), 5.0, "x")
+    @example("free", 1, 0, -(10**616), 1e-9, "x")
+    @example("free", 1, 0, -(10**800), 1e-9, "y")
+    def test_degree_two_same_roots_as_the_reference(self, shape, lead, a, b, tol, name):
+        # Degree 1 and 2 take the closed form: a free quadratic's
+        # discriminant is mostly not a square, the roots' is a square, the
+        # double root's is zero and the complex pair's is negative.
+        t = Polynomial.variable(CTX_XYZ, name)
+        p = {
+            "line": lambda: lead * t + a,
+            "free": lambda: lead * t * t + a * t + b,
+            "roots": lambda: lead * (t - a) * (t - b),
+            "double": lambda: lead * (t - a) ** 2,
+            "complex": lambda: lead * ((t - a) ** 2 + (b * b or 1)),
+        }[shape]()
+        assert _returned(univariate_real_roots, p, tol) == _returned(reference_roots, p, tol)
+
+    def test_degree_two_builds_no_sturm_chain(self, monkeypatch):
+        calls = []
+        for name in ("pseudo_divide", "_variations_at", "_refine"):
+            original = getattr(ideal, name)
+            monkeypatch.setattr(ideal, name, lambda *args, original=original, name=name: calls.append(name) or original(*args))
+        for text in ("3*t - 1", "t^2 - 2", "(2*t - 1)^2", "t^2 + 1", "-4*t^2 + t"):
+            univariate_real_roots(parse_polynomial(text, CTX_T), 1e-9)
+        assert ik_solve(ArmSpec(1, 1), Target(1, 1)).solutions
+        assert calls == []
+        univariate_real_roots(parse_polynomial("t^3 - 2", CTX_T), 1e-9)
+        assert {"pseudo_divide", "_variations_at", "_refine"} <= set(calls)
 
     def test_leaves_the_division_memo_as_it_found_it(self, monkeypatch):
         # The chain divides integer lists and stores no polynomial's form,
