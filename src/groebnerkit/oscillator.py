@@ -133,10 +133,13 @@ def _sqrt(q: Fraction) -> float:
 
 
 def evaluate(sol: OscillatorSolution, t: float) -> Sample:
-    """Time t, with the displacement and both envelope values at it."""
+    """Time t, with the displacement and both envelope values at it; a
+    ValueError when the angle omega*t + phase overflows the float range."""
+    angle = sol.omega * t + sol.phase
+    if abs(angle) == math.inf:
+        raise ValueError(f"the angle omega*t + phase overflows the float range at t = {t}")
     envelope = sol.amplitude * math.exp(sol.beta * t)
-    y = envelope * math.sin(sol.omega * t + sol.phase)
-    return Sample(t=t, y=y, env_hi=envelope, env_lo=-envelope)
+    return Sample(t=t, y=envelope * math.sin(angle), env_hi=envelope, env_lo=-envelope)
 
 
 def sample(sol: OscillatorSolution, t_end: float, n: int) -> list[Sample]:
@@ -145,4 +148,11 @@ def sample(sol: OscillatorSolution, t_end: float, n: int) -> list[Sample]:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
-    return [evaluate(sol, t_end * j / (n - 1)) for j in range(n)]
+    return [evaluate(sol, _time(t_end, j, n - 1)) for j in range(n)]
+
+
+def _time(t_end: float, j: int, steps: int) -> float:
+    """t_end * j / steps; where t_end * j overflows, the exact quotient,
+    which is at most t_end, rounded once."""
+    t = t_end * j / steps
+    return t if t < math.inf else float(Fraction(t_end) * j / steps)

@@ -25,13 +25,13 @@ CPython's digit limit bound it.
 
 A token is its text, found by one ``findall`` once one search has
 refused any character outside the grammar; an error or a refusal finds
-its token's position by reading the text again. Each ``expr`` first
-tries one loop over the tokens up to the ``)`` or the end that closes it
-(``_Parser.flat``): when no ``(`` comes first and every operation there
-costs one unit, it reads each term as a numerator, a denominator and a
-packed monomial and builds the sum once. Otherwise it consumes and
-charges nothing, and the recursive descent reads the span, with the
-same value, error, position and work.
+its token's position by reading the text again. One loop,
+``_Parser.expr``, reads every token once, and calls itself for each
+``(``. It reads a term as a numerator, a denominator and a packed
+monomial until a parenthesized factor, or a degree past the fields of
+``START_WIDTH`` bits, makes it a ``Polynomial``; it builds the plain
+terms that lead a sum at once, and adds each later term with ``_add``.
+Each operation is charged, and each error raised, at its own token.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ import re
 import sys
 from itertools import islice
 from math import comb, gcd
-from typing import Iterator, Optional
+from typing import Iterator, NoReturn
 
 from .order import MonomialOrder
 from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common, _lex, _lowest, _merge, _new, _multiply, _power, _square_and_multiply, _width
 
 # A unit is about one product of two small ints into a packed term dict,
-# some 0.3 us; an operation also takes some 5 to 12 us of reading that the
+# some 0.3 us; an operation also takes some 1 to 4 us of reading that the
 # units do not price. On one core of a 2-core Xeon VM the probe of most
 # units, (x+y+z)^70 at 400,583, parses in 0.09 to 0.17 s, and
 # (12345678901/98765432103)^27000, at 392,353, in 0.11 to 0.18 s: a power
@@ -56,13 +56,14 @@ from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common,
 MAX_WORK = 450_000
 
 # Characters in one text: Linux's limit on one argument, so any text that
-# reaches the CLI as an argument is read. Reading takes some 1.5 us per
-# summand or factor of a span without parentheses, and 7 to 13 us in the
-# descent; at this length it stays under half a second.
+# reaches the CLI as an argument is read. Reading takes some 1 to 1.5 us
+# per summand or factor of a plain term, and 2 to 4 us where a
+# parenthesized factor makes its term a Polynomial; at this length it
+# stays under half a second.
 MAX_TEXT = 131_072
 
-# Each level of parentheses takes four frames of the descent (base, expr,
-# term, factor); 100 levels stay well under the default limit of 1000.
+# Each level of parentheses takes one frame of expr; 100 levels stay well
+# under the default limit of 1000.
 MAX_DEPTH = 100
 
 
@@ -81,9 +82,10 @@ _OUTSIDE = re.compile(r"[^\w\s+\-*/^()]")
 # A bound of at most 2^2047 has _bits under 2048: an operation costs a unit.
 _ONE_UNIT = 1 << 2047
 
-# The largest exponent that fields of START_WIDTH bits hold, guard bit
-# included, in which flat() packs; a degree up to it has its width from
-# one _width call, as a chain of them in the descent gives it.
+# The largest degree of a plain term, whose exponents fit the START_WIDTH
+# bits of its packed fields, guard bit included; up to it a product's
+# width is one _width call, as the chain of them in _multiply and _power
+# gives it.
 _FIELD = (1 << START_WIDTH) - 1
 
 
@@ -103,94 +105,26 @@ class _Parser:
         match = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return match.start() + 1 if match else len(self.text) + 1
 
-    def fail(self, message: str) -> None:
-        tok = self.tokens[self.pos]
+    def fail(self, message: str, index: int) -> NoReturn:
+        tok = self.tokens[index]
         found = repr(tok) if tok else "end of input"
-        raise ParseError(f"{message}, found {found}", self.position(self.pos))
+        raise ParseError(f"{message}, found {found}", self.position(index))
 
-    def charge(self, count: int, bits: int, index: int) -> None:
-        """Add count coefficient operations at up to bits bits to the work."""
-        self.work += count * (1 + (bits >> 11) ** 2)
-        if self.work > MAX_WORK:
-            raise ValueError(f"expression would cost more than {MAX_WORK} units of work (position {self.position(index)})")
+    def refuse(self, index: int) -> NoReturn:
+        """The work has passed MAX_WORK at the operation of token index."""
+        raise ValueError(f"expression would cost more than {MAX_WORK} units of work (position {self.position(index)})")
 
-    def integer(self, index: int) -> int:
-        try:
-            return int(self.tokens[index])
-        except ValueError:  # the token is all digits: only CPython's digit limit
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"integer literal longer than {limit} digits (position {self.position(index)})") from None
+    def too_long(self, index: int) -> NoReturn:
+        """The ValueError of int() on token index: it is all digits, so
+        only CPython's digit limit raises one."""
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer literal longer than {limit} digits (position {self.position(index)})") from None
 
-    def flat(self) -> Optional[Polynomial]:
-        """The expr from here, read in one loop when no '(' comes before the
-        ')' or the end that closes it and every operation in it costs one
-        unit; else None, with nothing consumed or charged. Each term is a
-        numerator, a denominator and a monomial packed in START_WIDTH-bit
-        fields; the degree bound and field width follow the descent's, and
-        the sum meets its denominators by ring._common, as _add does. A '*'
-        between nonzero factors, each step of a power and each nonzero
-        summand after the first costs a unit while its bound stays within
-        _ONE_UNIT, so the work is the descent's."""
-        tokens, weights, i = self.tokens, self.weights, self.pos
-        terms, dens = [], []  # each nonzero term's (monomial, numerator), and its denominator
-        cost = degree = total = 0  # total / scale: the bound of the sum so far
-        scale, first, negated = 1, True, tokens[i] == "-"
-        i += negated
-        try:
-            while True:
-                # every factor is nonnegative: a term's sign is negated
-                num, den, monomial, term_degree, star = 1, 1, 0, 0, False
-                while True:  # i is at the factor's first token, then at its last
-                    tok = tokens[i]
-                    if tok.isdecimal():
-                        n, q, m, d = int(tok), 1, 0, 0
-                        if tokens[i + 1] == "/":
-                            q = int(tokens[i + 2]) if tokens[i + 2].isdecimal() else 0
-                            if not q:
-                                return None
-                            g = gcd(n, q)
-                            n, q, i = n // g, q // g, i + 2
-                    elif tok in weights:
-                        n, q, m, d = 1, 1, weights[tok], 1
-                    else:
-                        return None
-                    if tokens[i + 1] == "^":
-                        e = int(tokens[i + 2]) if tokens[i + 2].isdecimal() else -1
-                        if e < 0 or e * (max(n, q) - 1).bit_length() >= 2048:
-                            return None
-                        cost += e.bit_length() + e.bit_count() - (e > 0)  # the steps of _square_and_multiply(e)
-                        n, q, m, d, i = n**e, q**e, m * e, d * e, i + 2
-                    num, den, monomial, term_degree = num * n, den * q, monomial + m, term_degree + d
-                    if star and num:  # a '*' between two nonzero factors
-                        if num > _ONE_UNIT or den > _ONE_UNIT:
-                            return None
-                        cost += 1
-                    if tokens[i + 1] != "*":
-                        break
-                    i, star = i + 2, True
-                if term_degree > _FIELD:
-                    return None
-                if num:
-                    g = gcd(num, den)
-                    terms.append((monomial, (-num if negated else num) // g))
-                    dens.append(den // g)
-                if den == scale:
-                    total += num
-                else:
-                    total, scale = _sum_bound((total, scale), (num, den))
-                if num and not first:  # a summand after the first
-                    if total > _ONE_UNIT or scale > _ONE_UNIT:
-                        return None
-                    cost += 1
-                degree, first, tok = max(degree, term_degree), False, tokens[i + 1]
-                if tok != "+" and tok != "-":
-                    break
-                negated, i = tok == "-", i + 2
-        except ValueError:  # an integer past CPython's digit limit
-            return None
-        if (tok and tok != ")") or self.work + cost > MAX_WORK:
-            return None
-        self.work, self.pos = self.work + cost, i + 1
+    def plain(self, terms: list, dens: list, degree: int) -> Polynomial:
+        """The sum of plain terms, each (monomial packed in START_WIDTH-bit
+        fields, numerator) over its least denominator in dens and of
+        degree at most degree <= _FIELD, merged in order over their common
+        denominator (ring._common), as _add merges its summands."""
         den, met = _common(dens)
         numerators = _merge({}, [(m, c * (den // d)) for (m, c), d in zip(terms, dens)] if den > 1 else terms)
         width = _width(START_WIDTH, degree)
@@ -199,92 +133,153 @@ class _Parser:
             numerators = {repack(m, wider): c for m, c in numerators.items()}
         return _lowest(self.ctx, numerators, den, degree, width, met)
 
+    def single(self, num: int, den: int, monomial: int, degree: int) -> Polynomial:
+        """The plain term num / den times monomial, as a Polynomial."""
+        g = gcd(num, den)
+        return self.plain([(monomial, num // g)], [den // g], degree)
+
     def expr(self) -> Polynomial:
-        value = self.flat()
-        if value is not None:
-            return value
-        tokens = self.tokens
-        negate = tokens[self.pos] == "-"
-        if negate:
-            self.pos += 1
-        value, bound = self.term()
-        bound, summands = bound or _measure(value), [(value, negate)]
-        while tokens[self.pos] in ("+", "-"):
-            sign = self.pos
-            self.pos += 1
-            rhs, rhs_bound = self.term()
-            bound = _sum_bound(bound, rhs_bound or _measure(rhs))
-            self.charge(len(rhs._numerators), _bits(*bound), sign)
-            summands.append((rhs, tokens[sign] == "-"))
-        return _add(summands) if len(summands) > 1 else -value if negate else value
-
-    def term(self) -> tuple[Polynomial, Optional[tuple[int, int]]]:
-        """A product, and the bound of its coefficients if it has two factors or more."""
-        tokens = self.tokens
-        value, bound = self.factor(), None
-        while tokens[self.pos] == "*":
-            star = self.pos
-            self.pos += 1
-            rhs = self.factor()
-            total, scale = bound or _measure(value)
-            rhs_total, rhs_scale = _measure(rhs)
-            bound = total * rhs_total, scale * rhs_scale
-            self.charge(len(value._numerators) * len(rhs._numerators), _bits(*bound), star)
-            value = _multiply(value, rhs)
-        if tokens[self.pos] == "/":
-            raise ParseError("division is only allowed between integer literals", self.position(self.pos))
-        return value, bound
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        if self.tokens[self.pos] == "^":
-            caret = self.pos
-            self.pos += 1
-            tok = self.tokens[self.pos]
-            if tok == "-":
-                raise ParseError("negative exponent not allowed", self.position(self.pos))
-            if not tok.isdecimal():
-                self.fail("expected a nonnegative integer exponent")
-            e, bits = self.integer(self.pos), _bits(*_measure(base))
-            self.pos += 1
-            for pairs, k in _power_steps(max(len(base._numerators), 1), e):
-                self.charge(pairs, k * bits, caret)
-            base = _power(base, e)
-        return base
-
-    def base(self) -> Polynomial:
-        start = self.pos
-        tok = self.tokens[start]
-        if tok.isdecimal():
-            self.pos += 1
-            numerator, denominator = self.integer(start), 1
-            if self.tokens[self.pos] == "/":
-                self.pos += 1
-                if not self.tokens[self.pos].isdecimal():
-                    raise ParseError("divisor must be an integer literal", self.position(self.pos))
-                denominator = self.integer(self.pos)
-                if denominator == 0:
-                    raise ParseError("zero denominator", self.position(self.pos))
-                self.pos += 1
-            return _lowest(self.ctx, {0: numerator} if numerator else {}, denominator, 0, START_WIDTH)
-        if tok == "(":
-            self.pos += 1
-            self.depth += 1
-            if self.depth > MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", self.position(start))
-            value = self.expr()
-            if self.tokens[self.pos] != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            self.depth -= 1
-            return value
-        if NAME.match(tok):
-            if tok not in self.weights:
-                raise ParseError(f"unknown variable {tok!r}", self.position(start))
-            self.pos += 1
-            return _new(self.ctx, {self.weights[tok]: 1}, 1, 1, START_WIDTH)
-        self.fail("expected a number, variable, or '('")
-        raise AssertionError("unreachable")
+        """The expr from token self.pos, read in one loop that leaves
+        self.pos after it; a '(' recurses. A term is plain while it has no
+        parenthesized factor and its degree stays within _FIELD: a
+        numerator, a denominator and a packed monomial. From its first
+        factor past that it is a Polynomial, the product of the plain
+        factors before and each factor after, by _multiply and _power in
+        token order. The sum's leading plain terms are one summand, each
+        later term another, and _add meets them. num / den bounds the term
+        and total / scale the sum so far (_measure). Each operation, even
+        one of no cost, adds its cost to work and checks the budget before
+        it computes."""
+        tokens, weights, ctx = self.tokens, self.weights, self.ctx
+        i, work = self.pos, self.work
+        terms, dens, summands = [], [], []  # the leading plain terms, over dens; then each (Polynomial, negated)
+        degree = total = sign = 0  # sign: the index of the term's '+' or '-', 0 for the first term
+        scale, negated = 1, tokens[i] == "-"
+        i += negated
+        while True:
+            num = den = 1
+            monomial = term_degree = star = 0  # star: the index of the factor's '*', 0 for the first
+            value = None
+            while True:  # i is at the factor's first token, then at its last
+                tok, rhs = tokens[i], None
+                if tok.isdecimal():  # a number n / q of degree d = 0; every factor is nonnegative
+                    try:
+                        n = int(tok)
+                    except ValueError:
+                        self.too_long(i)
+                    q, m, d = 1, 0, 0
+                    if tokens[i + 1] == "/":
+                        i += 2
+                        if not tokens[i].isdecimal():
+                            raise ParseError("divisor must be an integer literal", self.position(i))
+                        try:
+                            q = int(tokens[i])
+                        except ValueError:
+                            self.too_long(i)
+                        if not q:
+                            raise ParseError("zero denominator", self.position(i))
+                        g = gcd(n, q)
+                        n, q = n // g, q // g
+                elif tok in weights:  # the variable of weight m, to the degree d
+                    n, q, m, d = 1, 1, weights[tok], 1
+                elif tok == "(":
+                    self.depth += 1
+                    if self.depth > MAX_DEPTH:
+                        raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", self.position(i))
+                    self.pos, self.work = i + 1, work
+                    rhs = self.expr()
+                    i, work = self.pos, self.work
+                    if tokens[i] != ")":
+                        self.fail("expected ')'", i)
+                    self.depth -= 1
+                elif NAME.match(tok):
+                    raise ParseError(f"unknown variable {tok!r}", self.position(i))
+                else:
+                    self.fail("expected a number, variable, or '('", i)
+                if tokens[i + 1] == "^":
+                    caret, i = i + 1, i + 2
+                    tok = tokens[i]
+                    if not tok.isdecimal():
+                        if tok == "-":
+                            raise ParseError("negative exponent not allowed", self.position(i))
+                        self.fail("expected a nonnegative integer exponent", i)
+                    try:
+                        e = int(tok)
+                    except ValueError:
+                        self.too_long(i)
+                    if rhs is None:  # the base has one term: _bits(n, q)
+                        t, bits = 1, (max(n, q) - 1).bit_length()
+                    else:
+                        t, bits = max(len(rhs._numerators), 1), _bits(*_measure(rhs))
+                    if t > 1 or e * bits >= 2048:
+                        for pairs, k in _power_steps(t, e):
+                            work += pairs * (1 + (k * bits >> 11) ** 2)
+                            if work > MAX_WORK:
+                                self.refuse(caret)
+                    elif e:  # a unit for each step of _square_and_multiply(e)
+                        work += e.bit_length() + e.bit_count() - 1
+                        if work > MAX_WORK:
+                            self.refuse(caret)
+                    if rhs is None:
+                        n, q, d = n**e, q**e, d * e
+                    else:
+                        rhs = _power(rhs, e)
+                if rhs is None and value is None and term_degree + d <= _FIELD:
+                    num, den, monomial, term_degree = num * n, den * q, monomial + m * d, term_degree + d
+                    if star:  # a unit between two nonzero factors under 2048 bits
+                        work += (num and 1) if num <= _ONE_UNIT and den <= _ONE_UNIT else _cost(num and 1, num, den)
+                        if work > MAX_WORK:
+                            self.refuse(star)
+                else:
+                    if rhs is None:  # the number, or the variable to its degree, as the descent built it
+                        rhs = _power(_new(ctx, {m: 1}, 1, 1, START_WIDTH), d) if m else _new(ctx, {0: n} if n else {}, q, 0, START_WIDTH)
+                    if star and value is None:  # the plain factors before it, as one Polynomial
+                        value = self.single(num, den, monomial, term_degree)
+                    rhs_total, rhs_scale = _measure(rhs)
+                    num, den = num * rhs_total, den * rhs_scale
+                    if star:
+                        work += _cost(len(value._numerators) * len(rhs._numerators), num, den)
+                        if work > MAX_WORK:
+                            self.refuse(star)
+                        rhs = _multiply(value, rhs)
+                    value = rhs
+                if tokens[i + 1] != "*":
+                    break
+                star, i = i + 1, i + 2
+            if tokens[i + 1] == "/":
+                raise ParseError("division is only allowed between integer literals", self.position(i + 1))
+            if value is None and summands:  # after a Polynomial summand, a plain term is one too
+                value = self.single(num, den, monomial, term_degree)
+            if value is None:
+                count, g = num and 1, gcd(num, den)
+                terms.append((monomial, (-num if negated else num) // g))
+                dens.append(den // g)
+                if term_degree > degree:
+                    degree = term_degree
+            else:
+                count = len(value._numerators)
+                summands.append((value, negated))
+            if den == scale:
+                total += num
+            else:
+                total, scale = _sum_bound((total, scale), (num, den))
+            if sign:  # a summand after the first
+                work += count if total <= _ONE_UNIT and scale <= _ONE_UNIT else _cost(count, total, scale)
+                if work > MAX_WORK:
+                    self.refuse(sign)
+            tok = tokens[i + 1]
+            if tok != "+" and tok != "-":
+                break
+            negated, sign, i = tok == "-", i + 1, i + 2
+        self.pos, self.work = i + 1, work
+        if terms:
+            if not summands:
+                return self.plain(terms, dens, degree)
+            summands.insert(0, (self.plain(terms, dens, degree), False))
+        if len(summands) > 1:
+            return _add(summands)
+        value, negated = summands[0]
+        return -value if negated else value
 
 
 def _measure(value: Polynomial) -> tuple[int, int]:
@@ -300,6 +295,12 @@ def _sum_bound(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     their scales; one gcd, and no division by a large scale."""
     g = gcd(a[1], b[1])
     return a[0] * (b[1] // g) + b[0] * (a[1] // g), a[1] // g * b[1]
+
+
+def _cost(count: int, total: int, scale: int) -> int:
+    """The units of count operations on coefficients within the bound
+    (total, scale): count while both stay within _ONE_UNIT."""
+    return count * (1 + (_bits(total, scale) >> 11) ** 2)
 
 
 def _bits(total: int, scale: int) -> int:
@@ -325,7 +326,7 @@ def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
     parser = _Parser(text, ctx)
     value = parser.expr()
     if parser.tokens[parser.pos]:
-        parser.fail("unexpected trailing input")
+        parser.fail("unexpected trailing input", parser.pos)
     return value
 
 

@@ -47,3 +47,56 @@ def nonzero_polynomials(ctx=CTX_XY, **kwargs):
 
 def orders():
     return st.sampled_from(list(MonomialOrder))
+
+
+# Texts of the grammar over x, y and z, flat and nested, with operands on
+# each side of the parser's limits: zero literals, 0^0 and x^0, literals
+# and powers past 2048 bits, degrees past the fields of START_WIDTH bits,
+# an unknown name, a zero denominator, a literal past CPython's digit limit.
+_LONG = [str(2**2047), str(2**2048 + 1), str(3**2600), "7" * 4301]
+_OPERANDS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 4)),
+    st.sampled_from("xyz"),
+)
+_RARE_OPERANDS = st.sampled_from(["w", "0", "3/0", *_LONG])
+_EXPONENTS = st.one_of(st.none(), st.integers(0, 4))
+_RARE_EXPONENTS = st.sampled_from([127, 128, 255, 256, 1023, 1024, 2047, 2048, 2**16, "\u0663", "-2"])
+
+
+@st.composite
+def grammar_texts(draw, depth):
+    """An expr whose factors are operands, or up to depth levels of
+    parenthesized exprs, each perhaps raised to a power; one operand or
+    exponent in eight or so is one of the rare ones."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and not draw(st.integers(0, 3)):
+                base, e = f"({draw(grammar_texts(depth - 1))})", draw(st.none() | st.integers(0, 3))
+            else:
+                base = draw(_OPERANDS if draw(st.integers(0, 15)) else _RARE_OPERANDS)
+                e = draw(_EXPONENTS if draw(st.integers(0, 7)) else _RARE_EXPONENTS)
+            factors.append(base if e is None else f"{base}^{e}")
+        terms.append("*".join(factors))
+    signs = [draw(st.sampled_from("+-")) for _ in terms[1:]]
+    head = "-" if draw(st.booleans()) else ""
+    return head + terms[0] + "".join(f" {sign} {t}" for sign, t in zip(signs, terms[1:]))
+
+
+@st.composite
+def corrupted(draw, texts):
+    """A text with a piece put in, a character taken out, or its tail cut."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            piece = draw(st.sampled_from(["(", ")", "$", "/0", "^-2", "/4", "w", "^\u0663", "^", "*", "+", " ", "x", "\u00b2"]))
+            text = text[:k] + piece + text[k:]
+        elif edit == "delete":
+            text = text[:k] + text[k + 1 :]
+        else:
+            text = text[:k]
+    return text

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,11 +9,14 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from groebnerkit import cli
 from groebnerkit.cli import build_parser, run
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import VariableContext
+
+from strategies import corrupted, grammar_texts
 
 CTX_XY = VariableContext(["x", "y"])
 
@@ -185,6 +190,31 @@ class TestMemberCommand:
     def test_positive_case(self, capsys):
         assert run(["member", "--vars", "x,y", "x^2*y", "--", "x^3-2*x*y", "x^2*y-2*y^2+x"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    @staticmethod
+    def _member_of_one(text):
+        """The exit code, stdout and stderr of member, run in-process on text."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["member", "--vars", "x,y,z", text, "--", "1"])
+        return code, out.getvalue(), err.getvalue()
+
+    TEXTS = grammar_texts(0) | grammar_texts(2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(TEXTS | corrupted(TEXTS))
+    def test_any_text_exits_cleanly(self, text):
+        # Every polynomial lies in the ideal of 1. A text that argparse takes
+        # for an option ("-x*y") gets its usage lines before its error line.
+        code, out, err = self._member_of_one(text)
+        assert code in (0, 1, 2)
+        lines = err.splitlines()
+        if code == 0:
+            assert (out, err) == ("true\n", "")
+        else:
+            assert out == "" and [line for line in lines if "error: " in line] == lines[-1:]
+            assert lines[0].startswith("usage: groebnerkit member" if len(lines) > 1 else "error: ")
+        assert self._member_of_one(text)[:2] == (code, out)
 
 
 class TestEliminateCommand:
@@ -426,6 +456,18 @@ class TestOscillatorCommand:
         # 4mk overflows a float; the regime is decided exactly.
         assert run(["oscillator", "--m", "1e200", "--k", "1e200", "--n", "2"]) == 0
         assert capsys.readouterr().out.startswith("t,y,env_hi,env_lo\n0,1,1,-1\n")
+
+    def test_times_past_half_the_float_range_sample(self, capsys):
+        # t_end * j overflows a float from j = 2; the times do not
+        assert run(["oscillator", "--m", "1", "--k", "1", "--b", "1", "--t-end", "1e308", "--n", "5"]) == 0
+        times = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert times == ["0", "2.5e+307", "5e+307", "7.5e+307", "1e+308"]
+
+    def test_angle_past_the_float_range_exits_1(self, capsys):
+        assert run(["oscillator", "--m", "1", "--k", "1e300", "--t-end", "1e300", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the angle omega*t + phase overflows the float range at t = 5e+299\n"
 
     def test_csv_to_file(self, tmp_path, capsys):
         path = tmp_path / "wave.csv"

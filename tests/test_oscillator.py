@@ -182,6 +182,13 @@ class TestEvaluate:
         got = evaluate(sol, t_star)
         assert got.y == pytest.approx(got.env_hi, rel=1e-12, abs=1e-12)
 
+    def test_angle_past_the_float_range_is_refused(self):
+        # omega = 1e150, so omega*t overflows at t = 5e299
+        sol = solve_ivp(OscillatorParams(m=1, k=1e300, b=0, y0=0, y1=1))
+        assert evaluate(sol, 1e157).env_hi == sol.amplitude
+        with pytest.raises(ValueError, match=r"^the angle omega\*t \+ phase overflows the float range at t = 5e\+299$"):
+            evaluate(sol, 5e299)
+
     def test_energy_decay_at_touch_points(self):
         sol = solve_ivp(OscillatorParams(m=1, k=4, b=0.6, y0=1, y1=0))
         t_star = (math.pi / 2 - sol.phase) / sol.omega
@@ -210,6 +217,19 @@ class TestSample:
             sol = solve_ivp(random_underdamped(rng))
             for row in sample(sol, 5.0, 64):
                 assert row.env_lo - 1e-12 <= row.y <= row.env_hi + 1e-12
+
+    def test_times_past_half_the_float_range(self):
+        # 1e308 * 2 overflows; the exact quotient 1e308 * 2 / 4 does not
+        sol = solve_ivp(OscillatorParams(m=1, k=1, b=1, y0=1, y1=0))
+        rows = sample(sol, 1e308, 5)
+        assert [r.t for r in rows] == [0.0, 1e308 / 4, float(Fraction(1e308) / 2), float(Fraction(1e308) * 3 / 4), 1e308]
+        assert [r.y for r in rows[1:]] == [0.0] * 4
+
+    def test_times_below_the_overflow_unchanged(self):
+        # each time is t_end * j / (n - 1), rounded twice, as before
+        sol = solve_ivp(OscillatorParams(m=1, k=1, b=0.1, y0=1, y1=0))
+        for t_end, n in [(10.0, 200), (2 * math.pi, 7), (1e307, 9), (0.3, 11)]:
+            assert [r.t for r in sample(sol, t_end, n)] == [t_end * j / (n - 1) for j in range(n)]
 
     def test_validation(self):
         sol = solve_ivp(OscillatorParams(m=1, k=1, b=0, y0=0, y1=1))

@@ -17,7 +17,7 @@ from groebnerkit.ring import NAME, Monomial, Polynomial, VariableContext
 
 import reference_parse
 from reference_ring import ReferencePolynomial
-from strategies import CTX_XY, CTX_XYZ, orders, polynomials
+from strategies import CTX_XY, CTX_XYZ, corrupted, grammar_texts, orders, polynomials
 
 
 def _p(terms):
@@ -361,60 +361,7 @@ class TestPackedEvaluation:
         assert (got.numerator, got.denominator) == (27, 8) and type(got) is Fraction
 
 
-# Texts of the grammar, flat and nested, with operands that put the flat
-# loop on each side of its limits: zero literals, 0^0 and x^0, literals and
-# powers past 2048 bits, degrees past the fields of START_WIDTH bits, an
-# unknown name, a zero denominator, a literal past CPython's digit limit.
-_LONG = [str(2**2047), str(2**2048 + 1), str(3**2600), "7" * 4301]
-_OPERANDS = st.one_of(
-    st.integers(0, 12).map(str),
-    st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 4)),
-    st.sampled_from("xyz"),
-)
-_RARE_OPERANDS = st.sampled_from(["w", "0", "3/0", *_LONG])
-_EXPONENTS = st.one_of(st.none(), st.integers(0, 4))
-_RARE_EXPONENTS = st.sampled_from([127, 128, 255, 256, 1023, 1024, 2047, 2048, 2**16, "\u0663", "-2"])
-
-
-@st.composite
-def _grammar_texts(draw, depth):
-    """An expr whose factors are operands, or up to depth levels of
-    parenthesized exprs, each perhaps raised to a power; one operand or
-    exponent in eight or so is one of the rare ones."""
-    terms = []
-    for _ in range(draw(st.integers(1, 4))):
-        factors = []
-        for _ in range(draw(st.integers(1, 3))):
-            if depth and not draw(st.integers(0, 3)):
-                base, e = f"({draw(_grammar_texts(depth - 1))})", draw(st.none() | st.integers(0, 3))
-            else:
-                base = draw(_OPERANDS if draw(st.integers(0, 15)) else _RARE_OPERANDS)
-                e = draw(_EXPONENTS if draw(st.integers(0, 7)) else _RARE_EXPONENTS)
-            factors.append(base if e is None else f"{base}^{e}")
-        terms.append("*".join(factors))
-    signs = [draw(st.sampled_from("+-")) for _ in terms[1:]]
-    head = "-" if draw(st.booleans()) else ""
-    return head + terms[0] + "".join(f" {sign} {t}" for sign, t in zip(signs, terms[1:]))
-
-
-_GRAMMAR_TEXTS = _grammar_texts(0) | _grammar_texts(2)
-
-
-@st.composite
-def _corrupted(draw, texts):
-    """A text with a piece put in, a character taken out, or its tail cut."""
-    text = draw(texts)
-    for _ in range(draw(st.integers(1, 2))):
-        k = draw(st.integers(0, len(text)))
-        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
-        if edit == "insert":
-            piece = draw(st.sampled_from(["(", ")", "$", "/0", "^-2", "/4", "w", "^\u0663", "^", "*", "+", " ", "x", "\u00b2"]))
-            text = text[:k] + piece + text[k:]
-        elif edit == "delete":
-            text = text[:k] + text[k + 1 :]
-        else:
-            text = text[:k]
-    return text
+_GRAMMAR_TEXTS = grammar_texts(0) | grammar_texts(2)
 
 
 def _outcome(read, text):
@@ -430,9 +377,10 @@ def _layout(p):
 
 
 class TestAgainstReference:
-    """The flat loop and the descent read every text as the parser before
-    the flat loop: the same packed value, or the same error, and under any
-    budget the same acceptance and the same refusal."""
+    """The one parser loop reads every text as the recursive descent
+    before it (reference_parse): the same packed value, or the same error
+    at the same position, and under any budget the same acceptance and the
+    same refusal."""
 
     @staticmethod
     def _both(text, budget):
@@ -447,7 +395,7 @@ class TestAgainstReference:
         return None
 
     @settings(max_examples=300, deadline=None)
-    @given(_GRAMMAR_TEXTS | _corrupted(_GRAMMAR_TEXTS))
+    @given(_GRAMMAR_TEXTS | corrupted(_GRAMMAR_TEXTS))
     @example("x^\u0663 + 0^0 - x^0*0")
     @example("2^3/4")
     @example("3/0 + x")
@@ -461,6 +409,22 @@ class TestAgainstReference:
     # each side of the fields of START_WIDTH bits
     @example("x^127*y + y^128 - x^255*z + z")
     @example("x^128*y^128 + z^256")
+    # plain factors on each side of a parenthesized one, and a plain term of
+    # high degree, zero, beside a parenthesized one: it sets the width
+    @example("3*x*(x+y)^2*y^2")
+    @example("(x) + 0*y^200")
+    # past degree 255 after a parenthesized factor, and in a plain term
+    @example("2*(x+1)*x^250*y^10")
+    @example("y^100*x^100 - (z)*x^300 + 3*y")
+    # a unit product, then one of two units, after a '('
+    @example("(2^2047)*x*3")
+    # plain terms before and after a parenthesized one keep their order
+    @example("3*y + (x - y)")
+    @example("(x - y) + y - x + y")
+    # no units at all: under a budget of -1 the first '*' is refused
+    @example("0*x - 0")
+    # refused two parentheses deep
+    @example("x*((y + (x+y+z)^300))")
     def test_reads_as_the_reference(self, text):
         work = self._both(text, parse.MAX_WORK)
         if work is not None:
@@ -469,7 +433,7 @@ class TestAgainstReference:
 
     def test_a_flat_span_makes_no_product(self, monkeypatch):
         def times(a, b):
-            raise AssertionError("the flat loop multiplies no Polynomial")
+            raise AssertionError("a plain term multiplies no Polynomial")
 
         monkeypatch.setattr(ring, "_times", times)
         assert parse_polynomial("3/2*x^2*y - 5*z + 1", CTX_XYZ) == Polynomial(
