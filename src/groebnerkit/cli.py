@@ -4,7 +4,8 @@ Subcommands cover basis computation, division, membership, elimination,
 staircase diagrams, inverse kinematics, and oscillator sampling. Each
 declares the output formats it accepts (text, JSON, CSV, SVG) for its
 --format flag, the first being the default, so a bad format is a usage
-error like any other bad flag. Exit codes: 0 on success,
+error like any other bad flag. A command that takes expressions reads
+a token such as -x*y as one. Exit codes: 0 on success,
 1 on domain errors, 2 on usage or expression-syntax errors; usage errors
 are reported before any computation starts.
 """
@@ -42,6 +43,19 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that, with expressions set, takes a token of one
+    dash and more, such as -x*y, for an expression, not for an unknown
+    option; -h and every --flag are still read as options."""
+
+    expressions = False
+
+    def _parse_optional(self, arg_string):
+        if self.expressions and arg_string[:1] == "-" and arg_string[1:2] not in ("", "-") and arg_string != "-h":
+            return None  # a positional
+        return super()._parse_optional(arg_string)
+
+
 def _int_above(floor: int, ceiling: Optional[int] = None):
     """argparse type: an integer greater than floor and, when a ceiling is
     given, at most the ceiling."""
@@ -76,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     # A metavar and a fixed help column keep argparse from laying out the
     # usage line and the command list differently on each Python version;
     # a column wider than 14 splits 3.12 from 3.13 again.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groebnerkit",
         description="Exact-arithmetic Groebner basis toolkit",
         formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=14),
@@ -92,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if variables:
+            p.expressions = True  # a command with --vars reads expressions
             p.add_argument("--vars", required=True)
         yield p
         if order:

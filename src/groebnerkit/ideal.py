@@ -15,7 +15,7 @@ from operator import or_
 
 from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
-from .order import LEX, MonomialOrder
+from .order import MonomialOrder
 from .ring import Polynomial
 
 
@@ -110,15 +110,18 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
         tol = math.inf
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite as a float")
-    if p.is_zero():
+    if not p._numerators:
         raise ValueError("identically zero")
-    packing = LEX.packing(len(p.context), p._width)
-    active = [i for i, e in enumerate(packing.unpack(reduce(or_, p._numerators))) if e]
-    if len(active) > 1:
-        raise ValueError("not univariate")
-    if not active:
+    # Each variable has its own field of p._width bits in the packed
+    # monomials. Their OR has its highest bit in the field of the one
+    # variable in use, and no bit below that field.
+    used, width = reduce(or_, p._numerators), p._width
+    if not used:
         return []  # nonzero constant
-    f = _integral(p, packing._shifts[active.pop()])
+    shift = (used.bit_length() - 1) // width * width
+    if used & ((1 << shift) - 1):
+        raise ValueError("not univariate")
+    f = _integral(p, shift)
 
     # The Cauchy bound 1 + max |c_i / c_d| over i < d, rounded up, is
     # 1 + ceiling, read off p's integer list with the same ratios.
@@ -136,9 +139,9 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     found = _quadratic(f, stop - 1) if len(f) <= 3 and s < stop else _bisected(f, s, stop)
 
     # Every point as a numerator over the one power of two 2^top.
-    top = max((t for _, t in found), default=0)
+    top = max([t for _, t in found], default=0)
     clusters: list[list[int]] = []
-    for num in sorted(num << (top - t) for num, t in found):
+    for num in sorted([num << (top - t) for num, t in found]):
         if clusters and _float(num - clusters[-1][0], top) <= tol:
             clusters[-1][1] = num
         else:

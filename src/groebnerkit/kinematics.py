@@ -88,12 +88,26 @@ class IKResult:
         return iter(self.solutions)
 
 
-def _exact(value: Real) -> Fraction:
-    """The rational a value reads as: a float as the shortest decimal that
-    reads back as the same float, an int or a Fraction as itself."""
+def _pair(value: Real) -> tuple[int, int]:
+    """The rational a value reads as, as an integer numerator and a
+    positive denominator: a float as the shortest decimal that reads back
+    as the same float, the digits of its repr over a power of ten; an int
+    or a Fraction as its own numerator and denominator; any other number
+    as Fraction(value) reads it. The pair need not be in lowest terms."""
     if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+        digits, _, exponent = repr(value).partition("e")
+        whole, _, fraction = digits.partition(".")
+        k = len(fraction) - int(exponent) if exponent else len(fraction)
+        n = int(whole + fraction)
+        return (n, 10**k) if k >= 0 else (n * 10**-k, 1)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _exact(value: Real) -> Fraction:
+    """The rational a value reads as (``_pair``), as a Fraction."""
+    return Fraction(*_pair(value))
 
 
 def ik_system(arm: ArmSpec, target: Target) -> list[Polynomial]:
@@ -109,11 +123,12 @@ def _system(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyno
     return [l1 * _C1 + l2 * _COS12 - x, l1 * _S1 + l2 * _SIN12 - y, *_CIRCLES]
 
 
-def _cleared(*values: Fraction) -> tuple[list[int], int]:
-    """The values' integer numerators over their positive common
-    denominator, and that denominator."""
-    q = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (q // v.denominator) for v in values], q
+def _cleared(*values: Real) -> tuple[list[int], int]:
+    """The values as they read (``_pair``): integer numerators over one
+    positive common denominator, the lcm of theirs, and that denominator."""
+    pairs = [_pair(v) for v in values]
+    q = math.lcm(*[d for _, d in pairs])
+    return [n * (q // d) for n, d in pairs], q
 
 
 def _closed_form(l1: int, l2: int, x: int, y: int) -> tuple[int, ...]:
@@ -156,8 +171,8 @@ def _lift(form: tuple[int, ...], root: float) -> tuple[int, ...]:
     return c1, s1, c2, num * form[-1], form[-1] * d
 
 
-def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polynomial]:
-    """The reduced lex basis at the given rationals, sorted s2 < c2 < s1 < c1."""
+def _members(l1: Real, l2: Real, x: Real, y: Real) -> list[Polynomial]:
+    """The reduced lex basis at the values as they read, sorted s2 < c2 < s1 < c1."""
     form = _closed_form(*_cleared(l1, l2, x, y)[0])
     c2, s1, c1 = _lifts(form, _S2)
     unit = Fraction(1, form[-1])
@@ -165,7 +180,10 @@ def _members(l1: Fraction, l2: Fraction, x: Fraction, y: Fraction) -> list[Polyn
 
 
 def forward_kinematics(arm: ArmSpec, theta1: float, theta2: float) -> tuple[float, float]:
-    l1, l2 = float(arm.l1), float(arm.l2)
+    return _forward(float(arm.l1), float(arm.l2), theta1, theta2)
+
+
+def _forward(l1: float, l2: float, theta1: float, theta2: float) -> tuple[float, float]:
     return (
         l1 * math.cos(theta1) + l2 * math.cos(theta1 + theta2),
         l1 * math.sin(theta1) + l2 * math.sin(theta1 + theta2),
@@ -193,7 +211,7 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         raise ValueError("tol must be positive and finite")
     # Scaled by their common denominator q, the inputs are integers; every
     # comparison below and every closed-form value is unchanged by it.
-    (l1, l2, x, y), q = _cleared(*map(_exact, (arm.l1, arm.l2, target.x, target.y)))
+    (l1, l2, x, y), q = _cleared(arm.l1, arm.l2, target.x, target.y)
     # The pose check sees float errors of a few ulps of the reach.
     try:
         scale = max(1.0, (l1 + l2) / q)
@@ -213,13 +231,14 @@ def ik_solve(arm: ArmSpec, target: Target, tol: float = 1e-9) -> IKResult:
         raise ValueError("solution set not finite")
 
     form = _closed_form(l1, l2, x, y)
-    fx, fy = x / q, y / q
+    # int / int rounds correctly, as float() of the arm's lengths does.
+    fl1, fl2, fx, fy = l1 / q, l2 / q, x / q, y / q
     solutions = []
     # s2 is unitless; an error in it moves the end effector by up to the reach.
     for root in univariate_real_roots(_eliminant(form), tol * 1e-2 / scale):
         c1, s1, c2, s2, _ = _lift(form, root)
         theta1, theta2 = _angle(c1, s1), _angle(c2, s2)
-        ex, ey = forward_kinematics(arm, theta1, theta2)
+        ex, ey = _forward(fl1, fl2, theta1, theta2)
         residual = abs(ex - fx) + abs(ey - fy)
         if residual <= 10 * tol:
             solutions.append(JointSolution(theta1, theta2, residual))

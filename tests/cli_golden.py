@@ -54,6 +54,7 @@ CASES = {
     # member
     "member-true": ["member", "--vars", "x,y", "x^2*y", "--", "x^3-2*x*y", "x^2*y-2*y^2+x"],
     "member-false-json": ["member", "--vars", "x,y", "--format", "json", "x", "--", "x^2", "y"],
+    "member-leading-minus": ["member", "--vars", "x,y,z", "-x*y", "--", "1"],
     # eliminate
     "eliminate-text": ["eliminate", "--vars", "x,y,z", "--keep", "1", "x^2+y+z-1", "x+y^2+z-1", "x+y+z^2-1"],
     "eliminate-json": ["eliminate", "--vars", "x,y", "--keep", "1", "--format", "json", "x^2-y", "x*y-1"],
@@ -89,6 +90,9 @@ CASES = {
     "ik-non-finite": [*IK, "--x", "inf", "--y", "0"],
     "ik-negative-link": ["ik", "--l1", "-1", "--l2", "1", "--x", "1", "--y", "0"],
     "ik-tol-below-floor": [*IK, "--x", "1.2", "--y", "0.5", "--tol", "1e-17"],
+    "ik-exponent-target": [*IK, "--x", "1e-05", "--y", "1.25"],
+    "ik-exponent-arm": ["ik", "--l1", "2.5e-1", "--l2", "1", "--x", "0.75", "--y", "5e-1"],
+    "ik-shortest-decimal": [*IK, "--x", "0.30000000000000004", "--y", "1.2e0", "--format", "json"],
     # oscillator
     "oscillator-csv": OSC,
     "oscillator-damped-csv": ["oscillator", "--m", "2", "--k", "3", "--b", "0.5", "--t-end", "2", "--n", "3"],

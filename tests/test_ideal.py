@@ -18,7 +18,7 @@ from groebnerkit.ideal import (
 from groebnerkit.kinematics import ArmSpec, Target, ik_solve
 from groebnerkit.order import GREVLEX, GRLEX, LEX
 from groebnerkit.parse import parse_polynomial, parse_system
-from groebnerkit.ring import Monomial, Polynomial, RingMismatchError
+from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
 from reference_roots import reference_roots
 from strategies import CTX_XY, CTX_XYZ, CTX_T, nonzero_rationals, rationals
@@ -357,6 +357,40 @@ class TestDyadicPoints:
         for root, multiplicity in multiplicities.items():
             p = p * (t - root) ** multiplicity
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+        st.dictionaries(rationals(), st.integers(1, 3), min_size=1, max_size=3),
+        st.sampled_from([0, 1, 2, 130, 256, 300]),
+        st.floats(1e-12, 1e-3),
+    )
+    # The first and the last field, in fields of 8 bits, of 16 (degree
+    # 256) and of 17 (degree past 2^15).
+    @example((6, 0), {Fraction(1, 3): 1, Fraction(-2): 2}, 0, 1e-9)
+    @example((6, 5), {Fraction(1, 3): 1, Fraction(-2): 2}, 0, 1e-9)
+    @example((4, 0), {Fraction(5, 7): 1}, 256, 1e-9)
+    @example((4, 3), {Fraction(5, 7): 1}, 256, 1e-9)
+    @example((2, 1), {Fraction(-1, 2): 1}, 2**15, 1e-9)
+    def test_the_one_variable_in_use_is_found_in_any_field(self, variable, multiplicities, power, tol):
+        # v_k^power times the roots' factors, in n variables: the roots
+        # of v_k, whatever field it takes; with any other variable added,
+        # not univariate.
+        n, k = variable
+        context = VariableContext([f"v{i}" for i in range(n)])
+        v = [Polynomial.variable(context, name) for name in context.names]
+        p = v[k] ** power
+        for root, multiplicity in multiplicities.items():
+            p = p * (v[k] - root) ** multiplicity
+        assert p._width >= (17 if power >= 2**15 else 16 if power >= 256 else 8)
+        assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+        for other in range(n):
+            if other != k:
+                with pytest.raises(ValueError, match="^not univariate$"):
+                    univariate_real_roots(p + v[other] * v[k] ** power, tol)
+        assert univariate_real_roots(Polynomial.constant(context, Fraction(-3, 7)), tol) == []
+        with pytest.raises(ValueError, match="^identically zero$"):
+            univariate_real_roots(p - p, tol)
 
     @settings(max_examples=150, deadline=None)
     @given(

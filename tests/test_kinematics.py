@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -104,20 +105,50 @@ class TestSystem:
 class TestReader:
     @settings(max_examples=500)
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @example(value=5e-324)
+    @example(value=-0.0)
+    @example(value=1e16)
+    @example(value=1.7976931348623157e308)
+    @example(value=1e-300)
+    @example(value=0.30000000000000004)
     def test_float_reads_back_as_itself(self, value):
+        # The integer pair is the shortest decimal that reads back as the
+        # float: its digits over a power of ten.
+        n, d = kinematics._pair(value)
+        assert type(n) is int and type(d) is int
+        assert d > 0 and 10 ** (len(str(d)) - 1) == d
+        assert Fraction(n, d) == Fraction(repr(value))
         exact = kinematics._exact(value)
         assert isinstance(exact, Fraction)
-        assert float(exact) == value
+        assert exact == Fraction(repr(value)) and float(exact) == value
 
     @given(value=st.one_of(st.integers(), st.fractions()))
+    @example(value=True)
+    @example(value=10**400)
+    @example(value=-(10**400))
+    @example(value=Fraction(-(10**400), 3**300))
     def test_ints_and_fractions_pass_unchanged(self, value):
+        assert kinematics._pair(value) == (value.numerator, value.denominator)
         exact = kinematics._exact(value)
         assert isinstance(exact, Fraction) and exact == value
+
+    @pytest.mark.parametrize("text", ["0.1", "-2.5E-7", "1e400", "3.14159265358979323846264338327950288", "-0"])
+    def test_decimal_reads_as_fraction_reads_it(self, text):
+        value = Decimal(text)
+        assert Fraction(*kinematics._pair(value)) == Fraction(value)
+        assert kinematics._exact(value) == Fraction(value)
 
     def test_float_reads_as_the_decimal_it_prints(self):
         assert kinematics._exact(0.1) == Fraction(1, 10)
         assert kinematics._exact(1e-300) == Fraction(1, 10**300)
         assert kinematics._exact(1 / 3) == Fraction(3333333333333333, 10**16)
+        assert kinematics._exact(2.5e-1) == Fraction(1, 4)
+        assert kinematics._exact(1e16) == 10**16
+        assert kinematics._exact(0.30000000000000004) == Fraction(30000000000000004, 10**17)
+
+    def test_cleared_values_share_the_lcm_of_their_denominators(self):
+        assert kinematics._cleared(0.25, 1, Fraction(1, 3), 1e-05) == ([75000, 300000, 100000, 3], 300000)
+        assert kinematics._cleared(True, 1e16) == ([1, 10**16], 1)
 
 
 class TestSolve:
@@ -202,6 +233,13 @@ class TestSolve:
         # 1.2^2 + 1.6^2 = 4 in decimals; in the floats' binary values, 4 + 1.8e-16
         result = ik_solve(ArmSpec(1, 1), Target(1.2, 1.6), 1e-9)
         assert_angles_match(result.solutions, [(math.atan2(1.6, 1.2), 0.0)], 1e-6)
+
+    def test_float_solves_as_the_decimal_it_prints(self):
+        for values in [(2.5e-1, 1, 0.75, 5e-1), (1, 1, 1e-05, 1.25), (1, 1, 0.30000000000000004, 1.2e0)]:
+            decimals = [Fraction(repr(v)) if isinstance(v, float) else v for v in values]
+            result = ik_solve(ArmSpec(*values[:2]), Target(*values[2:]))
+            assert len(result.solutions) == 2
+            assert result == ik_solve(ArmSpec(*decimals[:2]), Target(*decimals[2:]))
 
     def test_solutions_sorted_by_theta1(self):
         result = ik_solve(ArmSpec(1, 1), Target(1, 1), 1e-9)
