@@ -4,10 +4,10 @@ Subcommands cover basis computation, division, membership, elimination,
 staircase diagrams, inverse kinematics, and oscillator sampling. Each
 declares the output formats it accepts (text, JSON, CSV, SVG) for its
 --format flag, the first being the default, so a bad format is a usage
-error like any other bad flag. A command that takes expressions reads
-a token such as -x*y as one. Exit codes: 0 on success,
-1 on domain errors, 2 on usage or expression-syntax errors; usage errors
-are reported before any computation starts.
+error like any other bad flag. Every parser reads a token of one dash
+other than -h, such as -x*y or -5e-1, as a value. Exit codes: 0 on
+success, 1 on domain errors, 2 on usage or expression-syntax errors;
+usage errors are reported before any computation starts.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that, with expressions set, takes a token of one
-    dash and more, such as -x*y, for an expression, not for an unknown
-    option; -h and every --flag are still read as options."""
-
-    expressions = False
+    """An ArgumentParser that takes a token of one dash and more, such as
+    -x*y or -5e-1, for a value, not for an unknown option; -h and every
+    --flag are still read as options."""
 
     def _parse_optional(self, arg_string):
-        if self.expressions and arg_string[:1] == "-" and arg_string[1:2] not in ("", "-") and arg_string != "-h":
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-") and arg_string != "-h":
             return None  # a positional
         return super()._parse_optional(arg_string)
 
@@ -106,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if variables:
-            p.expressions = True  # a command with --vars reads expressions
             p.add_argument("--vars", required=True)
         yield p
         if order:

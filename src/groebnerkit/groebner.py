@@ -34,10 +34,12 @@ signature the pair of the smallest lcm first. A J-pair is dropped when
 
 A kept pair's S-polynomial is reduced only by multiples of lower
 signature, its lead and its tail alike. A zero result is a syzygy of
-the pair's signature. A nonzero result made monic is dropped when some
-member's multiple of its signature has its lead (it is singular), and
-otherwise enters as a new member of that signature. Taken in increasing
-signature, the pairs leave a Groebner basis when the heap is empty.
+the pair's signature. A nonzero result made monic enters as a new member
+of that signature. It is never singular: its lead is below the pair's
+lcm, since the S-polynomial holds the two tails only, so a member whose
+multiple of its signature had that lead would have covered the pair.
+Taken in increasing signature, the pairs leave a Groebner basis when the
+heap is empty.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def buchberger(
       syzygy (``pruned_syzygy``) or by a member that covers it
       (``pruned_cover``), or reduced (``s_pairs_reduced``);
     - ``inputs_reduced``, the inputs that the inputs before them reduced;
-    - ``new_members``, ``zero_reductions`` and ``discarded_singular``:
-      each reduced pair or input gives one of these three;
+    - ``new_members`` and ``zero_reductions``: each reduced pair or
+      input gives one of these two, since no reduced pair is singular;
     - ``widenings``, the number of times the packed fields doubled
       because a product or a new member outgrew them; it depends on the
       inputs alone;
@@ -181,7 +183,7 @@ def buchberger(
 
     So ``pairs_formed = pruned_syzygy + pruned_cover + s_pairs_reduced``
     and ``s_pairs_reduced + inputs_reduced = new_members +
-    zero_reductions + discarded_singular``.
+    zero_reductions``.
     """
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
@@ -332,10 +334,6 @@ def buchberger(
             _insert(syzygies[i], sig, guards)
             continue
         form = _monic(records, packing)
-        # Singular: a member's multiple of this signature has this lead.
-        if any((above - sigs[n]) & guards == guards and k_sig - excess[n] == form.key for n in by_index[i]):
-            counts["discarded_singular"] += 1
-            continue
         add(enter(form), sig, k_sig - form.key, i)
 
     given = inputs + [None] * (len(forms) - len(inputs))
@@ -344,7 +342,7 @@ def buchberger(
 
 # The counters buchberger keeps in a stats record.
 _STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
-          "new_members", "zero_reductions", "discarded_singular", "widenings", "basis_high_water")
+          "new_members", "zero_reductions", "widenings", "basis_high_water")
 
 
 def _divisible(sig: int, known: list[int], guards: int) -> bool:

@@ -209,7 +209,10 @@ def _bisected(f: list[int], s: int, stop: int) -> list[tuple[int, int]]:
     stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
     while stack:
         a, va, b, vb, s = stack.pop()
-        if va - vb > 1 and s < stop:
+        # An interval is split while it holds more than one root, and the
+        # start (-1, 1], the one interval of odd a, while it holds any: it
+        # is no cell of the grid one level up, and every other is.
+        if va - vb > 1 - a % 2 and s < stop:
             mid = a + b
             vm = _variations_at(chain, mid, s + 1)
             stack += [(2 * a, va, mid, vm, s + 1), (mid, vm, 2 * b, vb, s + 1)]
@@ -282,6 +285,10 @@ def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> tuple[int, int]:
     next cell, of level t + n, and n doubles. Where they do not, the cell
     is halved and n halves. n starts at 1, and is capped so that no cell
     is finer than level stop - 1, so every point read lies on that grid.
+
+    At s < stop, a is even (``_bisected`` splits the odd start
+    interval), so (a, b] is the cell (a / 2, a / 2 + 1] of level s - 1,
+    and refinement starts from that cell with no step of its own.
     """
     end = _value_at(f, b, s)
     if end == 0:
@@ -290,18 +297,8 @@ def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> tuple[int, int]:
         return a + b, s + 1
     up = end > 0  # f's sign between the root and b; before the root, the other
     d, top = len(f) - 1, stop - 1
-    if a % 2:  # the first interval (-1, 1] is the two cells (-1, 0] and (0, 1]
-        mid = _value_at(f, a + 1, s)
-        if mid == 0:
-            return a + 1, s
-        if (mid > 0) == up:
-            lo, vlo, vhi = a, _value_at(f, a, s), mid
-        else:
-            lo, vlo, vhi = a + 1, mid, end
-        t = s
-    else:
-        lo, t = a // 2, s - 1
-        vlo, vhi = _value_at(f, lo, t), end >> d if s > 0 else end
+    lo, t = a // 2, s - 1
+    vlo, vhi = _value_at(f, lo, t), end >> d if s > 0 else end
     # The cell is (lo, lo + 1] at level t; vlo and vhi are the magnitudes
     # of f's values at its ends, scaled as _value_at scales them there.
     vlo, vhi = abs(vlo), abs(vhi)

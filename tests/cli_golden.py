@@ -92,6 +92,9 @@ CASES = {
     "ik-tol-below-floor": [*IK, "--x", "1.2", "--y", "0.5", "--tol", "1e-17"],
     "ik-exponent-target": [*IK, "--x", "1e-05", "--y", "1.25"],
     "ik-exponent-arm": ["ik", "--l1", "2.5e-1", "--l2", "1", "--x", "0.75", "--y", "5e-1"],
+    "ik-negative-exponent": [*IK, "--x", "0.75", "--y", "-5e-1"],
+    "ik-negative-infinite": [*IK, "--x", "0.75", "--y", "-inf"],
+    "ik-negative-tol": [*IK, "--x", "0.75", "--y", "0.5", "--tol", "-1e-9"],
     "ik-shortest-decimal": [*IK, "--x", "0.30000000000000004", "--y", "1.2e0", "--format", "json"],
     # oscillator
     "oscillator-csv": OSC,
@@ -101,6 +104,7 @@ CASES = {
     "oscillator-output": [*OSC, "--output", "{output}"],
     "oscillator-overdamped": ["oscillator", "--m", "1", "--k", "1", "--b", "5"],
     "oscillator-nan": ["oscillator", "--m", "1", "--k", "1", "--y0", "nan"],
+    "oscillator-negative-exponent": ["oscillator", "--m", "1", "--k", "1", "--y0", "-1e-3", "--n", "3"],
     "oscillator-svg-width": [*OSC, "--format", "svg", "--svg-width", "100"],
     "oscillator-bad-n": ["oscillator", "--m", "1", "--k", "1", "--n", "many"],
     "oscillator-n-over-bound": ["oscillator", "--m", "1", "--k", "1", "--n", "100001"],

@@ -157,8 +157,9 @@ class TestGroebnerCommand:
 
 
 class TestLeadingMinus:
-    """A token of one dash and more is an expression to every command with
-    --vars, read from the text as typed; -h and --flags stay options."""
+    """A token of one dash and more is a value to every parser: an
+    expression read from the text as typed, or a number; -h and --flags
+    stay options."""
 
     @pytest.mark.parametrize(
         "argv, out",
@@ -178,6 +179,12 @@ class TestLeadingMinus:
     def test_error_position_counts_from_the_text_as_typed(self, capsys):
         assert run(["member", "--vars", "x,y", "-x*$", "--", "1"]) == 2
         assert capsys.readouterr() == ("", "error: unexpected character '$' (position 4)\n")
+
+    def test_a_dash_token_is_no_command(self, capsys):
+        # A value, so an invalid command. Only the exit code is checked:
+        # argparse words the choices differently across Python versions.
+        # Negative numbers as flag values are rows of the golden table.
+        assert run(["-q"]) == 2
 
     def test_help_and_unknown_flags_stay_options(self, capsys):
         assert run(["member", "--vars", "x,y", "-h"]) == 0
@@ -369,6 +376,19 @@ class TestIkCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad trajectory row 1: {first!r}\n"
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        waypoints = tmp_path / "path.csv"
+        waypoints.write_text("x,y\n\n1,1\n  \n")
+        assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x,y,theta1,theta2,residual" and len(lines) == 3
+
+    def test_header_alone_exits_2(self, tmp_path, capsys):
+        waypoints = tmp_path / "path.csv"
+        waypoints.write_text("x,y\n")
+        assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints)]) == 2
+        assert capsys.readouterr() == ("", "error: trajectory file holds no waypoints\n")
 
     def test_non_finite_waypoint_names_its_row(self, tmp_path, capsys):
         waypoints = tmp_path / "path.csv"

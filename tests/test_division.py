@@ -119,6 +119,15 @@ class TestDivisionResult:
         result = self._divided()
         assert result.quotients is result.quotients
 
+    def test_an_unknown_attribute_is_missing(self):
+        # Asked before the quotients are first read, and after.
+        result = self._divided()
+        for _ in range(2):
+            assert not hasattr(result, "foo")
+            with pytest.raises(AttributeError, match="^'DivisionResult' object has no attribute 'foo'$"):
+                result.foo
+            result.quotients
+
     def test_dataclass_fields_and_replace(self):
         result = self._divided()
         assert dataclasses.is_dataclass(result)

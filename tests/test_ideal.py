@@ -358,6 +358,36 @@ class TestDyadicPoints:
             p = p * (t - root) ** multiplicity
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
 
+    # The start interval (-2^e, 2^e] is no cell of the grid one level up,
+    # so it is split even when it holds one root: a root in either half,
+    # a root at 0, a triple root beside a complex pair. At tol 1e-9, and
+    # at a tol wider than the Cauchy bound, where nothing is split.
+    @pytest.mark.parametrize("tol", [1e-9, 1e3])
+    @pytest.mark.parametrize("text", ["t^3 - 2", "t^3 + 2", "t^3 + t", "(2*t - 1)^3*(t^2 + 3)"])
+    def test_the_start_interval_as_the_reference(self, text, tol):
+        p = parse_polynomial(text, CTX_T)
+        assert univariate_real_roots(p, tol) == reference_roots(p, tol)
+
+    def test_every_interval_refined_below_stop_is_a_cell(self, monkeypatch):
+        # A cell (a, a + 2] at level s is a cell of level s - 1 when a is
+        # even; only the start interval has an odd left end.
+        calls, refine = [], ideal._refine
+
+        def spy(f, a, b, s, stop):
+            calls.append((a, s, stop))
+            return refine(f, a, b, s, stop)
+
+        monkeypatch.setattr(ideal, "_refine", spy)
+        rng = random.Random(7)
+        t = Polynomial.variable(CTX_T, "t")
+        polys = [parse_polynomial(text, CTX_T) for text in ("t^3 - 2", "t^3 + 2", "t^3 + t", "(2*t - 1)^3*(t^2 + 3)")]
+        polys += [sum((rng.randint(-9, 9) * t**k for k in range(rng.randint(3, 7))), t**7) for _ in range(40)]
+        for p in polys:
+            for tol in (5e-324, 1e-9, 0.5, 1e3):
+                univariate_real_roots(p, tol)
+        assert any(a % 2 for a, s, stop in calls)  # the start interval, at s >= stop
+        assert [(a, s, stop) for a, s, stop in calls if a % 2 and s < stop] == []
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),

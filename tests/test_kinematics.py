@@ -174,6 +174,12 @@ class TestSolve:
         assert result.diagnostic is None
         assert_angles_match(result.solutions, [(0.0, math.pi)], 1e-6)
 
+    def test_a_result_iterates_its_solutions(self):
+        result = ik_solve(ArmSpec(1, 1), Target(1, 1), 1e-9)
+        assert len(result.solutions) == 2
+        assert list(result) == list(result.solutions)
+        assert list(ik_solve(ArmSpec(1, 1), Target(3, 0), 1e-9)) == []
+
     def test_unreachable(self):
         result = ik_solve(ArmSpec(1, 1), Target(3, 0), 1e-9)
         assert result.solutions == ()

@@ -133,6 +133,11 @@ class TestSolveIvp:
         with pytest.raises(ValueError, match="initial velocity is past the float range"):
             solve_ivp(OscillatorParams(1, 1, 0, 0, -(10**400)))
 
+    def test_amplitude_past_the_float_range_is_refused(self):
+        # y0 and omega are finite, but c2 = (y1 - beta * y0) / omega is not.
+        with pytest.raises(ValueError, match="^amplitude is past the float range$"):
+            solve_ivp(OscillatorParams(m=1, k=1e300, b=1e150, y0=1e300, y1=0))
+
     def test_rejects_non_underdamped(self):
         for b in (2, 3):
             with pytest.raises(ValueError, match="underdamped regime required"):

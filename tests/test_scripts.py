@@ -1,5 +1,7 @@
 import hashlib
+import os
 import runpy
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SHOWCASE = ROOT / "scripts" / "render_showcase.py"
 LINE_COUNT = ROOT / "scripts" / "line_count.py"
+NEVER_RUN = ROOT / "scripts" / "never_run.py"
 
 # The artifacts' sha256: a change meant to leave the output alone must
 # leave these bytes.
@@ -57,3 +60,35 @@ def test_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
     module.write_text('"""Doc."""\n\n# note\ndef f():\n    """Doc\n    more."""\n    return ("a"\n            "b")\n')
     count = runpy.run_path(str(LINE_COUNT))["count"]
     assert count(module) == (8, 3)
+
+
+def test_never_run_lists_the_statements_no_test_ran(tmp_path):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "signs.py").write_text(
+        "def sign(x):\n"
+        "    if x > 0:\n"
+        "        return 1\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return 0\n"
+        "\n"
+        "\n"
+        "def unused():\n"
+        "    return [n for n in range(3)]\n"
+    )
+    (tmp_path / "test_signs.py").write_text(
+        "from signs import sign\n\n\ndef test_sign():\n    assert sign(2) == 1 and sign(0) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+    done = subprocess.run(
+        [sys.executable, str(NEVER_RUN), "lib", "test_signs.py", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "1 passed" in done.stderr
+    assert done.stdout.splitlines() == [
+        f"{Path('lib') / 'signs.py'}: 2 of 8 statements never ran",
+        "     5  return -1",
+        "    10  return [n for n in range(3)]",
+        "total: 2 of 8 statements never ran",
+    ]
