@@ -25,10 +25,9 @@ coefficient c of P against a divisor of leading coefficient l
 multiplies P by ``a = l / gcd(c, l)`` and subtracts ``b = c / gcd(c, l)``
 times the shifted G, which cancels the lead in integers.
 
-``_reduce`` is the one reduction loop. Its entries are ``divide``;
-completion (``groebner.buchberger``), which reduces an S-pair only by
-multiples of lower signature; ``_interreduce_forms``; and
-``pseudo_divide``, on integer coefficient lists.
+``_reduce`` is the one reduction loop. Its three entries are
+``divide``; completion (``groebner.buchberger``), which reduces an
+S-pair only by multiples of lower signature; and ``_interreduce_forms``.
 
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
 A call divides in the widest packing of this order that a divisor holds,
@@ -165,36 +164,6 @@ def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packin
         else:
             return packing, reduced
         packing, kept = _widened(packing, kept)
-
-
-def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Univariate division of integer coefficient lists, lowest degree
-    first, g's last coefficient nonzero: (q, r) with A * f = q * g + r
-    for the positive scale A of the loop, deg r < deg g, and r free of
-    leading zeros ([] when it is zero).
-
-    q and r are A times ``divide``'s quotient and remainder of the same
-    polynomials. No polynomial's form is read or stored.
-    """
-    degree = len(g) - 1
-    # g = sign * G with G's lead positive, so q takes the sign; x^k packs
-    # to k, which is its own key.
-    sign = 1 if g[-1] > 0 else -1
-    tail = [(k, sign * c) for k, c in enumerate(g[:-1]) if c]
-    form = _Form(degree, degree, sign * g[-1], tail, sign, 1, degree)
-    packing = LEX.packing(1, _room(max(len(f) - 1, degree)))
-    steps: list[tuple[int, int, int, int]] = []
-    records = _reduce({k: c for k, c in enumerate(f) if c}, [form], degree, packing, steps)
-    # In one variable a term moves to the remainder only once the lead is
-    # below deg g, after the last step, so every record is at scale top.
-    top = steps[-1][3] if steps else 1
-    q = [0] * (steps[0][1] + 1 if steps else 0)
-    for _, shift, b, scale in steps:
-        q[shift] = sign * b * (top // scale)
-    r = [0] * (records[0][0] + 1 if records else 0)
-    for k, _, c, _ in records:
-        r[k] = c
-    return q, r
 
 
 def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing, tuple[_Form, ...]]:

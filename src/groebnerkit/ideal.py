@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .division import pseudo_divide
 from .groebner import GroebnerBasis, normal_form
 from .order import MonomialOrder
 from .ring import Polynomial
@@ -98,8 +97,8 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     of the square-free part p/gcd(p, p'), which keeps every root once
     whatever its multiplicity. The chain is integer coefficient lists,
     each a positive multiple of the member over Q, so every sign is the
-    same; each remainder and each quotient by the gcd comes from
-    ``division.pseudo_divide`` and is made primitive. Sturm counts bisect
+    same; each remainder and each quotient by the gcd comes from the list
+    pseudo-remainder ``pseudo_divide`` and is made primitive. Sturm counts bisect
     (-2^e, 2^e], a power of two past the Cauchy bound, until each
     interval holds one root, and quadratic interval refinement narrows it
     (``_refine``), returning the very point that halving would.
@@ -195,10 +194,7 @@ def _bisected(f: list[int], s: int, stop: int) -> list[tuple[int, int]]:
     # The signed remainder sequence f, f', -rem, ... ends in gcd(f, f'),
     # each member a positive multiple of the one over Q.
     chain = [f, [i * c for i, c in enumerate(f)][1:]]
-    while True:
-        _, rem = pseudo_divide(chain[-2], chain[-1])
-        if not rem:
-            break
+    while rem := pseudo_divide(chain[-2], chain[-1])[1]:
         chain.append(_primitive([-c for c in rem]))
     gcd = chain[-1]
     # A constant gcd (f square-free) would only scale every member.
@@ -252,6 +248,35 @@ def _primitive(f: list[int]) -> list[int]:
     return f if content == 1 else [c // content for c in f]
 
 
+def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Division of f by g, g's last coefficient l nonzero: (q, r) with
+    A * f = q * g + r for the positive scale A of the loop, deg r < deg g,
+    and r free of leading zeros ([] when it is zero).
+
+    ``division``'s fraction-free step, on the list: its top coefficient c
+    comes off, the rest is multiplied by a = |l| / gcd(c, l), and b = a *
+    c / l times g, shifted, is taken away, which cancels c. So q and r are
+    A times ``divide``'s quotient and remainder of the same polynomials,
+    and q takes the sign of l.
+    """
+    d, lead, tail = len(g) - 1, g[-1], g[:-1]
+    r, q = f[:], [0] * max(len(f) - d, 0)
+    while len(r) > d:
+        if c := r.pop():
+            a = abs(lead) // math.gcd(c, lead)
+            b = a * c // lead
+            if a != 1:
+                r, q = [a * x for x in r], [a * x for x in q]
+            q[len(r) - d] = b
+            for k, x in enumerate(tail, len(r) - d):
+                r[k] -= b * x
+    while q and not q[-1]:
+        q.pop()  # a leading zero of f's
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def _value_at(f: list[int], num: int, s: int) -> int:
     """f(num / 2^s) times 2^(d*max(s, 0)), d = len(f) - 1, by integer
     Horner: each coefficient is shifted by s more bits than the one above
@@ -266,9 +291,21 @@ def _value_at(f: list[int], num: int, s: int) -> int:
 
 
 def _variations_at(chain: list[list[int]], num: int, s: int) -> int:
-    """Sign changes along the Sturm chain at num / 2^s; zeros are skipped."""
-    signs = [v > 0 for v in (_value_at(f, num, s) for f in chain) if v]
-    return sum(t != u for t, u in zip(signs, signs[1:]))
+    """Sign changes along the Sturm chain at num / 2^s; zeros are skipped.
+    Each member is read as ``_value_at`` reads it, by the same Horner loop
+    inline, and its sign compared with the last nonzero one."""
+    if s < 0:
+        num, s = num << -s, 0
+    changes, last = 0, None
+    for f in chain:
+        acc = shift = 0
+        for c in reversed(f):
+            acc = acc * num + (c << shift)
+            shift += s
+        if acc:
+            changes += last is not None and (acc > 0) != last
+            last = acc > 0
+    return changes
 
 
 def _refine(f: list[int], a: int, b: int, s: int, stop: int) -> tuple[int, int]:

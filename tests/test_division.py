@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 
 from groebnerkit import division
 from groebnerkit import groebner
-from groebnerkit.division import DivisionResult, divide, pseudo_divide
+from groebnerkit.division import DivisionResult, divide
 from groebnerkit.groebner import (
     GroebnerBasis,
     buchberger,
@@ -28,7 +28,7 @@ from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Polynomial, RingMismatchError, VariableContext
 
 from reference_division import reference_divide
-from strategies import CTX_T, CTX_XY, CTX_XYZ, nonzero_polynomials, nonzero_rationals, orders, polynomials
+from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, nonzero_rationals, orders, polynomials
 
 # Coefficients far past one machine word, either sign, so leading
 # coefficients are negative about half the time.
@@ -781,54 +781,3 @@ class TestDividendMemo:
             assert runs == [z]
         assert result == reference_divide(f, divisors, LEX)
 
-
-def _in_t(coefficients: list) -> Polynomial:
-    return Polynomial(CTX_T, {(k,): c for k, c in enumerate(coefficients) if c})
-
-
-def _coefficients(p: Polynomial) -> list:
-    """p's coefficients in t, lowest degree first; [] for zero."""
-    return [p.terms.get((k,), 0) for k in range(1 + max((m[0] for m in p.terms), default=-1))]
-
-
-def _times_plus(q: list[int], g: list[int], r: list[int]) -> list[int]:
-    """q * g + r on coefficient lists, with no leading zeros."""
-    total = [0] * max(len(q) + len(g) - 1, len(r))
-    for i, a in enumerate(q):
-        for j, b in enumerate(g):
-            total[i + j] += a * b
-    for k, c in enumerate(r):
-        total[k] += c
-    while total and not total[-1]:
-        total.pop()
-    return total
-
-
-class TestPseudoDivide:
-    """The kernel's entry on integer coefficient lists: divide's quotient
-    and remainder, both scaled by one positive integer."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.integers(-(10**30), 10**30), max_size=8),
-        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6).filter(lambda g: g[-1]),
-    )
-    @example(f=[1, -2], g=[3, 0, -5])  # deg f < deg g, and a negative lead
-    @example(f=[0, 6, 0, -4, 9], g=[2, -6])
-    @example(f=[5, 0, 7, 0], g=[-4])  # a leading zero, and a constant divisor
-    @example(f=[], g=[1, 1])
-    def test_a_positive_multiple_of_the_division(self, f, g):
-        q, r = pseudo_divide(f, g)
-        assert len(r) < len(g) and (not r or r[-1])
-        expected = divide(_in_t(f), [_in_t(g)], LEX)
-        quotient, remainder = _coefficients(expected.quotients[0]), _coefficients(expected.remainder)
-        f_coefficients = _coefficients(_in_t(f))
-        total = _times_plus(q, g, r)
-        if not f_coefficients:
-            assert q == r == total == []
-            return
-        m = Fraction(total[-1], f_coefficients[-1])
-        assert m > 0 and m.denominator == 1
-        assert total == [m * c for c in f_coefficients]
-        assert q == [m * c for c in quotient]
-        assert r == [m * c for c in remainder]

@@ -7,11 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groebnerkit import division, ideal
+from groebnerkit.division import divide
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
     StaircaseDiagram,
+    _value_at,
+    _variations_at,
     eliminate,
     is_member,
+    pseudo_divide,
     staircase,
     univariate_real_roots,
 )
@@ -527,3 +531,81 @@ class TestDyadicPoints:
         for text in ("4*t^2 - 1", "3*t - 1"):
             p = parse_polynomial(text, CTX_T)
             assert univariate_real_roots(p, 5.0) == reference_roots(p, 5.0) == [0.0]
+
+
+def _in_t(coefficients: list) -> Polynomial:
+    return Polynomial(CTX_T, {(k,): c for k, c in enumerate(coefficients) if c})
+
+
+def _coefficients(p: Polynomial) -> list:
+    """p's coefficients in t, lowest degree first; [] for zero."""
+    return [p.terms.get((k,), 0) for k in range(1 + max((m[0] for m in p.terms), default=-1))]
+
+
+def _times_plus(q: list[int], g: list[int], r: list[int]) -> list[int]:
+    """q * g + r on coefficient lists, with no leading zeros."""
+    total = [0] * max(len(q) + len(g) - 1, len(r))
+    for i, a in enumerate(q):
+        for j, b in enumerate(g):
+            total[i + j] += a * b
+    for k, c in enumerate(r):
+        total[k] += c
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+class TestPseudoDivide:
+    """The Sturm chain's division on integer coefficient lists: divide's
+    quotient and remainder, both scaled by one positive integer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), max_size=8),
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6).filter(lambda g: g[-1]),
+    )
+    @example(f=[1, -2], g=[3, 0, -5])  # deg f < deg g, and a negative lead
+    @example(f=[0, 6, 0, -4, 9], g=[2, -6])
+    @example(f=[5, 0, 7, 0], g=[-4])  # a leading zero, and a constant divisor
+    @example(f=[], g=[1, 1])
+    def test_a_positive_multiple_of_the_division(self, f, g):
+        q, r = pseudo_divide(f, g)
+        assert len(r) < len(g) and (not r or r[-1])
+        expected = divide(_in_t(f), [_in_t(g)], LEX)
+        quotient, remainder = _coefficients(expected.quotients[0]), _coefficients(expected.remainder)
+        f_coefficients = _coefficients(_in_t(f))
+        total = _times_plus(q, g, r)
+        if not f_coefficients:
+            assert q == r == total == []
+            return
+        m = Fraction(total[-1], f_coefficients[-1])
+        assert m > 0 and m.denominator == 1
+        assert total == [m * c for c in f_coefficients]
+        assert q == [m * c for c in quotient]
+        assert r == [m * c for c in remainder]
+
+
+@st.composite
+def chains_at_points(draw):
+    """A chain of integer lists and a point num / 2^s, at a positive or
+    negative level, some members vanishing there by a linear factor."""
+    num, s = draw(st.integers(-(10**6), 10**6)), draw(st.integers(-8, 12))
+    root = [-(num << -s), 1] if s < 0 else [-num, 1 << s]
+    chain = []
+    for _ in range(draw(st.integers(1, 7))):
+        h = draw(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=9))
+        if draw(st.booleans()):
+            h = _times_plus(h, root, [])
+        chain.append(h or [0])
+    return chain, num, s
+
+
+class TestVariationsAt:
+    @settings(max_examples=300, deadline=None)
+    @given(chains_at_points())
+    @example(([[1], [-1, 1], [0, 0, 1]], 0, 0))  # the middle member vanishes
+    @example(([[-3, 1], [2], [1, 0, -1]], 3, -2))  # 3 / 2^-2 is 12
+    def test_counts_the_sign_changes_of_the_member_values(self, drawn):
+        chain, num, s = drawn
+        signs = [v > 0 for v in (_value_at(h, num, s) for h in chain) if v]
+        assert _variations_at(chain, num, s) == sum(t != u for t, u in zip(signs, signs[1:]))

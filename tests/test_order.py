@@ -10,6 +10,7 @@ from groebnerkit.order import (
     GRLEX,
     LEX,
     MonomialOrder,
+    Packing,
     leading_term,
 )
 from groebnerkit.ring import Monomial, Polynomial
@@ -134,6 +135,10 @@ def lcm_cases():
 
 
 class TestPacking:
+    def test_refuses_a_field_with_no_room_for_its_guard_bit(self):
+        with pytest.raises(ValueError, match="field width must leave room for a guard bit"):
+            Packing(LEX, 2, 1)
+
     @given(packed_cases())
     def test_keys_compare_as_the_order(self, case):
         order, a, b, packing = case

@@ -14,6 +14,7 @@ from groebnerkit.ring import (
     Monomial,
     Polynomial,
     RingMismatchError,
+    Term,
     VariableContext,
     rat_normalize,
 )
@@ -71,6 +72,9 @@ class TestVariableContext:
         with pytest.raises(ValueError, match="unknown variable"):
             CTX_XYZ.index("w")
 
+    def test_iterates_over_its_names(self):
+        assert list(CTX_XYZ) == ["x", "y", "z"]
+
 
 class TestMonomial:
     def test_degree(self):
@@ -99,6 +103,29 @@ class TestMonomial:
         for op in (a.divides, a.__mul__, a.__truediv__, a.lcm):
             with pytest.raises(ValueError, match="arity mismatch"):
                 op(b)
+
+    def test_multiplies_only_by_a_monomial(self):
+        # A scalar times a monomial is no power product: both sides refuse.
+        with pytest.raises(TypeError):
+            Monomial((1, 2)) * 2
+        with pytest.raises(TypeError):
+            2 * Monomial((1, 2))
+
+
+class TestTerm:
+    def test_value_semantics(self):
+        a = Term(Fraction(1, 2), Monomial((1, 0)))
+        assert a == Term(Fraction(2, 4), Monomial((1, 0)))
+        assert hash(a) == hash(Term(Fraction(1, 2), Monomial((1, 0))))
+        assert a != Term(Fraction(1, 2), Monomial((0, 1)))
+        assert a != Term(1, Monomial((1, 0)))
+        assert a != (Fraction(1, 2), Monomial((1, 0)))
+        assert repr(a) == "Term(Fraction(1, 2), Monomial((1, 0)))"
+        assert type(Term(3, Monomial((0, 0))).coefficient) is Fraction
+
+    def test_rejects_a_zero_coefficient(self):
+        with pytest.raises(ValueError, match="term coefficient must be nonzero"):
+            Term(0, Monomial((1, 0)))
 
 
 def _poly(ctx, *terms):
@@ -156,6 +183,14 @@ class TestPolynomialBasics:
             p + q
         with pytest.raises(RingMismatchError, match="ring mismatch"):
             p * q
+
+    def test_other_operands_are_refused(self):
+        # Only polynomials, ints and Fractions combine with a polynomial.
+        p = Polynomial.variable(CTX_XY, "x")
+        for op in (lambda: p + "a", lambda: "a" - p, lambda: p * 1.5):
+            with pytest.raises(TypeError):
+                op()
+        assert (p == "a") is False and p != "a"
 
     def test_scalars_hash_as_the_scalars_they_equal(self):
         for value in (0, 3, Fraction(-5, 7)):
