@@ -292,19 +292,13 @@ def _value_at(f: list[int], num: int, s: int) -> int:
 
 def _variations_at(chain: list[list[int]], num: int, s: int) -> int:
     """Sign changes along the Sturm chain at num / 2^s; zeros are skipped.
-    Each member is read as ``_value_at`` reads it, by the same Horner loop
-    inline, and its sign compared with the last nonzero one."""
-    if s < 0:
-        num, s = num << -s, 0
+    last is the sign of the last nonzero member, True for positive, and
+    None before the first: a negative value after True counts, as does a
+    positive one after False."""
     changes, last = 0, None
     for f in chain:
-        acc = shift = 0
-        for c in reversed(f):
-            acc = acc * num + (c << shift)
-            shift += s
-        if acc:
-            changes += last is not None and (acc > 0) != last
-            last = acc > 0
+        if v := _value_at(f, num, s):
+            changes, last = changes + (last == (v < 0)), v > 0
     return changes
 
 
