@@ -59,7 +59,7 @@ from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import LEX, MonomialOrder, Packing
-from .ring import Polynomial, RingMismatchError, VariableContext, _lowest, _width
+from .ring import Polynomial, RingMismatchError, VariableContext, _lowest, _set, _width
 
 
 @dataclass(frozen=True, init=False)
@@ -101,11 +101,6 @@ class DivisionResult:
 
     def __reduce__(self):
         return DivisionResult, (self.quotients, self.remainder)
-
-
-def _set(obj: object, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
 
 
 def divide(

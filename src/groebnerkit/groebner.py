@@ -49,9 +49,9 @@ from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
-from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _room, _set, _widened, divide
+from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _room, _widened, divide
 from .order import MonomialOrder, leading_term
-from .ring import Polynomial, RingMismatchError, _merge
+from .ring import Polynomial, RingMismatchError, _merge, _set
 
 # Most members completion may hold before it gives up with a ValueError.
 MAX_BASIS_SIZE = 10_000

@@ -98,10 +98,11 @@ def univariate_real_roots(p: Polynomial, tol: float) -> list[float]:
     whatever its multiplicity. The chain is integer coefficient lists,
     each a positive multiple of the member over Q, so every sign is the
     same; each remainder and each quotient by the gcd comes from the list
-    pseudo-remainder ``pseudo_divide`` and is made primitive. Sturm counts bisect
-    (-2^e, 2^e], a power of two past the Cauchy bound, until each
-    interval holds one root, and quadratic interval refinement narrows it
-    (``_refine``), returning the very point that halving would.
+    pseudo-remainder ``_pseudo_divide`` and is made primitive. Sturm
+    counts bisect (-2^e, 2^e], a power of two past the Cauchy bound,
+    until each interval holds one root, and quadratic interval refinement
+    narrows it (``_refine``), returning the very point that halving
+    would.
     """
     try:
         tol = float(tol)
@@ -194,12 +195,12 @@ def _bisected(f: list[int], s: int, stop: int) -> list[tuple[int, int]]:
     # The signed remainder sequence f, f', -rem, ... ends in gcd(f, f'),
     # each member a positive multiple of the one over Q.
     chain = [f, [i * c for i, c in enumerate(f)][1:]]
-    while rem := pseudo_divide(chain[-2], chain[-1])[1]:
+    while rem := _pseudo_divide(chain[-2], chain[-1])[1]:
         chain.append(_primitive([-c for c in rem]))
     gcd = chain[-1]
     # A constant gcd (f square-free) would only scale every member.
     if len(gcd) > 1:
-        chain = [_primitive(pseudo_divide(h, gcd)[0]) for h in chain]
+        chain = [_primitive(_pseudo_divide(h, gcd)[0]) for h in chain]
 
     found: list[tuple[int, int]] = []
     stack = [(-1, _variations_at(chain, -1, s), 1, _variations_at(chain, 1, s), s)]
@@ -248,7 +249,7 @@ def _primitive(f: list[int]) -> list[int]:
     return f if content == 1 else [c // content for c in f]
 
 
-def pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+def _pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Division of f by g, g's last coefficient l nonzero: (q, r) with
     A * f = q * g + r for the positive scale A of the loop, deg r < deg g,
     and r free of leading zeros ([] when it is zero).

@@ -43,7 +43,7 @@ from math import comb, gcd
 from typing import Iterator, NoReturn
 
 from .order import MonomialOrder
-from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common, _lex, _lowest, _merge, _new, _multiply, _power, _square_and_multiply, _width
+from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common, _lex, _lowest, _merge, _new, _multiply, _power, _square_and_multiply, _widen, _width
 
 # A unit is about one product of two small ints into a packed term dict,
 # some 0.3 us; an operation also takes some 1 to 4 us of reading that the
@@ -124,14 +124,11 @@ class _Parser:
         """The sum of plain terms, each (monomial packed in START_WIDTH-bit
         fields, numerator) over its least denominator in dens and of
         degree at most degree <= _FIELD, merged in order over their common
-        denominator (ring._common), as _add merges its summands."""
+        denominator (ring._common), as _add merges its summands, and
+        repacked by ring._widen when degree needs wider fields."""
         den, met = _common(dens)
         numerators = _merge({}, [(m, c * (den // d)) for (m, c), d in zip(terms, dens)] if den > 1 else terms)
-        width = _width(START_WIDTH, degree)
-        if width > START_WIDTH:
-            repack, wider = _lex(len(self.ctx), START_WIDTH).repack, _lex(len(self.ctx), width)
-            numerators = {repack(m, wider): c for m, c in numerators.items()}
-        return _lowest(self.ctx, numerators, den, degree, width, met)
+        return _widen(_lowest(self.ctx, numerators, den, degree, START_WIDTH, met), _width(START_WIDTH, degree))
 
     def single(self, num: int, den: int, monomial: int, degree: int) -> Polynomial:
         """The plain term num / den times monomial, as a Polynomial."""

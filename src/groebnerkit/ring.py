@@ -13,6 +13,7 @@ The operators and the parser run one arithmetic on that layout
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
@@ -40,20 +41,30 @@ def rat_normalize(numerator: int, denominator: int) -> Rational:
     return Fraction(numerator, denominator)
 
 
+def _set(obj: object, **values) -> None:
+    """Set attributes of a frozen record, past its frozen __setattr__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 # A variable name: a letter or underscore, then letters, digits or
 # underscores. The parser reads names by this pattern, so printed
 # polynomials re-parse.
 NAME = re.compile(r"[^\W\d]\w*")
 
 
+@dataclass(frozen=True, init=False)
 class VariableContext:
     """Ordered list of distinct variable names, each matching NAME.
 
     List position is the variable index; earlier names are the more
-    significant ones for lex-style comparisons.
+    significant ones for lex-style comparisons. A frozen record of its
+    names, compared, hashed and pickled by value.
     """
 
     __slots__ = ("names",)
+
+    names: tuple[str, ...]
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -66,7 +77,7 @@ class VariableContext:
                 )
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names!r}")
-        self.names = names
+        _set(self, names=names)
 
     def __reduce__(self):
         return VariableContext, (self.names,)
@@ -82,12 +93,6 @@ class VariableContext:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VariableContext) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
 
     def __repr__(self) -> str:
         return f"VariableContext({list(self.names)!r})"
@@ -182,26 +187,26 @@ def _square_and_multiply(e: int) -> Iterator[tuple[int, int]]:
         e >>= 1
 
 
+@dataclass(frozen=True, init=False)
 class Term:
-    """A single nonzero coefficient-monomial pair."""
+    """A single nonzero coefficient-monomial pair.
+
+    A frozen record of its two fields, compared, hashed and pickled by
+    value.
+    """
 
     __slots__ = ("coefficient", "monomial")
+
+    coefficient: Fraction
+    monomial: Monomial
 
     def __init__(self, coefficient: Rational, monomial: Monomial):
         if coefficient == 0:
             raise ValueError("term coefficient must be nonzero")
-        self.coefficient = Fraction(coefficient)
-        self.monomial = monomial
+        _set(self, coefficient=Fraction(coefficient), monomial=monomial)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Term)
-            and self.coefficient == other.coefficient
-            and self.monomial == other.monomial
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coefficient, self.monomial))
+    def __reduce__(self):
+        return Term, (self.coefficient, self.monomial)
 
     def __repr__(self) -> str:
         return f"Term({self.coefficient!r}, {self.monomial!r})"

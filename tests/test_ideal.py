@@ -11,10 +11,10 @@ from groebnerkit.division import divide
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
     StaircaseDiagram,
+    _pseudo_divide,
     _variations_at,
     eliminate,
     is_member,
-    pseudo_divide,
     staircase,
     univariate_real_roots,
 )
@@ -464,7 +464,7 @@ class TestDyadicPoints:
 
     def test_degree_two_builds_no_sturm_chain(self, monkeypatch):
         calls = []
-        for name in ("pseudo_divide", "_variations_at", "_refine"):
+        for name in ("_pseudo_divide", "_variations_at", "_refine"):
             original = getattr(ideal, name)
             monkeypatch.setattr(ideal, name, lambda *args, original=original, name=name: calls.append(name) or original(*args))
         for text in ("3*t - 1", "t^2 - 2", "(2*t - 1)^2", "t^2 + 1", "-4*t^2 + t"):
@@ -472,7 +472,7 @@ class TestDyadicPoints:
         assert ik_solve(ArmSpec(1, 1), Target(1, 1)).solutions
         assert calls == []
         univariate_real_roots(parse_polynomial("t^3 - 2", CTX_T), 1e-9)
-        assert {"pseudo_divide", "_variations_at", "_refine"} <= set(calls)
+        assert {"_pseudo_divide", "_variations_at", "_refine"} <= set(calls)
 
     def test_leaves_the_division_memo_as_it_found_it(self, monkeypatch):
         # The chain divides integer lists and stores no polynomial's form,
@@ -568,7 +568,7 @@ class TestPseudoDivide:
     @example(f=[5, 0, 7, 0], g=[-4])  # a leading zero, and a constant divisor
     @example(f=[], g=[1, 1])
     def test_a_positive_multiple_of_the_division(self, f, g):
-        q, r = pseudo_divide(f, g)
+        q, r = _pseudo_divide(f, g)
         assert len(r) < len(g) and (not r or r[-1])
         expected = divide(_in_t(f), [_in_t(g)], LEX)
         quotient, remainder = _coefficients(expected.quotients[0]), _coefficients(expected.remainder)

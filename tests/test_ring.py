@@ -1,6 +1,8 @@
+import copy
 import math
 import pickle
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -49,7 +51,40 @@ class TestRatNormalize:
         assert (a / b) * (b / a) == 1
 
 
+def _copies(value):
+    """value through every pickle protocol, copy.copy and copy.deepcopy."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [CTX_XYZ, VariableContext(["\u03b8", "x_1"]), Term(Fraction(-3, 4), Monomial((2, 0, 1))), Term(5, Monomial((0,)))],
+    ids=repr,
+)
+def test_records_copy_by_value(value):
+    for back in _copies(value):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value) and repr(back) == repr(value)
+
+
 class TestVariableContext:
+    def test_names_cannot_be_assigned(self):
+        ctx = VariableContext(["x", "y"])
+        p = parse_polynomial("x^2 - 3*y", ctx)
+        with pytest.raises(FrozenInstanceError):
+            ctx.names = ("y", "x")
+        assert ctx.names == ("x", "y") and format_polynomial(p, GREVLEX) == "x^2 - 3*y"
+
+    def test_parses_alike_after_unpickling(self):
+        text = "x^2*z - 3/4*y + 7"
+        want = parse_polynomial(text, CTX_XYZ)
+        for ctx in _copies(CTX_XYZ):
+            got = parse_polynomial(text, ctx)
+            assert got == want and hash(got) == hash(want)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             VariableContext([])
@@ -126,6 +161,13 @@ class TestTerm:
     def test_rejects_a_zero_coefficient(self):
         with pytest.raises(ValueError, match="term coefficient must be nonzero"):
             Term(0, Monomial((1, 0)))
+
+    def test_fields_cannot_be_assigned(self):
+        a = Term(Fraction(1, 2), Monomial((1, 0)))
+        for name, value in (("coefficient", Fraction(2)), ("monomial", Monomial((0, 1)))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, name, value)
+        assert a == Term(Fraction(1, 2), Monomial((1, 0)))
 
 
 def _poly(ctx, *terms):
