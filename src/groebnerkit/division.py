@@ -18,6 +18,16 @@ bit (under lex the later exponents can grow past every input's degree),
 ``_widened`` doubles them and the work starts again, so no input is
 refused.
 
+A ``Polynomial`` holds its monomials lex-packed in fields of its own
+(``ring``). Every conversion between that layout and the kernel's
+packing, and from one kernel width to the next, is a lookup in the
+packings' conversion tables (``Packing.keys_in``), so a process converts
+each monomial once per pair of packings: ``_integral`` reads a
+polynomial's terms as the kernel's order keys, and ``_built`` builds a
+``Polynomial`` from order keys. ``_reduce`` records each step as the
+divisor's index, the order key of the shift, b and A (below), and
+``divide`` builds its quotients and its remainder from those keys.
+
 The arithmetic is fraction-free. A polynomial is (s / t) * G with G's
 coefficients coprime integers (``_integral``), and a divisor enters as
 its form, G with a positive leading coefficient. A step on leading
@@ -205,10 +215,12 @@ class _Form(NamedTuple):
 
 
 def _degree(g: Polynomial, graded: bool) -> int:
-    """The largest total degree of g's terms when graded, else their
-    largest exponent."""
+    """The largest total degree of g's terms when graded, else the largest
+    field of their OR: the bound ``_bound`` gives g's form."""
     packing = LEX.packing(len(g.context), g._width)
-    return max(map(packing.degree if graded else packing.largest, g._numerators), default=0)
+    if graded:
+        return max(map(packing.degree, g._numerators), default=0)
+    return packing.largest(reduce(or_, g._numerators, 0))
 
 
 def _room(degree: int) -> int:
@@ -226,8 +238,8 @@ def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int
     if packing.order is LEX and packing.width == g._width:
         integral = dict(numerators) if s == 1 else {m: c // s for m, c in numerators.items()}
     else:
-        repack, key = LEX.packing(len(g.context), g._width).repack, packing.key
-        integral = {key(repack(m, packing)): c // s for m, c in numerators.items()}
+        keys = LEX.packing(len(g.context), g._width).keys_in(packing)
+        integral = {keys[m]: c // s for m, c in numerators.items()}
     return integral, s, g._den
 
 
@@ -286,41 +298,33 @@ def _members(
 def _polynomial(form: _Form, packing: Packing, context: VariableContext) -> Polynomial:
     """The monic polynomial of a form from ``_monic``, lead first: its
     coefficients over its lead coefficient."""
-    unkey = packing.unkey
-    numerators = {form.lead: form.lc}
-    for k, c in form.tail:
-        numerators[unkey(k)] = c
-    return _built(context, packing, numerators, form.lc)
+    return _built(context, packing, dict([(form.key, form.lc), *form.tail]), form.lc)
 
 
 def _built(context: VariableContext, packing: Packing, numerators: dict[int, int], den: int) -> Polynomial:
-    """The Polynomial numerators / den, its keys monomials packed in
-    packing: under lex they are its own keys when its fields hold their
-    total degree, else they are repacked."""
+    """The Polynomial numerators / den, its keys order keys of packing:
+    under lex they are its own monomials when its fields hold their total
+    degree, else they are converted (``Packing.keys_in``)."""
     if packing.graded:
-        # The largest packed monomial has the largest degree field.
-        degree = packing.largest(max(numerators, default=0))
+        # The largest key has the largest degree field.
+        degree = packing.largest(packing.unkey(max(numerators, default=0)))
     else:
         degree = sum(packing.unpack(reduce(or_, numerators, 0)))
     width = _width(packing.width, degree)
     if packing.graded or width != packing.width:
-        repack, lex = packing.repack, LEX.packing(packing.nvars, width)
-        numerators = {repack(m, lex): c for m, c in numerators.items()}
+        keys = packing.keys_in(LEX.packing(packing.nvars, width))
+        numerators = {keys[k]: c for k, c in numerators.items()}
     return _lowest(context, numerators, den, degree, width)
 
 
 def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[Packing, list[_Form]]:
     """The packing of twice the width, or of width when given, of the same
-    order and arity, and the forms in it, repacked integer to integer
-    (``Packing.repack``), each distinct key once. The fields must hold
-    every form."""
+    order and arity, and the forms in it, their keys converted by one
+    table (``Packing.keys_in``). The fields must hold every form."""
     if width == packing.width:
         return packing, list(forms)
     new = packing.order.packing(packing.nvars, width or 2 * packing.width)
-    keys = {k for f in forms for k, _ in f.tail} | {f.key for f in forms}
-    unkey, repack, key = packing.unkey, packing.repack, new.key
-    moved = {k: key(repack(unkey(k), new)) for k in keys}
-    unkey = new.unkey
+    moved, unkey = packing.keys_in(new), new.unkey
     return new, [
         _Form(unkey(moved[f.key]), moved[f.key], f.lc, [(moved[k], c) for k, c in f.tail], f.s, f.t, f.degree)
         for f in forms
@@ -343,9 +347,9 @@ def _reduce(
     The remainder comes back as records (order key, packed monomial, c,
     A), largest first: the term c * monomial / A of p's remainder, A the
     scale when it moved. Each step is appended to steps, when given, as
-    (form index, shift, b, A). When below is given, forms[i] reduces
-    only terms whose order key is below below[i]: completion's bound on
-    the signature of a step (see ``groebner``).
+    (form index, order key of the shift, b, A). When below is given,
+    forms[i] reduces only terms whose order key is below below[i]:
+    completion's bound on the signature of a step (see ``groebner``).
     """
     unkey, guards = packing.unkey, packing.guards
     # Every field of reach holds degree, so no field of a divisor term
@@ -392,7 +396,7 @@ def _reduce(
                 # twice. The lead's own product cancels a * c_p exactly, and
                 # c_p has left p already.
                 if steps is not None:
-                    steps.append((i, shift, b, scale))
+                    steps.append((i, k_shift, b, scale))
                 for k_t, c_t in form.tail:
                     m = k_t + k_shift
                     acc = p.get(m)
@@ -415,7 +419,7 @@ def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: 
     """The division by the forms in their packing, or None if a product
     could overflow its fields. No field of an input term exceeds degree."""
     p, n, d = _integral(f, packing)
-    steps: list[tuple[int, int, int, int]] = []  # (divisor, shift, b, A)
+    steps: list[tuple[int, int, int, int]] = []  # (divisor, key of the shift, b, A)
     records = _reduce(p, forms, degree, packing, steps)
     if records is None:
         return None
@@ -427,11 +431,11 @@ def _divide_packed(f: Polynomial, forms: Sequence[_Form], degree: int, packing: 
     def quotients() -> tuple[Polynomial, ...]:
         # A step's quotient term (n / d) * b / A / (s / t), over d * |s| * top.
         terms: list[dict[int, int]] = [{} for _ in forms]
-        for i, shift, b, scale in steps:
+        for i, k_shift, b, scale in steps:
             form = forms[i]
-            terms[i][shift] = (n if form.s > 0 else -n) * b * form.t * (top // scale)
+            terms[i][k_shift] = (n if form.s > 0 else -n) * b * form.t * (top // scale)
         return tuple(_built(context, packing, q, d * abs(form.s) * top) for q, form in zip(terms, forms))
 
     # A remainder term (n / d) * c / A, over d * top.
-    remainder = _built(context, packing, {lm: n * c * (top // scale) for _, lm, c, scale in records}, d * top)
+    remainder = _built(context, packing, {k: n * c * (top // scale) for k, _, c, scale in records}, d * top)
     return DivisionResult._of_steps(quotients, remainder)

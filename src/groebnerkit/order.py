@@ -21,6 +21,15 @@ Packing and the order key are additive, so a product is the sum
 ``a + b``. Products, ``divides``, ``lcm`` and ``key`` hold while no field
 reaches its guard bit; a caller picks the width from its inputs' degrees
 and checks the guard bits of what it builds.
+
+A packing converts order keys to another packing's through one table
+per target, ``keys_in(other)``: a dict from this packing's keys to
+other's, each entry computed on its first lookup (unkey, repack, key)
+and kept. Packings are interned (``MonomialOrder.packing``), so the
+tables live as long as the packings and each monomial a process meets is
+converted once per pair. A table holds at most ``_TABLE_SIZE`` entries
+and is emptied when full. Entries are pure functions of their keys, so
+threads need no lock: two may fill one entry, with equal values.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ from operator import mul
 from typing import Callable
 
 from .ring import Monomial, Polynomial, Term, _valid_monomial
+
+# Most entries one conversion table holds; a full table is emptied.
+_TABLE_SIZE = 1 << 14
 
 
 def _lex_key(m: Monomial):
@@ -72,7 +84,7 @@ class Packing:
 
     __slots__ = (
         "order", "nvars", "width", "guards", "graded",
-        "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents",
+        "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents", "_tables",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -93,6 +105,7 @@ class Packing:
         # The lowest bit of each exponent field, and the exponent fields.
         self._ones = sum(1 << s for s in self._shifts)
         self._exponents = (1 << top) - 1
+        self._tables = {}  # keys_in's tables, by target
 
     def pack(self, m: Monomial) -> int:
         return sum(map(mul, m, self._weights))
@@ -161,6 +174,31 @@ class Packing:
         any order, in fields wide enough for it."""
         mask = (1 << self.width) - 1
         return sum(map(mul, [(packed >> s) & mask for s in self._shifts], other._weights))
+
+    def keys_in(self, other: "Packing") -> "_Table":
+        """The table from this packing's order keys to other's, for
+        monomials that fit both: other of the same arity, of any order."""
+        table = self._tables.get(other)
+        if table is None:
+            table = self._tables.setdefault(other, _Table(self, other))
+        return table
+
+
+class _Table(dict):
+    """Order keys of one packing to another's (``Packing.keys_in``)."""
+
+    __slots__ = ("source", "target")
+
+    def __init__(self, source: Packing, target: Packing):
+        self.source, self.target = source, target
+
+    def __missing__(self, k: int) -> int:
+        source, target = self.source, self.target
+        converted = target.key(source.repack(source.unkey(k), target))
+        if len(self) >= _TABLE_SIZE:
+            self.clear()
+        self[k] = converted
+        return converted
 
 
 _KEYS = {

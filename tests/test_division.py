@@ -23,7 +23,7 @@ from groebnerkit.groebner import (
     s_polynomial,
 )
 from groebnerkit.ideal import is_member
-from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
+from groebnerkit.order import GREVLEX, GRLEX, LEX, Packing, leading_term
 from groebnerkit.parse import parse_polynomial, parse_system
 from groebnerkit.ring import Polynomial, RingMismatchError, VariableContext
 
@@ -598,6 +598,40 @@ class TestHeldForms:
         held = system()
         divide(parse_polynomial("a", context), held, first)
         assert call(held, second) == call(system(), second)
+
+    @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda order: order.value)
+    @given(nonzero_polynomials(CTX_XYZ))
+    @example(_xy("x^2 + x + y^5 + y^2"))
+    def test_an_unconverted_polynomial_is_bounded_as_its_form(self, order, g):
+        # Under lex the bound is the largest field of the terms' OR: 7 for
+        # x^2 + x + y^5 + y^2, whose largest exponent is 5.
+        degree = division._degree(g, order is not LEX)
+        packing = order.packing(len(g.context), division._room(degree))
+        assert degree == division._form(g, packing).degree
+
+    def test_alternating_orders_repack_nothing_after_the_first_calls(self, monkeypatch):
+        # The one _form slot converts the divisors again on every switch,
+        # but through the packings' tables, which the first call in each
+        # order filled.
+        gs = [_xy("2*x*y - 3/5"), _xy("-7/3*y^2 + x")]
+        q = _xy("x^3*y^2 - 4/9*x*y + 11")
+        orders = [GREVLEX, LEX] * 3
+        expected = [reference_divide(q, gs, order) for order in orders]
+        assert [divide(q, gs, order) for order in orders[:2]] == expected[:2]
+        repacked = []
+        repack = Packing.repack
+
+        def spy(packing, packed, other):
+            repacked.append(packed)
+            return repack(packing, packed, other)
+
+        monkeypatch.setattr(Packing, "repack", spy)
+        results = [divide(q, gs, order) for order in orders]
+        for result in results:
+            result.quotients  # built on first read
+        assert repacked == []
+        # Compared after, as polynomials of two widths compare by repacking.
+        assert results == expected
 
     def test_a_polynomial_holding_a_form_is_the_same_value(self):
         # g holds a form as a divisor, f a division as a dividend.

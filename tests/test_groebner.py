@@ -18,7 +18,7 @@ from groebnerkit.groebner import (
     s_polynomial,
 )
 from groebnerkit.division import divide
-from groebnerkit.order import GREVLEX, GRLEX, LEX, leading_term
+from groebnerkit.order import GREVLEX, GRLEX, LEX, MonomialOrder, leading_term
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
@@ -673,22 +673,50 @@ PINNED_RUNS = [(name, order) for name in ("cyclic-4", "katsura-3") for order in 
 PINNED_RUNS += [("katsura-4", GREVLEX), ("katsura-4", GRLEX)]
 
 
-def test_raw_bases_and_stats_are_pinned():
+def _terms(p: Polynomial) -> list:
+    return [(tuple(m), c.numerator, c.denominator) for m, c in p.terms.items()]
+
+
+def _raw_digest() -> str:
     record = []
     for name, order in PINNED_RUNS:
         names, texts = PINNED_SYSTEMS[name]
         stats = {}
         basis = buchberger(parse_system(texts, VariableContext(names.split())), order, stats)
-        members = [[(tuple(m), c.numerator, c.denominator) for m, c in g.terms.items()] for g in basis]
-        record.append((name, order.value, members, [(k, stats[k]) for k in PINNED_STATS]))
-    assert hashlib.sha256(repr(record).encode()).hexdigest() == PINNED_DIGEST
+        record.append((name, order.value, [_terms(g) for g in basis], [(k, stats[k]) for k in PINNED_STATS]))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
-def test_reduced_bases_are_pinned():
+def _reduced_digest() -> str:
     record = []
     for name, order in PINNED_RUNS:
         names, texts = PINNED_SYSTEMS[name]
         basis = groebner_basis(parse_system(texts, VariableContext(names.split())), order)
-        members = [[(tuple(m), c.numerator, c.denominator) for m, c in g.terms.items()] for g in basis]
-        record.append((name, basis.order.value, basis.reduced, members))
-    assert hashlib.sha256(repr(record).encode()).hexdigest() == PINNED_REDUCED_DIGEST
+        record.append((name, basis.order.value, basis.reduced, [_terms(g) for g in basis]))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def test_raw_bases_and_stats_are_pinned():
+    assert _raw_digest() == PINNED_DIGEST
+
+
+def test_reduced_bases_are_pinned():
+    assert _reduced_digest() == PINNED_REDUCED_DIGEST
+
+
+def test_pinned_records_hold_with_cold_and_warm_tables():
+    # Dropping the interned packings drops their conversion tables
+    # (Packing.keys_in), so the first pass fills every table and the
+    # second reads them.
+    def divided():
+        names, texts = PINNED_SYSTEMS["katsura-3"]
+        context = VariableContext(names.split())
+        f = parse_polynomial("u0^3*u1^2 - 4/9*u1*u2*u3 + 11*u3^5 - u0", context)
+        result = divide(f, parse_system(texts, context), GREVLEX)
+        return [_terms(q) for q in result.quotients], _terms(result.remainder)
+
+    MonomialOrder.packing.cache_clear()
+    cold = (_raw_digest(), _reduced_digest(), divided())
+    warm = (_raw_digest(), _reduced_digest(), divided())
+    assert cold[:2] == warm[:2] == (PINNED_DIGEST, PINNED_REDUCED_DIGEST)
+    assert cold[2] == warm[2]

@@ -5,6 +5,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
+from groebnerkit import order as order_module
 from groebnerkit.order import (
     GREVLEX,
     GRLEX,
@@ -192,3 +193,51 @@ class TestPacking:
         packed = packing.pack(a)
         assert packing.repack(packed, wider) == wider.pack(a)
         assert wider.repack(wider.pack(a), packing) == packed
+
+
+def table_cases():
+    """A monomial of 1 to 5 variables and two packings of that arity, of
+    any orders, each from the narrowest width that holds it to three bits
+    wider."""
+
+    def for_arity(n):
+        return st.tuples(monomials(n, max_exponent=20), orders(), orders(), st.integers(0, 3), st.integers(0, 3))
+
+    def with_packings(case):
+        m, source, target, spare, other_spare = case
+
+        def packing(order, spare):
+            largest = max(m) if order is LEX else m.degree
+            return order.packing(len(m), max(2, largest.bit_length() + 1) + spare)
+
+        return m, packing(source, spare), packing(target, other_spare)
+
+    return st.integers(1, 5).flatmap(for_arity).map(with_packings)
+
+
+class TestConversionTables:
+    @given(table_cases())
+    def test_an_entry_is_the_key_in_the_target(self, case):
+        m, source, target = case
+        table = source.keys_in(target)
+        k = source.key(source.pack(m))
+        assert table[k] == target.key(target.pack(m))
+        assert k in table and table[k] == target.key(target.pack(m))
+
+    def test_one_table_per_target(self):
+        source = GREVLEX.packing(3, 5)
+        table = source.keys_in(LEX.packing(3, 5))
+        assert source.keys_in(LEX.packing(3, 5)) is table
+        assert source.keys_in(LEX.packing(3, 8)) is not table
+        assert LEX.packing(3, 5).keys_in(source) is not table
+
+    def test_a_full_table_is_emptied_and_stays_right(self, monkeypatch):
+        monkeypatch.setattr(order_module, "_TABLE_SIZE", 4)
+        # Packings of their own, not the interned ones other tests share.
+        source, target = Packing(LEX, 2, 6), Packing(GREVLEX, 2, 7)
+        table = source.keys_in(target)
+        ms = [Monomial((i, j)) for i in range(4) for j in range(3)]
+        for _ in range(2):
+            for m in ms:
+                assert table[source.key(source.pack(m))] == target.key(target.pack(m))
+                assert len(table) <= 4
