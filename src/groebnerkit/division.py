@@ -18,15 +18,16 @@ bit (under lex the later exponents can grow past every input's degree),
 ``_widened`` doubles them and the work starts again, so no input is
 refused.
 
-A ``Polynomial`` holds its monomials lex-packed in fields of its own
-(``ring``). Every conversion between that layout and the kernel's
-packing, and from one kernel width to the next, is a lookup in the
-packings' conversion tables (``Packing.keys_in``), so a process converts
-each monomial once per pair of packings: ``_integral`` reads a
-polynomial's terms as the kernel's order keys, and ``_built`` builds a
-``Polynomial`` from order keys. ``_reduce`` records each step as the
-divisor's index, the order key of the shift, b and A (below), and
-``divide`` builds its quotients and its remainder from those keys.
+A ``Polynomial`` holds its monomials lex-packed in fields whose width
+its degree bound sets (``ring._width``). Every conversion between that
+layout and the kernel's packing, and from one kernel width to the next,
+is a lookup in the packings' conversion tables (``Packing.keys_in``), so
+a process converts each monomial once per pair of packings:
+``_integral`` reads a polynomial's terms as the kernel's order keys, and
+``_built`` builds a ``Polynomial`` in its layout from order keys.
+``_reduce`` records each step as the divisor's index, the order key of
+the shift, b and A (below), and ``divide`` builds its quotients and its
+remainder from those keys.
 
 The arithmetic is fraction-free. A polynomial is (s / t) * G with G's
 coefficients coprime integers (``_integral``), and a divisor enters as
@@ -232,15 +233,12 @@ def _room(degree: int) -> int:
 def _integral(g: Polynomial, packing: Packing) -> tuple[dict[int, int], int, int]:
     """g as (s / t) * G: G as a new dict from order key to coprime
     integers, then s and t. g's numerators over its denominator are
-    (s / t) * G already, and under lex in g's own fields so are its keys."""
+    (s / t) * G already, and its monomials convert to packing's keys
+    through the table from its own layout (``Packing.keys_in``)."""
     numerators = g._numerators
     s = gcd(*numerators.values()) or 1
-    if packing.order is LEX and packing.width == g._width:
-        integral = dict(numerators) if s == 1 else {m: c // s for m, c in numerators.items()}
-    else:
-        keys = LEX.packing(len(g.context), g._width).keys_in(packing)
-        integral = {keys[m]: c // s for m, c in numerators.items()}
-    return integral, s, g._den
+    keys = LEX.packing(len(g.context), g._width).keys_in(packing)
+    return {keys[m]: c // s for m, c in numerators.items()}, s, g._den
 
 
 def _form(g: Polynomial, packing: Packing) -> _Form:
@@ -302,19 +300,17 @@ def _polynomial(form: _Form, packing: Packing, context: VariableContext) -> Poly
 
 
 def _built(context: VariableContext, packing: Packing, numerators: dict[int, int], den: int) -> Polynomial:
-    """The Polynomial numerators / den, its keys order keys of packing:
-    under lex they are its own monomials when its fields hold their total
-    degree, else they are converted (``Packing.keys_in``)."""
+    """The Polynomial numerators / den, its keys order keys of packing,
+    converted to the lex fields of its degree bound (``ring._width``)
+    through the table to them (``Packing.keys_in``)."""
     if packing.graded:
         # The largest key has the largest degree field.
         degree = packing.largest(packing.unkey(max(numerators, default=0)))
     else:
         degree = sum(packing.unpack(reduce(or_, numerators, 0)))
-    width = _width(packing.width, degree)
-    if packing.graded or width != packing.width:
-        keys = packing.keys_in(LEX.packing(packing.nvars, width))
-        numerators = {keys[k]: c for k, c in numerators.items()}
-    return _lowest(context, numerators, den, degree, width)
+    width = _width(degree)
+    keys = packing.keys_in(LEX.packing(packing.nvars, width))
+    return _lowest(context, {keys[k]: c for k, c in numerators.items()}, den, degree, width)
 
 
 def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[Packing, list[_Form]]:

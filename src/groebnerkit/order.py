@@ -162,11 +162,9 @@ class Packing:
         return max((packed >> s) & mask for s in self._shifts)
 
     def degree(self, packed: int) -> int:
-        """The total degree: the top field under a graded order; under lex
-        the sum of the fields, read as the top field of packed times the
-        ones, which holds it when the sum fits a field."""
-        if self.graded:
-            return packed >> self._top
+        """The total degree, under any order: the sum of the exponent
+        fields, read as the top one of packed times the ones, which holds
+        it when the sum fits a field (as a graded degree field does)."""
         return ((packed * self._ones) >> (self._top - self.width)) & ((1 << self.width) - 1)
 
     def repack(self, packed: int, other: "Packing") -> int:

@@ -83,9 +83,8 @@ _OUTSIDE = re.compile(r"[^\w\s+\-*/^()]")
 _ONE_UNIT = 1 << 2047
 
 # The largest degree of a plain term, whose exponents fit the START_WIDTH
-# bits of its packed fields, guard bit included; up to it a product's
-# width is one _width call, as the chain of them in _multiply and _power
-# gives it.
+# bits of its packed fields, guard bit included; a plain sum of degree 128
+# up to it is repacked to the wider fields its degree sets (ring._width).
 _FIELD = (1 << START_WIDTH) - 1
 
 
@@ -125,10 +124,11 @@ class _Parser:
         fields, numerator) over its least denominator in dens and of
         degree at most degree <= _FIELD, merged in order over their common
         denominator (ring._common), as _add merges its summands, and
-        repacked by ring._widen when degree needs wider fields."""
+        repacked by ring._widen to the fields of degree (ring._width) when
+        it is 128 or more."""
         den, met = _common(dens)
         numerators = _merge({}, [(m, c * (den // d)) for (m, c), d in zip(terms, dens)] if den > 1 else terms)
-        return _widen(_lowest(self.ctx, numerators, den, degree, START_WIDTH, met), _width(START_WIDTH, degree))
+        return _widen(_lowest(self.ctx, numerators, den, degree, START_WIDTH, met), _width(degree))
 
     def single(self, num: int, den: int, monomial: int, degree: int) -> Polynomial:
         """The plain term num / den times monomial, as a Polynomial."""

@@ -5,9 +5,12 @@ layout: a dict from each monomial, packed under lex (``order.Packing``)
 into one ``int``, to a nonzero integer numerator; one denominator, least
 (positive, and no prime divides it and every numerator), so the zero
 polynomial has denominator 1; a bound on the total degree of its terms;
-and the field width, guard bit included, whose fields hold that bound.
-The operators and the parser run one arithmetic on that layout
-(``_add``, ``_multiply``, ``_power``).
+and the field width, guard bit included: a function of that bound alone
+(``_width``), so every value of a degree bound holds the same fields,
+whichever code built it, and equal values of bounds that share a width
+hold equal numerators. The operators and the parser run one arithmetic
+on that layout (``_add``, ``_multiply``, ``_power``), and the division
+kernel builds its results in it (``division._built``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
-# The field width, guard bit included, of a variable or a constant.
+# The field width, guard bit included, of every degree bound below 128.
 START_WIDTH = 8
 
 
@@ -221,7 +224,8 @@ class Polynomial:
     instances as values: no method mutates ``terms``. The value is the
     packed layout of the module docstring, and ``terms`` is built from
     it on its first read; two threads may both build it, and they build
-    equal maps.
+    equal maps. Its fields are ``_width(_degree)`` bits wide, whether the
+    constructor, the parser, an operator or the division kernel built it.
 
     ``_form`` holds ``(packing, form)``, the division kernel's integer
     form of the polynomial from its last conversion, or from the kernel
@@ -257,7 +261,7 @@ class Polynomial:
         merged = _merge({}, checked())
         den = lcm(*[c.denominator for c in merged.values()])
         degree = max(map(sum, merged), default=0)
-        width = _width(START_WIDTH, degree)
+        width = _width(degree)
         pack = _lex(nvars, width).pack
         self.context = context
         self._numerators = {pack(m): c.numerator * (den // c.denominator) for m, c in merged.items()}
@@ -350,6 +354,7 @@ class Polynomial:
             return NotImplemented
         if self.context != other.context or self._den != other._den or len(self._numerators) != len(other._numerators):
             return False
+        # Widths differ only where two degree bounds straddle one.
         width = max(self._width, other._width)
         return _widen(self, width)._numerators == _widen(other, width)._numerators
 
@@ -391,13 +396,16 @@ def _lex(nvars: int, width: int):
     return order.LEX.packing(nvars, width)
 
 
-def _width(width: int, degree: int) -> int:
-    """width, or twice it or more when its fields cannot hold degree."""
-    return width if degree.bit_length() < width else max(2 * width, degree.bit_length() + 1)
+def _width(degree: int) -> int:
+    """The field width, guard bit included, of a value of degree bound
+    degree: START_WIDTH, or one bit more than degree takes."""
+    return max(START_WIDTH, degree.bit_length() + 1)
 
 
 def _widen(p: Polynomial, width: int) -> Polynomial:
-    """p in fields of width bits, if they are wider than its own."""
+    """p in lex fields of width bits, if they are wider than its own,
+    repacked term by term: no table keeps the repacked monomials, which a
+    huge degree makes as long as all their fields."""
     if width <= p._width:
         return p
     n = len(p.context)
@@ -427,12 +435,13 @@ def _add(summands: list[tuple[Polynomial, bool]]) -> Polynomial:
     """The sum of (polynomial, negated) pairs, over the least common
     denominator, then divided by its gcd with every numerator (``_common``)."""
     den, met = _common([p._den for p, _ in summands])
-    width = max([p._width for p, _ in summands])
+    degree = max([p._degree for p, _ in summands])
+    width = _width(degree)
     terms: dict = {}
     for p, negated in summands:
         scale = -(den // p._den) if negated else den // p._den
         _merge(terms, [(m, c * scale) for m, c in _widen(p, width)._numerators.items()])
-    return _lowest(summands[0][0].context, terms, den, max([p._degree for p, _ in summands]), width, met)
+    return _lowest(summands[0][0].context, terms, den, degree, width, met)
 
 
 def _multiply(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -448,9 +457,11 @@ def _multiply(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _power(base: Polynomial, e: int) -> Polynomial:
     """base^e by square and multiply (``_square_and_multiply``); a power
-    of a least value is least, so no gcd is taken."""
-    base = _widen(base, _width(base._width, base._degree * e))
-    result = _new(base.context, {0: 1}, 1, 0, base._width)
+    of a least value is least, so no gcd is taken. The base is widened
+    once, to the fields of the power's degree, which every product keeps."""
+    width = _width(base._degree * e)
+    base = _widen(base, width)
+    result = _new(base.context, {0: 1}, 1, 0, width)
     for i, j in _square_and_multiply(e):
         if i == j:
             base = _times(base, base)
@@ -460,9 +471,10 @@ def _power(base: Polynomial, e: int) -> Polynomial:
 
 
 def _times(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, numerators and denominators multiplied with no gcd."""
+    """a * b, numerators and denominators multiplied with no gcd, in the
+    fields of its degree, or in _power's operands' wider ones."""
     degree = a._degree + b._degree
-    width = _width(max(a._width, b._width), degree)
+    width = max(a._width, b._width, _width(degree))
     a, b = _widen(a, width), _widen(b, width)
     terms: dict = {}
     pairs = b._numerators.items()

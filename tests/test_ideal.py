@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groebnerkit import division, ideal
+from groebnerkit import division, ideal, ring
 from groebnerkit.division import divide
 from groebnerkit.groebner import GroebnerBasis, buchberger, groebner_basis
 from groebnerkit.ideal import (
@@ -398,8 +398,8 @@ class TestDyadicPoints:
         st.sampled_from([0, 1, 2, 130, 256, 300]),
         st.floats(1e-12, 1e-3),
     )
-    # The first and the last field, in fields of 8 bits, of 16 (degree
-    # 256) and of 17 (degree past 2^15).
+    # The first and the last field, in fields of 8 bits, of 10 (degree
+    # 257) and of 17 (degree past 2^15): the widths ring._width gives.
     @example((6, 0), {Fraction(1, 3): 1, Fraction(-2): 2}, 0, 1e-9)
     @example((6, 5), {Fraction(1, 3): 1, Fraction(-2): 2}, 0, 1e-9)
     @example((4, 0), {Fraction(5, 7): 1}, 256, 1e-9)
@@ -415,7 +415,7 @@ class TestDyadicPoints:
         p = v[k] ** power
         for root, multiplicity in multiplicities.items():
             p = p * (v[k] - root) ** multiplicity
-        assert p._width >= (17 if power >= 2**15 else 16 if power >= 256 else 8)
+        assert p._width == ring._width(p._degree)
         assert univariate_real_roots(p, tol) == reference_roots(p, tol)
         for other in range(n):
             if other != k:

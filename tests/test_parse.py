@@ -337,7 +337,7 @@ class TestPackedEvaluation:
             assert math.gcd(value._den, *value._numerators.values()) == 1
 
     def test_degree_past_the_field_widens(self):
-        # x^65535 fills 16-bit fields; the product needs a 17th bit
+        # x^65535 fills 17-bit fields, guard bit included; the product needs an 18th bit
         assert parse_polynomial("x^65535*x", CTX_XY) == _p([((65536, 0), 1)])
         big = str(2**70)
         assert parse_polynomial(f"x^{big}*y - y*x^{big}", CTX_XY) == _p([])

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groebnerkit import ring
-from groebnerkit.order import GREVLEX
-from groebnerkit.parse import format_polynomial, parse_polynomial
+from groebnerkit.division import divide
+from groebnerkit.groebner import buchberger, reduce_basis
+from groebnerkit.ideal import eliminate
+from groebnerkit.order import GREVLEX, GRLEX, LEX, Packing
+from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import (
     Monomial,
     Polynomial,
@@ -21,8 +24,9 @@ from groebnerkit.ring import (
     rat_normalize,
 )
 
+from reference_division import reference_divide
 from reference_ring import ReferencePolynomial
-from strategies import CTX_XY, CTX_XYZ, nonzero_rationals, polynomials, rationals
+from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, nonzero_rationals, orders, polynomials, rationals
 
 
 class TestRatNormalize:
@@ -366,9 +370,10 @@ class TestSumDenominators:
         assert total.terms == expected.terms
 
 
-# Exponents at the edges of the packed fields: 127 fits the first width,
-# 128 and 255 need twice it, and 65535 more, so operands of different
-# widths meet, and so do results, whose widths come from degree bounds.
+# Exponents at the edges of the packed fields: up to 127 a degree fits
+# START_WIDTH's 8 bits, 128 and 255 take 9 and 65535 takes 17
+# (ring._width), so operands of different widths meet, and so do results,
+# whose widths come from degree bounds.
 _EDGES = st.sampled_from([0, 1, 2, 127, 128, 255, 65535])
 _WIDE = st.dictionaries(st.tuples(_EDGES, _EDGES).map(Monomial), rationals(), max_size=4)
 _SCALARS = st.one_of(st.integers(-6, 6), rationals())
@@ -412,3 +417,92 @@ class TestReferenceArithmetic:
         constant = p - p + Fraction(next(iter(a.values()), 0))
         assert hash(constant) == hash(ReferencePolynomial(CTX_XY, constant.terms))
         assert constant == next(iter(a.values()), 0)
+
+
+class TestOneWidthRule:
+    """Every value holds the lex fields of its degree bound (ring._width),
+    whichever route built it: the constructor, the parser, the operators
+    or the division kernel. So equal values whose bounds are below 128
+    hold the same numerators, and widths differ only where two bounds
+    straddle one."""
+
+    @staticmethod
+    def _same(values):
+        first = values[0]
+        for p in values:
+            assert p._width == ring._width(p._degree)
+            assert p == first and first == p and hash(p) == hash(first)
+            if p._degree < 128 and first._degree < 128:
+                assert p._numerators == first._numerators
+
+    @staticmethod
+    def _routes(p):
+        """p, and p rebuilt by the constructor and by the parser."""
+        parsed = [parse_polynomial(format_polynomial(p, order), p.context) for order in (LEX, GREVLEX)]
+        return [p, Polynomial(p.context, p.terms), *parsed]
+
+    def _divided(self, f, divisors, order):
+        """divide's quotients and remainder against the reference's."""
+        got, want = divide(f, divisors, order), reference_divide(f, divisors, order)
+        for result, expected in zip([*got.quotients, got.remainder], [*want.quotients, want.remainder]):
+            self._same([*self._routes(expected), result])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WIDE, _WIDE, _SCALARS)
+    def test_the_constructor_the_parser_and_the_operators_agree(self, a, b, k):
+        p, q = Polynomial(CTX_XY, a), Polynomial(CTX_XY, b)
+        self._same([*self._routes(p), (p + q) - q, q - (q - p), p * 1, 1 * p, (p * k + p) - p * k, -(-p), p**1])
+        self._same([Polynomial.constant(CTX_XY, 1), p**0, p * 0 + 1, (p - p) ** 0])
+
+    @pytest.mark.parametrize("degree", [127, 128, 255, 65535])
+    def test_cancelled_edges_equal_the_narrow_value(self, degree):
+        x, y = (Polynomial.variable(CTX_XY, name) for name in "xy")
+        built = [x**degree - x**degree + y, parse_polynomial(f"x^{degree} - x^{degree} + y", CTX_XY),
+                 parse_polynomial(f"(x)^{degree}*y - y*(x)^{degree} + y", CTX_XY)]
+        self._same([y, *built])
+        assert built[0]._degree == degree and built[2]._degree == degree + 1
+
+    def test_comparing_values_below_128_repacks_nothing(self, monkeypatch):
+        x, y = (Polynomial.variable(CTX_XY, name) for name in "xy")
+        p = x**100 - 3 * x * y + Fraction(1, 2)
+        q = divide(p, [y**3 - 1], LEX).remainder  # p, built by the kernel from 9-bit fields
+        assert q is not p and q._degree < 128
+        repacked = []
+        repack = Packing.repack
+
+        def spy(packing, packed, other):
+            repacked.append(packed)
+            return repack(packing, packed, other)
+
+        monkeypatch.setattr(Packing, "repack", spy)
+        assert p == q and q == parse_polynomial(format_polynomial(p, LEX), CTX_XY)
+        assert repacked == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(max_terms=4), st.lists(nonzero_polynomials(max_terms=3), min_size=1, max_size=3), orders())
+    def test_quotients_and_remainders_hold_the_fields_of_their_degree(self, f, divisors, order):
+        self._divided(f, divisors, order)
+
+    @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX])
+    @pytest.mark.parametrize("f, g", [
+        ("x^300*y + y", "x^100*y - 1"),
+        ("x^127 + 2*x*y", "y^2 - 1"),
+        ("x^65535*y + y^65535 + x", "x^65535 - y"),
+    ])
+    def test_edge_degree_division_results_hold_the_fields_of_their_degree(self, order, f, g):
+        self._divided(parse_polynomial(f, CTX_XY), [parse_polynomial(g, CTX_XY)], order)
+
+    @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX])
+    @pytest.mark.parametrize("system", [
+        ["x^2 + y^2 - 1", "x - y^3"],
+        ["x^127 - y", "y^2 - 1"],
+        ["x^130*y - 1", "y^2 - x"],
+    ])
+    def test_basis_members_and_eliminants_hold_the_fields_of_their_degree(self, order, system):
+        raw = buchberger(parse_system(system, CTX_XY), order)
+        reduced = reduce_basis(raw)
+        members = [*raw.generators, *reduced.generators]
+        if order is LEX:
+            members += eliminate(reduced, 1)
+        for g in members:
+            self._same([*self._routes(g), g + 0])
