@@ -38,7 +38,14 @@ times the shifted G, which cancels the lead in integers.
 
 ``_reduce`` is the one reduction loop. Its three entries are
 ``divide``; completion (``groebner.buchberger``), which reduces an
-S-pair only by multiples of lower signature; and ``_interreduce_forms``.
+S-pair only by multiples of lower signature; and ``_interreduce_forms``,
+which reduces each survivor's tail by the survivors of smaller lead, and
+only when one of their leads divides a tail term: a survivor that none
+divides is reduced already and keeps its terms. Each pop of ``_reduce``
+is plain integer code: the order key is unkeyed inline
+(``Packing.unkey``), one first-match loop over the leads carries the
+``below`` bound, and the running polynomial is rescaled only when the
+divisor's leading coefficient does not divide the popped one.
 
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
 A call divides in the widest packing of this order that a divisor holds,
@@ -69,7 +76,7 @@ from math import gcd
 from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .order import LEX, MonomialOrder, Packing
+from .order import GREVLEX, LEX, MonomialOrder, Packing
 from .ring import Polynomial, RingMismatchError, VariableContext, _lowest, _set, _width
 
 
@@ -144,9 +151,11 @@ def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packin
     order of leads: the survivors' packing and monic forms. A member whose
     lead a kept member's lead divides is dropped, and of two equal leads
     the first is kept. Each survivor becomes (lead + the remainder of its
-    tail by the survivors) / lc, term order included. When a product could
-    overflow the fields, they double and the survivors are repacked
-    (``_widened``); the forms given are not touched."""
+    tail by the survivors of smaller lead) / lc, term order included; a
+    survivor none of whose tail terms a smaller lead divides is already
+    reduced, and is kept as its monic form with no kernel call. When a
+    product could overflow the fields, they double and the survivors are
+    repacked (``_widened``); the forms given are not touched."""
     # A lead that divides another is never larger, so in ascending order
     # every dominating member comes before what it dominates.
     kept: list[_Form] = []
@@ -156,17 +165,27 @@ def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packin
     degree = max(form.degree for form in forms)
     # One pass suffices: the kept leads are pairwise indivisible, so
     # interreduction only rewrites trailing terms and never disturbs the
-    # leads the divisibility checks depend on. Every tail term is below its
-    # own lead, which therefore never divides it, so each tail is reduced
-    # by one list of all survivors; that list is a Groebner basis, so the
-    # remainder is the unique normal form.
+    # leads the divisibility checks depend on. Every term the reduction of
+    # a tail meets is below its own lead, and a lead that divides a term is
+    # never above it, so no survivor of larger lead reduces it: each
+    # survivor is reduced by the survivors before it, the same first match
+    # as by all of them, and the remainder is the unique normal form.
     while True:
-        reduced = []
-        for g in kept:
-            records = _reduce(dict(g.tail), kept, degree, packing, None)
-            if records is None:
-                break
-            reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
+        reduced, leads = [], []
+        unkey, guards = packing.unkey, packing.guards
+        for j, g in enumerate(kept):
+            # Packing.divides inline: whether a smaller lead divides a tail term.
+            above = [unkey(k) | guards for k, _ in g.tail]
+            if any((t - lead) & guards == guards for t in above for lead in leads):
+                records = _reduce(dict(g.tail), kept[:j], degree, packing, None)
+                if records is None:
+                    break
+                reduced.append(_monic([(g.key, g.lead, g.lc, 1), *records], packing))
+            else:
+                # What _reduce and _monic would give: G is primitive with a
+                # positive lc, and the remainder comes largest first.
+                reduced.append(_Form(g.lead, g.key, g.lc, sorted(g.tail, reverse=True), 1, g.lc, g.degree))
+            leads.append(g.lead)
         else:
             return packing, reduced
         packing, kept = _widened(packing, kept)
@@ -347,67 +366,74 @@ def _reduce(
     forms[i] reduces only terms whose order key is below below[i]:
     completion's bound on the signature of a step (see ``groebner``).
     """
-    unkey, guards = packing.unkey, packing.guards
+    guards = packing.guards
+    # Packing.unkey inline: under grevlex a key is 2 * D less its monomial,
+    # D the key rounded up to the degree field; under lex and grlex a key
+    # is its monomial.
+    top = packing.top if packing.order is GREVLEX else 0
     # Every field of reach holds degree, so no field of a divisor term
     # times a shift exceeds that field of reach + shift.
     reach = degree * (guards >> (packing.width - 1))
     leads = [form.lead for form in forms]
+    get, pop = p.get, p.pop
     heap = [-k for k in p]
     heapify(heap)
     records: list[tuple[int, int, int, int]] = []
     scale = 1  # A: the running polynomial is p / A
-    previous = None
+    previous = 1 - heap[0] if heap else 0  # above every key of p
 
     while heap:
         k_p = -heappop(heap)
-        c_p = p.pop(k_p, None)
+        c_p = pop(k_p, None)
         if c_p is None:
             continue  # the entry of a term that cancelled
-        lm_p = unkey(k_p)
+        lm_p = 2 * (-(-k_p >> top) << top) - k_p if top else k_p
         # The leading monomial must fall every step or the loop would not
         # halt, and only a monomial with clear guard bits is ordered by its
         # key: a field overflow that slipped past the reach test would show
         # here, on the step that takes its term.
-        if (previous is not None and k_p >= previous) or lm_p & guards:
+        if k_p >= previous or lm_p & guards:
             raise RuntimeError("division lost the order of its monomials")
         previous = k_p
         # Packing.divides inline: lm_g divides lm_p.
         above = lm_p | guards
-        for i, lm_g in enumerate(leads):
-            if (above - lm_g) & guards == guards:
-                if below is not None and k_p >= below[i]:
-                    continue
-                shift = lm_p - lm_g
-                if (reach + shift) & guards:
-                    return None
-                form = forms[i]
-                k_shift = k_p - form.key
-                common = gcd(c_p, form.lc)
-                a, b = form.lc // common, c_p // common
-                if a != 1:
-                    scale *= a
-                    for k in p:
-                        p[k] *= a
-                # lm_p falls every step, so no divisor sees the same shift
-                # twice. The lead's own product cancels a * c_p exactly, and
-                # c_p has left p already.
-                if steps is not None:
-                    steps.append((i, k_shift, b, scale))
-                for k_t, c_t in form.tail:
-                    m = k_t + k_shift
-                    acc = p.get(m)
-                    if acc is None:
-                        p[m] = -b * c_t
-                        heappush(heap, -m)
-                    else:
-                        acc -= b * c_t
-                        if acc:
-                            p[m] = acc
-                        else:
-                            del p[m]
+        i = 0
+        for lm_g in leads:
+            if (above - lm_g) & guards == guards and (below is None or k_p < below[i]):
                 break
+            i += 1
         else:
             records.append((k_p, lm_p, c_p, scale))
+            continue
+        if (reach + lm_p - lm_g) & guards:
+            return None
+        form = forms[i]
+        k_shift = k_p - form.key
+        lc = form.lc
+        common = gcd(c_p, lc)
+        b = c_p // common
+        if common != lc:
+            a = lc // common
+            scale *= a
+            for k, c in p.items():
+                p[k] = c * a
+        # lm_p falls every step, so no divisor sees the same shift twice.
+        # The lead's own product cancels a * c_p exactly, and c_p has left
+        # p already.
+        if steps is not None:
+            steps.append((i, k_shift, b, scale))
+        for k_t, c_t in form.tail:
+            m = k_t + k_shift
+            acc = get(m)
+            if acc is None:
+                p[m] = -b * c_t
+                heappush(heap, -m)
+            else:
+                acc -= b * c_t
+                if acc:
+                    p[m] = acc
+                else:
+                    del p[m]
     return records
 
 

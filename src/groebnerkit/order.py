@@ -27,9 +27,12 @@ per target, ``keys_in(other)``: a dict from this packing's keys to
 other's, each entry computed on its first lookup (unkey, repack, key)
 and kept. Packings are interned (``MonomialOrder.packing``), so the
 tables live as long as the packings and each monomial a process meets is
-converted once per pair. A table holds at most ``_TABLE_SIZE`` entries
-and is emptied when full. Entries are pure functions of their keys, so
-threads need no lock: two may fill one entry, with equal values.
+converted once per pair. A table is emptied when full: it holds at most
+``_TABLE_SIZE`` entries while both packings' fields are at most
+``START_WIDTH`` bits, and proportionally fewer for wider fields, so it
+holds about as many bits whatever the width. Entries are pure functions
+of their keys, so threads need no lock: two may fill one entry, with
+equal values.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ import functools
 from operator import mul
 from typing import Callable
 
-from .ring import Monomial, Polynomial, Term, _valid_monomial
+from .ring import START_WIDTH, Monomial, Polynomial, Term, _valid_monomial
 
-# Most entries one conversion table holds; a full table is emptied.
+# Most entries one conversion table between fields of at most START_WIDTH
+# bits holds; a full table is emptied.
 _TABLE_SIZE = 1 << 14
 
 
@@ -79,12 +83,13 @@ class Packing:
     ``nvars`` the arity and ``width`` the field width, guard bit included.
     ``guards`` is the mask of the guard bits; a packed value that has any
     of them set is not a monomial of this packing. ``graded`` says whether
-    the top field holds the total degree.
+    the top field holds the total degree. ``top`` is the shift of that
+    field, or of the bits above the exponent fields under lex.
     """
 
     __slots__ = (
-        "order", "nvars", "width", "guards", "graded",
-        "_weights", "_shifts", "_top", "_degree_bits", "_ones", "_exponents", "_tables",
+        "order", "nvars", "width", "guards", "graded", "top",
+        "_weights", "_shifts", "_degree_bits", "_ones", "_exponents", "_tables",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -95,7 +100,7 @@ class Packing:
         # The field of variable i counts from the low end of the int.
         fields = range(nvars) if order is MonomialOrder.GREVLEX else range(nvars - 1, -1, -1)
         self.order, self.nvars, self.width, self.graded = order, nvars, width, graded
-        self._top = top
+        self.top = top
         self._shifts = tuple(width * f for f in fields)
         # Each exponent adds itself to its own field and, under a graded
         # order, to the degree field.
@@ -123,12 +128,13 @@ class Packing:
         return 2 * (packed & self._degree_bits) - packed
 
     def unkey(self, key: int) -> int:
-        """The packed monomial whose order key is key."""
+        """The packed monomial whose order key is key. The division
+        kernel (``division._reduce``) inlines a copy of it."""
         if not self._degree_bits:
             return key
         # key = D - R with D the degree field in place and 0 <= R < 2^top,
         # so D is key rounded up to a multiple of 2^top.
-        top = self._top
+        top = self.top
         degree = -(-key >> top) << top
         return 2 * degree - key
 
@@ -146,7 +152,7 @@ class Packing:
         # The gcd's exponents: b's fields where a's are larger, a's elsewhere.
         gcd = (a ^ ((a ^ b) & (larger - (larger >> (width - 1))))) & self._exponents
         if self.graded:
-            top = self._top
+            top = self.top
             # The degree is the top exponent field of gcd * ones. Every
             # partial sum of the gcd's exponents is at most its degree,
             # which fits a field, so no field carries into another.
@@ -157,7 +163,7 @@ class Packing:
         """The largest field: the total degree under a graded order, else
         the largest exponent."""
         if self.graded:
-            return packed >> self._top
+            return packed >> self.top
         mask = (1 << self.width) - 1
         return max((packed >> s) & mask for s in self._shifts)
 
@@ -165,7 +171,7 @@ class Packing:
         """The total degree, under any order: the sum of the exponent
         fields, read as the top one of packed times the ones, which holds
         it when the sum fits a field (as a graded degree field does)."""
-        return ((packed * self._ones) >> (self._top - self.width)) & ((1 << self.width) - 1)
+        return ((packed * self._ones) >> (self.top - self.width)) & ((1 << self.width) - 1)
 
     def repack(self, packed: int, other: "Packing") -> int:
         """The monomial packed in other, a packing of the same arity, of
@@ -193,7 +199,7 @@ class _Table(dict):
     def __missing__(self, k: int) -> int:
         source, target = self.source, self.target
         converted = target.key(source.repack(source.unkey(k), target))
-        if len(self) >= _TABLE_SIZE:
+        if len(self) >= _TABLE_SIZE * START_WIDTH // max(START_WIDTH, source.width, target.width):
             self.clear()
         self[k] = converted
         return converted

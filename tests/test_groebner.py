@@ -23,6 +23,7 @@ from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
 from groebnerkit.ring import Monomial, Polynomial, RingMismatchError, VariableContext
 
 from groebnerkit import division, groebner
+from reference_division import reference_divide
 from strategies import CTX_XY, CTX_XYZ, nonzero_polynomials, orders
 
 
@@ -556,6 +557,92 @@ class TestReduceBasis:
         assert_buchberger_criterion(basis)
         reduced = reduce_basis(basis)
         assert canonical(reduced) == ["y^2 + 1", "x - 1"]
+
+    def test_only_a_survivor_a_smaller_lead_can_change_calls_the_kernel(self, monkeypatch):
+        raw = buchberger(parse_system(["x^2 + y*z - 1", "x*y - z^2", "y^2 - x*z + z"], CTX_XYZ), LEX)
+        packing, forms = raw._kernel[:2]
+        # The survivors, ascending, as interreduction keeps them.
+        kept = []
+        for form in forms:
+            if not any(packing.divides(g.lead, form.lead) for g in kept):
+                kept.append(form)
+        leads = [leading_term(g, LEX).monomial for g in raw.generators]
+        survivors = [(g, lm) for i, (g, lm) in enumerate(zip(raw.generators, leads))
+                     if not any(m.divides(lm) for m in leads[:i])]
+        assert [lm for _, lm in survivors] == [packing.unpack(g.lead) for g in kept]
+        # Survivor j can change only if a smaller lead divides a tail term.
+        changed = [
+            j for j, (g, lm) in enumerate(survivors)
+            if any(smaller.divides(m) for _, smaller in survivors[:j] for m in g.terms if m != lm)
+        ]
+        calls = []
+        reduce = division._reduce
+
+        def spy(p, forms, degree, packing, steps, below=None):
+            j = len(forms)
+            assert tuple(forms) == tuple(kept[:j]) and p == dict(kept[j].tail)
+            calls.append(j)
+            return reduce(p, forms, degree, packing, steps, below)
+
+        monkeypatch.setattr(division, "_reduce", spy)
+        reduce_basis(raw)
+        assert (len(raw), len(kept), calls) == (9, 4, changed) == (9, 4, [2, 3])
+
+    def test_a_reduced_member_comes_back_in_descending_term_order(self, monkeypatch):
+        # Reduced already, each member's terms stored in ascending order:
+        # no kernel call changes them, and the kept forms are sorted.
+        gens = (
+            Polynomial(CTX_XY, {(0, 1): -1, (2, 0): 1}),
+            Polynomial(CTX_XY, {(0, 0): -1, (1, 1): 1}),
+            Polynomial(CTX_XY, {(1, 0): -1, (0, 2): 1}),
+        )
+        assert [list(g.terms) for g in gens] == [[(0, 1), (2, 0)], [(0, 0), (1, 1)], [(1, 0), (0, 2)]]
+        calls = []
+        reduce = division._reduce
+
+        def spy(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(division, "_reduce", spy)
+        for order in (GREVLEX, GRLEX):
+            reduced = reduce_basis(GroebnerBasis(gens, order, reduced=False))
+            assert [[(tuple(m), c) for m, c in g.terms.items()] for g in reduced] == [
+                [((0, 2), 1), ((1, 0), -1)],
+                [((1, 1), 1), ((0, 0), -1)],
+                [((2, 0), 1), ((0, 1), -1)],
+            ]
+        # One member has no smaller lead; under lex, 5*x^3 leads.
+        one = Polynomial(CTX_XY, {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): -1, (3, 0): 5})
+        reduced = reduce_basis(GroebnerBasis((one,), LEX, reduced=False))
+        assert [(tuple(m), c * 5) for m, c in reduced.generators[0].terms.items()] == [
+            ((3, 0), 5), ((1, 1), -1), ((1, 0), 2), ((0, 1), 1), ((0, 0), 3)
+        ]
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(nonzero_polynomials(max_terms=4, max_exponent=3, max_magnitude=9, max_denominator=4),
+                 min_size=1, max_size=3),
+        orders(),
+    )
+    def test_each_member_is_its_lead_plus_its_tail_reduced_by_all_survivors(self, gens, order):
+        raw = buchberger(gens, order)
+        survivors, leads = [], []
+        for g in raw.generators:
+            lt = leading_term(g, order)
+            if not any(m.divides(lt.monomial) for m in leads):
+                survivors.append((g, lt))
+                leads.append(lt.monomial)
+        members = [g for g, _ in survivors]
+        expected = []
+        for g, lt in survivors:
+            tail = g - Polynomial(g.context, {lt.monomial: lt.coefficient})
+            remainder = reference_divide(tail, members, order).remainder if tail else tail
+            # The lead, then the remainder in the order the reference
+            # moved its terms: largest first.
+            expected.append([(lt.monomial, 1), *((m, c / lt.coefficient) for m, c in remainder.terms.items())])
+        assert [list(g.terms.items()) for g in reduce_basis(raw)] == expected
 
 
 def random_polynomial(rng, ctx, max_terms=3, max_exponent=3, max_coeff=5):

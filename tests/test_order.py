@@ -241,3 +241,24 @@ class TestConversionTables:
             for m in ms:
                 assert table[source.key(source.pack(m))] == target.key(target.pack(m))
                 assert len(table) <= 4
+
+    def test_a_table_of_wide_fields_holds_fewer_entries(self):
+        # Fields of 4096 bits, 512 times START_WIDTH: at most 16384 / 512
+        # entries, of about 12,000 bits each.
+        source, target = Packing(GREVLEX, 3, 1 << 12), Packing(LEX, 3, 1 << 12)
+        table = source.keys_in(target)
+        ms = [Monomial((i, j, k)) for i in range(5) for j in range(5) for k in range(4)]
+        sizes = []
+        for _ in range(2):
+            for m in ms:
+                assert table[source.key(source.pack(m))] == target.key(target.pack(m))
+                sizes.append(len(table))
+        assert max(sizes) == 32
+        # Fields of START_WIDTH bits keep the full cap.
+        narrow = Packing(LEX, 2, 8).keys_in(Packing(GREVLEX, 2, 8))
+        keys = [i << 8 | j for i in range(128) for j in range(128)]
+        for k in keys:
+            narrow[k]
+        assert len(narrow) == len(keys) == order_module._TABLE_SIZE
+        narrow[128 << 8]
+        assert len(narrow) == 1
