@@ -13,10 +13,10 @@ test, and a comparison under the order an ``int`` comparison. The
 running polynomial is a dict from order key to coefficient, and its
 leading term comes off a heap of negated keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", 2011). The fields start from
-the inputs' largest degree; when a step's products could reach a guard
-bit (under lex the later exponents can grow past every input's degree),
-``_widened`` doubles them and the work starts again, so no input is
-refused.
+the inputs' largest degree bound; when a step's products could reach a
+guard bit (under lex the later exponents can grow past every input's
+degree), ``_widened`` doubles them and the work starts again, so no
+input is refused.
 
 A ``Polynomial`` holds its monomials lex-packed in fields whose width
 its degree bound sets (``ring._width``). Every conversion between that
@@ -48,23 +48,24 @@ is plain integer code: the order key is unkeyed inline
 divisor's leading coefficient does not divide the popped one.
 
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
-A call divides in the widest packing of this order that a divisor holds,
-when that is wide enough, else in the fields the degrees ask for; it
-converts only the divisors that hold no form in that packing, a form
-held under another order counting as none, and stores each result on
-its divisor. A dividend keeps its last division in its ``_division``
-slot: the tuple of the divisors' forms it divided by, after any
-widening, and the result. A call whose divisors hold, under its order,
-those very objects in that order returns the kept result first, before
-it reads the dividend's terms or runs the kernel: ``_held`` would return
-the forms the divisors hold. A form is immutable and belongs to one order
-and one packing, so another order or list, a permuted or copied one, or
-a divisor converted or widened in between gives other objects; holding
-the forms, not their ids, keeps an id from being reused. The dividend
-keeps the result, its steps and those forms alive while it lives. Each
-slot is replaced whole by one assignment, so a thread reads one
-consistent pair; neither changes a result, only how much is converted
-and divided.
+A call bounds every field by the inputs' degree bounds
+(``Polynomial._degree``), whether a divisor holds a form or not. It
+divides in the widest packing of this order that a divisor holds, when
+that is wide enough, else in the fields the bound asks for; it converts
+only the divisors that hold no form in that packing, a form held under
+another order counting as none, and stores each result on its divisor.
+A dividend keeps its last division in its ``_division`` slot: the
+order, the tuple of the divisors it divided by and the result. A call
+under that order whose divisors are those very objects in that order
+returns the kept result first, before it reads a form, the dividend's
+terms or runs the kernel. A division's value depends only on the
+dividend, the divisors and the order, and a ``Polynomial`` is a value,
+so the kept result is right whatever was converted or widened in
+between; holding the divisors, not their ids, keeps an id from being
+reused. The dividend keeps the result, its steps and those divisors
+alive while it lives. Each slot is replaced whole by one assignment, so
+a thread reads one consistent tuple; neither changes a result, only how
+much is converted and divided.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import or_
+from operator import is_, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .order import GREVLEX, LEX, MonomialOrder, Packing
@@ -124,6 +125,15 @@ class DivisionResult:
 def divide(
     f: Polynomial, divisors: list[Polynomial], order: MonomialOrder
 ) -> DivisionResult:
+    """Divide f by the divisors, in their given order, under order.
+
+    Each step cancels the leading term of the running polynomial against
+    the first divisor whose leading term divides it, or moves that term
+    to the remainder when none does, so permuting the divisors can change
+    the result. f keeps its last result: divided again under the same
+    order by the same divisor objects in the same places, it returns that
+    result without dividing.
+    """
     if not divisors:
         raise ValueError("divisor list must be nonempty")
     for g in divisors:
@@ -133,16 +143,14 @@ def divide(
             raise ValueError("zero divisor")
 
     last = f._division  # the slot read once
-    if last and len(last[0]) == len(divisors):
-        held = [g._form for g in divisors]
-        if all(h and h[0].order is order and h[1] is form for h, form in zip(held, last[0])):
-            return last[1]
-    packing, degree, forms = _held(divisors, order, _degree(f, order is not LEX))
+    if last and last[0] is order and len(last[1]) == len(divisors) and all(map(is_, last[1], divisors)):
+        return last[2]
+    packing, degree, forms = _held(divisors, order, f._degree)
     while (result := _divide_packed(f, forms, degree, packing)) is None:
         packing, forms = _widened(packing, forms)
         for g, form in zip(divisors, forms):
             g._form = (packing, form)
-    f._division = (tuple(forms), result)
+    f._division = (order, tuple(divisors), result)
     return result
 
 
@@ -191,25 +199,22 @@ def _interreduce_forms(forms: Sequence[_Form], packing: Packing) -> tuple[Packin
         packing, kept = _widened(packing, kept)
 
 
-def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing, tuple[_Form, ...]]:
+def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing, int, tuple[_Form, ...]]:
     if any(g.context != polynomials[0].context for g in polynomials):
         raise RingMismatchError("ring mismatch")
     if not all(polynomials):
         raise ValueError("leading term of zero polynomial")
-    packing, _, forms = _held(polynomials, order, 0)
-    return packing, forms
+    return _held(polynomials, order, 0)
 
 
 def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tuple[Packing, int, tuple[_Form, ...]]:
-    """A packing to divide in, a bound on every field of the divisors'
-    terms and on degree (a held form's bound, else the bound ``_bound``
-    would give the form), and the divisors' forms in it: the form a
+    """A packing to divide in, the largest of degree and the divisors'
+    degree bounds (``Polynomial._degree``), which no field of their terms
+    exceeds under any order, and the divisors' forms in it: the form a
     divisor holds where it is in that packing, else converted and stored
     on the divisor. A form held under another order counts as absent."""
     held = [h if h and h[0].order is order else None for h in [g._form for g in divisors]]  # each slot read once
-    # A graded field is a total degree; a lex field one exponent.
-    graded = order is not LEX
-    degree = max(degree, *(h[1].degree if h else _degree(g, graded) for g, h in zip(divisors, held)))
+    degree = max(degree, *(g._degree for g in divisors))
     # Wider fields of this order, which a divisor holds, divide as well.
     width = max([_room(degree), *(h[0].width for h in held if h)])
     packing = order.packing(len(divisors[0].context), width)
@@ -231,16 +236,9 @@ class _Form(NamedTuple):
     tail: list[tuple[int, int]]  # G's other terms as (order key, coefficient)
     s: int
     t: int
-    degree: int  # no field of g's packed terms exceeds it (``_bound``)
-
-
-def _degree(g: Polynomial, graded: bool) -> int:
-    """The largest total degree of g's terms when graded, else the largest
-    field of their OR: the bound ``_bound`` gives g's form."""
-    packing = LEX.packing(len(g.context), g._width)
-    if graded:
-        return max(map(packing.degree, g._numerators), default=0)
-    return packing.largest(reduce(or_, g._numerators, 0))
+    # No field of g's packed terms exceeds it: g's degree bound when
+    # converted (``_form``), else the largest field ``_monic`` reads.
+    degree: int
 
 
 def _room(degree: int) -> int:
@@ -269,9 +267,7 @@ def _form(g: Polynomial, packing: Packing) -> _Form:
         tail = [(k, -c) for k, c in integral.items()]
     else:
         tail = list(integral.items())
-    lead = packing.unkey(k_lead)
-    # Under lex a key is its packed monomial.
-    return _Form(lead, k_lead, lc, tail, s, t, _bound(packing, lead, integral))
+    return _Form(packing.unkey(k_lead), k_lead, lc, tail, s, t, g._degree)
 
 
 def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
@@ -287,18 +283,10 @@ def _monic(records: list[tuple[int, int, int, int]], packing: Packing) -> _Form:
     lc = coefficients[0]
     k_lead, lead = records[0][:2]
     tail = [(k, c) for (k, _, _, _), c in zip(records[1:], coefficients[1:])]
-    return _Form(lead, k_lead, lc, tail, 1, lc, _bound(packing, lead, (lm for _, lm, _, _ in records)))
-
-
-def _bound(packing: Packing, lead: int, monomials: Iterable[int]) -> int:
-    """No field of a form's packed monomials exceeds it: under a graded
-    order the degree of its lead, which no term exceeds; under lex the
-    largest field of the monomials' OR, each field of which is at least
-    that field of every one."""
-    if not packing.graded:
-        for m in monomials:
-            lead |= m
-    return packing.largest(lead)
+    # No field exceeds the lead's degree under a graded order, or the
+    # largest field of the records' OR under lex.
+    degree = packing.largest(lead if packing.graded else reduce(or_, [lm for _, lm, _, _ in records]))
+    return _Form(lead, k_lead, lc, tail, 1, lc, degree)
 
 
 def _members(

@@ -82,7 +82,7 @@ class GroebnerBasis:
         generators = tuple(generators)
         if not generators:
             raise ValueError("empty generating set")
-        packing, forms = _gate(list(generators), order)
+        packing, _, forms = _gate(list(generators), order)
         self._hold(packing, forms, generators, generators[0].context, order, reduced)
 
     @classmethod
@@ -191,14 +191,13 @@ def buchberger(
 
     # The raw basis's forms, and a bound on every field of their terms:
     # fields wide enough for twice the bound hold every S-polynomial. They
-    # start as the inputs' bound asks, whatever forms the inputs hold, so
-    # the widenings depend on the inputs alone.
-    packing, forms = _gate(inputs, order)
+    # start as the inputs' degree bounds ask, whatever forms the inputs
+    # hold, so the widenings depend on the inputs alone.
+    packing, degree, forms = _gate(inputs, order)
     counts = {} if stats is None else stats
     for name in _STATS:
         counts.setdefault(name, 0)
     counts["basis_high_water"] = max(counts["basis_high_water"], len(forms))
-    degree = max(form.degree for form in forms)
     packing, forms = _widened(packing, forms, _room(degree))
     # Member n is the form members[n] = forms[place[n]], of signature
     # t * e_i with i = index[n]: sigs[n] is t * LM(e_i's member) packed, and

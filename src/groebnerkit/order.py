@@ -167,12 +167,6 @@ class Packing:
         mask = (1 << self.width) - 1
         return max((packed >> s) & mask for s in self._shifts)
 
-    def degree(self, packed: int) -> int:
-        """The total degree, under any order: the sum of the exponent
-        fields, read as the top one of packed times the ones, which holds
-        it when the sum fits a field (as a graded degree field does)."""
-        return ((packed * self._ones) >> (self.top - self.width)) & ((1 << self.width) - 1)
-
     def repack(self, packed: int, other: "Packing") -> int:
         """The monomial packed in other, a packing of the same arity, of
         any order, in fields wide enough for it."""

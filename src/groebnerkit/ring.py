@@ -230,10 +230,12 @@ class Polynomial:
     ``_form`` holds ``(packing, form)``, the division kernel's integer
     form of the polynomial from its last conversion, or from the kernel
     build that made it, else None (see ``division``). ``_division``
-    holds ``(forms, result)``, its last division as a dividend, keyed on
-    the identity of the divisors' forms it was divided by, else None; it
-    keeps the result, its recorded steps and those forms alive while the
-    polynomial lives. Each slot is replaced whole by one assignment.
+    holds ``(order, divisors, result)``, its last division as a dividend:
+    the order, the tuple of the divisor objects, on whose identity it is
+    kept, and the result, else None; it keeps the result, its recorded
+    steps and those divisors alive while the polynomial lives. The
+    kernel bounds its fields by ``_degree``. Each slot is replaced whole
+    by one assignment.
     Equality, hashing, printing, pickling and copying never read either.
     """
 

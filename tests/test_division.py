@@ -169,15 +169,17 @@ class TestFieldWidth:
         assert result == reference_divide(f, divisors, LEX)
         assert result.remainder == _xy(f"y^{3 * k}")
 
-    def test_lex_bounds_the_dividend_by_its_largest_exponent(self, monkeypatch):
-        # A lex field holds one exponent, so x^3*y^3*z^3*w^3, of total
-        # degree 12, fits the fields of width 4 that exponent 3 asks for.
+    def test_lex_bounds_the_dividend_by_its_degree(self, monkeypatch):
+        # Under every order the fields start from the inputs' degree
+        # bounds: x^3*y^3*z^3*w^3, of total degree 12, takes the fields of
+        # width 6 that degree 12 asks for, though a lex field holds one
+        # exponent, here at most 3.
         ctx = VariableContext(["x", "y", "z", "w"])
         f, divisors = parse_polynomial("x*y*z*w + x^3*y^3*z^3*w^3", ctx), [parse_polynomial("x - 1", ctx)]
         widths = widths_tried(monkeypatch)
         result = divide(f, divisors, LEX)
-        assert widths == [4]
-        assert divisors[0]._form[0].width == 4
+        assert widths == [6]
+        assert divisors[0]._form[0].width == 6
         assert result == reference_divide(f, divisors, LEX)
 
     def test_grevlex_input_exponent_of_a_million(self):
@@ -341,7 +343,12 @@ class TestCompletionEntries:
         for member in added_members(raw, basis):
             assert member.terms[leading_term(member, order).monomial] == 1
             assert normal_form(member, reduced, order).is_zero()
-            assert member._form == (packing, division._form(member, packing))
+            # The member holds the form converting it would give, but for
+            # the bound: _monic's, which its degree bound is not below.
+            held_packing, held = member._form
+            assert held_packing is packing
+            assert held._replace(degree=0) == division._form(member, packing)._replace(degree=0)
+            assert held.degree <= member._degree
         assert all(normal_form(g, reduced, order).is_zero() for g in basis)
 
     @settings(max_examples=60, deadline=None)
@@ -563,17 +570,20 @@ class TestHeldForms:
         assert list(reduced) == parse_system(["y - z^3", "x - z^9"], CTX_XYZ)
 
     def test_a_fresh_and_a_held_divisor_divide_in_one_packing(self, monkeypatch):
-        # Under lex a field holds one exponent, so u*v*w*x*y*z - 1 needs
-        # fields that hold 1, converted or not; its total degree 6 would
-        # ask for wider ones.
+        # Converted or not, u*v*w*x*y*z - 1 is bounded by its degree 6,
+        # which asks for fields of width 5 under lex too, though each of
+        # them holds one exponent, at most 1: the held form in them is used
+        # as it is, and the fresh divisor is converted into them.
         context = VariableContext(["u", "v", "w", "x", "y", "z"])
         fresh, held = (parse_system(["u*v*w*x*y*z - 1", "u - 2"], context) for _ in range(2))
-        packing = LEX.packing(6, 3)
-        held[0]._form = (packing, division._form(held[0], packing))
+        packing = LEX.packing(6, 5)
+        form = division._form(held[0], packing)
+        held[0]._form = (packing, form)
         f = parse_polynomial("u + v", context)
         widths = widths_tried(monkeypatch)
         results = [divide(f, divisors, LEX) for divisors in (fresh, held)]
-        assert widths == [3, 3]
+        assert widths == [5, 5]
+        assert held[0]._form[1] is form
         assert results[0] == results[1] == reference_divide(f, fresh, LEX)
         assert fresh[0]._form[0] is held[0]._form[0] is packing
 
@@ -603,11 +613,15 @@ class TestHeldForms:
     @given(nonzero_polynomials(CTX_XYZ))
     @example(_xy("x^2 + x + y^5 + y^2"))
     def test_an_unconverted_polynomial_is_bounded_as_its_form(self, order, g):
-        # Under lex the bound is the largest field of the terms' OR: 7 for
-        # x^2 + x + y^5 + y^2, whose largest exponent is 5.
-        degree = division._degree(g, order is not LEX)
-        packing = order.packing(len(g.context), division._room(degree))
-        assert degree == division._form(g, packing).degree
+        # Held or not, a divisor is bounded by its degree bound under every
+        # order: 5 for x^2 + x + y^5 + y^2, not 7, the largest field of its
+        # terms' OR.
+        g = copy.copy(g)  # holding no form
+        _, degree, (form,) = division._held([g], order, 0)
+        assert degree == form.degree == g._degree
+        assert g._form[1] is form
+        _, degree, (held,) = division._held([g], order, 0)
+        assert held is form and degree == g._degree
 
     def test_alternating_orders_repack_nothing_after_the_first_calls(self, monkeypatch):
         # The one _form slot converts the divisors again on every switch,
@@ -726,9 +740,10 @@ class TestWidening:
 
 
 class TestDividendMemo:
-    """A dividend keeps its last division, keyed on the identity of the
-    divisors' forms: the same polynomial divided by the same list again
-    runs no kernel, and anything else runs it."""
+    """A dividend keeps its last division, keyed on the order and the
+    identity of the divisors: the same polynomial divided by the same
+    objects again under the same order runs no kernel, whatever was
+    converted or widened in between, and anything else runs it."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -759,15 +774,15 @@ class TestDividendMemo:
         basis = groebner_basis(parse_system(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], CTX_XY), GREVLEX)
         f = _xy("x^3*y^2 - 4/9*x*y + 11")
         scans = []
-        degree = division._degree
+        held = division._held
 
-        def spy(g, graded):
-            scans.append(g)
-            return degree(g, graded)
+        def spy(divisors, order, degree):
+            scans.append(divisors)
+            return held(divisors, order, degree)
 
-        monkeypatch.setattr(division, "_degree", spy)
+        monkeypatch.setattr(division, "_held", spy)
         member = is_member(f, basis)
-        assert any(g is f for g in scans) and runs == [f]
+        assert len(scans) == 1 and runs == [f]
         del scans[:]
         remainder = normal_form(f, list(basis.generators), basis.order)
         assert scans == [] and runs == [f]
@@ -793,7 +808,7 @@ class TestDividendMemo:
 
     @settings(max_examples=10, deadline=None)
     @given(chain_systems())
-    def test_a_widening_in_between_divides_again(self, system):
+    def test_a_widening_in_between_keeps_the_result(self, system):
         # Copies hold no form, so no example starts in fields another widened.
         divisors, f = [copy.copy(g) for g in system[0]], system[1]
         z = parse_polynomial("z", CTX_XYZ)  # no lead divides z, so it never widens
@@ -805,15 +820,98 @@ class TestDividendMemo:
             return packed(*args)
 
         with mock.patch.object(division, "_divide_packed", spy):
-            divide(z, divisors, LEX)
+            kept = divide(z, divisors, LEX)
             assert runs == [z]
-            # f's division outgrows the fields and widens the list's forms,
-            # and keeps the widened ones.
+            # f's division outgrows the fields and widens the list's forms.
             result = divide(f, divisors, LEX)
             assert len(runs) > 2 and runs[1:] == [f] * (len(runs) - 1)
             del runs[:]
-            assert divide(f, divisors, LEX) is result and runs == []
-            assert divide(z, divisors, LEX) == reference_divide(z, divisors, LEX)
-            assert runs == [z]
+            # The divisors are the same objects, so each dividend's kept
+            # result is returned, z's from before the widening too.
+            assert divide(f, divisors, LEX) is result and divide(z, divisors, LEX) is kept
+            assert runs == []
         assert result == reference_divide(f, divisors, LEX)
+        assert kept == reference_divide(z, divisors, LEX)
 
+
+
+def _loosened(p: Polynomial, kind: int) -> Polynomial:
+    """A new value with a degree bound past its degree, or not: p itself
+    (0); p plus x^200 - x^200, of bound 200 (1); p plus b - b, b the lex
+    kernel's x^64 + x^63*y, of bound 128 (2); x^200 - x^200 + y (3); or
+    b (4)."""
+    cancelled = parse_polynomial("x^200 - x^200 + y", CTX_XYZ)
+    built = divide(parse_polynomial("x^64 + x^63*y", CTX_XYZ), [parse_polynomial("z", CTX_XYZ)], LEX).remainder
+    y = parse_polynomial("y", CTX_XYZ)
+    return [Polynomial(CTX_XYZ, p.terms), p + (cancelled - y), p + (built - built), cancelled, built][kind]
+
+
+def loose_recipes(kinds: int = 5):
+    """Arguments of _loosened: a small polynomial in x, y, z and one of the
+    first kinds."""
+    return st.tuples(nonzero_polynomials(CTX_XYZ, max_terms=3, max_exponent=2), st.integers(0, kinds - 1))
+
+
+class TestLooseBounds:
+    """A value's degree bound can exceed its degree: the bound of a sum is
+    its summands' largest, and the lex kernel bounds what it builds by the
+    sum of the fields of its terms' OR. The kernel sizes its fields by the
+    bounds alone, and every entry gives the results of tight bounds."""
+
+    def test_the_values_are_loose(self):
+        p = parse_polynomial("x*z - 1", CTX_XYZ)
+        values = [_loosened(p, kind) for kind in range(5)]
+        assert [g._degree for g in values] == [2, 200, 128, 200, 128]
+        assert values[1] == values[2] == p
+        assert values[3] == parse_polynomial("y", CTX_XYZ)
+        assert values[4] == parse_polynomial("x^64 + x^63*y", CTX_XYZ)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(loose_recipes(), min_size=1, max_size=3),
+        loose_recipes(),
+        orders(),
+        st.lists(st.none() | st.tuples(st.integers(0, 2), orders()), min_size=3, max_size=3),
+    )
+    def test_division_tries_the_bound_or_a_wider_held_packing(self, recipes, recipe, order, held):
+        def inputs():
+            return _loosened(*recipe), [_loosened(*r) for r in recipes]
+
+        f, divisors = inputs()
+        # Forms in fields that hold each divisor, or wider, some of them
+        # under another order.
+        for g, h in zip(divisors, held):
+            if h is not None:
+                packing = h[1].packing(3, division._room(g._degree) + h[0])
+                g._form = (packing, division._form(g, packing))
+        bound = max(f._degree, *(g._degree for g in divisors))
+        wider = [g._form[0].width for g in divisors if g._form and g._form[0].order is order]
+        widths = []
+        packed = division._divide_packed
+
+        def spy(f, forms, degree, packing):
+            widths.append(packing.width)
+            return packed(f, forms, degree, packing)
+
+        with mock.patch.object(division, "_divide_packed", spy):
+            result = divide(f, divisors, order)
+        assert widths[0] == max([division._room(bound), *wider])
+        expected = reference_divide(f, divisors, order)
+        assert result == expected
+        f, divisors = inputs()
+        assert normal_form(f, divisors, order) == expected.remainder
+
+    # x^64 + x^63*y itself, completed with small inputs, can give hundreds
+    # of members, so completion meets its bound only through p + b - b.
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(loose_recipes(4), min_size=1, max_size=3), orders())
+    def test_completion_and_reduction_give_what_tight_bounds_give(self, recipes, order):
+        loose = [_loosened(*r) for r in recipes]
+        tight = [Polynomial(CTX_XYZ, g.terms) for g in loose]
+        raw = buchberger(loose, order)
+        assert [as_items(g) for g in raw] == [as_items(g) for g in buchberger(tight, order)]
+        reduced = reduce_basis(raw)
+        assert all(reference_divide(g, list(reduced), order).remainder.is_zero() for g in loose)
+        items = [as_items(g) for g in reduced]
+        assert items == [as_items(g) for g in reference_reduce_basis(raw)]
+        assert items == [as_items(g) for g in reduce_basis(buchberger(tight, order))]

@@ -167,7 +167,6 @@ class TestPacking:
         assert packed & packing.guards == 0
         assert packing.unkey(packing.key(packed)) == packed
         assert packing.unpack(packed) == a
-        assert packing.degree(packed) == a.degree
 
     @given(lcm_cases())
     def test_lcm_coprime_and_divides_are_the_monomials(self, case):
