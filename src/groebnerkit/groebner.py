@@ -176,9 +176,12 @@ def buchberger(
     - ``inputs_reduced``, the inputs that the inputs before them reduced;
     - ``new_members`` and ``zero_reductions``: each reduced pair or
       input gives one of these two, since no reduced pair is singular;
-    - ``widenings``, the number of times the packed fields doubled
-      because a product or a new member outgrew them; it depends on the
-      inputs alone;
+    - ``widenings``, the number of times the packed fields widened: they
+      double when a product outgrows them, and widen to the width the
+      bound asks for when a new member's degree or signature outgrows
+      them; it depends on the inputs alone;
+    - ``field_width``, the width of the packed fields when completion
+      ends, kept as a maximum;
     - ``basis_high_water``, the most members held, kept as a maximum.
 
     So ``pairs_formed = pruned_syzygy + pruned_cover + s_pairs_reduced``
@@ -199,6 +202,7 @@ def buchberger(
         counts.setdefault(name, 0)
     counts["basis_high_water"] = max(counts["basis_high_water"], len(forms))
     packing, forms = _widened(packing, forms, _room(degree))
+    counts["field_width"] = max(counts["field_width"], packing.width)
     # Member n is the form members[n] = forms[place[n]], of signature
     # t * e_i with i = index[n]: sigs[n] is t * LM(e_i's member) packed, and
     # excess[n] its order key less the key of the member's own lead.
@@ -210,13 +214,15 @@ def buchberger(
     queue: list[tuple[int, int, int, int, int]] = []
     bound = 0  # no field of a member's signature exceeds it
 
-    def widen() -> None:
-        """Double the fields and repack all that is packed in them. The
-        repacking keeps the order, so the queue stays a heap."""
+    def widen(width: int = 0) -> None:
+        """Widen the fields to width, or double them, and repack all that
+        is packed in them. The repacking keeps the order, so the queue
+        stays a heap."""
         nonlocal packing
         old = packing
-        packing, forms[:] = _widened(old, forms)
+        packing, forms[:] = _widened(old, forms, width)
         counts["widenings"] += 1
+        counts["field_width"] = max(counts["field_width"], packing.width)
         lcm, key = packing.lcm, packing.key
         members[:] = [forms[k] for k in place]
         sigs[:] = [old.repack(sig, packing) for sig in sigs]
@@ -250,8 +256,10 @@ def buchberger(
         index.append(i)
         by_index[i].append(new)
         bound = max(bound, packing.largest(sig))
-        while _room(max(degree, bound)) > packing.width:
-            widen()
+        # The narrowest fields the bound asks for: a packing past one int
+        # digit (30 bits) slows every step of the rest of the completion.
+        if (width := _room(max(degree, bound))) > packing.width:
+            widen(width)
         lcm, key, guards = packing.lcm, packing.key, packing.guards
         sig, e, t = sigs[new], excess[new], members[new].lead
         for n in range(new):
@@ -286,6 +294,8 @@ def buchberger(
             records = _reduce(dict([(f.key, f.lc), *f.tail]), [forms[x] for x in starts], degree, packing, steps)
             if records is not None:
                 break
+            # A product outgrew the fields. Each restart repeats the whole
+            # reduction, so the fields double.
             widen()
         if not steps:
             starts.append(k)
@@ -322,8 +332,9 @@ def buchberger(
         below = [k_sig - e + (j < i) for e, j in zip(excess, index)]
         records = _reduce(p, members, degree, packing, None, below)
         if records is None:
-            # A product outgrew the fields: once they are wider, this pair
-            # comes off the queue first again.
+            # A product outgrew the fields: once they are doubled (a restart
+            # repeats the whole reduction), this pair comes off the queue
+            # first again.
             heappush(queue, pair)
             widen()
             continue
@@ -341,7 +352,7 @@ def buchberger(
 
 # The counters buchberger keeps in a stats record.
 _STATS = ("pairs_formed", "pruned_syzygy", "pruned_cover", "s_pairs_reduced", "inputs_reduced",
-          "new_members", "zero_reductions", "widenings", "basis_high_water")
+          "new_members", "zero_reductions", "widenings", "field_width", "basis_high_water")
 
 
 def _divisible(sig: int, known: list[int], guards: int) -> bool:

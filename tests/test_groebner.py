@@ -50,8 +50,9 @@ def start_wide(monkeypatch):
     widened = groebner._widened
 
     def wide(packing, forms, width=0):
-        # Only the start names a width.
-        return widened(packing, forms, width and 16)
+        # The start names a width; a later widening names one only past the
+        # fields it has, so past 16, and keeps it.
+        return widened(packing, forms, width and max(width, 16))
 
     monkeypatch.setattr(groebner, "_widened", wide)
 
@@ -250,12 +251,13 @@ class TestBuchberger:
 
     def test_stats_add_to_the_callers_record(self):
         gens = [_xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")]
-        once, twice = {}, {"basis_high_water": 9}
+        # The two maxima keep the caller's value when it is larger.
+        once, twice = {}, {"basis_high_water": 9, "field_width": 3}
         assert buchberger(gens, GRLEX, once) == buchberger(gens, GRLEX)
         buchberger(gens, GRLEX, twice)
         buchberger(gens, GRLEX, twice)
-        assert twice == {name: 2 * n for name, n in once.items()} | {"basis_high_water": 9}
-        assert once["basis_high_water"] == 5
+        assert twice == {name: 2 * n for name, n in once.items()} | {"basis_high_water": 9, "field_width": 5}
+        assert (once["basis_high_water"], once["field_width"]) == (5, 5)
 
     def test_widenings_repeat_and_only_the_inputs_convert(self, monkeypatch):
         # S(x - y^3, x^2 - z) reduces to z^18 - z, past the fields of width
@@ -279,6 +281,8 @@ class TestBuchberger:
             runs.append((stats, canonical(basis)))
         assert converted == gens
         assert runs[0][0]["widenings"] == 1
+        # An overflow doubles the fields: 4 to 8, not the 7 that z^18 asks for.
+        assert basis._kernel[0].width == 8
         assert runs[1:] == runs[:-1]
         assert "z^18 - z" in runs[0][1]
 
@@ -293,11 +297,11 @@ class TestBuchberger:
         assert canonical(basis) == ["y^3", "x - 2*y^2", "x^2", "x^2*y + x - 2*y^2", "x^3 - 2*x*y"]
         assert stats == {"pairs_formed": 10, "pruned_syzygy": 5, "pruned_cover": 2, "s_pairs_reduced": 3,
                          "inputs_reduced": 0, "new_members": 3, "zero_reductions": 0, "widenings": 1,
-                         "basis_high_water": 5}
+                         "field_width": 5, "basis_high_water": 5}
         start_wide(monkeypatch)
         wide = {}
         assert canonical(buchberger(gens, LEX, wide)) == canonical(basis)
-        assert wide == stats | {"widenings": 0}
+        assert wide == stats | {"widenings": 0, "field_width": 16}
 
     def test_an_overflowed_pair_is_reduced_again_first(self, monkeypatch):
         # Under lex, one J-pair's reduction outgrows the fields of width 4
@@ -327,7 +331,7 @@ class TestBuchberger:
         start_wide(monkeypatch)
         wide = {}
         assert canonical(buchberger(gens, LEX, wide)) == canonical(basis)
-        assert wide == stats | {"widenings": 0}
+        assert wide == stats | {"widenings": 0, "field_width": 16}
 
     def test_cyclic4_work_is_independent_of_input_order(self):
         ctx = VariableContext(["a", "b", "c", "d"])
@@ -789,6 +793,30 @@ def test_raw_bases_and_stats_are_pinned():
 
 def test_reduced_bases_are_pinned():
     assert _reduced_digest() == PINNED_REDUCED_DIGEST
+
+
+# Each pinned run's final field width and widenings, and katsura-4 under
+# lex's. A new member widens the fields only to the width its bound asks
+# for, so katsura-4 under grevlex packs (5 + 1) * 5 = 30 bits.
+PINNED_WIDTHS = [
+    ("cyclic-4", LEX, 5, 0), ("cyclic-4", GRLEX, 5, 0), ("cyclic-4", GREVLEX, 5, 0),
+    ("katsura-3", LEX, 6, 2), ("katsura-3", GRLEX, 5, 1), ("katsura-3", GREVLEX, 5, 1),
+    ("katsura-4", GREVLEX, 5, 1), ("katsura-4", GRLEX, 6, 2), ("katsura-4", LEX, 7, 3),
+]
+
+
+@pytest.mark.parametrize("name, order, width, widenings", PINNED_WIDTHS)
+def test_completion_widens_only_as_far_as_its_bound_asks(monkeypatch, name, order, width, widenings):
+    names, texts = PINNED_SYSTEMS[name]
+    context = VariableContext(names.split())
+    stats = {}
+    basis = buchberger(parse_system(texts, context), order, stats)
+    assert (basis._kernel[0].width, stats["field_width"], stats["widenings"]) == (width, width, widenings)
+    # Fields wide enough from the start give the same raw basis and work.
+    start_wide(monkeypatch)
+    wide = {}
+    assert [_terms(g) for g in buchberger(parse_system(texts, context), order, wide)] == [_terms(g) for g in basis]
+    assert wide == stats | {"widenings": 0, "field_width": 16}
 
 
 def test_pinned_records_hold_with_cold_and_warm_tables():
