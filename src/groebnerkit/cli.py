@@ -8,6 +8,17 @@ error like any other bad flag. Every parser reads a token of one dash
 other than -h, such as -x*y or -5e-1, as a value. Exit codes: 0 on
 success, 1 on domain errors, 2 on usage or expression-syntax errors;
 usage errors are reported before any computation starts.
+
+Every subcommand follows one protocol. argparse reads --order into a
+MonomialOrder and --format into args.fmt. Then run reads --vars, for
+the commands that take it, into the ring args.ctx, and only then calls
+the command's handler, handler(args) -> str, which returns the whole
+output for run to write to stdout or --output. A handler refuses its
+own bad flags before it parses an expression, and parses through
+_parse. Each handler but the SVG outputs returns through _render, which
+lays out the JSON payload (the order when the command reports one, then
+vars when it reads --vars, then the command's fields) or else the
+command's lines.
 """
 
 from __future__ import annotations
@@ -16,25 +27,27 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .division import divide
 from .groebner import buchberger, groebner_basis, reduce_basis
 from .ideal import StaircaseDiagram, eliminate, is_member, staircase
-from .kinematics import ArmSpec, IKResult, Target, ik_solve
+from .kinematics import ArmSpec, Target, ik_solve
 from .order import MonomialOrder
 from .oscillator import OscillatorParams, Sample, sample, solve_ivp
 from .parse import ParseError, format_polynomial, parse_system
-from .ring import VariableContext
+from .ring import Polynomial, VariableContext
 
-ORDER_NAMES = ("lex", "grlex", "grevlex")
+ORDER_NAMES = tuple(order.value for order in MonomialOrder)
 
 # Blank border, in px, on each side of the oscillator plot.
 _PLOT_MARGIN = 50
 
 # Most oscillator samples, and most staircase cells drawn as SVG (a
-# 400 x 400 diagram). Each renders in about a second at its bound on a
-# 2-core VM, and the time and memory grow with the count.
+# 400 x 400 diagram). At its bound the oscillator renders in about a
+# second, and the staircase in about 0.5 s with nearly every cell shaded,
+# on a 2-core VM; the time and memory grow with the count.
 MAX_SAMPLES = 100_000
 MAX_SVG_CELLS = 400 * 400
 
@@ -70,16 +83,17 @@ def _int_above(floor: int, ceiling: Optional[int] = None):
     return parse
 
 
-def _choice_flag(p: argparse.ArgumentParser, flag: str, names: tuple[str, ...], **kwargs) -> None:
-    """Add flag taking one of names, shown as {a,b,...} in usage and help.
-    A bad value is refused in the words argparse's choices used up to
-    3.13.0, worded here because later versions word it differently."""
+def _choice_flag(p: argparse.ArgumentParser, flag: str, names: tuple[str, ...], kind, **kwargs) -> None:
+    """Add flag taking one of names, read as kind(name) and shown as
+    {a,b,...} in usage and help; argparse reads a default name the same
+    way. A bad value is refused in the words argparse's choices used up
+    to 3.13.0, worded here because later versions word it differently."""
 
-    def parse(text: str) -> str:
+    def parse(text: str):
         if text not in names:
             listed = ", ".join(map(repr, names))
             raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {listed})")
-        return text
+        return kind(text)
 
     p.add_argument(flag, type=parse, metavar="{" + ",".join(names) + "}", **kwargs)
 
@@ -107,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--vars", required=True)
         yield p
         if order:
-            _choice_flag(p, "--order", ORDER_NAMES, default=order)
-        _choice_flag(p, "--format", formats, default=formats[0], dest="fmt")
+            _choice_flag(p, "--order", ORDER_NAMES, MonomialOrder, default=order)
+        _choice_flag(p, "--format", formats, str, default=formats[0], dest="fmt")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     with command("groebner", _cmd_groebner, ("text", "json"),
@@ -169,6 +183,8 @@ def run(argv: Sequence[str]) -> int:
         return 0 if code in (0, None) else int(code)
 
     try:
+        if "vars" in args:
+            args.ctx = _context(args.vars)
         text = args.handler(args)
     except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,110 +221,75 @@ def _context(spec: str) -> VariableContext:
         raise _UsageError(str(exc)) from None
 
 
-def _render(args, payload: dict, lines: list[str]) -> str:
-    """The JSON payload under --format json, else the lines as text."""
-    if args.fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    return "".join(line + "\n" for line in lines)
+def _parse(args, *texts: str) -> list[Polynomial]:
+    """The expressions texts over the ring args.ctx; any bad one rejects
+    the lot."""
+    return parse_system(list(texts), args.ctx)
 
 
-def _display(basis_polys, order: MonomialOrder) -> list[str]:
-    # Largest leading monomial first for display.
-    formatted = [format_polynomial(g, order) for g in basis_polys]
-    return list(reversed(formatted))
+def _render(args, order: Optional[MonomialOrder], fields: dict, lines: list[str]) -> str:
+    """Under --format json the payload: the order the command reports
+    (none when order is None), the ring's variables when it reads --vars,
+    then fields. Under any other format the lines, one to a line."""
+    if args.fmt != "json":
+        return "".join(line + "\n" for line in lines)
+    head = {"order": order.value} if order else {}
+    if "ctx" in args:
+        head["vars"] = list(args.ctx.names)
+    return json.dumps({**head, **fields}, indent=2) + "\n"
 
 
 # ---- subcommand handlers ------------------------------------------------
 
 
 def _cmd_groebner(args) -> str:
-    ctx = _context(args.vars)
-    order = MonomialOrder(args.order)
-    polys = parse_system(args.exprs, ctx)
-    basis = buchberger(polys, order)
+    basis = buchberger(_parse(args, *args.exprs), args.order)
     if not args.no_reduce:
         basis = reduce_basis(basis)
-    lines = _display(basis.generators, order)
-    payload = {"order": order.value, "vars": list(ctx.names), "basis": lines}
-    return _render(args, payload, lines)
+    # Largest leading monomial first for display.
+    lines = [format_polynomial(g, args.order) for g in reversed(basis.generators)]
+    return _render(args, args.order, {"basis": lines}, lines)
 
 
 def _cmd_divide(args) -> str:
-    ctx = _context(args.vars)
-    order = MonomialOrder(args.order)
-    f = parse_system([args.f], ctx)[0]
-    divisors = parse_system(args.divisors, ctx)
-    result = divide(f, divisors, order)
-    quotients = [format_polynomial(q, order) for q in result.quotients]
-    remainder = format_polynomial(result.remainder, order)
-    payload = {
-        "order": order.value,
-        "vars": list(ctx.names),
-        "quotients": quotients,
-        "remainder": remainder,
-    }
-    lines = [f"q{i + 1} = {q}" for i, q in enumerate(quotients)]
-    lines.append(f"remainder = {remainder}")
-    return _render(args, payload, lines)
+    f, *divisors = _parse(args, args.f, *args.divisors)
+    result = divide(f, divisors, args.order)
+    quotients = [format_polynomial(q, args.order) for q in result.quotients]
+    remainder = format_polynomial(result.remainder, args.order)
+    lines = [f"q{i} = {q}" for i, q in enumerate(quotients, 1)] + [f"remainder = {remainder}"]
+    return _render(args, args.order, {"quotients": quotients, "remainder": remainder}, lines)
 
 
 def _cmd_member(args) -> str:
-    ctx = _context(args.vars)
-    order = MonomialOrder(args.order)
-    f = parse_system([args.f], ctx)[0]
-    generators = parse_system(args.generators, ctx)
-    basis = groebner_basis(generators, order)
-    verdict = is_member(f, basis)
-    payload = {
-        "order": order.value,
-        "vars": list(ctx.names),
-        "member": verdict,
-    }
-    return _render(args, payload, ["true" if verdict else "false"])
+    f, *generators = _parse(args, args.f, *args.generators)
+    verdict = is_member(f, groebner_basis(generators, args.order))
+    return _render(args, args.order, {"member": verdict}, ["true" if verdict else "false"])
 
 
 def _cmd_eliminate(args) -> str:
-    ctx = _context(args.vars)
-    if args.keep < 1 or args.keep > len(ctx):
-        raise _UsageError(f"--keep must be between 1 and {len(ctx)}")
-    if args.order != "lex":
+    if args.keep < 1 or args.keep > len(args.ctx):
+        raise _UsageError(f"--keep must be between 1 and {len(args.ctx)}")
+    if args.order is not MonomialOrder.LEX:
         print("note: elimination requires lex; computing under lex", file=sys.stderr)
-    polys = parse_system(args.exprs, ctx)
-    basis = groebner_basis(polys, MonomialOrder.LEX)
-    kept = eliminate(basis, args.keep)
-    lines = _display(kept, MonomialOrder.LEX)
-    payload = {
-        "order": "lex",
-        "vars": list(ctx.names),
-        "keep": args.keep,
-        "basis": lines,
-    }
-    return _render(args, payload, lines)
+    basis = groebner_basis(_parse(args, *args.exprs), MonomialOrder.LEX)
+    lines = [format_polynomial(g, MonomialOrder.LEX) for g in reversed(eliminate(basis, args.keep))]
+    return _render(args, MonomialOrder.LEX, {"keep": args.keep, "basis": lines}, lines)
 
 
 def _cmd_staircase(args) -> str:
-    ctx = _context(args.vars)
-    if len(ctx) != 2:
+    if len(args.ctx) != 2:
         raise _UsageError("staircase supports 2 variables")
-    order = MonomialOrder(args.order)
-    polys = parse_system(args.exprs, ctx)
-    basis = groebner_basis(polys, order)
-    diagram = staircase(basis)
+    diagram = staircase(groebner_basis(_parse(args, *args.exprs), args.order))
     if args.fmt == "svg":
         if diagram.width * diagram.height > MAX_SVG_CELLS:
             raise ValueError(
                 f"staircase diagram of {diagram.width} x {diagram.height} cells is over "
                 f"the SVG bound of {MAX_SVG_CELLS} cells; use --format text or json"
             )
-        return _staircase_svg(diagram, ctx.names, args.cell)
-    payload = {
-        "vars": list(ctx.names),
-        "generators": [list(g) for g in diagram.minimal_generators],
-        "width": diagram.width,
-        "height": diagram.height,
-    }
-    lines = [f"{a} {b}" for a, b in diagram.minimal_generators]
-    return _render(args, payload, lines)
+        return _staircase_svg(diagram, args.ctx.names, args.cell)
+    generators = diagram.minimal_generators
+    fields = {"generators": [list(g) for g in generators], "width": diagram.width, "height": diagram.height}
+    return _render(args, None, fields, [f"{a} {b}" for a, b in generators])
 
 
 def _cmd_ik(args) -> str:
@@ -319,32 +300,45 @@ def _cmd_ik(args) -> str:
         targets = [Target(args.x, args.y)]
     else:
         raise _UsageError("ik needs --x and --y, or --trajectory")
+    # Every target is solved before anything is written, so a refusal at a
+    # later waypoint prints its error line alone.
     results = [(t, ik_solve(arm, t, args.tol)) for t in targets]
-    if args.fmt == "csv":
-        return _ik_csv(results)
-    return _render(args, _ik_payload(results), _ik_lines(results))
+    single = len(results) == 1
+    rows, lines, entries = ["x,y,theta1,theta2,residual"], [], []
+    for target, result in results:
+        x, y = f"{target.x:.12g}", f"{target.y:.12g}"
+        poses = [(f"{s.theta1:.12g}", f"{s.theta2:.12g}", f"{s.residual:.3g}") for s in result.solutions]
+        rows += [f"{x},{y},{t1},{t2},{r}" for t1, t2, r in poses]
+        if not single:
+            lines.append(f"target ({x}, {y}):")
+        if result.diagnostic:
+            lines.append(result.diagnostic)
+            if args.fmt == "csv":
+                print(f"target ({x}, {y}): {result.diagnostic}", file=sys.stderr)
+        else:
+            lines += [f"theta1={t1} theta2={t2} residual={r}" for t1, t2, r in poses]
+        entries.append({**asdict(target), **asdict(result)})  # x, y, solutions, diagnostic
+    payload = entries[0] if single else {"targets": entries}
+    return _render(args, None, payload, rows if args.fmt == "csv" else lines)
 
 
 def _cmd_oscillator(args) -> str:
     params = OscillatorParams(m=args.m, k=args.k, b=args.b, y0=args.y0, y1=args.y1)
-    sol = solve_ivp(params)
-    rows = sample(sol, args.t_end, args.n)
+    rows = sample(solve_ivp(params), args.t_end, args.n)
     if args.fmt == "svg":
         return _oscillator_svg(rows, args.svg_width, args.svg_height)
-    header = "t,y,env_hi,env_lo\n"
-    body = "".join(
-        f"{r.t:.12g},{r.y:.12g},{r.env_hi:.12g},{r.env_lo:.12g}\n" for r in rows
-    )
-    return header + body
+    lines = [f"{r.t:.12g},{r.y:.12g},{r.env_hi:.12g},{r.env_lo:.12g}" for r in rows]
+    return _render(args, None, {}, ["t,y,env_hi,env_lo", *lines])
 
 
-# ---- inverse-kinematics output ------------------------------------------
+# ---- inverse-kinematics input -------------------------------------------
 
 
 def _read_trajectory(path: str) -> list[Target]:
     targets = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, which would hide in row 1.
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise _UsageError(f"cannot read trajectory: {exc}") from None
     with fh:
@@ -371,55 +365,6 @@ def _number(text: str) -> Optional[float]:
         return float(text)
     except ValueError:
         return None
-
-
-def _ik_csv(results: list[tuple[Target, IKResult]]) -> str:
-    lines = ["x,y,theta1,theta2,residual"]
-    for target, result in results:
-        for s in result.solutions:
-            lines.append(
-                f"{target.x:.12g},{target.y:.12g},"
-                f"{s.theta1:.12g},{s.theta2:.12g},{s.residual:.3g}"
-            )
-        if result.diagnostic:
-            print(
-                f"target ({target.x:.12g}, {target.y:.12g}): {result.diagnostic}",
-                file=sys.stderr,
-            )
-    return "".join(line + "\n" for line in lines)
-
-
-def _ik_lines(results: list[tuple[Target, IKResult]]) -> list[str]:
-    lines = []
-    single = len(results) == 1
-    for target, result in results:
-        if not single:
-            lines.append(f"target ({target.x:.12g}, {target.y:.12g}):")
-        if result.diagnostic:
-            lines.append(result.diagnostic)
-            continue
-        for s in result.solutions:
-            lines.append(
-                f"theta1={s.theta1:.12g} theta2={s.theta2:.12g} residual={s.residual:.3g}"
-            )
-    return lines
-
-
-def _ik_payload(results: list[tuple[Target, IKResult]]) -> dict:
-    entries = []
-    for target, result in results:
-        entries.append(
-            {
-                "x": target.x,
-                "y": target.y,
-                "solutions": [
-                    {"theta1": s.theta1, "theta2": s.theta2, "residual": s.residual}
-                    for s in result.solutions
-                ],
-                "diagnostic": result.diagnostic,
-            }
-        )
-    return entries[0] if len(entries) == 1 else {"targets": entries}
 
 
 # ---- SVG rendering -------------------------------------------------------
@@ -452,10 +397,12 @@ def _staircase_svg(diagram: StaircaseDiagram, names, cell: int) -> str:
 
     parts = []
     for u in range(w):
-        for v in range(h):
-            if diagram.contains(u, v):
-                x, y = px(u, v + 1)
-                parts.append(_tag("rect", x=x, y=y, width=cell, height=cell, fill="#cfe2f3", stroke="none"))
+        # (u, v) lies in the ideal once v reaches the floor, the lowest b of
+        # a generator (a, b) with a <= u.
+        floor = min((b for a, b in diagram.minimal_generators if a <= u), default=h)
+        for v in range(floor, h):
+            x, y = px(u, v + 1)
+            parts.append(_tag("rect", x=x, y=y, width=cell, height=cell, fill="#cfe2f3", stroke="none"))
     grid = dict(stroke="#b0b0b0", stroke_width=1)
     for i in range(w + 1):
         x, _ = px(i, 0)
@@ -510,7 +457,3 @@ def _oscillator_svg(rows: list[Sample], width: int, height: int) -> str:
         _tag("text", f"{y_max / 1.08:.6g}", x=margin + 6, y=f"{px(0, y_max / 1.08)[1] + 4:.2f}",
              font_size=11, fill="#333"),
     ])
-
-
-if __name__ == "__main__":
-    main()

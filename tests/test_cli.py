@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 
 from groebnerkit import cli
 from groebnerkit.cli import build_parser, run
+from groebnerkit.ideal import StaircaseDiagram
 from groebnerkit.parse import parse_polynomial
 from groebnerkit.ring import VariableContext
 
@@ -45,6 +46,18 @@ class TestEntryPoint:
         )
         assert (done.returncode, done.stdout) == (code, out)
         assert bool(done.stderr) == (code != 0)
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [(WORKED, 0, "x^2\nx*y\ny^2 - 1/2*x\n"), (["groebner", "--vars", "x,y", "x +"], 2, "")],
+        ids=["success", "syntax-error"],
+    )
+    def test_main_exits_with_run_code(self, argv, code, out, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["groebnerkit", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == code
+        assert capsys.readouterr().out == out
 
 
 class TestGroebnerCommand:
@@ -254,6 +267,40 @@ class TestMemberCommand:
         assert self._member_of_one(text)[:2] == (code, out)
 
 
+class TestRefusalOrder:
+    """run reads --vars before a handler runs, and each handler refuses its
+    own flags before it parses an expression."""
+
+    BAD = "x +"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["groebner", "--vars", "x,x", BAD],
+            ["divide", "--vars", "x,x", BAD, "--", "x"],
+            ["member", "--vars", "x,x", BAD, "--", "x"],
+            ["eliminate", "--vars", "x,x", "--keep", "1", BAD],
+            ["staircase", "--vars", "x,x", BAD],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_duplicate_vars_before_syntax(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: duplicate variable names: ('x', 'x')\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eliminate", "--vars", "x,y", "--keep", "0", BAD], "--keep must be between 1 and 2"),
+            (["staircase", "--vars", "x,y,z", BAD], "staircase supports 2 variables"),
+        ],
+        ids=["eliminate-keep-0", "staircase-three-vars"],
+    )
+    def test_flags_before_syntax(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestEliminateCommand:
     def test_circle_diagonal(self, capsys):
         args = ["eliminate", "--vars", "x,y", "--keep", "1", "x^2 + y^2 - 1", "x - y"]
@@ -327,6 +374,25 @@ class TestStaircaseCommand:
         assert "5 x 6 cells is over the SVG bound of 29 cells" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "generators",
+        [((2, 3),), ((0, 4), (1, 1), (4, 0)), tuple((a, 398 - a) for a in range(399))],
+        ids=["1", "3", "399"],
+    )
+    def test_svg_shades_the_ideal(self, generators):
+        width = max(a for a, _ in generators) + 2
+        height = max(b for _, b in generators) + 2
+        diagram = StaircaseDiagram(generators, width, height)
+        root = ET.fromstring(cli._staircase_svg(diagram, ("x", "y"), 1))
+        bottom = 48 + height  # the y of the grid's bottom edge at 1 px a cell
+        shaded = {
+            (int(rect.get("x")) - 48, bottom - int(rect.get("y")) - 1)
+            for rect in root.iter("{http://www.w3.org/2000/svg}rect")
+            if rect.get("fill") == "#cfe2f3"
+        }
+        assert shaded == {(u, v) for u in range(width) for v in range(height) if diagram.contains(u, v)}
+
+
 class TestIkCommand:
     def test_text_solutions(self, capsys):
         assert run(["ik", "--l1", "1", "--l2", "1", "--x", "1", "--y", "1"]) == 0
@@ -376,6 +442,18 @@ class TestIkCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad trajectory row 1: {first!r}\n"
+
+    @pytest.mark.parametrize("text", ["1,1\n2,0\n", "x,y\n1,1\n2,0\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_is_dropped(self, text, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        outputs = []
+        for waypoints in (plain, marked):
+            assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("target (1, 1):\n") and "target (2, 0):" in outputs[0].out
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         waypoints = tmp_path / "path.csv"
