@@ -337,12 +337,17 @@ def _cmd_oscillator(args) -> str:
 def _read_trajectory(path: str) -> list[Target]:
     targets = []
     try:
-        # utf-8-sig drops a byte-order mark, which would hide in row 1.
-        fh = open(path, "r", encoding="utf-8-sig")
+        # utf-8-sig drops a byte-order mark, which would hide in row 1. A
+        # byte that is not UTF-8 reads as a lone surrogate, refused below.
+        fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise _UsageError(f"cannot read trajectory: {exc}") from None
     with fh:
         for line_number, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise _UsageError(f"bad trajectory row {line_number}: not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue

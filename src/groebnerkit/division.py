@@ -13,13 +13,13 @@ test, and a comparison under the order an ``int`` comparison. The
 running polynomial is a dict from order key to coefficient, and its
 leading term comes off a heap of negated keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", 2011). The fields start from
-the inputs' largest degree bound; when a step's products could reach a
+the inputs' largest degree; when a step's products could reach a
 guard bit (under lex the later exponents can grow past every input's
 degree), ``_widened`` doubles them and the work starts again, so no
 input is refused.
 
 A ``Polynomial`` holds its monomials lex-packed in fields whose width
-its degree bound sets (``ring._width``). Every conversion between that
+its degree sets (``ring._width``). Every conversion between that
 layout and the kernel's packing, and from one kernel width to the next,
 is a lookup in the packings' conversion tables (``Packing.keys_in``), so
 a process converts each monomial once per pair of packings:
@@ -48,7 +48,7 @@ is plain integer code: the order key is unkeyed inline
 divisor's leading coefficient does not divide the popped one.
 
 Each polynomial keeps its form, with its packing, in its ``_form`` slot.
-A call bounds every field by the inputs' degree bounds
+A call bounds every field by the inputs' degrees
 (``Polynomial._degree``), whether a divisor holds a form or not. It
 divides in the widest packing of this order that a divisor holds, when
 that is wide enough, else in the fields the bound asks for; it converts
@@ -209,7 +209,7 @@ def _gate(polynomials: list[Polynomial], order: MonomialOrder) -> tuple[Packing,
 
 def _held(divisors: list[Polynomial], order: MonomialOrder, degree: int) -> tuple[Packing, int, tuple[_Form, ...]]:
     """A packing to divide in, the largest of degree and the divisors'
-    degree bounds (``Polynomial._degree``), which no field of their terms
+    degrees (``Polynomial._degree``), which no field of their terms
     exceeds under any order, and the divisors' forms in it: the form a
     divisor holds where it is in that packing, else converted and stored
     on the divisor. A form held under another order counts as absent."""
@@ -236,8 +236,9 @@ class _Form(NamedTuple):
     tail: list[tuple[int, int]]  # G's other terms as (order key, coefficient)
     s: int
     t: int
-    # No field of g's packed terms exceeds it: g's degree bound when
-    # converted (``_form``), else the largest field ``_monic`` reads.
+    # No field of g's packed terms exceeds it: g's degree when converted
+    # (``_form``), else the largest field ``_monic`` reads, which under
+    # lex can pass the degree (3 for x^2 - x, from the OR of its terms).
     degree: int
 
 
@@ -308,8 +309,12 @@ def _polynomial(form: _Form, packing: Packing, context: VariableContext) -> Poly
 
 def _built(context: VariableContext, packing: Packing, numerators: dict[int, int], den: int) -> Polynomial:
     """The Polynomial numerators / den, its keys order keys of packing,
-    converted to the lex fields of its degree bound (``ring._width``)
-    through the table to them (``Packing.keys_in``)."""
+    converted to the lex fields of its degree (``ring._width``) through
+    the table to them (``Packing.keys_in``). Under lex the sum of the
+    fields of the terms' OR bounds the degree: the terms convert to the
+    fields of that bound, which hold each term's degree, and ``_lowest``
+    reads the degree off them and repacks them to narrower fields when
+    the degree asks for less."""
     if packing.graded:
         # The largest key has the largest degree field.
         degree = packing.largest(packing.unkey(max(numerators, default=0)))
@@ -317,7 +322,7 @@ def _built(context: VariableContext, packing: Packing, numerators: dict[int, int
         degree = sum(packing.unpack(reduce(or_, numerators, 0)))
     width = _width(degree)
     keys = packing.keys_in(LEX.packing(packing.nvars, width))
-    return _lowest(context, {keys[k]: c for k, c in numerators.items()}, den, degree, width)
+    return _lowest(context, {keys[k]: c for k, c in numerators.items()}, den, degree if packing.graded else None, width)
 
 
 def _widened(packing: Packing, forms: Sequence[_Form], width: int = 0) -> tuple[Packing, list[_Form]]:

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
-from .division import _gate, _interreduce_forms, _members, _monic, _reduce, _room, _widened, divide
-from .order import MonomialOrder, leading_term
-from .ring import Polynomial, RingMismatchError, _merge, _set
+from .division import _Form, _built, _gate, _interreduce_forms, _members, _monic, _reduce, _room, _widened, divide
+from .order import MonomialOrder
+from .ring import Polynomial, _merge, _set
 
 # Most members completion may hold before it gives up with a ValueError.
 MAX_BASIS_SIZE = 10_000
@@ -129,16 +129,25 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder) -> Polynomi
     """(L/LT(p))*p - (L/LT(q))*q with L = lcm(LM(p), LM(q)).
 
     The leading terms cancel by construction, exposing the next
-    monomials underneath.
+    monomials underneath. It is the S-pair step that completion takes
+    (``_s_pair``), on the two forms, over the lcm of their leading
+    coefficients.
     """
-    if p.context != q.context:
-        raise RingMismatchError("ring mismatch")
-    lt_p = leading_term(p, order)
-    lt_q = leading_term(q, order)
-    lcm = lt_p.monomial.lcm(lt_q.monomial)
-    u = Polynomial(p.context, {lcm / lt_p.monomial: 1 / lt_p.coefficient})
-    v = Polynomial(p.context, {lcm / lt_q.monomial: 1 / lt_q.coefficient})
-    return u * p - v * q
+    packing, _, (f, g) = _gate([p, q], order)
+    return _built(p.context, packing, _s_pair(f, g, packing.key(packing.lcm(f.lead, g.lead))), lcm(f.lc, g.lc))
+
+
+def _s_pair(f: _Form, g: _Form, k_lcm: int) -> dict[int, int]:
+    """The S-polynomial of two forms times the lcm of their leading
+    coefficients, as a new dict from order key to integer:
+    u * (lcm / LM(f)) * F - v * (lcm / LM(g)) * G from the tails, whose
+    leads cancel, F and G the forms' primitive polynomials,
+    u / v = LC(g) / LC(f) in lowest terms, and k_lcm the order key of the
+    lcm of their leads. The terms come in F's order, then G's new ones."""
+    k_u, k_v = k_lcm - f.key, k_lcm - g.key
+    common = gcd(f.lc, g.lc)
+    u, v = g.lc // common, f.lc // common
+    return _merge({k + k_u: u * c for k, c in f.tail}, [(k + k_v, -v * c) for k, c in g.tail])
 
 
 def normal_form(
@@ -194,7 +203,7 @@ def buchberger(
 
     # The raw basis's forms, and a bound on every field of their terms:
     # fields wide enough for twice the bound hold every S-polynomial. They
-    # start as the inputs' degree bounds ask, whatever forms the inputs
+    # start as the inputs' degrees ask, whatever forms the inputs
     # hold, so the widenings depend on the inputs alone.
     packing, degree, forms = _gate(inputs, order)
     counts = {} if stats is None else stats
@@ -324,10 +333,7 @@ def buchberger(
         if any((above - sigs[n]) & guards == guards and k_sig - excess[n] < k_lcm for n in by_index[i]):
             counts["pruned_cover"] += 1
             continue
-        k_u, k_v = k_lcm - f_a.key, k_lcm - f_b.key
-        common = gcd(f_a.lc, f_b.lc)
-        u, v = f_b.lc // common, f_a.lc // common
-        p = _merge({k + k_u: u * c for k, c in f_a.tail}, [(k + k_v, -v * c) for k, c in f_b.tail])
+        p = _s_pair(f_a, f_b, k_lcm)
         # Member n reduces a term only by a multiple of lower signature.
         below = [k_sig - e + (j < i) for e, j in zip(excess, index)]
         records = _reduce(p, members, degree, packing, None, below)

@@ -43,7 +43,7 @@ from math import comb, gcd
 from typing import Iterator, NoReturn
 
 from .order import MonomialOrder
-from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common, _lex, _lowest, _merge, _new, _multiply, _power, _square_and_multiply, _widen, _width
+from .ring import NAME, START_WIDTH, Polynomial, VariableContext, _add, _common, _lex, _lowest, _merge, _new, _multiply, _power, _square_and_multiply
 
 # A unit is about one product of two small ints into a packed term dict,
 # some 0.3 us; an operation also takes some 1 to 4 us of reading that the
@@ -121,14 +121,16 @@ class _Parser:
 
     def plain(self, terms: list, dens: list, degree: int) -> Polynomial:
         """The sum of plain terms, each (monomial packed in START_WIDTH-bit
-        fields, numerator) over its least denominator in dens and of
-        degree at most degree <= _FIELD, merged in order over their common
+        fields, numerator) over its least denominator in dens, of largest
+        degree degree <= _FIELD, merged in order over their common
         denominator (ring._common), as _add merges its summands, and
-        repacked by ring._widen to the fields of degree (ring._width) when
-        it is 128 or more."""
+        repacked by ring._lowest to the fields of its degree (ring._width)
+        when that is 128 or more. After a merge into fewer terms, a
+        cancelled or a zero one among them, _lowest reads the degree off
+        the sum."""
         den, met = _common(dens)
         numerators = _merge({}, [(m, c * (den // d)) for (m, c), d in zip(terms, dens)] if den > 1 else terms)
-        return _widen(_lowest(self.ctx, numerators, den, degree, START_WIDTH, met), _width(degree))
+        return _lowest(self.ctx, numerators, den, degree if len(numerators) == len(terms) else None, START_WIDTH, met)
 
     def single(self, num: int, den: int, monomial: int, degree: int) -> Polynomial:
         """The plain term num / den times monomial, as a Polynomial."""

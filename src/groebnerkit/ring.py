@@ -4,13 +4,15 @@ A ``Polynomial`` fixes no term order. It holds one packed integer
 layout: a dict from each monomial, packed under lex (``order.Packing``)
 into one ``int``, to a nonzero integer numerator; one denominator, least
 (positive, and no prime divides it and every numerator), so the zero
-polynomial has denominator 1; a bound on the total degree of its terms;
-and the field width, guard bit included: a function of that bound alone
-(``_width``), so every value of a degree bound holds the same fields,
-whichever code built it, and equal values of bounds that share a width
-hold equal numerators. The operators and the parser run one arithmetic
-on that layout (``_add``, ``_multiply``, ``_power``), and the division
-kernel builds its results in it (``division._built``).
+polynomial has denominator 1; the total degree of its terms, 0 for the
+zero polynomial; and the field width, guard bit included: a function of
+that degree alone (``_width``). So the layout is canonical: equal values
+hold equal numerators in equal fields, whichever code built them, and
+equality and hashing read the layout. The operators and the parser run
+one arithmetic on it (``_add``, ``_multiply``, ``_power``), and the
+division kernel builds its results in it (``division._built``). A
+builder whose terms can cancel reads the degree off them again
+(``_lowest``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
-# The field width, guard bit included, of every degree bound below 128.
+# The field width, guard bit included, of every degree below 128.
 START_WIDTH = 8
 
 
@@ -224,8 +226,9 @@ class Polynomial:
     instances as values: no method mutates ``terms``. The value is the
     packed layout of the module docstring, and ``terms`` is built from
     it on its first read; two threads may both build it, and they build
-    equal maps. Its fields are ``_width(_degree)`` bits wide, whether the
-    constructor, the parser, an operator or the division kernel built it.
+    equal maps. ``_degree`` is its total degree and its fields are
+    ``_width(_degree)`` bits wide, whether the constructor, the parser,
+    an operator or the division kernel built it.
 
     ``_form`` holds ``(packing, form)``, the division kernel's integer
     form of the polynomial from its last conversion, or from the kernel
@@ -236,7 +239,8 @@ class Polynomial:
     steps and those divisors alive while the polynomial lives. The
     kernel bounds its fields by ``_degree``. Each slot is replaced whole
     by one assignment.
-    Equality, hashing, printing, pickling and copying never read either.
+    Equality, hashing, printing, pickling and copying never read either;
+    equality and hashing read the packed layout, not ``terms``.
     """
 
     __slots__ = ("context", "_numerators", "_den", "_degree", "_width", "_terms", "_form", "_division")
@@ -354,16 +358,13 @@ class Polynomial:
             other = Polynomial.constant(self.context, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.context != other.context or self._den != other._den or len(self._numerators) != len(other._numerators):
-            return False
-        # Widths differ only where two degree bounds straddle one.
-        width = max(self._width, other._width)
-        return _widen(self, width)._numerators == _widen(other, width)._numerators
+        # Equal values hold equal layouts (the module docstring).
+        return self.context == other.context and self._den == other._den and self._numerators == other._numerators
 
     def __hash__(self) -> int:
         if not any(self._numerators):  # zero or constant: equal to a scalar
             return hash(Fraction(self._numerators.get(0, 0), self._den))
-        return hash((self.context, frozenset(self.terms.items())))
+        return hash((self.context, self._den, frozenset(self._numerators.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -383,14 +384,23 @@ def _new(context: VariableContext, numerators: dict, den: int, degree: int, widt
     return p
 
 
-def _lowest(context: VariableContext, numerators: dict, den: int, degree: int, width: int, met: int = 0) -> Polynomial:
+def _lowest(context: VariableContext, numerators: dict, den: int, degree: int | None, width: int, met: int = 0) -> Polynomial:
     """numerators / den, divided by the gcd of den and every numerator:
-    of met and every numerator, when met is given (``_common``)."""
+    of met and every numerator, when met is given (``_common``); the
+    numerators lex-packed in fields of width bits, repacked to the fields
+    of the degree (``_width``). The degree is degree, or where that is
+    None, read off the terms, whose fields must then hold each one's
+    degree: it is the top field of the term times a one in each field,
+    since no partial sum of its exponents passes it, so no field carries."""
     met = met or den
     g = gcd(met, *numerators.values()) if met > 1 else 1
     if g > 1:
         numerators, den = {m: c // g for m, c in numerators.items()}, den // g
-    return _new(context, numerators, den, degree, width)
+    if degree is None:
+        packing = _lex(len(context), width)
+        ones, shift, mask = packing._ones, packing.top - width, (1 << width) - 1
+        degree = max([(m * ones >> shift) & mask for m in numerators], default=0)
+    return _repacked(_new(context, numerators, den, degree, width), _width(degree))
 
 
 def _lex(nvars: int, width: int):
@@ -399,20 +409,21 @@ def _lex(nvars: int, width: int):
 
 
 def _width(degree: int) -> int:
-    """The field width, guard bit included, of a value of degree bound
-    degree: START_WIDTH, or one bit more than degree takes."""
+    """The field width, guard bit included, of a value of degree degree:
+    START_WIDTH, or one bit more than degree takes."""
     return max(START_WIDTH, degree.bit_length() + 1)
 
 
-def _widen(p: Polynomial, width: int) -> Polynomial:
-    """p in lex fields of width bits, if they are wider than its own,
-    repacked term by term: no table keeps the repacked monomials, which a
-    huge degree makes as long as all their fields."""
-    if width <= p._width:
+def _repacked(p: Polynomial, width: int) -> Polynomial:
+    """p in lex fields of width bits, which must hold its terms, repacked
+    term by term where they differ from its own: no table keeps the
+    repacked monomials, which a huge degree makes as long as all their
+    fields."""
+    if width == p._width:
         return p
     n = len(p.context)
-    repack, wider = _lex(n, p._width).repack, _lex(n, width)
-    return _new(p.context, {repack(m, wider): c for m, c in p._numerators.items()}, p._den, p._degree, width)
+    repack, fields = _lex(n, p._width).repack, _lex(n, width)
+    return _new(p.context, {repack(m, fields): c for m, c in p._numerators.items()}, p._den, p._degree, width)
 
 
 def _common(dens: list[int]) -> tuple[int, int]:
@@ -435,14 +446,19 @@ def _common(dens: list[int]) -> tuple[int, int]:
 
 def _add(summands: list[tuple[Polynomial, bool]]) -> Polynomial:
     """The sum of (polynomial, negated) pairs, over the least common
-    denominator, then divided by its gcd with every numerator (``_common``)."""
+    denominator, then divided by its gcd with every numerator (``_common``).
+    Its degree is the summands' largest unless a term cancelled, which
+    only a merge into fewer terms than the summands hold can do; then it
+    is read off the sum."""
     den, met = _common([p._den for p, _ in summands])
     degree = max([p._degree for p, _ in summands])
     width = _width(degree)
     terms: dict = {}
     for p, negated in summands:
         scale = -(den // p._den) if negated else den // p._den
-        _merge(terms, [(m, c * scale) for m, c in _widen(p, width)._numerators.items()])
+        _merge(terms, [(m, c * scale) for m, c in _repacked(p, width)._numerators.items()])
+    if len(terms) < sum([len(p._numerators) for p, _ in summands]):
+        degree = None
     return _lowest(summands[0][0].context, terms, den, degree, width, met)
 
 
@@ -462,8 +478,9 @@ def _power(base: Polynomial, e: int) -> Polynomial:
     of a least value is least, so no gcd is taken. The base is widened
     once, to the fields of the power's degree, which every product keeps."""
     width = _width(base._degree * e)
-    base = _widen(base, width)
     result = _new(base.context, {0: 1}, 1, 0, width)
+    # The fields of base^0 may be narrower than base's, which it never reads.
+    base = _repacked(base, max(width, base._width))
     for i, j in _square_and_multiply(e):
         if i == j:
             base = _times(base, base)
@@ -474,10 +491,11 @@ def _power(base: Polynomial, e: int) -> Polynomial:
 
 def _times(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b, numerators and denominators multiplied with no gcd, in the
-    fields of its degree, or in _power's operands' wider ones."""
+    fields of its degree, or in _power's operands' wider ones. The degrees
+    of nonzero factors add; a product with a zero factor is zero."""
     degree = a._degree + b._degree
     width = max(a._width, b._width, _width(degree))
-    a, b = _widen(a, width), _widen(b, width)
+    a, b = _repacked(a, width), _repacked(b, width)
     terms: dict = {}
     pairs = b._numerators.items()
     for m1, c1 in a._numerators.items():
@@ -492,7 +510,7 @@ def _times(a: Polynomial, b: Polynomial) -> Polynomial:
                     terms[m] = acc
                 else:
                     del terms[m]
-    return _new(a.context, terms, a._den * b._den, degree, width)
+    return _new(a.context, terms, a._den * b._den, degree, width) if terms else Polynomial.zero(a.context)
 
 
 # order builds on this module's classes, so it is bound last.

@@ -3,7 +3,7 @@
 Every term is a ``Fraction`` keyed by its ``Monomial``, and each
 operation merges terms one at a time (``_merge``). Slow, but it states
 the ring's arithmetic with nothing packed, so ``Polynomial`` must give
-exactly its terms, in its term order, and its equality, hash and repr.
+exactly its terms, in its term order, and its equality and repr.
 """
 
 from fractions import Fraction
@@ -150,11 +150,6 @@ class ReferencePolynomial:
         if not isinstance(other, ReferencePolynomial):
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if not any(map(any, self.terms)):  # zero or constant: equal to a scalar
-            return hash(next(iter(self.terms.values()), 0))
-        return hash((self.context, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -455,6 +455,14 @@ class TestIkCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].out.startswith("target (1, 1):\n") and "target (2, 0):" in outputs[0].out
 
+    @pytest.mark.parametrize("data, row", [(b"x,y\n1,1\n\xe9,0\n", 3), (b"\xef\xbb\xbfx\xe9,y\n1,1\n", 1),
+                                           (b"1,1\r\n2,0\r\n1,\x80\n", 3), (b"1,1\n2,0 \xff\n", 2)])
+    def test_non_utf8_row_exits_2_and_names_it(self, data, row, tmp_path, capsys):
+        waypoints = tmp_path / "path.csv"
+        waypoints.write_bytes(data)
+        assert run(["ik", "--l1", "1", "--l2", "1", "--trajectory", str(waypoints)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad trajectory row {row}: not UTF-8 text\n")
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         waypoints = tmp_path / "path.csv"
         waypoints.write_text("x,y\n\n1,1\n  \n")

@@ -344,11 +344,13 @@ class TestCompletionEntries:
             assert member.terms[leading_term(member, order).monomial] == 1
             assert normal_form(member, reduced, order).is_zero()
             # The member holds the form converting it would give, but for
-            # the bound: _monic's, which its degree bound is not below.
+            # the bound on its fields: _monic's, where converting gives its
+            # degree. Under lex _monic's largest field of the terms' OR can
+            # pass the degree (3 for x^2 - x); both bound every field.
             held_packing, held = member._form
             assert held_packing is packing
             assert held._replace(degree=0) == division._form(member, packing)._replace(degree=0)
-            assert held.degree <= member._degree
+            assert all(max(m) <= min(held.degree, member._degree) for m in member.terms)
         assert all(normal_form(g, reduced, order).is_zero() for g in basis)
 
     @settings(max_examples=60, deadline=None)
@@ -835,47 +837,48 @@ class TestDividendMemo:
 
 
 
-def _loosened(p: Polynomial, kind: int) -> Polynomial:
-    """A new value with a degree bound past its degree, or not: p itself
-    (0); p plus x^200 - x^200, of bound 200 (1); p plus b - b, b the lex
-    kernel's x^64 + x^63*y, of bound 128 (2); x^200 - x^200 + y (3); or
-    b (4)."""
+def _rebuilt(p: Polynomial, kind: int) -> Polynomial:
+    """A new value equal to p, or another, built by a route that cancels
+    terms or by the lex kernel: p through the constructor (0); p plus
+    x^200 - x^200 (1); p plus b - b, b the lex kernel's x^64 + x^63*y
+    (2); x^200 - x^200 + y (3); or b (4)."""
     cancelled = parse_polynomial("x^200 - x^200 + y", CTX_XYZ)
     built = divide(parse_polynomial("x^64 + x^63*y", CTX_XYZ), [parse_polynomial("z", CTX_XYZ)], LEX).remainder
     y = parse_polynomial("y", CTX_XYZ)
     return [Polynomial(CTX_XYZ, p.terms), p + (cancelled - y), p + (built - built), cancelled, built][kind]
 
 
-def loose_recipes(kinds: int = 5):
-    """Arguments of _loosened: a small polynomial in x, y, z and one of the
-    first kinds."""
-    return st.tuples(nonzero_polynomials(CTX_XYZ, max_terms=3, max_exponent=2), st.integers(0, kinds - 1))
+def rebuilt_recipes():
+    """Arguments of _rebuilt: a small polynomial in x, y, z and a kind."""
+    return st.tuples(nonzero_polynomials(CTX_XYZ, max_terms=3, max_exponent=2), st.integers(0, 4))
 
 
-class TestLooseBounds:
-    """A value's degree bound can exceed its degree: the bound of a sum is
-    its summands' largest, and the lex kernel bounds what it builds by the
-    sum of the fields of its terms' OR. The kernel sizes its fields by the
-    bounds alone, and every entry gives the results of tight bounds."""
+class TestCancelledAndKernelBuiltValues:
+    """A sum whose terms cancel, and what the lex kernel builds, hold the
+    degree and the layout the constructor gives the same value, so the
+    kernel sizes its fields alike whichever route built its inputs."""
 
-    def test_the_values_are_loose(self):
+    def test_the_values_hold_the_constructors_layout(self):
         p = parse_polynomial("x*z - 1", CTX_XYZ)
-        values = [_loosened(p, kind) for kind in range(5)]
-        assert [g._degree for g in values] == [2, 200, 128, 200, 128]
+        values = [_rebuilt(p, kind) for kind in range(5)]
+        assert [g._degree for g in values] == [2, 2, 2, 1, 64]
         assert values[1] == values[2] == p
         assert values[3] == parse_polynomial("y", CTX_XYZ)
         assert values[4] == parse_polynomial("x^64 + x^63*y", CTX_XYZ)
+        for g in values:
+            fresh = Polynomial(CTX_XYZ, g.terms)
+            assert (g._numerators, g._den, g._degree, g._width) == (fresh._numerators, fresh._den, fresh._degree, fresh._width)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(loose_recipes(), min_size=1, max_size=3),
-        loose_recipes(),
+        st.lists(rebuilt_recipes(), min_size=1, max_size=3),
+        rebuilt_recipes(),
         orders(),
         st.lists(st.none() | st.tuples(st.integers(0, 2), orders()), min_size=3, max_size=3),
     )
-    def test_division_tries_the_bound_or_a_wider_held_packing(self, recipes, recipe, order, held):
+    def test_division_tries_the_degree_or_a_wider_held_packing(self, recipes, recipe, order, held):
         def inputs():
-            return _loosened(*recipe), [_loosened(*r) for r in recipes]
+            return _rebuilt(*recipe), [_rebuilt(*r) for r in recipes]
 
         f, divisors = inputs()
         # Forms in fields that hold each divisor, or wider, some of them
@@ -884,7 +887,7 @@ class TestLooseBounds:
             if h is not None:
                 packing = h[1].packing(3, division._room(g._degree) + h[0])
                 g._form = (packing, division._form(g, packing))
-        bound = max(f._degree, *(g._degree for g in divisors))
+        degree = max(f._degree, *(g._degree for g in divisors))
         wider = [g._form[0].width for g in divisors if g._form and g._form[0].order is order]
         widths = []
         packed = division._divide_packed
@@ -895,23 +898,8 @@ class TestLooseBounds:
 
         with mock.patch.object(division, "_divide_packed", spy):
             result = divide(f, divisors, order)
-        assert widths[0] == max([division._room(bound), *wider])
+        assert widths[0] == max([division._room(degree), *wider])
         expected = reference_divide(f, divisors, order)
         assert result == expected
         f, divisors = inputs()
         assert normal_form(f, divisors, order) == expected.remainder
-
-    # x^64 + x^63*y itself, completed with small inputs, can give hundreds
-    # of members, so completion meets its bound only through p + b - b.
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(loose_recipes(4), min_size=1, max_size=3), orders())
-    def test_completion_and_reduction_give_what_tight_bounds_give(self, recipes, order):
-        loose = [_loosened(*r) for r in recipes]
-        tight = [Polynomial(CTX_XYZ, g.terms) for g in loose]
-        raw = buchberger(loose, order)
-        assert [as_items(g) for g in raw] == [as_items(g) for g in buchberger(tight, order)]
-        reduced = reduce_basis(raw)
-        assert all(reference_divide(g, list(reduced), order).remainder.is_zero() for g in loose)
-        items = [as_items(g) for g in reduced]
-        assert items == [as_items(g) for g in reference_reduce_basis(raw)]
-        assert items == [as_items(g) for g in reduce_basis(buchberger(tight, order))]

@@ -117,6 +117,23 @@ class TestSPolynomial:
         assert s == left - right
         assert list(s.terms.items()) == list((left - right).terms.items())
 
+    def test_completion_takes_the_same_s_pair_step(self, monkeypatch):
+        # s_polynomial and completion share one S-pair step, on the forms.
+        p, q = _xy("x^3 - 2*x*y"), _xy("x^2*y - 2*y^2 + x")
+        steps = []
+        step = groebner._s_pair
+
+        def spy(f, g, k_lcm):
+            steps.append((f, g, k_lcm))
+            return step(f, g, k_lcm)
+
+        monkeypatch.setattr(groebner, "_s_pair", spy)
+        assert s_polynomial(p, q, GRLEX) == _xy("-x^2")
+        assert len(steps) == 1 and steps[0][:2] == (p._form[1], q._form[1])
+        stats = {}
+        buchberger([p, q], GRLEX, stats)
+        assert len(steps) == 1 + stats["s_pairs_reduced"] > 1
+
     def test_ring_mismatch_rejected(self):
         other = parse_polynomial("a*b", VariableContext(["a", "b"]))
         with pytest.raises(RingMismatchError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from groebnerkit import ring
 from groebnerkit.division import divide
-from groebnerkit.groebner import buchberger, reduce_basis
+from groebnerkit.groebner import buchberger, reduce_basis, s_polynomial
 from groebnerkit.ideal import eliminate
 from groebnerkit.order import GREVLEX, GRLEX, LEX, Packing
 from groebnerkit.parse import format_polynomial, parse_polynomial, parse_system
@@ -381,15 +381,22 @@ _SCALARS = st.one_of(st.integers(-6, 6), rationals())
 
 class TestReferenceArithmetic:
     """Polynomial against the reference arithmetic of tests/reference_ring.py:
-    the same terms in the same order, equality, hash, repr and pickling."""
+    the same terms in the same order, equality, repr and pickling; and one
+    hash whether the constructor, the parser, an operator or the division
+    kernel built the value."""
 
     @staticmethod
     def _same(got, want):
         assert list(got.terms.items()) == list(want.terms.items())
         assert all(type(c) is Fraction for c in got.terms.values())
-        assert repr(got) == repr(want) and hash(got) == hash(want)
-        fresh = Polynomial(got.context, want.terms)  # fields as narrow as its degree asks
-        assert got == fresh and fresh == got and hash(fresh) == hash(got)
+        assert repr(got) == repr(want)
+        fresh = Polynomial(got.context, want.terms)
+        parsed = parse_polynomial(format_polynomial(got, GREVLEX), got.context)
+        y = Polynomial.variable(got.context, "y")
+        # got * y divided by y: the kernel builds got as the quotient.
+        built = [divide(got * y, [y], order).quotients[0] for order in (LEX, GREVLEX)]
+        for other in (fresh, parsed, *built):
+            assert got == other and other == got and hash(other) == hash(got)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(got, protocol))
             assert back == got and list(back.terms.items()) == list(want.terms.items())
@@ -414,26 +421,25 @@ class TestReferenceArithmetic:
     @given(_WIDE)
     def test_constants_and_zero_hash_as_their_scalars(self, a):
         p = Polynomial(CTX_XY, a)
-        constant = p - p + Fraction(next(iter(a.values()), 0))
-        assert hash(constant) == hash(ReferencePolynomial(CTX_XY, constant.terms))
-        assert constant == next(iter(a.values()), 0)
+        scalar = next(iter(a.values()), 0)
+        for constant in (p - p + scalar, p * 0 + scalar):
+            assert hash(constant) == hash(scalar) and constant == scalar
 
 
 class TestOneWidthRule:
-    """Every value holds the lex fields of its degree bound (ring._width),
-    whichever route built it: the constructor, the parser, the operators
-    or the division kernel. So equal values whose bounds are below 128
-    hold the same numerators, and widths differ only where two bounds
-    straddle one."""
+    """Every value holds its total degree and the lex fields of that degree
+    (ring._width), whichever route built it: the constructor, the parser,
+    the operators, zero products and cancellations included, or the
+    division kernel. So equal values hold the same numerators."""
 
     @staticmethod
     def _same(values):
         first = values[0]
         for p in values:
+            assert p._degree == max(map(sum, p.terms), default=0)
             assert p._width == ring._width(p._degree)
             assert p == first and first == p and hash(p) == hash(first)
-            if p._degree < 128 and first._degree < 128:
-                assert p._numerators == first._numerators
+            assert p._numerators == first._numerators
 
     @staticmethod
     def _routes(p):
@@ -453,6 +459,7 @@ class TestOneWidthRule:
         p, q = Polynomial(CTX_XY, a), Polynomial(CTX_XY, b)
         self._same([*self._routes(p), (p + q) - q, q - (q - p), p * 1, 1 * p, (p * k + p) - p * k, -(-p), p**1])
         self._same([Polynomial.constant(CTX_XY, 1), p**0, p * 0 + 1, (p - p) ** 0])
+        self._same([Polynomial.zero(CTX_XY), p * 0, 0 * q, p * (q - q), (p + q) - p - q, p * q - q * p, (p - p) ** 2])
 
     @pytest.mark.parametrize("degree", [127, 128, 255, 65535])
     def test_cancelled_edges_equal_the_narrow_value(self, degree):
@@ -460,13 +467,36 @@ class TestOneWidthRule:
         built = [x**degree - x**degree + y, parse_polynomial(f"x^{degree} - x^{degree} + y", CTX_XY),
                  parse_polynomial(f"(x)^{degree}*y - y*(x)^{degree} + y", CTX_XY)]
         self._same([y, *built])
-        assert built[0]._degree == degree and built[2]._degree == degree + 1
+        assert [p._degree for p in built] == [1, 1, 1]
 
-    def test_comparing_values_below_128_repacks_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("degree", [127, 128, 255, 65535])
+    def test_zero_products_cancellations_and_kernel_builds_are_exact(self, degree):
+        x, y, z = (Polynomial.variable(CTX_XYZ, name) for name in "xyz")
+        zeros = [x**degree * 0, 0 * x**degree, parse_polynomial(f"x^{degree}*0", CTX_XYZ),
+                 parse_polynomial(f"0*(x)^{degree}", CTX_XYZ), x**degree - x**degree]
+        self._same([Polynomial.zero(CTX_XYZ), *zeros])
+        assert all(p._width == ring.START_WIDTH for p in zeros)
+        self._same([y, x**degree - x**degree + y, parse_polynomial(f"x^{degree} - x^{degree} + y", CTX_XYZ)])
+        # Under lex the kernel bounds what it builds by the sum of the fields
+        # of its terms' OR: (degree | degree - 1) + 1 here, one bit wider.
+        f = parse_polynomial(f"x^{degree} + x^{degree - 1}*y", CTX_XYZ)
+        built = divide(f, [z], LEX).remainder
+        self._same([f, built, *divide(f * z, [z], LEX).quotients])
+        assert built._degree == degree
+
+    @pytest.mark.parametrize("degree", [100, 127, 128, 255, 65535])
+    def test_comparing_and_hashing_equal_values_repack_nothing_and_read_no_terms(self, degree, monkeypatch):
         x, y = (Polynomial.variable(CTX_XY, name) for name in "xy")
-        p = x**100 - 3 * x * y + Fraction(1, 2)
-        q = divide(p, [y**3 - 1], LEX).remainder  # p, built by the kernel from 9-bit fields
-        assert q is not p and q._degree < 128
+        p = x**degree - 3 * x * y + Fraction(1, 2)
+        values = [
+            p,
+            divide(p, [y**3 - 1], LEX).remainder,  # p, built by the kernel
+            divide(p * y, [y], LEX).quotients[0],  # from fields of twice its degree
+            parse_polynomial(format_polynomial(p, LEX), CTX_XY),
+            (p + x**degree * y) - y * x**degree,
+            p + (x**(2 * degree) - x**(2 * degree)),
+        ]
+        assert all(q is not p for q in values[1:])
         repacked = []
         repack = Packing.repack
 
@@ -475,7 +505,8 @@ class TestOneWidthRule:
             return repack(packing, packed, other)
 
         monkeypatch.setattr(Packing, "repack", spy)
-        assert p == q and q == parse_polynomial(format_polynomial(p, LEX), CTX_XY)
+        monkeypatch.setattr(Polynomial, "terms", property(lambda p: pytest.fail("terms read")))
+        assert all(q == p and p == q and hash(q) == hash(p) for q in values)
         assert repacked == []
 
     @settings(max_examples=60, deadline=None)
@@ -491,6 +522,17 @@ class TestOneWidthRule:
     ])
     def test_edge_degree_division_results_hold_the_fields_of_their_degree(self, order, f, g):
         self._divided(parse_polynomial(f, CTX_XY), [parse_polynomial(g, CTX_XY)], order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(nonzero_polynomials(max_terms=3, max_exponent=2), min_size=1, max_size=3), orders())
+    def test_drawn_s_polynomials_basis_members_and_eliminants_hold_their_degree(self, system, order):
+        raw = buchberger(system, order)
+        reduced = reduce_basis(raw)
+        members = [s_polynomial(system[0], system[-1], order), *raw.generators, *reduced.generators]
+        if order is LEX:
+            members += eliminate(reduced, 1)
+        for g in members:
+            self._same([g, Polynomial(g.context, g.terms)])
 
     @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX])
     @pytest.mark.parametrize("system", [
